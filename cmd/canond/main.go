@@ -9,8 +9,10 @@
 // With -data-dir set, the node stores its items in a durable log-structured
 // engine rooted at that directory: every acknowledged write is fsynced
 // before the ack and survives a crash or restart of the same directory
-// (docs/STORAGE.md). With -replicas N (N >= 2), items are replicated and
-// repaired by Merkle anti-entropy on the -sync-interval schedule.
+// (docs/STORAGE.md). With -replicas N (N >= 2), each write is pushed to the
+// owner's N-1 predecessors on the stabilization round after it — and every
+// stored item again when the node's ring neighbors change — and replicas
+// are repaired by Merkle anti-entropy on the -sync-interval schedule.
 //
 // With -admin set, the node also serves an HTTP observability endpoint:
 //

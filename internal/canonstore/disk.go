@@ -17,6 +17,7 @@
 //	          one framed record to the active segment's buffer.
 //	Sync    — flush the buffer and fsync the active segment: the
 //	          durability barrier nodes invoke before acking a store RPC.
+//	          A no-op when nothing was appended since the last fsync.
 //	rotate  — when the active segment exceeds Options.SegmentBytes it is
 //	          sealed and a new one opened; rotation nudges the compactor.
 //	compact — a background goroutine merges every sealed segment into one
@@ -119,6 +120,7 @@ type Disk struct {
 	f           *os.File
 	bw          *bufio.Writer
 	activeBytes int64
+	unsynced    bool   // records appended since the last successful fsync
 	scratch     []byte // payload encode buffer, reused across appends
 	rec         []byte // frame encode buffer, reused across appends
 	werr        error  // first write-path error; latched, fails every later op
@@ -310,6 +312,7 @@ func (d *Disk) appendLocked(typ byte, payload []byte) error {
 		return err
 	}
 	d.activeBytes += int64(len(d.rec))
+	d.unsynced = true
 	d.m.appends.Inc()
 	d.m.walBytes.Add(int64(len(d.rec)))
 	if d.activeBytes >= d.opts.SegmentBytes {
@@ -333,6 +336,7 @@ func (d *Disk) rotateLocked() error {
 		return err
 	}
 	d.m.fsyncs.Inc()
+	d.unsynced = false
 	d.sealed = append(d.sealed, walSeg{seq: d.seq, path: d.segPath(d.seq)})
 	d.seq++
 	if err := d.openActiveLocked(); err != nil {
@@ -376,6 +380,9 @@ func (d *Disk) ForEach(fn func(Entry) bool) {
 
 // Sync implements Store: flush the append buffer and fsync the active
 // segment. After it returns nil, every prior Put/Delete survives a crash.
+// When nothing was appended since the last successful fsync every prior
+// write is already durable and Sync returns at once, so concurrent store
+// handlers whose records one barrier covered share that one fsync.
 func (d *Disk) Sync() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -384,6 +391,9 @@ func (d *Disk) Sync() error {
 	}
 	if d.werr != nil {
 		return d.werr
+	}
+	if !d.unsynced {
+		return nil
 	}
 	if err := d.bw.Flush(); err != nil {
 		d.werr = err
@@ -394,6 +404,7 @@ func (d *Disk) Sync() error {
 		return err
 	}
 	d.m.fsyncs.Inc()
+	d.unsynced = false
 	return nil
 }
 

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -211,5 +213,128 @@ func TestDiskClosedOps(t *testing.T) {
 	}
 	if err := d.Close(); err != nil {
 		t.Fatalf("second Close = %v", err)
+	}
+}
+
+// walFiles reads every segment file under dir, keyed by name.
+func walFiles(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string][]byte, len(paths))
+	for _, p := range paths {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[filepath.Base(p)] = data
+	}
+	return out
+}
+
+// TestDiskExactRePutIsNotAWrite pins the replica-push fast path: putting a
+// record the store already holds appends nothing and fsyncs nothing, so the
+// log — and what recovery replays from it — is byte-identical.
+func TestDiskExactRePutIsNotAWrite(t *testing.T) {
+	dir := t.TempDir()
+	d, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries := make([]Entry, 50)
+	for i := range entries {
+		entries[i] = Entry{
+			Key: uint64(i), Value: []byte(fmt.Sprintf("value-%d", i)),
+			Storage: "s", Access: "", Level: 1, Version: uint64(i) + 1,
+		}
+		if applied, err := d.Put(entries[i]); err != nil || !applied {
+			t.Fatalf("first put %d: applied=%v err=%v", i, applied, err)
+		}
+	}
+	if err := d.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	appends, walBytes, fsyncs := d.m.appends.Value(), d.m.walBytes.Value(), d.m.fsyncs.Value()
+	before := walFiles(t, dir)
+
+	for round := 0; round < 5; round++ {
+		for i, e := range entries {
+			if applied, err := d.Put(e); err != nil || applied {
+				t.Fatalf("re-put %d: applied=%v err=%v, want false, nil", i, applied, err)
+			}
+			if err := d.Sync(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if a, b, f := d.m.appends.Value(), d.m.walBytes.Value(), d.m.fsyncs.Value(); a != appends || b != walBytes || f != fsyncs {
+		t.Fatalf("re-puts moved the WAL: appends %d→%d bytes %d→%d fsyncs %d→%d", appends, a, walBytes, b, fsyncs, f)
+	}
+	if after := walFiles(t, dir); !reflect.DeepEqual(before, after) {
+		t.Fatal("segment files changed across exact re-puts")
+	}
+
+	// A real write after the quiet stretch still reaches the log and the
+	// next Sync still fsyncs it.
+	if applied, err := d.Put(Entry{Key: 0, Value: []byte("newer"), Storage: "s", Level: 1, Version: 100}); err != nil || !applied {
+		t.Fatalf("overwrite: applied=%v err=%v", applied, err)
+	}
+	if err := d.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if f := d.m.fsyncs.Value(); f != fsyncs+1 {
+		t.Fatalf("fsyncs = %d after a real write, want %d", f, fsyncs+1)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	d2, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d2.Close()
+	if d2.Keys() != len(entries) {
+		t.Fatalf("Keys() = %d after reopen, want %d", d2.Keys(), len(entries))
+	}
+	for i, e := range entries[1:] {
+		if got := d2.Get(e.Key, nil); len(got) != 1 || !reflect.DeepEqual(got[0], e) {
+			t.Fatalf("key %d after reopen: %+v, want %+v", i+1, got, e)
+		}
+	}
+}
+
+// TestDiskCleanSyncFailsOnLatchedError: the nothing-to-flush shortcut must
+// never turn a broken log into an ack.
+func TestDiskCleanSyncFailsOnLatchedError(t *testing.T) {
+	fw := &failWriter{remaining: 64}
+	d, err := Open(t.TempDir(), Options{testWrapWriter: func(w io.Writer) io.Writer {
+		fw.w = w
+		return fw
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	if _, err := d.Put(Entry{Key: 1, Value: []byte("fits"), Version: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Put(Entry{Key: 2, Value: bytes.Repeat([]byte("x"), 128), Version: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Sync(); !errors.Is(err, errInjected) {
+		t.Fatalf("Sync over a failing writer = %v, want the injected error", err)
+	}
+	// The state a failed rotation leaves: the old segment's fsync went
+	// through (nothing unsynced) before opening the next one failed.
+	d.mu.Lock()
+	d.unsynced = false
+	d.mu.Unlock()
+	if err := d.Sync(); !errors.Is(err, errInjected) {
+		t.Fatalf("clean Sync on a latched store = %v, want the injected error", err)
 	}
 }

@@ -83,8 +83,9 @@ func (e Entry) sameIdentity(o Entry) bool {
 // survive a crash. Nodes call Sync before acknowledging a store RPC
 // (canonvet's fsyncbeforeack check enforces that ordering mechanically).
 type Store interface {
-	// Put upserts e by record identity. It reports whether the write was
-	// applied: false means a stored version newer than e.Version won.
+	// Put upserts e by record identity. It reports whether the write
+	// changed the store: false means the stored record is at least as new —
+	// a newer version won, or e is an exact re-put of what is stored.
 	Put(e Entry) (applied bool, err error)
 	// Get appends every entry stored under key to dst and returns it.
 	Get(key uint64, dst []Entry) []Entry
@@ -109,8 +110,10 @@ type Store interface {
 // concurrent stamps from different writers — fall back to the content
 // digest, so every replica that sees both candidates picks the same winner
 // and anti-entropy cannot ping-pong a conflicted record between replicas.
-// An exact re-put (equal version, equal digest) applies, keeping replica
-// pushes idempotent. Shared by Mem and Disk's index.
+// An exact re-put (equal version, digest and level) is not a write: the
+// record is already stored, so it reports false and Disk appends nothing —
+// replica pushes stay idempotent without costing WAL bytes or an fsync.
+// Shared by Mem and Disk's index.
 func putEntry(items map[uint64][]Entry, e Entry) bool {
 	list := items[e.Key]
 	for i := range list {
@@ -118,8 +121,11 @@ func putEntry(items map[uint64][]Entry, e Entry) bool {
 			if e.Version < list[i].Version {
 				return false
 			}
-			if e.Version == list[i].Version && e.Digest() < list[i].Digest() {
-				return false
+			if e.Version == list[i].Version {
+				ed, sd := e.Digest(), list[i].Digest()
+				if ed < sd || (ed == sd && e.Level == list[i].Level) {
+					return false
+				}
 			}
 			list[i] = e
 			return true

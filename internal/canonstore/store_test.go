@@ -79,10 +79,10 @@ func TestMemVersionConflict(t *testing.T) {
 	if len(got) != 1 || !bytes.Equal(got[0].Value, hi.Value) {
 		t.Fatalf("Get = %+v, want the digest winner %q", got, hi.Value)
 	}
-	// An exact re-put (replica push of the same record) stays applied.
+	// An exact re-put (replica push of the same record) is not a write.
 	applied, err = m.Put(hi)
-	if err != nil || !applied {
-		t.Fatalf("idempotent re-put applied=%v err=%v, want true, nil", applied, err)
+	if err != nil || applied {
+		t.Fatalf("exact re-put applied=%v err=%v, want false, nil", applied, err)
 	}
 	// The placement level must not pick winners: re-placing the same record
 	// at another level applies (levels are metadata, not content).

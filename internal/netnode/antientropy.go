@@ -52,24 +52,17 @@ func (n *Node) AntiEntropyOnce(ctx context.Context) AntiEntropyStats {
 	v := n.routing.Load()
 	for l := 0; l <= v.levels; l++ {
 		lo, hi := v.self.ID, v.succAt(l).ID
-		target := v.preds[l]
-		for i := 0; i < n.cfg.ReplicationFactor-1; i++ {
-			if target.IsZero() || target.Addr == v.self.Addr {
-				break
-			}
-			pushed, pulled, err := n.syncWith(ctx, target, v.prefixes[l], lo, hi)
+		// A failed sync ends this level's walk; the next round retries it.
+		_ = n.walkReplicaChain(ctx, v, l, func(partner Info) error {
+			pushed, pulled, err := n.syncWith(ctx, partner, v.prefixes[l], lo, hi)
 			if err != nil {
-				break
+				return err
 			}
 			stats.Partners++
 			stats.Pushed += pushed
 			stats.Pulled += pulled
-			next, err := n.predecessorOf(ctx, target, l)
-			if err != nil {
-				break
-			}
-			target = next
-		}
+			return nil
+		})
 	}
 	n.m.antiEntropyRounds.Inc()
 	return stats

@@ -30,6 +30,10 @@ const (
 	mnAESyncs      = "canon_antientropy_syncs_total"
 	mnAEPushed     = "canon_antientropy_keys_pushed_total"
 	mnAEPulled     = "canon_antientropy_keys_pulled_total"
+	mnReplDirty    = "canon_replica_dirty_keys"
+	mnReplPushes   = "canon_replica_pushes_total"
+	mnReplFailures = "canon_replica_push_failures_total"
+	mnReplFull     = "canon_replica_full_passes_total"
 )
 
 // knownMsgTypes is every wire message type the node itself sends or serves.
@@ -68,6 +72,13 @@ type nodeMetrics struct {
 	antiEntropyPushed *telemetry.Counter
 	antiEntropyPulled *telemetry.Counter
 
+	replicaDirty        *telemetry.Gauge
+	replicaPushChain    *telemetry.Counter
+	replicaPushLevel    *telemetry.Counter
+	replicaPushHandoff  *telemetry.Counter
+	replicaPushFailures *telemetry.Counter
+	replicaFullPasses   *telemetry.Counter
+
 	// sentFixed/receivedFixed are immutable after construction: read-only
 	// map lookups are safe for unsynchronized concurrent use.
 	sentFixed     map[string]*telemetry.Counter
@@ -103,6 +114,15 @@ func newNodeMetrics(reg *telemetry.Registry) *nodeMetrics {
 			"records pushed to replica partners by anti-entropy repair"),
 		antiEntropyPulled: reg.Counter(mnAEPulled,
 			"records pulled from replica partners by anti-entropy repair"),
+		replicaDirty: reg.Gauge(mnReplDirty,
+			"keys with pending replication work (written since the last round, or a push failed)"),
+		replicaPushChain:   replicaPushes(reg, "chain"),
+		replicaPushLevel:   replicaPushes(reg, "level"),
+		replicaPushHandoff: replicaPushes(reg, "handoff"),
+		replicaPushFailures: reg.Counter(mnReplFailures,
+			"keys a replication round re-queued because a push for them failed"),
+		replicaFullPasses: reg.Counter(mnReplFull,
+			"replication rounds that re-queued every stored key because the node's ring neighbors changed"),
 		sentFixed:     make(map[string]*telemetry.Counter, len(knownMsgTypes)),
 		receivedFixed: make(map[string]*telemetry.Counter, len(knownMsgTypes)),
 		sent:          make(map[string]*telemetry.Counter),
@@ -115,6 +135,12 @@ func newNodeMetrics(reg *telemetry.Registry) *nodeMetrics {
 			telemetry.L("type", t))
 	}
 	return m
+}
+
+// replicaPushes registers the replication push counter of one kind: chain
+// replicas, per-level copies or ownership handoffs.
+func replicaPushes(reg *telemetry.Registry, kind string) *telemetry.Counter {
+	return reg.Counter(mnReplPushes, "records the replication round pushed, by kind", telemetry.L("kind", kind))
 }
 
 // sentCounter returns the outgoing-request counter for a message type. Known

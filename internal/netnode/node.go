@@ -64,9 +64,10 @@ type Config struct {
 	RegistrySize int
 	// ReplicationFactor is how many copies of each item exist, counting the
 	// owner's: the owner pushes ReplicationFactor-1 replicas to its
-	// predecessors within the item's home domain on every stabilization
-	// round, and anti-entropy keeps that replica set convergent. Values
-	// below 2 disable both (the default).
+	// predecessors within the item's home domain on the stabilization round
+	// after a write, and again whenever its ring neighbors change;
+	// anti-entropy keeps that replica set convergent. Values below 2
+	// disable both (the default).
 	ReplicationFactor int
 	// Store is the node-local storage engine holding the node's items. Nil
 	// means a volatile in-memory store (canonstore.NewMem) — the default
@@ -123,6 +124,15 @@ type Node struct {
 	// fresh versions from it and observeVersion advances it past every
 	// version seen on the wire, so local stamps always order after them.
 	clock atomic.Uint64
+
+	// Replication bookkeeping (storage.go): dirty holds the keys with
+	// pending replication work — written since the last round, or left over
+	// from a failed push — and placement is the per-level (predecessor,
+	// successor) signature the last round ran against; a round that sees a
+	// different one re-queues every stored key.
+	replMu    sync.Mutex
+	dirty     map[uint64]struct{}
+	placement []Info
 
 	// routing is the published epoch snapshot of the mutable tables below:
 	// the forwarding hot path reads it lock-free, and every mutation of
@@ -207,6 +217,7 @@ func New(cfg Config) (*Node, error) {
 		m:        newNodeMetrics(reg),
 		traces:   telemetry.NewTraceStore(cfg.TraceBuffer),
 		store:    store,
+		dirty:    make(map[uint64]struct{}),
 		preds:    make([]Info, levels+1),
 		succs:    make([][]Info, levels+1),
 		fingers:  make(map[uint64]Info),

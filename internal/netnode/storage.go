@@ -3,6 +3,7 @@ package netnode
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"github.com/canon-dht/canon/internal/canonstore"
 	"github.com/canon-dht/canon/internal/id"
@@ -142,8 +143,13 @@ func (n *Node) storeLocalV2(req storeReq2) error {
 	} else {
 		n.observeVersion(req.Version)
 	}
-	if _, err := n.store.Put(entryFromReq(req)); err != nil {
+	e := entryFromReq(req)
+	applied, err := n.store.Put(e)
+	if err != nil {
 		return err
+	}
+	if applied && n.mustPropagate(req, e) {
+		n.markDirty(e.Key)
 	}
 	n.m.storeItems.Set(float64(n.store.Keys()))
 	return nil
@@ -289,8 +295,73 @@ func ownsInView(v *routingView, key uint64, level int) bool {
 		v.space.Clockwise(id.ID(v.self.ID), id.ID(succ.ID))
 }
 
-// replicateOnce walks the node's stored entries and enforces Section 4's
-// placement against one routing-view epoch:
+// placedLevel returns an entry's home level d — the depth of its home
+// domain — and the level of the ring whose key-owner should hold this copy:
+// the entry's own level annotation when it names a ring at or below d on
+// this node's chain, d otherwise. d > v.levels means the home domain is
+// deeper than this node's chain reaches.
+func placedLevel(v *routingView, e canonstore.Entry) (d, placed int) {
+	d = prefixLevel(entryHome(e))
+	if e.Level < d || e.Level > v.levels {
+		return d, d
+	}
+	return d, e.Level
+}
+
+// markDirty queues key for the next replication round.
+func (n *Node) markDirty(key uint64) {
+	n.replMu.Lock()
+	n.dirty[key] = struct{}{}
+	n.m.replicaDirty.Set(float64(len(n.dirty)))
+	n.replMu.Unlock()
+}
+
+// mustPropagate reports whether an applied write leaves this node with
+// replication work: a fresh (non-replica) write always does; a transferred
+// record does only when the node owns it at its placement level — a
+// handoff receiver replicates what it inherits, while a chain replica
+// landing on a predecessor must not echo back to its owner.
+func (n *Node) mustPropagate(req storeReq2, e canonstore.Entry) bool {
+	if !req.Replica {
+		return true
+	}
+	v := n.routing.Load()
+	d, placed := placedLevel(v, e)
+	return d <= v.levels && ownsInView(v, e.Key, placed)
+}
+
+// takeDirty hands the round its work: the keys written since the last
+// round, or every stored key when the placement signature — per level, the
+// chain target preds[l] and the end of the owned arc succAt(l) — differs
+// from the last round's (a join, a death, a predecessor change). The set is
+// swapped out rather than drained in place, so a write racing the round
+// lands in the next round's set and is never lost to a delete.
+func (n *Node) takeDirty(v *routingView) map[uint64]struct{} {
+	sig := make([]Info, 0, 2*(v.levels+1))
+	for l := 0; l <= v.levels; l++ {
+		sig = append(sig, v.preds[l], v.succAt(l))
+	}
+	n.replMu.Lock()
+	defer n.replMu.Unlock()
+	if !slices.Equal(sig, n.placement) {
+		n.placement = sig
+		n.m.replicaFullPasses.Inc()
+		n.store.ForEach(func(e canonstore.Entry) bool {
+			n.dirty[e.Key] = struct{}{}
+			return true
+		})
+	}
+	if len(n.dirty) == 0 {
+		return nil
+	}
+	keys := n.dirty
+	n.dirty = make(map[uint64]struct{})
+	n.m.replicaDirty.Set(0)
+	return keys
+}
+
+// replicateOnce enforces Section 4's placement, against one routing-view
+// epoch, for every key with pending replication work (see takeDirty):
 //
 //   - An entry whose placement-level ownership moved (a join spliced a new
 //     owner into the range, or this is a replica whose primary lives
@@ -304,96 +375,132 @@ func ownsInView(v *routingView, key uint64, level int) bool {
 //     chain at that ring's key owner, level-annotated, so each nested
 //     domain can serve the key locally.
 //
-// Called from StabilizeOnce so replicas follow ring repairs.
+// A key leaves the dirty set only when every push for it succeeded: a
+// failed push, or a round that runs out of its context, re-queues it for
+// the next round. Called from StabilizeOnce so replicas follow ring repairs.
 func (n *Node) replicateOnce(ctx context.Context) {
 	v := n.routing.Load()
-	var entries []canonstore.Entry
-	n.store.ForEach(func(e canonstore.Entry) bool {
-		entries = append(entries, e)
-		return true
-	})
-	for _, e := range entries {
-		home := entryHome(e)
-		d := prefixLevel(home)
-		if d > v.levels {
+	keys := n.takeDirty(v)
+	if len(keys) == 0 {
+		return
+	}
+	buf := make([]canonstore.Entry, 0, 4)
+	for key := range keys {
+		if ctx.Err() != nil {
+			n.markDirty(key)
 			continue
 		}
-		placed := e.Level
-		if placed < d || placed > v.levels {
-			placed = d
-		}
-		if !ownsInView(v, e.Key, placed) {
-			n.handOff(ctx, e, placed)
-			continue
-		}
-		if e.Level != d {
-			continue // a per-level copy we own: the primary refreshes it
-		}
-		n.pushChainReplicas(ctx, v, e, d)
-		for l := d + 1; l <= v.levels; l++ {
-			n.pushLevelCopy(ctx, v, e, l)
+		for _, e := range n.store.Get(key, buf) {
+			if !n.replicateEntry(ctx, v, e) {
+				n.m.replicaPushFailures.Inc()
+				n.markDirty(key)
+				break
+			}
 		}
 	}
 }
 
-// pushChainReplicas pushes one owned primary to the ReplicationFactor-1
-// nearest predecessors on its home-level ring, walking pred pointers
-// through neighbor queries.
-func (n *Node) pushChainReplicas(ctx context.Context, v *routingView, e canonstore.Entry, level int) {
+// replicateEntry applies the placement rules to one stored entry and
+// reports whether every push it needed succeeded.
+func (n *Node) replicateEntry(ctx context.Context, v *routingView, e canonstore.Entry) bool {
+	d, placed := placedLevel(v, e)
+	if d > v.levels {
+		return true
+	}
+	if !ownsInView(v, e.Key, placed) {
+		return n.handOff(ctx, e, placed)
+	}
+	if e.Level != d {
+		return true // a per-level copy we own: the primary refreshes it
+	}
+	ok := n.pushChainReplicas(ctx, v, e, d)
+	for l := d + 1; l <= v.levels; l++ {
+		ok = n.pushLevelCopy(ctx, v, e, l) && ok
+	}
+	return ok
+}
+
+// pushChainReplicas pushes one owned primary to its replica partners on
+// its home-level ring.
+func (n *Node) pushChainReplicas(ctx context.Context, v *routingView, e canonstore.Entry, level int) bool {
 	if n.cfg.ReplicationFactor < 2 {
-		return
+		return true
 	}
 	req, err := transport.NewMessage(msgStoreV2, reqFromEntry(e, true))
 	if err != nil {
-		return
+		return false
 	}
+	return n.walkReplicaChain(ctx, v, level, func(partner Info) error {
+		if _, err := n.call(ctx, partner.Addr, req); err != nil {
+			return err
+		}
+		n.m.replicaPushChain.Inc()
+		return nil
+	}) == nil
+}
+
+// walkReplicaChain visits the node's replica partners at a level — its
+// ReplicationFactor-1 nearest predecessors on that ring — nearest first,
+// walking pred pointers through neighbor queries. It stops at the first
+// error, and after the last partner without asking who precedes it.
+func (n *Node) walkReplicaChain(ctx context.Context, v *routingView, level int, visit func(partner Info) error) error {
 	target := v.preds[level]
-	for i := 0; i < n.cfg.ReplicationFactor-1; i++ {
-		if target.IsZero() || target.Addr == v.self.Addr {
+	for left := n.cfg.ReplicationFactor - 1; left > 0 && !target.IsZero() && target.Addr != v.self.Addr; left-- {
+		if err := visit(target); err != nil {
+			return err
+		}
+		if left == 1 {
 			break
 		}
-		if _, err := n.call(ctx, target.Addr, req); err != nil {
-			break
+		var err error
+		if target, err = n.predecessorOf(ctx, target, level); err != nil {
+			return err
 		}
-		next, err := n.predecessorOf(ctx, target, level)
-		if err != nil {
-			break
-		}
-		target = next
 	}
+	return nil
 }
 
 // pushLevelCopy places a copy of an owned primary at the key's owner on
 // the level-l ring of this node's chain, annotated with that level — the
 // paper's per-level storage domains made live.
-func (n *Node) pushLevelCopy(ctx context.Context, v *routingView, e canonstore.Entry, l int) {
+func (n *Node) pushLevelCopy(ctx context.Context, v *routingView, e canonstore.Entry, l int) bool {
 	owner, err := n.Lookup(ctx, e.Key, v.prefixes[l])
-	if err != nil || owner.Addr == v.self.Addr {
-		return
+	if err != nil {
+		return false
+	}
+	if owner.Addr == v.self.Addr {
+		return true
 	}
 	req := reqFromEntry(e, true)
 	req.Level = l
-	_ = n.storeAt(ctx, owner, req)
+	if err := n.storeAt(ctx, owner, req); err != nil {
+		return false
+	}
+	n.m.replicaPushLevel.Inc()
+	return true
 }
 
 // handOff pushes an entry this node no longer owns at its placement level
 // to the current owner within the entry's home domain.
-func (n *Node) handOff(ctx context.Context, e canonstore.Entry, level int) {
+func (n *Node) handOff(ctx context.Context, e canonstore.Entry, level int) bool {
 	prefix := prefixAt(n.self.Name, level)
 	if !inDomain(prefix, entryHome(e)) {
-		return // the entry's home domain is not on our chain; nothing to do
+		return true // the entry's home domain is not on our chain; nothing to do
 	}
 	owner, err := n.Lookup(ctx, e.Key, prefix)
-	if err != nil || owner.Addr == n.self.Addr {
-		return
+	if err != nil {
+		return false
+	}
+	if owner.Addr == n.self.Addr {
+		return true
 	}
 	req := reqFromEntry(e, true)
 	req.Level = level
-	msg, err := transport.NewMessage(msgStoreV2, req)
-	if err != nil {
-		return
+	if err := n.storeAt(ctx, owner, req); err != nil {
+		return false
 	}
-	_, _ = n.call(ctx, owner.Addr, msg)
+	n.m.replicaPushHandoff.Inc()
+	return true
 }
 
 // predecessorOf asks a remote node for its predecessor at a level.

@@ -1,6 +1,7 @@
 package netnode
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -82,5 +83,68 @@ func BenchmarkFetchLocalMem(b *testing.B) {
 		if len(out) != 1 {
 			b.Fatalf("fetchLocal returned %d values, want 1", len(out))
 		}
+	}
+}
+
+// BenchmarkReplicateOnceQuiescent measures the replication step of a
+// stabilization round on a node whose replicas are converged and whose
+// ring neighbors have not changed: the cost every node pays every round
+// for holding data. It must not grow with the number of stored entries and
+// must send nothing — scripts/bench-compare.sh holds rpcs/op at zero and
+// the 10 000-entry time within 2x of the 1 000-entry time.
+func BenchmarkReplicateOnceQuiescent(b *testing.B) {
+	for _, entries := range []int{1000, 10000} {
+		b.Run(fmt.Sprintf("entries=%d", entries), func(b *testing.B) {
+			bus := transport.NewBus()
+			ctx := context.Background()
+			var pair [2]*Node
+			for i := range pair {
+				n, err := New(Config{
+					ID: uint64(i+1) << 30, Rand: rand.New(rand.NewSource(int64(i))),
+					Transport: bus.Endpoint(fmt.Sprintf("quiet-%d", i)), ReplicationFactor: 2,
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.Cleanup(func() { n.Close() })
+				contact := ""
+				if i > 0 {
+					contact = pair[0].self.Addr
+				}
+				if err := n.Join(ctx, contact); err != nil {
+					b.Fatal(err)
+				}
+				pair[i] = n
+			}
+			owner := pair[1]
+			rng := rand.New(rand.NewSource(5))
+			for i := 0; i < entries; i++ {
+				key := owner.self.ID + 1 + uint64(rng.Intn(1<<29)) // inside the owner's arc
+				if err := owner.storeLocalV2(storeReq2{Key: key, Value: []byte("value")}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			for r := 0; r < 3; r++ {
+				pair[0].StabilizeOnce(ctx)
+				owner.StabilizeOnce(ctx)
+			}
+			if pair[0].StoredKeys() != owner.StoredKeys() {
+				b.Fatalf("replica holds %d keys, owner %d: not converged", pair[0].StoredKeys(), owner.StoredKeys())
+			}
+			sent := func() (total int64) {
+				for _, c := range owner.m.sentFixed {
+					total += c.Value()
+				}
+				return total
+			}
+			before := sent()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				owner.replicateOnce(ctx)
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(sent()-before)/float64(b.N), "rpcs/op")
+		})
 	}
 }

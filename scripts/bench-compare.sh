@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# bench-compare.sh — run the routing-hot-path, store-path and wire-encode
-# benchmarks, record their medians, and gate against a committed baseline.
+# bench-compare.sh — run the routing-hot-path, store-path, replication-round
+# and wire-encode benchmarks, record their medians, and gate against a
+# committed baseline.
 #
 # Usage:
 #   BENCH_BASELINE=BENCH_PR7.json ./scripts/bench-compare.sh [output.json]
@@ -26,7 +27,12 @@
 #   2. mux64_speedup — the PR 5 gate, carried forward: the 64-way-concurrent
 #      binary mux round trip must stay >= 2x the pooled legacy-JSON
 #      transport.
-#   3. vs-baseline: any NS-GATED benchmark whose median ns/op regressed more
+#   3. replicate_quiescent — the absolute budget of the replication step of
+#      a stabilization round on a converged node with an unchanged view
+#      (BenchmarkReplicateOnceQuiescent): it sends zero RPCs, and its median
+#      ns/op with 10 000 stored entries is within 2x of the median with
+#      1 000 — the round costs what was written, not what is stored.
+#   4. vs-baseline: any NS-GATED benchmark whose median ns/op regressed more
 #      than 10% fails the run, and any ALLOC-GATED benchmark whose allocs/op
 #      increased at all fails the run. A gated benchmark present in the
 #      baseline but missing from the run also fails (deleting a benchmark
@@ -77,7 +83,7 @@ raw_netnode=$(go test -run '^$' -bench 'BenchmarkForwardDecision64|BenchmarkLook
 echo "$raw_netnode" >&2
 # The store-path benchmarks run single-threaded (no -cpu pin): they measure
 # the node-local apply/read paths, not contention shape.
-raw_store=$(go test -run '^$' -bench 'BenchmarkStoreLocalMem|BenchmarkFetchLocalMem' \
+raw_store=$(go test -run '^$' -bench 'BenchmarkStoreLocalMem|BenchmarkFetchLocalMem|BenchmarkReplicateOnceQuiescent' \
 	-benchmem -benchtime="$benchtime" -count="$count" ./internal/netnode/)
 echo "$raw_store" >&2
 raw_transport=$(go test -run '^$' -bench 'BenchmarkEnvelope|BenchmarkRoundTrip' \
@@ -101,7 +107,12 @@ function median(name, metric,    m, i, j, tmp, vals) {
 	sub(/-[0-9]+$/, "", name)          # strip the -GOMAXPROCS/-cpu suffix
 	if (!(name in cnt)) { order[n++] = name; cnt[name] = 0 }
 	i = cnt[name]++
-	v[name, "ns", i] = $3; v[name, "b", i] = $5; v[name, "a", i] = $7
+	for (f = 3; f < NF; f += 2) {        # value/unit pairs; custom units sit between ns/op and B/op
+		if ($(f+1) == "ns/op") v[name, "ns", i] = $f
+		else if ($(f+1) == "B/op") v[name, "b", i] = $f
+		else if ($(f+1) == "allocs/op") v[name, "a", i] = $f
+		else if ($(f+1) == "rpcs/op") v[name, "rpcs", i] = $f
+	}
 }
 END {
 	printf "{\n" > out
@@ -117,10 +128,24 @@ END {
 	printf "  },\n" >> out
 	fs = median("BenchmarkForwardDecision64Locked", "ns") / median("BenchmarkForwardDecision64Snapshot", "ns")
 	ms = median("BenchmarkRoundTrip64JSON", "ns") / median("BenchmarkRoundTrip64Binary", "ns")
+	q1k = "BenchmarkReplicateOnceQuiescent/entries=1000"; q10k = "BenchmarkReplicateOnceQuiescent/entries=10000"
+	qs = median(q10k, "ns") / median(q1k, "ns")
+	qr = median(q1k, "rpcs") + median(q10k, "rpcs")
 	printf "  \"forward64_speedup\": %.2f,\n", fs >> out
-	printf "  \"mux64_speedup\": %.2f\n", ms >> out
+	printf "  \"mux64_speedup\": %.2f,\n", ms >> out
+	printf "  \"replicate_quiescent_rpcs_per_op\": %s,\n", qr >> out
+	printf "  \"replicate_quiescent_10k_over_1k\": %.2f\n", qs >> out
 	printf "}\n" >> out
 	bad = 0
+	if (qr > 0) {
+		printf "FAIL: a quiescent replication round sent %s RPCs per op; the budget is zero\n", qr > "/dev/stderr"
+		bad = 1
+	}
+	if (qs > 2.0) {
+		printf "FAIL: a quiescent replication round costs %.2fx more at 10000 stored entries than at 1000 (budget 2x)\n", qs > "/dev/stderr"
+		bad = 1
+	}
+	printf "replicate_quiescent: %s rpcs/op (budget 0), 10k/1k entries %.2fx (budget 2.0x)\n", qr, qs > "/dev/stderr"
 	if (fs < 3.0) {
 		printf "FAIL: 64-way forwarding speedup %.2fx is below the 3x acceptance floor\n", fs > "/dev/stderr"
 		bad = 1

@@ -13,6 +13,10 @@
 #     actually used (dials > 0) in the mixed cluster,
 #   * canonctl trace prints an owner and per-hop spans,
 #   * /debug/trace/ archives the trace and serves it back by id.
+# Then boots a second, three-node cluster with -replicas 2 and asserts the
+# canon_replica_* series exist, that writes were pushed to a replica, and
+# that the cluster goes quiet once converged: no dirty keys, and
+# canon_replica_full_passes_total stops growing.
 #
 # Usage: telemetry-smoke.sh [path-to-canond] [path-to-canonctl]
 set -euo pipefail
@@ -21,6 +25,8 @@ CANOND=${1:-./canond}
 CANONCTL=${2:-./canonctl}
 BASE=7141
 ADMIN=9141
+RBASE=7161 # the replicated three-node cluster
+RADMIN=9161
 PIDS=()
 
 cleanup() {
@@ -86,5 +92,48 @@ curl -sf "http://127.0.0.1:$ADMIN/debug/trace/$trace_id" | grep -q "$trace_id" \
 echo "== /status still answers"
 curl -sf "http://127.0.0.1:$ADMIN/status" | grep -q '"info"\|"Info"\|{' \
   || { echo "/status unusable" >&2; exit 1; }
+
+echo "== three replicated nodes (admin at :$RADMIN)"
+"$CANOND" -listen "127.0.0.1:$RBASE" -admin "127.0.0.1:$RADMIN" -replicas 2 -stabilize 200ms &
+PIDS+=($!)
+sleep 1
+for i in 1 2; do
+  "$CANOND" -listen "127.0.0.1:$((RBASE + i))" -join "127.0.0.1:$RBASE" -replicas 2 -stabilize 200ms &
+  PIDS+=($!)
+  sleep 0.5
+done
+sleep 2
+for key in 1 1000000000 2000000000 3000000000 4000000000; do
+  "$CANONCTL" -node "127.0.0.1:$((RBASE + 1))" put "$key" "replica-$key"
+done
+
+# series NAME: the summed value of a metric family on the replicated node.
+series() {
+  local text
+  text=$(curl -sf "http://127.0.0.1:$RADMIN/metrics")
+  echo "$text" | awk -v name="$1" \
+    '$1 == name || index($1, name "{") == 1 {s += $NF; seen = 1} END {if (!seen) exit 1; print s}'
+}
+for name in canon_replica_dirty_keys canon_replica_push_failures_total canon_replica_full_passes_total \
+  'canon_replica_pushes_total{kind="chain"}' 'canon_replica_pushes_total{kind="level"}' \
+  'canon_replica_pushes_total{kind="handoff"}'; do
+  series "$name" >/dev/null || { echo "$name missing from /metrics" >&2; exit 1; }
+done
+
+echo "== the converged cluster goes quiet"
+quiet=0
+for _ in $(seq 1 20); do
+  passes=$(series canon_replica_full_passes_total)
+  sleep 1 # five stabilization rounds
+  if [ "$(series canon_replica_dirty_keys)" = 0 ] && [ "$(series canon_replica_full_passes_total)" = "$passes" ]; then
+    quiet=1
+    break
+  fi
+done
+[ "$quiet" = 1 ] || { echo "full passes still growing or keys still dirty after 20s" >&2; exit 1; }
+[ "$(series canon_replica_full_passes_total)" -gt 0 ] \
+  || { echo "no full pass ever ran: joins must force one" >&2; exit 1; }
+[ "$(series canon_store_items)" -gt 0 ] \
+  || { echo "the replicated node stores nothing: no write or replica reached it" >&2; exit 1; }
 
 echo "telemetry smoke: OK"
