@@ -7,13 +7,16 @@
 //	canonctl -node host:port ping
 //	canonctl -node host:port lookup <key> [domain]
 //	canonctl -node host:port trace <key> [domain]
-//	canonctl -node host:port put <key> <value> [storage [access]]
-//	canonctl -node host:port get <key>
+//	canonctl -node host:port put [-v] <key> <value> [storage [access]]
+//	canonctl -node host:port get [-v] <key>
 //	canonctl -node host:port neighbors <level>
 //	canonctl -node host:port repair
 //	canonctl status http://host:statusport/
 //
 // Keys are unsigned integers (use canond's hash of your choice upstream).
+// With -v, put and get also say where the answer came from: the forwarding
+// hops the routed operation took and, for a get, the hierarchy level of the
+// domain whose owner answered.
 package main
 
 import (
@@ -47,6 +50,7 @@ func run(args []string) error {
 		raw       = fs.Bool("raw", false, "status: dump the raw JSON instead of a summary")
 		wire      = fs.String("wire", "binary", "wire protocol toward the node: binary (auto-downgrades to json) or json")
 		connsPeer = fs.Int("conns-per-peer", 0, "multiplexed connections toward the node (0 = default 2)")
+		verbose   = fs.Bool("v", false, "put/get: also print the route (hops, and the level that answered a get); also accepted after the command")
 	)
 	fs.Usage = func() {
 		fmt.Fprintln(fs.Output(), "usage: canonctl [flags] ping|lookup|trace|put|get|neighbors|repair|status ...")
@@ -72,6 +76,9 @@ func run(args []string) error {
 	defer cancel()
 
 	cmd, rest := fs.Arg(0), fs.Args()[1:]
+	if len(rest) > 0 && rest[0] == "-v" {
+		*verbose, rest = true, rest[1:]
+	}
 	switch cmd {
 	case "ping":
 		info, err := client.Ping(ctx, *node)
@@ -135,10 +142,14 @@ func run(args []string) error {
 		if len(rest) > 3 {
 			access = rest[3]
 		}
-		if err := client.Put(ctx, *node, key, []byte(rest[1]), storage, access); err != nil {
+		route, err := client.PutRoute(ctx, *node, key, []byte(rest[1]), storage, access)
+		if err != nil {
 			return err
 		}
 		fmt.Printf("stored key %d (storage=%q access=%q)\n", key, storage, access)
+		if *verbose {
+			fmt.Printf("route: %d hops\n", route.Hops)
+		}
 		return nil
 
 	case "get":
@@ -149,11 +160,14 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		value, err := client.Get(ctx, *node, key)
+		value, route, err := client.GetRoute(ctx, *node, key)
 		if err != nil {
 			return err
 		}
 		fmt.Printf("%s\n", value)
+		if *verbose {
+			fmt.Printf("route: %d hops, answered at level %d\n", route.Hops, route.Level)
+		}
 		return nil
 
 	case "repair":

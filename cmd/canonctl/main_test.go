@@ -70,6 +70,8 @@ func TestEndToEnd(t *testing.T) {
 		{"-node", addr, "ping"},
 		{"-node", addr, "put", "77", "hello", "acme", "acme"},
 		{"-node", addr, "get", "77"},
+		{"-node", addr, "get", "-v", "77"},
+		{"-node", addr, "-v", "put", "78", "again"},
 		{"-node", addr, "lookup", "77", "acme"},
 		{"-node", addr, "neighbors", "0"},
 		{"-node", addr, "repair"},

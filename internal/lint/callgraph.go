@@ -159,8 +159,8 @@ type FuncNode struct {
 	// Acquired are the body's direct Lock/RLock sites.
 	Acquired []Acquisition
 	// AckSites are the body's store-ack constructions: calls shaped like
-	// NewMessage(msgStore*, nil), the empty reply that promises durability
-	// (see check_fsyncbeforeack.go).
+	// NewMessage(msgStore*, nil) or NewMessage(msgPut*, <...Resp>), the
+	// replies that promise durability (see check_fsyncbeforeack.go).
 	AckSites []AckSite
 
 	// Out and In are the adjacency lists.
@@ -711,11 +711,16 @@ func (w *graphWalker) call(call *ast.CallExpr, held []HeldLock, kind EdgeKind) {
 	}
 }
 
-// noteStoreAck records call sites shaped like NewMessage(msgStore*, nil):
-// the empty reply a store handler returns as its durability promise. The
-// shape is structural — any function named NewMessage, a first argument
-// that is a msgStore*-named constant, a nil body — so fixture packages can
-// play the transport, the way the other interprocedural fixtures do.
+// noteStoreAck records the call sites that construct a store ack, the reply
+// a handler returns as its durability promise. Two shapes, both structural —
+// any function named NewMessage, a first argument that is a named constant —
+// so fixture packages can play the transport, the way the other
+// interprocedural fixtures do:
+//
+//   - NewMessage(msgStore*, nil): the empty ack of the store messages;
+//   - NewMessage(msgPut*, body) where body's type is named *Resp: the routed
+//     put's reply, which carries the owner and the hop count. A *Req body
+//     under the same constant is the forwarded request, not an ack.
 func (w *graphWalker) noteStoreAck(call *ast.CallExpr) {
 	name := ""
 	switch f := ast.Unparen(call.Fun).(type) {
@@ -728,13 +733,24 @@ func (w *graphWalker) noteStoreAck(call *ast.CallExpr) {
 		return
 	}
 	c, ok := ast.Unparen(call.Args[0]).(*ast.Ident)
-	if !ok || !strings.HasPrefix(c.Name, "msgStore") {
+	if !ok {
 		return
 	}
 	if _, isConst := w.pkg.Info.Uses[c].(*types.Const); !isConst {
 		return
 	}
-	if b, ok := ast.Unparen(call.Args[1]).(*ast.Ident); !ok || b.Name != "nil" {
+	body := ast.Unparen(call.Args[1])
+	switch {
+	case strings.HasPrefix(c.Name, "msgStore"):
+		if b, ok := body.(*ast.Ident); !ok || b.Name != "nil" {
+			return
+		}
+	case strings.HasPrefix(c.Name, "msgPut"):
+		named := namedOf(w.pkg.Info.TypeOf(body))
+		if named == nil || !strings.HasSuffix(named.Obj().Name(), "Resp") {
+			return
+		}
+	default:
 		return
 	}
 	w.fn.AckSites = append(w.fn.AckSites, AckSite{Pos: call.Pos(), Msg: c.Name})

@@ -1,8 +1,9 @@
 package lint
 
 // checkFsyncBeforeAck enforces the fsync-on-ack contract of docs/STORAGE.md:
-// a store handler's empty reply — transport.NewMessage(msgStore*, nil) — is
-// a durability promise, so every such construction must be preceded, in the
+// a store handler's reply — the empty transport.NewMessage(msgStore*, nil),
+// or the routed put's NewMessage(msgPut*, <...Resp>) — is a durability
+// promise, so every such construction must be preceded, in the
 // same function, by a call that reaches a durability barrier (a Sync/Flush-
 // shaped primitive such as canonstore.Store.Sync) through the call graph.
 // The barrier may sit behind helpers — the reachability bit is the
@@ -14,7 +15,7 @@ package lint
 // the readable one, so the check does not chase that precision.
 var checkFsyncBeforeAck = Check{
 	Name:      "fsyncbeforeack",
-	Doc:       "store acks (NewMessage(msgStore*, nil)) constructed with no preceding Sync/Flush-reaching call (lost-write class)",
+	Doc:       "store acks (NewMessage(msgStore*, nil), NewMessage(msgPut*, ...Resp)) constructed with no preceding Sync/Flush-reaching call (lost-write class)",
 	RunModule: runFsyncBeforeAck,
 }
 

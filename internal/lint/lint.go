@@ -213,6 +213,7 @@ func DefaultConfig(module string) *Config {
 			"binwire.go":  1,
 			"binwire2.go": 2,
 			"binwire3.go": 3,
+			"binwire4.go": 4,
 			"codec.go":    1,
 		},
 		WireDocPath:      "docs/WIRE.md",

@@ -1,14 +1,21 @@
 // Package fsyncbeforeack is the golden fixture for the fsync-on-ack check.
-// NewMessage plays transport.NewMessage, the msgStore* constants play the
-// store message types, and store.Sync plays the durability barrier: every
-// ack construction with no Sync-reaching call lexically before it fires.
+// NewMessage plays transport.NewMessage, the msgStore* and msgPut constants
+// play the store message types, and store.Sync plays the durability barrier:
+// every ack construction with no Sync-reaching call lexically before it
+// fires.
 package fsyncbeforeack
 
 const (
 	msgStore   = "store"
 	msgStoreV2 = "store2"
+	msgPut     = "put"
 	msgPing    = "ping"
 )
+
+// putReq and putResp play the routed put's bodies: the reply is an ack, the
+// forwarded request under the same constant is not.
+type putReq struct{ Key uint64 }
+type putResp struct{ Hops int }
 
 // Message plays transport.Message.
 type Message struct{ Type string }
@@ -55,3 +62,17 @@ func (n *node) ackViaHelper() (Message, error) {
 }
 
 func (n *node) persist(k uint64) { n.st.put(k) }
+
+// putAckBeforeSync builds the routed put's reply before the barrier: the ack
+// has a body, and is an ack all the same.
+func (n *node) putAckBeforeSync(req putReq) (Message, error) {
+	n.st.put(req.Key)
+	msg, err := NewMessage(msgPut, putResp{Hops: 1}) // want `msgPut ack constructed without a preceding durability barrier`
+	if err != nil {
+		return Message{}, err
+	}
+	if err := n.st.Sync(); err != nil {
+		return Message{}, err
+	}
+	return msg, nil
+}

@@ -38,3 +38,23 @@ func (n *node) pingReply() (Message, error) {
 func (n *node) storeRequest() (Message, error) {
 	return NewMessage(msgStore, struct{ K uint64 }{13})
 }
+
+// putAckAfterApply is the routed put done right: apply reaches the barrier
+// before the reply is built.
+func (n *node) putAckAfterApply(req putReq) (Message, error) {
+	if err := n.apply(req); err != nil {
+		return Message{}, err
+	}
+	return NewMessage(msgPut, putResp{})
+}
+
+func (n *node) apply(req putReq) error {
+	n.st.put(req.Key)
+	return n.st.Sync()
+}
+
+// putForward carries the request a hop further: same constant, a request
+// body — no durability promise.
+func (n *node) putForward(req putReq) (Message, error) {
+	return NewMessage(msgPut, req)
+}

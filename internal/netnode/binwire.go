@@ -9,7 +9,7 @@ import (
 	"github.com/canon-dht/canon/internal/transport"
 )
 
-// Binary marshaling for the hot wire payloads (lookup, store, fetch, ping).
+// Binary marshaling for the hot wire payloads (lookup, fetch, ping).
 //
 // Every type here keeps its json tags — the JSON form is the legacy wire
 // format and remains fully supported — and additionally implements
@@ -47,7 +47,6 @@ var (
 	_ transport.BinaryAppender = Info{}
 	_ transport.BinaryAppender = lookupReq{}
 	_ transport.BinaryAppender = lookupResp{}
-	_ transport.BinaryAppender = storeReq{}
 	_ transport.BinaryAppender = fetchReq{}
 	_ transport.BinaryAppender = fetchResp{}
 )
@@ -363,34 +362,6 @@ func (p *lookupResp) UnmarshalBinary(data []byte) error {
 	p.Hops = int(r.varint())
 	p.Trace = r.str()
 	p.Spans = readSpans(r)
-	return r.done()
-}
-
-// ---- store ----
-
-// AppendBinary implements transport.BinaryAppender.
-func (q storeReq) AppendBinary(b []byte) ([]byte, error) {
-	b = appendU64(b, q.Key)
-	b = appendOptBytes(b, q.Value)
-	b = appendStr(b, q.Storage)
-	b = appendStr(b, q.Access)
-	b = q.Pointer.appendTo(b)
-	b = appendBool(b, q.Replica)
-	return b, nil
-}
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (q storeReq) MarshalBinary() ([]byte, error) { return q.AppendBinary(nil) }
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (q *storeReq) UnmarshalBinary(data []byte) error {
-	r := &binReader{data: data}
-	q.Key = r.u64()
-	q.Value = r.optBytes()
-	q.Storage = r.str()
-	q.Access = r.str()
-	q.Pointer.readFrom(r)
-	q.Replica = r.bool()
 	return r.done()
 }
 

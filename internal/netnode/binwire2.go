@@ -9,9 +9,9 @@ import (
 // Binary marshaling for the payloads introduced at wire version 2: the
 // versioned store and the anti-entropy protocol (docs/WIRE.md). They follow
 // the conventions documented in binwire.go. These are new message types —
-// the v1 layouts (storeReq, fetchValue) are frozen, and a v1 peer never
-// parses a type it does not know — so the layouts here are unambiguous
-// without any version byte in the payload. repairResp intentionally has no
+// the v1 layouts are frozen, and a v1 peer never parses a type it does not
+// know — so the layouts here are unambiguous without any version byte in the
+// payload. repairResp intentionally has no
 // binary form: repair is a rare operations RPC and rides JSON.
 
 // Compile-time interface checks for the v2 binary payloads.

@@ -38,7 +38,6 @@ func TestSchemaSeedsDecode(t *testing.T) {
 		"Info":               &Info{},
 		"lookup request":     &lookupReq{},
 		"lookup response":    &lookupResp{},
-		"store request":      &storeReq{},
 		"fetch request":      &fetchReq{},
 		"fetch response":     &fetchResp{},
 		"store2 request":     &storeReq2{},
@@ -52,6 +51,10 @@ func TestSchemaSeedsDecode(t *testing.T) {
 		"bucketref response": &bucketRefResp{},
 		"lookahead request":  &lookaheadReq{},
 		"lookahead response": &lookaheadResp{},
+		"get request":        &getReq{},
+		"get response":       &getResp{},
+		"put request":        &putReq{},
+		"put response":       &putResp{},
 	}
 	seeds := loadSchemaSeeds(t)
 	for name, seed := range seeds {

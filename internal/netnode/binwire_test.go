@@ -3,6 +3,7 @@ package netnode
 import (
 	"encoding/json"
 	"testing"
+	"unicode/utf8"
 
 	"github.com/canon-dht/canon/internal/telemetry"
 )
@@ -95,20 +96,7 @@ func TestBinWireLookupRoundTrip(t *testing.T) {
 	}
 }
 
-func TestBinWireStoreFetchRoundTrip(t *testing.T) {
-	stores := []storeReq{
-		{},
-		{Key: 9, Value: []byte("v"), Storage: "stanford", Access: "stanford/cs"},
-		{Key: 9, Value: []byte{}, Replica: true}, // empty-but-present value
-		{Key: 9, Pointer: Info{ID: 3, Name: "c", Addr: "z:3"}},
-	}
-	for _, in := range stores {
-		var out storeReq
-		roundTrip(t, in, &out)
-		if !jsonEq(t, in, out) {
-			t.Errorf("storeReq %+v round-tripped to %+v", in, out)
-		}
-	}
+func TestBinWireFetchRoundTrip(t *testing.T) {
 	var fq fetchReq
 	roundTrip(t, fetchReq{Key: 11, Origin: "mit/csail"}, &fq)
 	if fq.Key != 11 || fq.Origin != "mit/csail" {
@@ -168,6 +156,51 @@ func TestBinWireGeometryRoundTrip(t *testing.T) {
 	}
 }
 
+// TestBinWireRoutedRoundTrip covers the v4 routed key-value payloads, the
+// nil-vs-empty value distinction and the negative "no level answered"
+// included.
+func TestBinWireRoutedRoundTrip(t *testing.T) {
+	ptr := Info{ID: 3, Name: "c", Addr: "z:3"}
+	for _, in := range []getReq{{}, {Key: 9}, {Key: ^uint64(0), Origin: "stanford/cs", Level: 2, Hops: 5}} {
+		var out getReq
+		roundTrip(t, in, &out)
+		if in != out {
+			t.Errorf("getReq %+v round-tripped to %+v", in, out)
+		}
+	}
+	for _, in := range []getResp{
+		{},
+		{Status: statusNotFound, Level: -1, Hops: 3},
+		{Value: []byte("v"), Level: 2},
+		{Value: []byte{}, Hops: 1}, // empty-but-present value
+	} {
+		var out getResp
+		roundTrip(t, in, &out)
+		if !jsonEq(t, in, out) || (in.Value == nil) != (out.Value == nil) {
+			t.Errorf("getResp %+v round-tripped to %+v", in, out)
+		}
+	}
+	for _, in := range []putReq{
+		{},
+		{Key: 9, Value: []byte("v"), Storage: "stanford/cs", Access: "stanford", Hops: 2},
+		{Key: 9, Value: []byte{}},
+		{Key: 9, Storage: "stanford/cs", Access: "stanford", Pointer: ptr, Hops: 7},
+	} {
+		var out putReq
+		roundTrip(t, in, &out)
+		if !jsonEq(t, in, out) || (in.Value == nil) != (out.Value == nil) {
+			t.Errorf("putReq %+v round-tripped to %+v", in, out)
+		}
+	}
+	for _, in := range []putResp{{}, {Status: statusBadDomain}, {Owner: ptr, Hops: 4}} {
+		var out putResp
+		roundTrip(t, in, &out)
+		if in != out {
+			t.Errorf("putResp %+v round-tripped to %+v", in, out)
+		}
+	}
+}
+
 // TestBinWireStrictDecoding pins the strictness guarantees: trailing bytes
 // and truncations must error, never silently decode.
 func TestBinWireStrictDecoding(t *testing.T) {
@@ -211,8 +244,6 @@ func FuzzBinWireDecode(f *testing.F) {
 		_ = lq.UnmarshalBinary(data)
 		var lp lookupResp
 		_ = lp.UnmarshalBinary(data)
-		var sq storeReq
-		_ = sq.UnmarshalBinary(data)
 		var fq fetchReq
 		_ = fq.UnmarshalBinary(data)
 		var fp fetchResp
@@ -239,17 +270,55 @@ func FuzzBinWireDecode(f *testing.F) {
 		_ = aq.UnmarshalBinary(data)
 		var ap lookaheadResp
 		_ = ap.UnmarshalBinary(data)
+		var gq getReq
+		_ = gq.UnmarshalBinary(data)
+		var gp getResp
+		_ = gp.UnmarshalBinary(data)
+		var uq putReq
+		_ = uq.UnmarshalBinary(data)
+		var up putResp
+		_ = up.UnmarshalBinary(data)
 	})
 }
 
-// FuzzBinWireDifferential builds a lookupReq from fuzzed primitives and
-// checks the binary round trip preserves exactly what the JSON wire form
-// preserves — the two codecs must agree on every representable value.
+// binJSONAgree round-trips in through both codecs into the two zero values
+// and reports whether they agree — the binary form must preserve exactly
+// what the JSON wire form preserves.
+func binJSONAgree(t *testing.T, in interface {
+	AppendBinary([]byte) ([]byte, error)
+}, binOut interface {
+	UnmarshalBinary([]byte) error
+}, jsonOut any) {
+	t.Helper()
+	roundTrip(t, in, binOut)
+	raw, err := json.Marshal(in)
+	if err != nil {
+		t.Fatalf("json encode %T: %v", in, err)
+	}
+	if err := json.Unmarshal(raw, jsonOut); err != nil {
+		t.Fatalf("json decode of own %T encoding: %v", in, err)
+	}
+	if !jsonEq(t, binOut, jsonOut) {
+		t.Errorf("%T codecs disagree:\n  binary: %+v\n  json:   %+v", in, binOut, jsonOut)
+	}
+}
+
+// FuzzBinWireDifferential builds a lookupReq — and the routed get/put bodies
+// — from fuzzed primitives and checks the binary round trip preserves
+// exactly what the JSON wire form preserves — the two codecs must agree on
+// every representable value.
 func FuzzBinWireDifferential(f *testing.F) {
 	f.Add(uint64(1), "stanford/cs", 3, "trace-1", 2, "hop", "addr:1", -1, true)
 	f.Add(uint64(0), "", 0, "", 0, "", "", 0, false)
 	f.Fuzz(func(t *testing.T, key uint64, prefix string, hops int, trace string,
 		nspans int, spanName, spanAddr string, spanLevel int, owner bool) {
+		// JSON cannot carry invalid UTF-8 (it substitutes U+FFFD), so the
+		// codecs only have to agree on strings it can represent.
+		for _, s := range []string{prefix, trace, spanName, spanAddr} {
+			if !utf8.ValidString(s) {
+				t.Skip("not representable in JSON")
+			}
+		}
 		in := lookupReq{Key: key, Prefix: prefix, Hops: hops, Trace: trace}
 		if nspans < 0 {
 			nspans = -nspans
@@ -285,5 +354,16 @@ func FuzzBinWireDifferential(f *testing.F) {
 		if !jsonEq(t, binOut, jsonOut) {
 			t.Errorf("codecs disagree:\n  binary: %+v\n  json:   %+v", binOut, jsonOut)
 		}
+
+		// The routed key-value bodies, from the same primitives.
+		var value []byte
+		if owner {
+			value = []byte(trace)
+		}
+		ptr := Info{ID: key, Name: spanName, Addr: spanAddr}
+		binJSONAgree(t, getReq{Key: key, Origin: prefix, Level: spanLevel, Hops: hops}, &getReq{}, &getReq{})
+		binJSONAgree(t, getResp{Status: nspans, Value: value, Level: spanLevel, Hops: hops}, &getResp{}, &getResp{})
+		binJSONAgree(t, putReq{Key: key, Value: value, Storage: prefix, Access: trace, Pointer: ptr, Hops: hops}, &putReq{}, &putReq{})
+		binJSONAgree(t, putResp{Status: nspans, Owner: ptr, Hops: hops}, &putResp{}, &putResp{})
 	})
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sync/atomic"
+	"time"
 
 	"github.com/canon-dht/canon/internal/telemetry"
 	"github.com/canon-dht/canon/internal/transport"
@@ -22,9 +23,13 @@ type Client struct {
 	nonceSeq uint64
 }
 
-// NewClient returns a client sending through the given transport.
+// NewClient returns a client sending through the given transport. Its nonce
+// sequence starts at the clock, not at zero: a short-lived client (one
+// canonctl run) often lands on the ephemeral port an earlier one used, and
+// a node that still remembers the earlier client's first nonce would answer
+// the new client's first request with the old reply.
 func NewClient(tr transport.Transport) *Client {
-	return &Client{tr: tr}
+	return &Client{tr: tr, nonceSeq: uint64(uint32(time.Now().UnixNano()))}
 }
 
 // call tags the message with a fresh nonce and sends it.
@@ -96,118 +101,66 @@ func (c *Client) TracedLookup(ctx context.Context, addr string, key uint64, pref
 	return resp.Pred, tr, nil
 }
 
+// Route says where a routed key-value operation was answered.
+type Route struct {
+	// Hops is the number of node-to-node forwards the operation's messages
+	// took beyond the entry node (for a put with a pointer record, both
+	// records' routes).
+	Hops int
+	// Level is the depth of the entry node's domain whose owner answered a
+	// get: its chain depth for a hit in the leaf domain, 0 for the global
+	// owner. Puts report the depth of the storage domain.
+	Level int
+}
+
 // Put stores value under key with the given storage and access domains,
-// routed through the node at addr. The storage domain must contain that
-// node.
+// routed through the node at addr: one put message, which that node
+// validates (the storage domain must contain it) and sends down the route.
 func (c *Client) Put(ctx context.Context, addr string, key uint64, value []byte, storagePath, accessPath string) error {
-	via, err := c.Ping(ctx, addr)
-	if err != nil {
-		return err
-	}
-	if !inDomain(via.Name, storagePath) {
-		return fmt.Errorf("%w: storage %q does not contain contacted node %q",
-			ErrBadDomain, storagePath, via.Name)
-	}
-	if !inDomain(storagePath, accessPath) {
-		return fmt.Errorf("%w: access %q does not contain storage %q",
-			ErrBadDomain, accessPath, storagePath)
-	}
-	owner, _, err := c.Lookup(ctx, addr, key, storagePath)
-	if err != nil {
-		return err
-	}
-	store, err := transport.NewMessage(msgStore, storeReq{
-		Key: key, Value: value, Storage: storagePath, Access: accessPath,
-	})
-	if err != nil {
-		return err
-	}
-	resp, err := c.call(ctx, owner.Addr, store)
-	if err != nil {
-		return err
-	}
-	var empty struct{}
-	if err := resp.Decode(&empty); err != nil {
-		return err
-	}
-	if accessPath == storagePath {
-		return nil
-	}
-	ptrOwner, _, err := c.Lookup(ctx, addr, key, accessPath)
-	if err != nil {
-		return err
-	}
-	if ptrOwner.Addr == owner.Addr {
-		return nil
-	}
-	ptr, err := transport.NewMessage(msgStore, storeReq{
-		Key: key, Storage: storagePath, Access: accessPath, Pointer: owner,
-	})
-	if err != nil {
-		return err
-	}
-	resp, err = c.call(ctx, ptrOwner.Addr, ptr)
-	if err != nil {
-		return err
-	}
-	return resp.Decode(&empty)
+	_, err := c.PutRoute(ctx, addr, key, value, storagePath, accessPath)
+	return err
 }
 
-// Get retrieves the first value for key accessible to the node at addr,
-// probing its domains from the most local outward.
-func (c *Client) Get(ctx context.Context, addr string, key uint64) ([]byte, error) {
-	via, err := c.Ping(ctx, addr)
+// PutRoute is Put plus the route the write took.
+func (c *Client) PutRoute(ctx context.Context, addr string, key uint64, value []byte, storagePath, accessPath string) (Route, error) {
+	req, err := transport.NewMessage(msgPut, putReq{Key: key, Value: value, Storage: storagePath, Access: accessPath})
 	if err != nil {
-		return nil, err
-	}
-	levels := len(components(via.Name))
-	asked := make(map[string]bool)
-	for l := levels; l >= 0; l-- {
-		prefix := prefixAt(via.Name, l)
-		owner, _, err := c.Lookup(ctx, addr, key, prefix)
-		if err != nil {
-			continue
-		}
-		if asked[owner.Addr] {
-			continue
-		}
-		asked[owner.Addr] = true
-		values, err := c.fetch(ctx, owner.Addr, key, via.Name)
-		if err != nil {
-			continue
-		}
-		for _, v := range values {
-			if v.Pointer.IsZero() {
-				return v.Value, nil
-			}
-			resolved, err := c.fetch(ctx, v.Pointer.Addr, key, via.Name)
-			if err != nil {
-				continue
-			}
-			for _, rv := range resolved {
-				if rv.Pointer.IsZero() && rv.Access == v.Access {
-					return rv.Value, nil
-				}
-			}
-		}
-	}
-	return nil, ErrNotFound
-}
-
-func (c *Client) fetch(ctx context.Context, addr string, key uint64, origin string) ([]fetchValue, error) {
-	req, err := transport.NewMessage(msgFetch, fetchReq{Key: key, Origin: origin})
-	if err != nil {
-		return nil, err
+		return Route{}, err
 	}
 	raw, err := c.call(ctx, addr, req)
 	if err != nil {
-		return nil, err
+		return Route{}, err
 	}
-	var resp fetchResp
+	var resp putResp
 	if err := raw.Decode(&resp); err != nil {
-		return nil, err
+		return Route{}, err
 	}
-	return resp.Values, nil
+	return Route{Hops: resp.Hops, Level: prefixLevel(storagePath)},
+		putStatusErr(resp.Status, storagePath, accessPath, addr)
+}
+
+// Get retrieves the first value for key accessible to the node at addr: one
+// get message, which walks that node's domains from the most local outward.
+func (c *Client) Get(ctx context.Context, addr string, key uint64) ([]byte, error) {
+	value, _, err := c.GetRoute(ctx, addr, key)
+	return value, err
+}
+
+// GetRoute is Get plus where the answer came from.
+func (c *Client) GetRoute(ctx context.Context, addr string, key uint64) ([]byte, Route, error) {
+	req, err := transport.NewMessage(msgGet, getReq{Key: key})
+	if err != nil {
+		return nil, Route{}, err
+	}
+	raw, err := c.call(ctx, addr, req)
+	if err != nil {
+		return nil, Route{}, err
+	}
+	var resp getResp
+	if err := raw.Decode(&resp); err != nil {
+		return nil, Route{}, err
+	}
+	return resp.Value, Route{Hops: resp.Hops, Level: resp.Level}, statusErr(resp.Status)
 }
 
 // Repair asks the node at addr to run one replica anti-entropy round

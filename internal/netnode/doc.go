@@ -23,18 +23,30 @@
 // Bootstrap uses the paper's third suggestion: membership hints are stored
 // in the DHT itself, under a key derived from each domain's name.
 //
+// # Key-value operations
+//
+// A get or a put is one routed message (Section 4.1, docs/WIRE.md §10): the
+// node it enters at — the caller's own node, or the node a Client addressed —
+// sends it down the hierarchical greedy route and the owner it lands on
+// answers. A get walks the entry node's domains from the most local outward
+// and the first owner holding accessible content replies; a put's record
+// rides the route inside its storage domain and is applied and made durable
+// at the owner before the ack. Node.Get/Put and Client.Get/Put are that one
+// path.
+//
 // # Wire formats
 //
 // RPC bodies are declared in wire.go with json struct tags — the legacy
-// wire form — and the hot payloads (lookup, store, fetch, node identities,
-// trace spans) additionally implement transport.BinaryAppender and
+// wire form — and the hot payloads (lookup, fetch, node identities, trace
+// spans) additionally implement transport.BinaryAppender and
 // encoding.BinaryUnmarshaler in binwire.go, so binary-mux connections carry
 // them in the compact encoding specified in docs/WIRE.md §4. Both forms are
 // maintained in lockstep; the differential fuzzers in binwire_test.go hold
 // them to byte-level agreement on everything JSON can represent. The
 // storage-sync payloads are wire version 2 (binwire2.go, docs/WIRE.md §8)
-// and the geometry maintenance payloads are wire version 3 (binwire3.go,
-// docs/WIRE.md §9).
+// the geometry maintenance payloads are wire version 3 (binwire3.go,
+// docs/WIRE.md §9) and the routed get and put are wire version 4
+// (binwire4.go, docs/WIRE.md §10).
 //
 // # Resilience
 //

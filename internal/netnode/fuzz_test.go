@@ -31,7 +31,13 @@ func FuzzHandle(f *testing.F) {
 	f.Add("neighbors", []byte(`{"level":999}`))
 	f.Add("neighbors", []byte(`{"level":-3}`))
 	f.Add("notify", []byte(`{"level":0,"from":{"id":7,"addr":"x"}}`))
-	f.Add("store", []byte(`{"key":5,"storage":"nope/nope"}`))
+	f.Add("store2", []byte(`{"key":5,"storage":"nope/nope"}`))
+	f.Add("get", []byte(`{"key":5}`))
+	f.Add("get", []byte(`{"key":5,"origin":"who/else","level":99,"hops":3}`))
+	f.Add("get", []byte(`{"key":5,"origin":"fuzz","level":-7,"hops":511}`))
+	f.Add("put", []byte(`{"key":5,"value":"dg==","storage":"fuzz","access":""}`))
+	f.Add("put", []byte(`{"key":5,"storage":"nope/nope","access":"nope"}`))
+	f.Add("put", []byte(`{"key":5,"storage":"elsewhere","hops":2,"pointer":{"id":1,"addr":"x"}}`))
 	f.Add("fetch", []byte(`{"key":5,"origin":"who"}`))
 	f.Add("register", []byte(`{"prefix":"a/b","from":{}}`))
 	f.Add("members", []byte(`{"prefix":""}`))

@@ -60,25 +60,6 @@ func (n *Node) handle(ctx context.Context, from string, msg transport.Message) (
 		n.handleNotify(req)
 		return transport.NewMessage(msgNotify, nil)
 
-	case msgStore:
-		var req storeReq
-		if err := msg.Decode(&req); err != nil {
-			return transport.Message{}, err
-		}
-		if !inDomain(n.self.Name, req.Storage) && req.Pointer.IsZero() {
-			return transport.Message{}, fmt.Errorf("%w: store for %q at %q",
-				ErrBadDomain, req.Storage, n.self.Name)
-		}
-		if err := n.storeLocal(req); err != nil {
-			return transport.Message{}, err
-		}
-		// fsync-on-ack: the empty reply promises durability, so the write
-		// must hit the durability barrier first (canonvet: fsyncbeforeack).
-		if err := n.store.Sync(); err != nil {
-			return transport.Message{}, err
-		}
-		return transport.NewMessage(msgStore, nil)
-
 	case msgStoreV2:
 		var req storeReq2
 		if err := msg.Decode(&req); err != nil {
@@ -91,11 +72,28 @@ func (n *Node) handle(ctx context.Context, from string, msg transport.Message) (
 		if err := n.storeLocalV2(req); err != nil {
 			return transport.Message{}, err
 		}
-		// fsync-on-ack, as above.
+		// fsync-on-ack: the empty reply promises durability, so the write
+		// must hit the durability barrier first (canonvet: fsyncbeforeack).
 		if err := n.store.Sync(); err != nil {
 			return transport.Message{}, err
 		}
 		return transport.NewMessage(msgStoreV2, nil)
+
+	case msgGet:
+		// Pooled like the lookup request: a forwarded get allocates none.
+		req := getGetReq()
+		defer putGetReq(req)
+		if err := msg.Decode(req); err != nil {
+			return transport.Message{}, err
+		}
+		resp, err := n.handleGet(ctx, req)
+		if err != nil {
+			return transport.Message{}, err
+		}
+		return transport.NewMessage(msgGet, resp)
+
+	case msgPut:
+		return n.servePut(ctx, msg)
 
 	case msgSyncTree:
 		var req syncTreeReq
@@ -178,6 +176,23 @@ func (n *Node) handle(ctx context.Context, from string, msg transport.Message) (
 	default:
 		return transport.Message{}, fmt.Errorf("netnode: unknown message type %q", msg.Type)
 	}
+}
+
+// servePut answers one routed put. The reply is a durability promise like
+// store2's empty ack: handlePut returns only after the owner's Sync, here or
+// behind the forwarded reply. It is a function of its own so that canonvet's
+// fsyncbeforeack, whose ordering rule is lexical per function, weighs the
+// ack against this message's calls and not against a neighbouring case's.
+func (n *Node) servePut(ctx context.Context, msg transport.Message) (transport.Message, error) {
+	var req putReq
+	if err := msg.Decode(&req); err != nil {
+		return transport.Message{}, err
+	}
+	resp, err := n.handlePut(ctx, &req)
+	if err != nil {
+		return transport.Message{}, err
+	}
+	return transport.NewMessage(msgPut, resp)
 }
 
 // handleNotify adopts the sender as predecessor at the given level when it

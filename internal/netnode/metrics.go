@@ -1,6 +1,7 @@
 package netnode
 
 import (
+	"strconv"
 	"sync"
 
 	"github.com/canon-dht/canon/internal/telemetry"
@@ -18,6 +19,9 @@ const (
 	mnRPCLatency   = "canon_rpc_latency_seconds"
 	mnRPCAttempts  = "canon_rpc_attempts"
 	mnLookupHops   = "canon_lookup_hops"
+	mnGetHops      = "canon_get_hops"
+	mnPutHops      = "canon_put_hops"
+	mnGetAnswered  = "canon_get_answered_total"
 	mnTraceStarted = "canon_traces_started_total"
 	mnTraceDone    = "canon_traces_completed_total"
 	mnStoreWrites  = "canon_store_writes_total"
@@ -25,7 +29,6 @@ const (
 	mnStoreItems   = "canon_store_items"
 	mnSuspects     = "canon_suspect_peers"
 	mnFetchErrors  = "canon_fetch_errors_total"
-	mnReadRepairs  = "canon_read_repair_total"
 	mnAERounds     = "canon_antientropy_rounds_total"
 	mnAESyncs      = "canon_antientropy_syncs_total"
 	mnAEPushed     = "canon_antientropy_keys_pushed_total"
@@ -42,10 +45,11 @@ const (
 // unknown types (arbitrary bytes a fuzzer or a hostile peer puts in the Type
 // field) fall back to the lazily populated, mutex-guarded overflow maps.
 var knownMsgTypes = [...]string{
-	msgLookup, msgNeighbors, msgNotify, msgPing, msgStore,
+	msgLookup, msgNeighbors, msgNotify, msgPing,
 	msgFetch, msgRegister, msgMembers, msgLeaving,
 	msgStoreV2, msgSyncTree, msgSyncKeys, msgSyncPull, msgRepair,
 	msgBucketRef, msgLookahead,
+	msgGet, msgPut,
 }
 
 // nodeMetrics holds the node's cached handles into its telemetry registry.
@@ -58,6 +62,8 @@ type nodeMetrics struct {
 	rpcLatency   *telemetry.Histogram
 	rpcAttempts  *telemetry.Histogram
 	lookupHops   *telemetry.Histogram
+	getHops      *telemetry.Histogram
+	putHops      *telemetry.Histogram
 	traceStarted *telemetry.Counter
 	traceDone    *telemetry.Counter
 	storeWrites  *telemetry.Counter
@@ -66,7 +72,6 @@ type nodeMetrics struct {
 	suspects     *telemetry.Gauge
 
 	fetchErrors       *telemetry.Counter
-	readRepairs       *telemetry.Counter
 	antiEntropyRounds *telemetry.Counter
 	antiEntropySyncs  *telemetry.Counter
 	antiEntropyPushed *telemetry.Counter
@@ -79,6 +84,12 @@ type nodeMetrics struct {
 	replicaPushFailures *telemetry.Counter
 	replicaFullPasses   *telemetry.Counter
 
+	// answered[l] counts the gets entered at this node that the level-l owner
+	// answered; answeredNone those that found nothing. Both are immutable
+	// after construction, like the per-type maps below.
+	answered     []*telemetry.Counter
+	answeredNone *telemetry.Counter
+
 	// sentFixed/receivedFixed are immutable after construction: read-only
 	// map lookups are safe for unsynchronized concurrent use.
 	sentFixed     map[string]*telemetry.Counter
@@ -89,7 +100,7 @@ type nodeMetrics struct {
 	received map[string]*telemetry.Counter
 }
 
-func newNodeMetrics(reg *telemetry.Registry) *nodeMetrics {
+func newNodeMetrics(reg *telemetry.Registry, levels int) *nodeMetrics {
 	m := &nodeMetrics{
 		reg:          reg,
 		retries:      reg.Counter(mnRetries, "re-send attempts beyond each call's first"),
@@ -104,8 +115,9 @@ func newNodeMetrics(reg *telemetry.Registry) *nodeMetrics {
 		fetchReads:   reg.Counter(mnFetchReads, "local fetch reads served"),
 		storeItems:   reg.Gauge(mnStoreItems, "distinct keys currently stored"),
 		suspects:     reg.Gauge(mnSuspects, "peers the failure detector currently distrusts"),
-		fetchErrors:  reg.Counter(mnFetchErrors, "failed lookup or fetch probes during Get, previously swallowed"),
-		readRepairs:  reg.Counter(mnReadRepairs, "replica copies pushed by read repair"),
+		fetchErrors:  reg.Counter(mnFetchErrors, "pointer records a get could not resolve at the storing node"),
+		getHops:      reg.Histogram(mnGetHops, "forwarding hops per routed get entered at this node", telemetry.HopBuckets),
+		putHops:      reg.Histogram(mnPutHops, "forwarding hops per routed put entered at this node, pointer record included", telemetry.HopBuckets),
 		antiEntropyRounds: reg.Counter(mnAERounds,
 			"anti-entropy rounds completed (every level and replica partner)"),
 		antiEntropySyncs: reg.Counter(mnAESyncs,
@@ -128,6 +140,11 @@ func newNodeMetrics(reg *telemetry.Registry) *nodeMetrics {
 		sent:          make(map[string]*telemetry.Counter),
 		received:      make(map[string]*telemetry.Counter),
 	}
+	const answeredHelp = "routed gets entered at this node, by the hierarchy level whose owner answered (none = not found)"
+	for l := 0; l <= levels; l++ {
+		m.answered = append(m.answered, reg.Counter(mnGetAnswered, answeredHelp, telemetry.L("level", strconv.Itoa(l))))
+	}
+	m.answeredNone = reg.Counter(mnGetAnswered, answeredHelp, telemetry.L("level", "none"))
 	for _, t := range knownMsgTypes {
 		m.sentFixed[t] = reg.Counter(mnSent, "outgoing requests by message type (first attempts only)",
 			telemetry.L("type", t))
@@ -141,6 +158,15 @@ func newNodeMetrics(reg *telemetry.Registry) *nodeMetrics {
 // replicas, per-level copies or ownership handoffs.
 func replicaPushes(reg *telemetry.Registry, kind string) *telemetry.Counter {
 	return reg.Counter(mnReplPushes, "records the replication round pushed, by kind", telemetry.L("kind", kind))
+}
+
+// getAnswered returns the counter for a get answered at the given level of
+// the entry node's chain; anything else (not found reports -1) is "none".
+func (m *nodeMetrics) getAnswered(level int) *telemetry.Counter {
+	if level < 0 || level >= len(m.answered) {
+		return m.answeredNone
+	}
+	return m.answered[level]
 }
 
 // sentCounter returns the outgoing-request counter for a message type. Known

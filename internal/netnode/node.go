@@ -114,6 +114,12 @@ type Node struct {
 	m      *nodeMetrics
 	traces *telemetry.TraceStore
 
+	// nonceSeq numbers the node's requests. It starts at a draw from the
+	// node's RNG, not at zero: receivers remember nonces (and replay the
+	// cached reply) long after the sender is gone, so a node that restarts
+	// on the same address must not walk the sequence its previous
+	// incarnation used — its first requests would be answered with replies
+	// to whatever the old process had asked under those numbers.
 	nonceSeq uint64
 
 	// store holds the node's items (values, pointer records, replicas)
@@ -214,8 +220,9 @@ func New(cfg Config) (*Node, error) {
 		retry:    cfg.Retry.withDefaults(),
 		health:   newHealthTracker(),
 		tel:      reg,
-		m:        newNodeMetrics(reg),
+		m:        newNodeMetrics(reg, levels),
 		traces:   telemetry.NewTraceStore(cfg.TraceBuffer),
+		nonceSeq: uint64(private.Uint32()),
 		store:    store,
 		dirty:    make(map[uint64]struct{}),
 		preds:    make([]Info, levels+1),

@@ -41,3 +41,23 @@ func putLookupReq(q *lookupReq) {
 	lookupReqPool.Put(q)
 	telemetry.PutSpans(spans)
 }
+
+// getReqPool recycles routed-get request objects the same way: a get is the
+// hot key-value message and, like a lookup, carries no payload worth
+// allocating for on every forwarded hop. The same two properties hold — the
+// request is dead once n.call returns, and putGetReq zeroes it because JSON
+// decoding leaves absent (omitempty) fields untouched.
+var getReqPool = sync.Pool{
+	New: func() any { return new(getReq) },
+}
+
+// getGetReq returns a zeroed get request from the pool.
+func getGetReq() *getReq {
+	return getReqPool.Get().(*getReq)
+}
+
+// putGetReq zeroes q and returns it to the pool.
+func putGetReq(q *getReq) {
+	*q = getReq{}
+	getReqPool.Put(q)
+}

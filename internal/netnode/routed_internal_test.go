@@ -1,0 +1,631 @@
+package netnode
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"math/rand"
+	"sort"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"github.com/canon-dht/canon/internal/canonstore"
+	"github.com/canon-dht/canon/internal/id"
+	"github.com/canon-dht/canon/internal/transport"
+)
+
+// The routed key-value suite: every test runs on the in-memory bus behind
+// transport.Faulty, drives maintenance rounds by hand and counts messages
+// from the nodes' own canon_rpc_*_total series — no sleeps, no wall clock —
+// once per routing geometry.
+
+func forEachGeometry(t *testing.T, run func(t *testing.T, geometry string)) {
+	for _, g := range snapshotGeometries {
+		t.Run(g, func(t *testing.T) { run(t, g) })
+	}
+}
+
+// routedHierNames is the 15-node, three-leaf hierarchy of the public suite.
+func routedHierNames() []string {
+	var names []string
+	for _, leaf := range []string{"stanford/cs", "stanford/ee", "mit/csail"} {
+		for i := 0; i < 5; i++ {
+			names = append(names, leaf)
+		}
+	}
+	return names
+}
+
+// unevenNames is a hierarchy whose leaves sit at different depths: nodes
+// living directly in the root and in "a" share routes with nodes three
+// levels down.
+func unevenNames() []string {
+	return []string{
+		"", "a", "a", "a/b", "a/b", "a/b/c", "a/b/c", "a/b/c",
+		"a/x", "a/x", "d", "d", "d/e", "d/e/f",
+	}
+}
+
+// failingStore is a Mem store whose writes fail once fail is set — the
+// latched write error of a Disk store, without the disk.
+type failingStore struct {
+	canonstore.Store
+	fail atomic.Bool
+}
+
+var errStoreFailed = errors.New("injected store failure")
+
+func (s *failingStore) Put(e canonstore.Entry) (bool, error) {
+	if s.fail.Load() {
+		return false, errStoreFailed
+	}
+	return s.Store.Put(e)
+}
+
+func (s *failingStore) Sync() error {
+	if s.fail.Load() {
+		return errStoreFailed
+	}
+	return s.Store.Sync()
+}
+
+// routedCluster is a settled hierarchical cluster. Every node sends through
+// a transport.Faulty (no faults installed) and never retries, so a dead peer
+// costs one failed call and no backoff; the client has a Faulty of its own,
+// whose call count is the number of client RPCs.
+type routedCluster struct {
+	bus       *transport.Bus
+	nodes     []*Node
+	faulty    []*transport.Faulty
+	stores    []*failingStore
+	client    *Client
+	clientNet *transport.Faulty
+}
+
+func newRoutedCluster(t *testing.T, geometry string, names []string, seed int64) *routedCluster {
+	t.Helper()
+	c := &routedCluster{bus: transport.NewBus()}
+	rng := rand.New(rand.NewSource(seed))
+	ctx := context.Background()
+	for i, name := range names {
+		f := transport.NewFaulty(c.bus.Endpoint(fmt.Sprintf("routed-%d", i)), seed+int64(i), transport.Faults{})
+		st := &failingStore{Store: canonstore.NewMem()}
+		n, err := New(Config{
+			Name: name, RandomID: true, Rand: rng, Transport: f, Geometry: geometry,
+			Store: st, Retry: RetryPolicy{MaxAttempts: 1},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { n.Close() })
+		contact := ""
+		if i > 0 {
+			contact = c.nodes[0].self.Addr
+		}
+		if err := n.Join(ctx, contact); err != nil {
+			t.Fatalf("join node %d (%q): %v", i, name, err)
+		}
+		c.nodes = append(c.nodes, n)
+		c.faulty = append(c.faulty, f)
+		c.stores = append(c.stores, st)
+	}
+	for r := 0; r < 12; r++ {
+		for _, n := range c.nodes {
+			n.StabilizeOnce(ctx)
+		}
+		for _, n := range c.nodes {
+			n.FixFingers(ctx)
+		}
+	}
+	c.clientNet = transport.NewFaulty(c.bus.Endpoint("routed-client"), seed-1, transport.Faults{})
+	c.client = NewClient(c.clientNet)
+	return c
+}
+
+// received sums the requests of one type the cluster's nodes served.
+func (c *routedCluster) received(msgType string) int64 {
+	var total int64
+	for _, n := range c.nodes {
+		total += n.m.receivedFixed[msgType].Value()
+	}
+	return total
+}
+
+// sent sums the requests of one type the cluster's nodes sent.
+func (c *routedCluster) sent(msgType string) int64 {
+	var total int64
+	for _, n := range c.nodes {
+		total += n.m.sentFixed[msgType].Value()
+	}
+	return total
+}
+
+// in returns the indexes of the nodes inside the named domain.
+func (c *routedCluster) in(prefix string) []int {
+	var out []int
+	for i, n := range c.nodes {
+		if inDomain(n.self.Name, prefix) {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+// ownerIn is the test's own ownership oracle: the key's closest clockwise
+// predecessor among the members of a domain, from the identifiers alone.
+func (c *routedCluster) ownerIn(prefix string, key uint64) int {
+	members := c.in(prefix)
+	sort.Slice(members, func(a, b int) bool { return c.nodes[members[a]].self.ID < c.nodes[members[b]].self.ID })
+	owner := members[len(members)-1]
+	for _, m := range members {
+		if c.nodes[m].self.ID <= key {
+			owner = m
+		}
+	}
+	return owner
+}
+
+func (c *routedCluster) holders(key uint64) []int {
+	var out []int
+	for i, n := range c.nodes {
+		if len(n.store.Get(key, nil)) > 0 {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+// seededKeys draws n distinct keys.
+func seededKeys(seed int64, n int) []uint64 {
+	rng := rand.New(rand.NewSource(seed))
+	space := id.DefaultSpace()
+	keys := make([]uint64, n)
+	for i := range keys {
+		keys[i] = uint64(space.Random(rng))
+	}
+	return keys
+}
+
+// probeHops is what the retired client-side probe paid in lookup hops to
+// reach the level that answered: one lookup per level of the entry node's
+// chain, from its leaf domain out to answered (-1: every level).
+func probeHops(t *testing.T, entry *Node, key uint64, answered int) int {
+	t.Helper()
+	total := 0
+	for l := entry.levels; l >= 0 && l >= answered; l-- {
+		_, h, err := entry.LookupHops(context.Background(), key, prefixAt(entry.self.Name, l))
+		if err != nil {
+			t.Fatal(err)
+		}
+		total += h
+	}
+	return total
+}
+
+// (a) Message count. One client RPC per operation; the cluster serves
+// exactly hops+1 get (resp. put) messages for it and nothing else; a put's
+// record takes the lookup's route; a get never takes more hops than the
+// per-level probe paid in lookups, and on Crescendo a get that has to go all
+// the way to the global owner takes exactly the hops of one global lookup —
+// the bottom-up route is the global route (Section 3.2 convergence).
+func TestRoutedMessageCount(t *testing.T) {
+	forEachGeometry(t, func(t *testing.T, geometry string) {
+		c := newRoutedCluster(t, geometry, routedHierNames(), 41)
+		ctx := context.Background()
+		classes := []struct{ storage, access string }{
+			{"", ""}, {"stanford", "stanford"}, {"mit/csail", "mit/csail"},
+			{"stanford/cs", "stanford"}, {"mit/csail", ""},
+		}
+		for i, key := range seededKeys(42, 40) {
+			class := classes[i%len(classes)]
+			members := c.in(class.storage)
+			entry := c.nodes[members[i%len(members)]]
+
+			calls, puts, others := c.clientNet.FaultStats().Calls, c.received(msgPut), c.sent(msgLookup)+c.sent(msgStoreV2)
+			route, err := c.client.PutRoute(ctx, entry.self.Addr, key, []byte(fmt.Sprintf("v-%d", key)), class.storage, class.access)
+			if err != nil {
+				t.Fatalf("put %d %v via %q: %v", key, class, entry.self.Name, err)
+			}
+			if got := c.clientNet.FaultStats().Calls - calls; got != 1 {
+				t.Fatalf("put %d: %d client RPCs, want 1", key, got)
+			}
+			if got := c.received(msgPut) - puts; got != int64(route.Hops)+1 {
+				t.Fatalf("put %d %v: cluster served %d put messages, reply says hops=%d", key, class, got, route.Hops)
+			}
+			if got := c.sent(msgLookup) + c.sent(msgStoreV2) - others; got != 0 {
+				t.Fatalf("put %d: %d lookup/store2 messages beside the routed put", key, got)
+			}
+			_, valueHops, err := entry.LookupHops(ctx, key, class.storage)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if class.access == class.storage && route.Hops != valueHops {
+				t.Errorf("put %d %v via %q: %d hops, the lookup takes %d", key, class, entry.self.Name, route.Hops, valueHops)
+			}
+			if class.access != class.storage {
+				_, ptrHops, err := entry.LookupHops(ctx, key, class.access)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if route.Hops != valueHops+ptrHops {
+					t.Errorf("put %d %v: %d hops, value and pointer lookups take %d+%d", key, class, route.Hops, valueHops, ptrHops)
+				}
+			}
+
+			for _, r := range c.in(class.access) {
+				reader := c.nodes[r]
+				calls, gets, others := c.clientNet.FaultStats().Calls, c.received(msgGet), c.sent(msgLookup)+c.sent(msgPing)
+				_, route, err := c.client.GetRoute(ctx, reader.self.Addr, key)
+				if err != nil {
+					t.Fatalf("get %d %v via %q: %v", key, class, reader.self.Name, err)
+				}
+				if got := c.clientNet.FaultStats().Calls - calls; got != 1 {
+					t.Fatalf("get %d: %d client RPCs, want 1", key, got)
+				}
+				if got := c.received(msgGet) - gets; got != int64(route.Hops)+1 {
+					t.Fatalf("get %d via %q: cluster served %d get messages, reply says hops=%d", key, reader.self.Name, got, route.Hops)
+				}
+				if got := c.sent(msgLookup) + c.sent(msgPing) - others; got != 0 {
+					t.Fatalf("get %d: %d lookup/ping messages beside the routed get", key, got)
+				}
+				if probe := probeHops(t, reader, key, route.Level); route.Hops > probe {
+					t.Errorf("get %d via %q answered at level %d: %d hops, the per-level probe paid %d",
+						key, reader.self.Name, route.Level, route.Hops, probe)
+				}
+				if geometry == GeometryCrescendo && route.Level == 0 {
+					_, global, err := reader.LookupHops(ctx, key, "")
+					if err != nil {
+						t.Fatal(err)
+					}
+					if route.Hops != global {
+						t.Errorf("get %d via %q: %d hops bottom-up, one global lookup takes %d",
+							key, reader.self.Name, route.Hops, global)
+					}
+				}
+			}
+		}
+	})
+}
+
+// kvRecord is one write of the equivalence oracle.
+type kvRecord struct {
+	storage, access string
+	value           string
+}
+
+// checkVisibility is the equivalence oracle (b): the answer every node must
+// get for key, derived from the identifiers and the Section 4.1 rules alone.
+// The get visits the key's owner in each of the reader's domains, most local
+// first; a record sits at the owner of its home domain (the storage domain
+// for the value, the access domain for its pointer — none when that is the
+// same node); the first owner holding a record whose access domain contains
+// the reader answers, with that record's value, at that level; a reader no
+// access domain contains gets ErrNotFound.
+func (c *routedCluster) checkVisibility(t *testing.T, key uint64, recs []kvRecord) {
+	t.Helper()
+	type placed struct {
+		holder int
+		rec    kvRecord
+	}
+	var held []placed
+	for _, r := range recs {
+		owner := c.ownerIn(r.storage, key)
+		held = append(held, placed{owner, r})
+		if r.access != r.storage {
+			if ptrOwner := c.ownerIn(r.access, key); ptrOwner != owner {
+				held = append(held, placed{ptrOwner, r})
+			}
+		}
+	}
+	for _, reader := range c.nodes {
+		wantLevel := -1
+		want := map[string]bool{}
+		for l := reader.levels; l >= 0 && wantLevel < 0; l-- {
+			owner := c.ownerIn(prefixAt(reader.self.Name, l), key)
+			for _, p := range held {
+				if p.holder == owner && inDomain(reader.self.Name, p.rec.access) {
+					want[p.rec.value] = true
+					wantLevel = l
+				}
+			}
+		}
+		got, route, err := c.client.GetRoute(context.Background(), reader.self.Addr, key)
+		if wantLevel < 0 {
+			if !errors.Is(err, ErrNotFound) {
+				t.Errorf("key %d read from %q: %q, %v; want ErrNotFound", key, reader.self.Name, got, err)
+			}
+			continue
+		}
+		if err != nil || !want[string(got)] || route.Level != wantLevel {
+			t.Errorf("key %d read from %q: %q at level %d, %v; want one of %v at level %d",
+				key, reader.self.Name, got, route.Level, err, want, wantLevel)
+		}
+		// Node.Get is the same routed get entered locally.
+		if direct, derr := reader.Get(context.Background(), key); derr != nil || string(direct) != string(got) {
+			t.Errorf("key %d: Node.Get at %q = %q, %v; the client got %q", key, reader.self.Name, direct, derr, got)
+		}
+	}
+}
+
+// runOracle writes seeded keys in the given storage/access classes — one
+// class per key, then keys written under two classes at once so that a more
+// local copy has to win — and checks every key from every node.
+func runOracle(t *testing.T, c *routedCluster, classes [][2]string, seed int64) {
+	t.Helper()
+	ctx := context.Background()
+	put := func(key uint64, class [2]string, n int) kvRecord {
+		members := c.in(class[0])
+		entry := c.nodes[members[n%len(members)]]
+		rec := kvRecord{class[0], class[1], fmt.Sprintf("%d@%s|%s", key, class[0], class[1])}
+		if err := entry.Put(ctx, key, []byte(rec.value), rec.storage, rec.access); err != nil {
+			t.Fatalf("put %d %v via %q: %v", key, class, entry.self.Name, err)
+		}
+		return rec
+	}
+	keys := seededKeys(seed, 3*len(classes))
+	for i, key := range keys {
+		recs := []kvRecord{put(key, classes[i%len(classes)], i)}
+		if i >= len(classes) {
+			if other := classes[(i+1+i/len(classes))%len(classes)]; other != classes[i%len(classes)] {
+				recs = append(recs, put(key, other, i+1))
+			}
+		}
+		c.checkVisibility(t, key, recs)
+	}
+}
+
+// (b) Equivalence oracle on the three-leaf hierarchy: every storage/access
+// class, pointers (access ⊋ storage) included.
+func TestRoutedGetVisibility(t *testing.T) {
+	forEachGeometry(t, func(t *testing.T, geometry string) {
+		c := newRoutedCluster(t, geometry, routedHierNames(), 51)
+		runOracle(t, c, [][2]string{
+			{"", ""}, {"stanford", "stanford"}, {"mit", "mit"},
+			{"stanford/cs", "stanford/cs"}, {"stanford/ee", "stanford/ee"},
+			{"stanford/cs", "stanford"}, {"stanford/ee", ""}, {"mit/csail", "mit"}, {"mit", ""},
+		}, 52)
+	})
+}
+
+// (f) The same oracle where leaves sit at unequal depths: the origin of a
+// get is deeper than nodes on its route, and shallower than holders.
+func TestRoutedUnequalDepth(t *testing.T) {
+	forEachGeometry(t, func(t *testing.T, geometry string) {
+		c := newRoutedCluster(t, geometry, unevenNames(), 61)
+		runOracle(t, c, [][2]string{
+			{"", ""}, {"a", "a"}, {"a/b", "a/b"}, {"a/b/c", "a/b/c"}, {"d/e/f", "d/e/f"},
+			{"a/b/c", "a"}, {"a/b", ""}, {"d/e/f", "d"}, {"a/x", "a"}, {"d", ""},
+		}, 62)
+	})
+}
+
+// (c) Section 3.2 path locality as a retrieval property: with every node
+// outside stanford cut off, a stanford-scoped put and get through
+// stanford/cs still succeed, and not one RPC is even attempted out of the
+// domain.
+func TestRoutedOpsStayInDomain(t *testing.T) {
+	forEachGeometry(t, func(t *testing.T, geometry string) {
+		c := newRoutedCluster(t, geometry, routedHierNames(), 71)
+		ctx := context.Background()
+		inside, outside := c.in("stanford"), c.in("mit")
+		for _, i := range inside {
+			for _, o := range outside {
+				c.faulty[i].Partition(c.nodes[o].self.Addr)
+				c.faulty[o].Partition(c.nodes[i].self.Addr)
+			}
+		}
+		cs := c.in("stanford/cs")
+		for i, key := range seededKeys(72, 30) {
+			writer, reader := c.nodes[cs[i%len(cs)]], c.nodes[cs[(i+1)%len(cs)]]
+			value := fmt.Sprintf("local-%d", key)
+			if err := c.client.Put(ctx, writer.self.Addr, key, []byte(value), "stanford", "stanford"); err != nil {
+				t.Fatalf("put %d behind the partition: %v", key, err)
+			}
+			got, route, err := c.client.GetRoute(ctx, reader.self.Addr, key)
+			if err != nil || string(got) != value {
+				t.Fatalf("get %d behind the partition: %q, %v", key, got, err)
+			}
+			if route.Level < 1 {
+				t.Errorf("get %d answered at level %d: a stanford-scoped key is answered inside stanford", key, route.Level)
+			}
+		}
+		for _, i := range inside {
+			if refused := c.faulty[i].FaultStats().Partitioned; refused != 0 {
+				t.Errorf("node %d (%q) attempted %d RPCs out of the domain", i, c.nodes[i].self.Name, refused)
+			}
+		}
+		for _, o := range outside {
+			n := c.nodes[o]
+			if got := n.m.receivedFixed[msgGet].Value() + n.m.receivedFixed[msgPut].Value() + n.m.receivedFixed[msgFetch].Value(); got != 0 {
+				t.Errorf("node %d (%q) outside the domain served %d key-value messages", o, n.self.Name, got)
+			}
+		}
+	})
+}
+
+// (d) An error reply is an answer: when the owner's store fails, the put
+// fails — it is not routed around to a node that would happily ack — and no
+// node ends up holding the key.
+func TestRoutedPutOwnerStoreFailure(t *testing.T) {
+	forEachGeometry(t, func(t *testing.T, geometry string) {
+		c := newRoutedCluster(t, geometry, routedHierNames(), 81)
+		ctx := context.Background()
+		for _, key := range seededKeys(82, 20) {
+			owner := c.ownerIn("", key)
+			c.stores[owner].fail.Store(true)
+			for i, entry := range c.nodes {
+				err := c.client.Put(ctx, entry.self.Addr, key, []byte("lost"), "", "")
+				if err == nil {
+					t.Fatalf("put %d via node %d acked although owner %d cannot store", key, i, owner)
+				}
+				if errors.Is(err, ErrNotFound) || errors.Is(err, ErrBadDomain) {
+					t.Fatalf("put %d via node %d: %v; a store failure is neither", key, i, err)
+				}
+			}
+			if h := c.holders(key); len(h) != 0 {
+				t.Fatalf("key %d: nodes %v hold a write that was never acked", key, h)
+			}
+			c.stores[owner].fail.Store(false)
+			if err := c.client.Put(ctx, c.nodes[0].self.Addr, key, []byte("kept"), "", ""); err != nil {
+				t.Fatalf("put %d after the store recovered: %v", key, err)
+			}
+			if h := c.holders(key); len(h) != 1 || h[0] != owner {
+				t.Fatalf("key %d held by %v, want only owner %d", key, h, owner)
+			}
+		}
+	})
+}
+
+// (g) The best candidate is dead: the get routes around it and the answer
+// does not change. The cluster is one twelve-node leaf domain two levels
+// down, so every get is answered on the leaf ring — where successor lists
+// are admissible whole and a single dead node can always be bypassed; on the
+// outer rings of a hierarchy the Canon link bound can leave a dead node the
+// only gateway until stabilization prunes it, and the get then answers
+// best-effort exactly as a lookup does.
+func TestRoutedGetRoutesAroundDeadCandidate(t *testing.T) {
+	forEachGeometry(t, func(t *testing.T, geometry string) {
+		names := make([]string, 12)
+		for i := range names {
+			names[i] = "org/dept"
+		}
+		c := newRoutedCluster(t, geometry, names, 91)
+		ctx := context.Background()
+		tried := 0
+		for _, key := range seededKeys(92, 30) {
+			value := fmt.Sprintf("v-%d", key)
+			if err := c.nodes[0].Put(ctx, key, []byte(value), "org", "org"); err != nil {
+				t.Fatal(err)
+			}
+			holder := c.nodes[c.ownerIn("", key)].self.Addr
+			for _, entry := range c.nodes {
+				v := entry.routing.Load()
+				plan, err := entry.planHop(v, key, v.levels, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if plan.cnt < 2 || plan.best == holder {
+					continue
+				}
+				tried++
+				failed, around := entry.m.failedCalls.Value(), c.sent(msgGet)
+				c.bus.SetDown(plan.best, true)
+				got, route, err := c.client.GetRoute(ctx, entry.self.Addr, key)
+				c.bus.SetDown(plan.best, false)
+				if err != nil || string(got) != value || route.Level != 2 {
+					t.Fatalf("get %d at node %s with best candidate %s dead: %q at level %d, %v",
+						key, entry.self.Addr, plan.best, got, route.Level, err)
+				}
+				if entry.m.failedCalls.Value() == failed {
+					t.Fatalf("get %d at node %s never tried the dead best candidate %s", key, entry.self.Addr, plan.best)
+				}
+				// Every attempt, the failed ones included, is a sent get; the
+				// reply's hops count only the route that answered.
+				if sent := c.sent(msgGet) - around; sent <= int64(route.Hops) {
+					t.Fatalf("get %d: %d gets sent for a %d-hop route around a dead node", key, sent, route.Hops)
+				}
+				// The peer is back: clear the failure detectors it tripped, so
+				// the next trial starts from a cluster that trusts everyone.
+				for _, n := range c.nodes {
+					n.health.recordSuccess(plan.best)
+				}
+			}
+		}
+		t.Logf("%d trials", tried)
+		if tried == 0 {
+			t.Fatal("no get had a first hop with an alternative: the test exercised nothing")
+		}
+	})
+}
+
+// (h) Concurrent puts and gets on one key, from every node at once: every
+// get returns a value some put wrote, and once the writers are done every
+// node reads the one value the owner kept — the highest version. Run under
+// -race.
+func TestRoutedConcurrentGetPut(t *testing.T) {
+	forEachGeometry(t, func(t *testing.T, geometry string) {
+		c := newRoutedCluster(t, geometry, routedHierNames(), 101)
+		ctx := context.Background()
+		const key, rounds = uint64(0x5eed5eed), 20
+		written := func(v []byte) bool {
+			var n, r int
+			_, err := fmt.Sscanf(string(v), "w%d-%d", &n, &r)
+			return err == nil && n < len(c.nodes) && r < rounds
+		}
+		if err := c.nodes[0].Put(ctx, key, []byte("w0-0"), "", ""); err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for i, n := range c.nodes {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for r := 0; r < rounds; r++ {
+					if err := n.Put(ctx, key, []byte(fmt.Sprintf("w%d-%d", i, r)), "", ""); err != nil {
+						t.Errorf("put from node %d: %v", i, err)
+						return
+					}
+					got, err := c.nodes[(i+r)%len(c.nodes)].Get(ctx, key)
+					if err != nil || !written(got) {
+						t.Errorf("get beside the writers: %q, %v", got, err)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		owner := c.nodes[c.ownerIn("", key)]
+		entries := owner.store.Get(key, nil)
+		if len(entries) != 1 {
+			t.Fatalf("owner holds %d records for the key, want 1", len(entries))
+		}
+		// Every put was stamped by the owner's clock, one stamp per put.
+		if want := uint64(len(c.nodes)*rounds + 1); entries[0].Version != want {
+			t.Errorf("kept version %d, want the highest stamp %d", entries[0].Version, want)
+		}
+		for i, n := range c.nodes {
+			got, err := n.Get(ctx, key)
+			if err != nil || string(got) != string(entries[0].Value) {
+				t.Errorf("node %d reads %q, %v; the owner kept %q (version %d)", i, got, err, entries[0].Value, entries[0].Version)
+			}
+		}
+	})
+}
+
+// TestRoutedEntryHopRule pins what only the entry node may decide: a get
+// entering with a forged origin is answered for the entry node's own name,
+// a forged level cannot index outside the chain, and a put entering with a
+// pointer stores a value, not a pointer.
+func TestRoutedEntryHopRule(t *testing.T) {
+	c := newRoutedCluster(t, GeometryCrescendo, routedHierNames(), 111)
+	ctx := context.Background()
+	const key = uint64(0xabcdef)
+	cs, mit := c.nodes[c.in("stanford/cs")[0]], c.nodes[c.in("mit")[0]]
+	if err := cs.Put(ctx, key, []byte("scoped"), "stanford", "stanford"); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := mit.handleGet(ctx, &getReq{Key: key, Origin: "stanford/cs", Level: 2})
+	if err != nil || resp.Status != statusNotFound {
+		t.Errorf("get entering at mit with a forged stanford origin: %+v, %v; want not found", resp, err)
+	}
+	for _, level := range []int{99, -99} {
+		resp, err := mit.handleGet(ctx, &getReq{Key: key, Origin: "stanford/cs", Level: level, Hops: 1})
+		if err != nil || resp.Status != statusNotFound {
+			t.Errorf("forwarded get with level %d at a node sharing no level with the origin: %+v, %v", level, resp, err)
+		}
+	}
+	forged := Info{ID: 1, Name: "mit/csail", Addr: "nowhere"}
+	put, err := cs.handlePut(ctx, &putReq{Key: key + 1, Value: []byte("v"), Pointer: forged})
+	if err != nil || put.Status != statusOK {
+		t.Fatalf("put entering with a pointer: %+v, %v", put, err)
+	}
+	for _, e := range c.nodes[c.ownerIn("", key+1)].store.Get(key+1, nil) {
+		if e.IsPointer() {
+			t.Errorf("the entry node stored the client's forged pointer: %+v", e)
+		}
+	}
+	if got, err := mit.Get(ctx, key+1); err != nil || string(got) != "v" {
+		t.Errorf("get of the value put beside a forged pointer: %q, %v", got, err)
+	}
+}

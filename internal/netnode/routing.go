@@ -75,6 +75,51 @@ func (n *Node) succInDomain(prefix string) Info {
 	return n.succs[level][0]
 }
 
+// hopPlan is one hop's forwarding decision: the next-hop candidates for a
+// key, in the order the hop should try them.
+type hopPlan struct {
+	order [forwardAttemptLimit]viewCandidate
+	cnt   int
+	// best is the address of the distance-best candidate, whatever its
+	// health: a hop to anyone else is a route-around.
+	best string
+}
+
+// candidates returns the plan's candidates in trial order.
+func (p *hopPlan) candidates() []viewCandidate { return p.order[:p.cnt] }
+
+// planHop is the forwarding decision every routed message — lookup, get,
+// put — shares: where a request for key goes next inside the level-l domain
+// of this node's chain. It enforces the hop limit and reads, from the one
+// routing snapshot the caller loaded, the candidates that advance without
+// overshooting, health-preferred first and distance-best within each class,
+// at most forwardAttemptLimit of them. The caller tries them in order: a
+// dead best candidate falls through to the next (the crash-recovery
+// behaviour of a real deployment — stabilization prunes it later), and
+// distrusted peers sink behind every healthy one but remain last-resort
+// options, so a wrongly accused peer cannot partition the route.
+//
+// An empty plan means this node is the key's closest predecessor in the
+// domain — its owner. A caller whose every candidate proved unreachable
+// answers from where it stands too, the liveness-over-accuracy choice real
+// deployments make while stabilization repairs the stale links.
+//
+// The decision is lock-free and allocation-free: it reads the snapshot's
+// precomputed candidate sets and the failure detector's atomics, and the
+// plan lives on the caller's stack.
+func (n *Node) planHop(v *routingView, key uint64, level, hops int) (hopPlan, error) {
+	var p hopPlan
+	if hops >= lookupHopLimit {
+		return p, fmt.Errorf("netnode: route exceeded %d hops", lookupHopLimit)
+	}
+	var routedAround bool
+	p.cnt, p.best, routedAround = v.forwardSet(n.health, key, level, p.order[:])
+	if routedAround {
+		n.m.routedAround.Inc()
+	}
+	return p, nil
+}
+
 // handleLookup implements greedy clockwise forwarding constrained to a
 // domain: the receiving node either forwards to its neighbor closest to the
 // key without overshooting, or — being the key's closest predecessor within
@@ -88,38 +133,27 @@ func (n *Node) succInDomain(prefix string) Info {
 // self-originated and client-originated lookups leave evidence where the
 // route began.
 //
-// The forwarding decision is lock-free and allocation-free: the node loads
-// its published routing snapshot once (one complete epoch — never a torn mix
-// of two stabilization rounds), reads the precomputed candidate sets, and
-// queries the failure detector's atomics. The untraced path also allocates
-// no request objects — the forwarded request comes from a pool and candidate
-// staging lives on the stack. Traced lookups additionally build span lists,
-// whose backing arrays are pool-recycled per hop.
+// The node loads its published routing snapshot once (one complete epoch —
+// never a torn mix of two stabilization rounds) and plans the hop from it
+// (planHop). The untraced path also allocates no request objects — the
+// forwarded request comes from a pool. Traced lookups additionally build
+// span lists, whose backing arrays are pool-recycled per hop. A lookup
+// routes around a candidate whose reply does not decode, error replies
+// included: any node that can name an owner is as good as another.
 func (n *Node) handleLookup(ctx context.Context, req *lookupReq) (lookupResp, error) {
-	if req.Hops >= lookupHopLimit {
-		return lookupResp{}, fmt.Errorf("netnode: lookup exceeded %d hops", lookupHopLimit)
-	}
 	v := n.routing.Load()
 	level, ok := v.levelOf(req.Prefix)
 	if !ok {
 		return lookupResp{}, fmt.Errorf("netnode: lookup for %q reached node outside it", req.Prefix)
 	}
-	// Candidates that advance without overshooting, health-preferred first
-	// and distance-best within each class; a dead best candidate falls
-	// through to the next (the crash-recovery behaviour of a real deployment
-	// — stabilization prunes it later). Distrusted peers sink behind every
-	// healthy one but remain last-resort options, so a wrongly accused peer
-	// cannot partition the lookup.
-	var order [forwardAttemptLimit]viewCandidate
-	cnt, bestAddr, routedAround := v.forwardSet(n.health, req.Key, level, order[:])
-	if routedAround {
-		n.m.routedAround.Inc()
+	plan, err := n.planHop(v, req.Key, level, req.Hops)
+	if err != nil {
+		return lookupResp{}, err
 	}
-	if cnt > 0 {
+	if plan.cnt > 0 {
 		fwd := getLookupReq()
 		defer putLookupReq(fwd)
-		for i := 0; i < cnt; i++ {
-			cand := order[i]
+		for _, cand := range plan.candidates() {
 			fwd.Key, fwd.Prefix, fwd.Hops, fwd.Trace = req.Key, req.Prefix, req.Hops+1, req.Trace
 			if req.Trace != "" {
 				// The hop's routing level is the depth of the lowest common
@@ -133,7 +167,7 @@ func (n *Node) handleLookup(ctx context.Context, req *lookupReq) (lookupResp, er
 				fwd.Spans = append(spans, telemetry.Span{
 					Hop: req.Hops, Name: v.self.Name, ID: v.self.ID,
 					Addr: v.self.Addr, Level: cand.level,
-					RouteAround: cand.info.Addr != bestAddr,
+					RouteAround: cand.info.Addr != plan.best,
 				})
 			}
 			msg, err := transport.NewMessage(msgLookup, fwd)
@@ -151,9 +185,6 @@ func (n *Node) handleLookup(ctx context.Context, req *lookupReq) (lookupResp, er
 			n.finishLookup(req, &resp)
 			return resp, nil
 		}
-		// Every forward failed: answer best-effort as the closest reachable
-		// predecessor, the liveness-over-accuracy choice real deployments
-		// make; stabilization repairs the stale links that got us here.
 	}
 	resp := lookupResp{Pred: v.self, Succ: v.succAt(level), Hops: req.Hops}
 	if req.Trace != "" {

@@ -59,43 +59,116 @@ func (n *Node) observeVersion(v uint64) {
 // domain must contain the storage domain; both are hierarchical name
 // prefixes ("" = global). The value lands at the key's owner within the
 // storage domain; a wider access domain additionally places a pointer at
-// the access domain's owner. Versions are stamped by the receiving owner
-// (Version 0 on the wire), so each record has a single stamper while its
-// ownership holds.
+// the access domain's owner. The node is the entry of a routed put
+// (handlePut), exactly as if a client had sent it one.
 func (n *Node) Put(ctx context.Context, key uint64, value []byte, storagePath, accessPath string) error {
-	if !inDomain(n.self.Name, storagePath) {
-		return fmt.Errorf("%w: storage %q does not contain %q", ErrBadDomain, storagePath, n.self.Name)
-	}
-	if !inDomain(storagePath, accessPath) {
-		return fmt.Errorf("%w: access %q does not contain storage %q", ErrBadDomain, accessPath, storagePath)
-	}
-	owner, err := n.Lookup(ctx, key, storagePath)
+	resp, err := n.handlePut(ctx, &putReq{Key: key, Value: value, Storage: storagePath, Access: accessPath})
 	if err != nil {
-		return fmt.Errorf("netnode: put lookup: %w", err)
-	}
-	if err := n.storeAt(ctx, owner, storeReq2{
-		Key: key, Value: value, Storage: storagePath, Access: accessPath,
-		Level: prefixLevel(storagePath),
-	}); err != nil {
 		return err
 	}
-	if accessPath != storagePath {
-		ptrOwner, err := n.Lookup(ctx, key, accessPath)
-		if err != nil {
-			return fmt.Errorf("netnode: pointer lookup: %w", err)
-		}
-		if ptrOwner.Addr != owner.Addr {
-			if err := n.storeAt(ctx, ptrOwner, storeReq2{
-				Key: key, Storage: storagePath, Access: accessPath, Pointer: owner,
-				Level: prefixLevel(accessPath),
-			}); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	return putStatusErr(resp.Status, storagePath, accessPath, n.self.Name)
 }
 
+// putStatusErr turns a put reply's status into the caller-facing error,
+// naming the domains the entry node rejected.
+func putStatusErr(status int, storagePath, accessPath, entry string) error {
+	err := statusErr(status)
+	if status == statusBadDomain {
+		return fmt.Errorf("%w: storage %q must contain the entry node %q and access %q must contain the storage domain",
+			err, storagePath, entry, accessPath)
+	}
+	return err
+}
+
+// handlePut serves a routed put. At the entry node (Hops == 0) it validates
+// the two domain rules and sends the record — and, when the access domain is
+// wider than the storage domain, a pointer record naming the value's owner —
+// down their routes; everywhere else it carries one record a hop further or
+// applies it. Versions are stamped by the owner that applies the record, so
+// each record has a single stamper while its ownership holds.
+func (n *Node) handlePut(ctx context.Context, req *putReq) (putResp, error) {
+	if req.Hops != 0 {
+		return n.routePut(ctx, req)
+	}
+	if !inDomain(n.self.Name, req.Storage) || !inDomain(req.Storage, req.Access) {
+		return putResp{Status: statusBadDomain}, nil
+	}
+	// The entry builds the records itself: a Pointer in a client's request
+	// is not part of the operation and is dropped here.
+	resp, err := n.routePut(ctx, &putReq{Key: req.Key, Value: req.Value, Storage: req.Storage, Access: req.Access})
+	if err != nil || resp.Status != statusOK {
+		return resp, err
+	}
+	if req.Access != req.Storage {
+		ptr, err := n.routePut(ctx, &putReq{
+			Key: req.Key, Storage: req.Storage, Access: req.Access, Pointer: resp.Owner, Hops: resp.Hops,
+		})
+		if err != nil || ptr.Status != statusOK {
+			return ptr, err
+		}
+		resp.Hops = ptr.Hops
+	}
+	n.m.putHops.Observe(float64(resp.Hops))
+	return resp, nil
+}
+
+// routePut moves one record along the greedy route inside its home domain
+// and, where the route ends, applies it: the write hits the store and the
+// durability barrier before the reply is built (fsync-on-ack, docs/STORAGE.md;
+// canonvet: fsyncbeforeack). A candidate's error reply is the operation's
+// answer and is returned, never routed around — a store error at the owner
+// must not turn into an ack from a node that merely was next in line. Only
+// unreachable candidates are skipped.
+func (n *Node) routePut(ctx context.Context, req *putReq) (putResp, error) {
+	v := n.routing.Load()
+	home := req.Storage
+	if !req.Pointer.IsZero() {
+		home = req.Access
+	}
+	level, ok := v.levelOf(home)
+	if !ok {
+		return putResp{}, fmt.Errorf("netnode: put for %q reached node %q outside it", home, v.self.Name)
+	}
+	plan, err := n.planHop(v, req.Key, level, req.Hops)
+	if err != nil {
+		return putResp{}, err
+	}
+	for _, cand := range plan.candidates() {
+		fwd := *req
+		fwd.Hops++
+		msg, err := transport.NewMessage(msgPut, fwd)
+		if err != nil {
+			return putResp{}, err
+		}
+		raw, err := n.call(ctx, cand.info.Addr, msg)
+		if err != nil {
+			continue
+		}
+		var resp putResp
+		if err := raw.Decode(&resp); err != nil {
+			return putResp{}, fmt.Errorf("netnode: put via %s: %w", cand.info.Addr, err)
+		}
+		return resp, nil
+	}
+	// No candidate (this node owns the key in the home domain) or none
+	// reachable: the record is applied here — unless it is a pointer to a
+	// value this very node holds, which would only point at itself.
+	if req.Pointer.Addr != v.self.Addr {
+		if err := n.storeLocalV2(storeReq2{
+			Key: req.Key, Value: req.Value, Storage: req.Storage, Access: req.Access,
+			Pointer: req.Pointer, Level: level,
+		}); err != nil {
+			return putResp{}, err
+		}
+		if err := n.store.Sync(); err != nil {
+			return putResp{}, err
+		}
+	}
+	return putResp{Owner: v.self, Hops: req.Hops}, nil
+}
+
+// storeAt pushes one versioned record to target — the node-to-node transfer
+// path of replication, handoff and repair.
 func (n *Node) storeAt(ctx context.Context, target Info, req storeReq2) error {
 	if target.Addr == n.self.Addr {
 		if err := n.storeLocalV2(req); err != nil {
@@ -115,20 +188,6 @@ func (n *Node) storeAt(ctx context.Context, target Info, req storeReq2) error {
 	}
 	var empty struct{}
 	return resp.Decode(&empty)
-}
-
-// storeLocal applies a legacy (v1) store request: the receiver stamps a
-// fresh version, because the v1 wire form carries none.
-func (n *Node) storeLocal(req storeReq) error {
-	home := req.Storage
-	if !req.Pointer.IsZero() {
-		home = req.Access
-	}
-	return n.storeLocalV2(storeReq2{
-		Key: req.Key, Value: req.Value, Storage: req.Storage, Access: req.Access,
-		Pointer: req.Pointer, Replica: req.Replica,
-		Level: prefixLevel(home),
-	})
 }
 
 // storeLocalV2 writes one entry into the node's storage engine. Version 0
@@ -155,82 +214,117 @@ func (n *Node) storeLocalV2(req storeReq2) error {
 	return nil
 }
 
-// Get retrieves the first value for key that this node may access, probing
+// Get retrieves the first value for key that this node may access, searching
 // its domains from the most local outward so that locally stored content is
-// found without the query leaving the domain. Failed probes count into the
-// fetch-error metric instead of vanishing, and owners at more local levels
-// that answered empty before the hit are read-repaired from the serving
-// owner, so the next local read stays local.
+// found without the query leaving the domain. The node is the entry of a
+// routed get (handleGet), exactly as if a client had sent it one.
 func (n *Node) Get(ctx context.Context, key uint64) ([]byte, error) {
-	asked := make(map[string]bool)
-	var missed []Info
-	for l := n.levels; l >= 0; l-- {
-		prefix := prefixAt(n.self.Name, l)
-		owner, err := n.Lookup(ctx, key, prefix)
+	resp, err := n.handleGet(ctx, &getReq{Key: key})
+	if err != nil {
+		return nil, err
+	}
+	return resp.Value, statusErr(resp.Status)
+}
+
+// handleGet serves a routed get: the paper's one hierarchical greedy route
+// (Section 4.1). Within the origin's level-Level domain the request is
+// forwarded toward the key's owner there; the owner — the node with no
+// candidate left to forward to — reads its own store for content the origin
+// may access, and on a miss lowers the level and keeps routing from where it
+// stands, so the owners are visited most local first and the first hit
+// answers. Below level 0 the answer is not found. A candidate's reply,
+// error replies included, is the answer; only unreachable candidates are
+// routed around. The get plants nothing on the nodes it passes: refilling
+// local owners is caching (Section 4.2) and needs invalidation first.
+func (n *Node) handleGet(ctx context.Context, req *getReq) (getResp, error) {
+	v := n.routing.Load()
+	entry := req.Hops == 0
+	if entry {
+		req.Origin, req.Level = v.self.Name, v.levels
+	}
+	// Only the levels this node shares with the origin name domains both are
+	// in; the clamp also keeps a hostile Level inside the prefix chain.
+	level := min(req.Level, v.levels)
+	for level > 0 && !inDomain(req.Origin, v.prefixes[level]) {
+		level--
+	}
+	resp, err := n.routeGet(ctx, v, req, level)
+	if err == nil && entry {
+		n.m.getHops.Observe(float64(resp.Hops))
+		n.m.getAnswered(resp.Level).Inc()
+	}
+	return resp, err
+}
+
+// routeGet walks the levels of one get from this node on: forward inside the
+// level's domain when a candidate is closer to the key, read the local store
+// when none is, step one level out on a miss.
+func (n *Node) routeGet(ctx context.Context, v *routingView, req *getReq, level int) (getResp, error) {
+	fwd := getGetReq()
+	defer putGetReq(fwd)
+	searched := false
+	for ; level >= 0; level-- {
+		plan, err := n.planHop(v, req.Key, level, req.Hops)
 		if err != nil {
-			n.m.fetchErrors.Inc()
-			continue
+			return getResp{}, err
 		}
-		if asked[owner.Addr] {
-			continue
-		}
-		asked[owner.Addr] = true
-		values, err := n.fetchFrom(ctx, owner, key)
-		if err != nil {
-			n.m.fetchErrors.Inc()
-			continue
-		}
-		if len(values) == 0 {
-			missed = append(missed, owner)
-			continue
-		}
-		for _, v := range values {
-			if v.Pointer.IsZero() {
-				n.readRepair(ctx, owner, key, missed)
-				return v.Value, nil
-			}
-			// Resolve the indirection at the storing node.
-			resolved, err := n.fetchFrom(ctx, v.Pointer, key)
+		for _, cand := range plan.candidates() {
+			fwd.Key, fwd.Origin, fwd.Level, fwd.Hops = req.Key, req.Origin, level, req.Hops+1
+			msg, err := transport.NewMessage(msgGet, fwd)
 			if err != nil {
-				n.m.fetchErrors.Inc()
+				return getResp{}, err
+			}
+			raw, err := n.call(ctx, cand.info.Addr, msg)
+			if err != nil {
 				continue
 			}
-			for _, rv := range resolved {
-				if rv.Pointer.IsZero() && rv.Access == v.Access {
-					n.readRepair(ctx, owner, key, missed)
-					return rv.Value, nil
-				}
+			var resp getResp
+			if err := raw.Decode(&resp); err != nil {
+				return getResp{}, fmt.Errorf("netnode: get via %s: %w", cand.info.Addr, err)
+			}
+			return resp, nil
+		}
+		// No candidate (this node owns the key at this level) or none
+		// reachable. The store holds one answer for every level, so it is
+		// read once.
+		if searched {
+			continue
+		}
+		searched = true
+		if value, ok := n.readLocal(ctx, req.Key, req.Origin); ok {
+			return getResp{Status: statusOK, Value: value, Level: level, Hops: req.Hops}, nil
+		}
+	}
+	return getResp{Status: statusNotFound, Level: -1, Hops: req.Hops}, nil
+}
+
+// readLocal returns the first value for key in this node's store that a
+// querier named origin may access. A pointer record is resolved with one
+// fetch to the storing node; a pointer that cannot be resolved counts into
+// the fetch-error metric and the next record is tried.
+func (n *Node) readLocal(ctx context.Context, key uint64, origin string) ([]byte, bool) {
+	for _, v := range n.fetchLocal(fetchReq{Key: key, Origin: origin}) {
+		if v.Pointer.IsZero() {
+			return v.Value, true
+		}
+		resolved, err := n.fetchFrom(ctx, v.Pointer, key, origin)
+		if err != nil {
+			n.m.fetchErrors.Inc()
+			continue
+		}
+		for _, rv := range resolved {
+			if rv.Pointer.IsZero() && rv.Access == v.Access {
+				return rv.Value, true
 			}
 		}
 	}
-	return nil, ErrNotFound
+	return nil, false
 }
 
-// readRepair pushes the entries the serving owner holds for key to the
-// owners probed before it that answered empty. The entries are pulled
-// versioned (syncpull) and pushed verbatim as replicas: read repair moves
-// copies, it never creates new versions. Best-effort on a read path —
-// failures are dropped, anti-entropy will catch what it missed.
-func (n *Node) readRepair(ctx context.Context, from Info, key uint64, missed []Info) {
-	if len(missed) == 0 {
-		return
-	}
-	entries, err := n.syncPullFrom(ctx, from, syncPullReq{Key: key})
-	if err != nil || len(entries) == 0 {
-		return
-	}
-	for _, target := range missed {
-		for _, e := range entries {
-			e.Replica = true
-			if err := n.storeAt(ctx, target, e); err == nil {
-				n.m.readRepairs.Inc()
-			}
-		}
-	}
-}
-
-func (n *Node) fetchFrom(ctx context.Context, target Info, key uint64) ([]fetchValue, error) {
-	req := fetchReq{Key: key, Origin: n.self.Name}
+// fetchFrom reads the records for key visible to origin at target — the
+// node-to-node read a pointer record is resolved with.
+func (n *Node) fetchFrom(ctx context.Context, target Info, key uint64, origin string) ([]fetchValue, error) {
+	req := fetchReq{Key: key, Origin: origin}
 	if target.Addr == n.self.Addr {
 		return n.fetchLocal(req), nil
 	}

@@ -3,6 +3,7 @@
 package netnode
 
 import (
+	"fmt"
 	"hash/fnv"
 	"strings"
 
@@ -26,7 +27,6 @@ const (
 	msgNeighbors = "neighbors"
 	msgNotify    = "notify"
 	msgPing      = "ping"
-	msgStore     = "store"
 	msgFetch     = "fetch"
 	msgRegister  = "register"
 	msgMembers   = "members"
@@ -34,8 +34,7 @@ const (
 )
 
 // Message types introduced at wire version 2 (docs/WIRE.md): the versioned
-// store and the replica anti-entropy protocol. The storeReq binary layout is
-// frozen at v1, so the versioned form is a new type rather than new fields.
+// store and the replica anti-entropy protocol.
 const (
 	msgStoreV2  = "store2"
 	msgSyncTree = "synctree"
@@ -52,6 +51,39 @@ const (
 	msgBucketRef = "bucketref"
 	msgLookahead = "lookahead"
 )
+
+// Message types introduced at wire version 4 (docs/WIRE.md §10): the routed
+// key-value operations. One get or put travels the paper's bottom-up route
+// (Section 4.1) node to node and is answered where it lands; they are the
+// only implementation of Get and Put, for nodes and clients alike.
+const (
+	msgGet = "get"
+	msgPut = "put"
+)
+
+// Reply status of a routed operation. A status is an answer, carried in the
+// body so it survives the wire as a value: the client maps it back to
+// ErrNotFound / ErrBadDomain and errors.Is keeps working across processes.
+// Failures that are not answers (a store error, a hop-limit overrun) travel
+// as error replies instead.
+const (
+	statusOK        = 0
+	statusNotFound  = 1
+	statusBadDomain = 2
+)
+
+// statusErr maps a reply status to the package's sentinel errors.
+func statusErr(status int) error {
+	switch status {
+	case statusOK:
+		return nil
+	case statusNotFound:
+		return ErrNotFound
+	case statusBadDomain:
+		return ErrBadDomain
+	}
+	return fmt.Errorf("netnode: unknown reply status %d", status)
+}
 
 // lookupReq asks for the predecessor (owner) and successor of Key among the
 // nodes of the domain named by Prefix ("" = the whole system).
@@ -102,8 +134,13 @@ type notifyReq struct {
 	AsSuccessor bool `json:"asSuccessor,omitempty"`
 }
 
-// storeReq stores a key-value pair (or a pointer to one) at the receiver.
-type storeReq struct {
+// storeReq2 stores a key-value pair (or a pointer to one) at the receiver,
+// with the placement level and the write version the storage engine orders
+// writes by. It is the node-to-node transfer form — fresh writes arrive as a
+// routed putReq. Version 0 asks the receiver to stamp one; replica pushes,
+// handoffs and anti-entropy repairs carry the origin's version verbatim so
+// the record's history survives the transfer.
+type storeReq2 struct {
 	Key     uint64 `json:"key"`
 	Value   []byte `json:"value,omitempty"`
 	Storage string `json:"storage"`
@@ -113,20 +150,6 @@ type storeReq struct {
 	// Replica marks a copy pushed by the key's owner to its successors; the
 	// receiver stores it without re-replicating.
 	Replica bool `json:"replica,omitempty"`
-}
-
-// storeReq2 is the versioned store request: storeReq plus the placement
-// level and the write version the storage engine orders writes by. Version
-// 0 asks the receiver to stamp one (a fresh client write); replica pushes,
-// handoffs and anti-entropy repairs carry the origin's version verbatim so
-// the record's history survives the transfer.
-type storeReq2 struct {
-	Key     uint64 `json:"key"`
-	Value   []byte `json:"value,omitempty"`
-	Storage string `json:"storage"`
-	Access  string `json:"access"`
-	Pointer Info   `json:"pointer,omitempty"`
-	Replica bool   `json:"replica,omitempty"`
 	// Level is the hierarchy level this copy is placed for: the home
 	// domain's depth for primaries and chain replicas, deeper for per-level
 	// copies on nested rings.
@@ -177,8 +200,7 @@ type syncKeysResp struct {
 }
 
 // syncPullReq retrieves the full entries a peer holds for Key within a sync
-// scope, versions included — the pull half of anti-entropy repair and the
-// source of read-repair pushes.
+// scope, versions included — the pull half of anti-entropy repair.
 type syncPullReq struct {
 	Prefix string `json:"prefix"`
 	Lo     uint64 `json:"lo"`
@@ -244,6 +266,57 @@ type fetchValue struct {
 
 type fetchResp struct {
 	Values []fetchValue `json:"values"`
+}
+
+// getReq is the routed retrieval of Key. A client (or Node.Get) sends only
+// the key; the node a get enters at (Hops == 0) fills Origin with its own
+// name and Level with its chain depth, and the message then walks Origin's
+// domains from the most local outward: within Origin's level-Level domain it
+// is forwarded greedily to the key's owner there, which answers from its
+// store or lowers Level and routes on from where it stands.
+type getReq struct {
+	Key uint64 `json:"key"`
+	// Origin is the entry node's domain name: access control is evaluated
+	// for it, and its domain chain is the route.
+	Origin string `json:"origin,omitempty"`
+	// Level is the depth of the Origin domain being searched.
+	Level int `json:"level,omitempty"`
+	// Hops counts the forwards taken so far; 0 marks the entry node.
+	Hops int `json:"hops,omitempty"`
+}
+
+// getResp answers a get. Level is the depth of the domain whose owner held
+// the answer (-1 when Status is not statusOK) and Hops the forwards the get
+// took in total, so the entry node can say where the answer came from.
+type getResp struct {
+	Status int    `json:"status"`
+	Value  []byte `json:"value,omitempty"`
+	Level  int    `json:"level"`
+	Hops   int    `json:"hops"`
+}
+
+// putReq is the routed store of one record. The entry node (Hops == 0)
+// validates the Section 4.1 domain rules; the record then rides the greedy
+// route inside its home domain — Storage, or Access for a pointer record —
+// and is applied and made durable at the owner before the reply. Pointer is
+// only ever set by the entry node, on the second put of an access ⊋ storage
+// write.
+type putReq struct {
+	Key     uint64 `json:"key"`
+	Value   []byte `json:"value,omitempty"`
+	Storage string `json:"storage"`
+	Access  string `json:"access"`
+	Pointer Info   `json:"pointer,omitempty"`
+	Hops    int    `json:"hops,omitempty"`
+}
+
+// putResp acknowledges a put: with statusOK it is a durability promise from
+// Owner, the node that applied the record (which the entry needs to build
+// the pointer record). Hops is the forwards taken, both records included.
+type putResp struct {
+	Status int  `json:"status"`
+	Owner  Info `json:"owner"`
+	Hops   int  `json:"hops"`
 }
 
 // registerReq records From as a live member of the domain named Prefix in

@@ -31,8 +31,10 @@ const (
 	// v1 peer on a negotiated-v1 connection simply never receives them.
 	// Version 3 likewise changes no framing: it marks the builds that
 	// understand the geometry maintenance message types ("bucketref",
-	// "lookahead") introduced in docs/WIRE.md §9.
-	muxVersion = 3
+	// "lookahead") introduced in docs/WIRE.md §9, and version 4 the builds
+	// that understand the routed key-value operations ("get", "put") of
+	// docs/WIRE.md §10.
+	muxVersion = 4
 
 	// Frame kinds.
 	frameRequest  = 0x01

@@ -42,10 +42,10 @@ func TestMuxVersionNegotiation(t *testing.T) {
 	cases := []struct {
 		offer, want byte
 	}{
-		{offer: 3, want: 3},  // current build's own offer
-		{offer: 2, want: 2},  // older peer: serve its version
+		{offer: 4, want: 4},  // current build's own offer
+		{offer: 3, want: 3},  // older peer: serve its version
 		{offer: 1, want: 1},  // oldest peer: serve its version
-		{offer: 99, want: 3}, // newer peer: clamp to ours
+		{offer: 99, want: 4}, // newer peer: clamp to ours
 	}
 	for _, tc := range cases {
 		accept := handshakeWith(t, srv.Addr(), tc.offer)

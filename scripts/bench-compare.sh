@@ -32,7 +32,16 @@
 #      (BenchmarkReplicateOnceQuiescent): it sends zero RPCs, and its median
 #      ns/op with 10 000 stored entries is within 2x of the median with
 #      1 000 — the round costs what was written, not what is stored.
-#   4. vs-baseline: any NS-GATED benchmark whose median ns/op regressed more
+#   4. routed_ops — the absolute budgets of the routed key-value layer
+#      (BenchmarkRoutedGet / BenchmarkRoutedPut, a 64-node bus cluster driven
+#      through one Client): an op's rpcs/op — the client's one request plus
+#      every request any node sends for it — is at most the mean global
+#      lookup hops of the same entry nodes and keys (hops/op, reported by the
+#      same benchmark) plus one: one routed message per op, no second trip.
+#      And BenchmarkForwardDecision64Snapshot, the forwarding decision all
+#      routed messages share, still allocates nothing. Both hold on every
+#      run, baseline or not.
+#   5. vs-baseline: any NS-GATED benchmark whose median ns/op regressed more
 #      than 10% fails the run, and any ALLOC-GATED benchmark whose allocs/op
 #      increased at all fails the run. A gated benchmark present in the
 #      baseline but missing from the run also fails (deleting a benchmark
@@ -83,7 +92,7 @@ raw_netnode=$(go test -run '^$' -bench 'BenchmarkForwardDecision64|BenchmarkLook
 echo "$raw_netnode" >&2
 # The store-path benchmarks run single-threaded (no -cpu pin): they measure
 # the node-local apply/read paths, not contention shape.
-raw_store=$(go test -run '^$' -bench 'BenchmarkStoreLocalMem|BenchmarkFetchLocalMem|BenchmarkReplicateOnceQuiescent' \
+raw_store=$(go test -run '^$' -bench 'BenchmarkStoreLocalMem|BenchmarkFetchLocalMem|BenchmarkReplicateOnceQuiescent|BenchmarkRouted' \
 	-benchmem -benchtime="$benchtime" -count="$count" ./internal/netnode/)
 echo "$raw_store" >&2
 raw_transport=$(go test -run '^$' -bench 'BenchmarkEnvelope|BenchmarkRoundTrip' \
@@ -112,6 +121,7 @@ function median(name, metric,    m, i, j, tmp, vals) {
 		else if ($(f+1) == "B/op") v[name, "b", i] = $f
 		else if ($(f+1) == "allocs/op") v[name, "a", i] = $f
 		else if ($(f+1) == "rpcs/op") v[name, "rpcs", i] = $f
+		else if ($(f+1) == "hops/op") v[name, "hops", i] = $f
 	}
 }
 END {
@@ -134,9 +144,32 @@ END {
 	printf "  \"forward64_speedup\": %.2f,\n", fs >> out
 	printf "  \"mux64_speedup\": %.2f,\n", ms >> out
 	printf "  \"replicate_quiescent_rpcs_per_op\": %s,\n", qr >> out
-	printf "  \"replicate_quiescent_10k_over_1k\": %.2f\n", qs >> out
+	printf "  \"replicate_quiescent_10k_over_1k\": %.2f,\n", qs >> out
+	printf "  \"routed_get_rpcs_per_op\": %s,\n", median("BenchmarkRoutedGet", "rpcs") >> out
+	printf "  \"routed_put_rpcs_per_op\": %s,\n", median("BenchmarkRoutedPut", "rpcs") >> out
+	printf "  \"routed_lookup_hops_per_op\": %s\n", median("BenchmarkRoutedGet", "hops") >> out
 	printf "}\n" >> out
 	bad = 0
+	nr = split("BenchmarkRoutedGet BenchmarkRoutedPut", routed, " ")
+	for (i = 1; i <= nr; i++) {
+		name = routed[i]
+		if (!(name in cnt)) {
+			printf "FAIL: %s did not run\n", name > "/dev/stderr"
+			bad = 1
+			continue
+		}
+		rp = median(name, "rpcs"); hp = median(name, "hops")
+		if (rp > hp + 1 + 0.0005) {
+			printf "FAIL: %s sends %s rpcs/op; the budget is the mean lookup hops %s + 1\n", name, rp, hp > "/dev/stderr"
+			bad = 1
+		}
+		printf "routed_ops: %s %s rpcs/op (budget %s hops/op + 1)\n", name, rp, hp > "/dev/stderr"
+	}
+	fa = median("BenchmarkForwardDecision64Snapshot", "a")
+	if (fa > 0) {
+		printf "FAIL: the shared forwarding decision allocates %s times per op; the budget is zero\n", fa > "/dev/stderr"
+		bad = 1
+	}
 	if (qr > 0) {
 		printf "FAIL: a quiescent replication round sent %s RPCs per op; the budget is zero\n", qr > "/dev/stderr"
 		bad = 1

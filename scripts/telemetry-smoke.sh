@@ -5,8 +5,12 @@
 # nodes 2 and 4 are forced to the legacy JSON framing (-wire json) while the
 # rest speak the binary mux, so the run exercises binary<->binary mux reuse,
 # binary->json downgrades and json->binary upgrades on real sockets — with
-# the admin endpoint enabled on the bootstrap node, runs puts/gets and a
-# traced lookup through canonctl, then asserts:
+# the admin endpoint enabled on every node (the bootstrap's is the one the
+# later checks read), runs puts/gets and a traced lookup through canonctl,
+# then asserts:
+#   * the put and the get were routed operations: summed over the five nodes'
+#     /metrics, canon_rpc_received_total{type="put"} and {type="get"} are
+#     nonzero, and the entry node of the get observed canon_get_hops,
 #   * /metrics serves Prometheus text with nonzero canon_rpc_sent_total and
 #     canon_transport_calls_total counters,
 #   * the canon_transport_mux_* negotiation series prove the binary wire was
@@ -50,7 +54,7 @@ for i in 1 2 3 4; do
   wire=binary
   if [ $((i % 2)) -eq 0 ]; then wire=json; fi
   "$CANOND" -listen "127.0.0.1:$((BASE + i))" -domain "${domains[$((i % 4))]}" \
-    -join "127.0.0.1:$BASE" -stabilize 200ms -wire "$wire" &
+    -join "127.0.0.1:$BASE" -admin "127.0.0.1:$((ADMIN + i))" -stabilize 200ms -wire "$wire" &
   PIDS+=($!)
   sleep 0.5
 done
@@ -61,6 +65,18 @@ echo "== put/get through the cluster"
 "$CANONCTL" -node "127.0.0.1:$((BASE + 2))" put 42 smoke-value
 got=$("$CANONCTL" -node "127.0.0.1:$((BASE + 3))" get 42)
 [ "$got" = "smoke-value" ] || { echo "get returned '$got', want 'smoke-value'" >&2; exit 1; }
+"$CANONCTL" -node "127.0.0.1:$((BASE + 3))" get -v 42 | grep -q '^route: [0-9]* hops, answered at level [0-9]' \
+  || { echo "canonctl get -v printed no route" >&2; exit 1; }
+
+echo "== the put and the get were routed messages"
+all_metrics=$(for i in 0 1 2 3 4; do curl -sf "http://127.0.0.1:$((ADMIN + i))/metrics"; done)
+for typ in put get; do
+  echo "$all_metrics" | awk -v series="canon_rpc_received_total{type=\"$typ\"}" \
+    'index($0, series) == 1 {s += $NF} END {exit !(s > 0)}' \
+    || { echo "no node served a routed $typ: canon_rpc_received_total{type=\"$typ\"} is zero everywhere" >&2; exit 1; }
+done
+curl -sf "http://127.0.0.1:$((ADMIN + 3))/metrics" | awk '/^canon_get_hops_count/ {s += $NF} END {exit !(s > 0)}' \
+  || { echo "the get's entry node observed no canon_get_hops" >&2; exit 1; }
 
 echo "== traced lookup"
 trace_out=$("$CANONCTL" -node "127.0.0.1:$BASE" trace 3405691582)
