@@ -45,12 +45,10 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("canonctl", flag.ContinueOnError)
 	var (
-		node      = fs.String("node", "127.0.0.1:7001", "address of a live node")
-		timeout   = fs.Duration("timeout", 10*time.Second, "operation timeout")
-		raw       = fs.Bool("raw", false, "status: dump the raw JSON instead of a summary")
-		wire      = fs.String("wire", "binary", "wire protocol toward the node: binary (auto-downgrades to json) or json")
-		connsPeer = fs.Int("conns-per-peer", 0, "multiplexed connections toward the node (0 = default 2)")
-		verbose   = fs.Bool("v", false, "put/get: also print the route (hops, and the level that answered a get); also accepted after the command")
+		node    = fs.String("node", "127.0.0.1:7001", "address of a live node")
+		timeout = fs.Duration("timeout", 10*time.Second, "operation timeout")
+		raw     = fs.Bool("raw", false, "status: dump the raw JSON instead of a summary")
+		verbose = fs.Bool("v", false, "put/get: also print the route (hops, and the level that answered a get); also accepted after the command")
 	)
 	fs.Usage = func() {
 		fmt.Fprintln(fs.Output(), "usage: canonctl [flags] ping|lookup|trace|put|get|neighbors|repair|status ...")
@@ -63,10 +61,7 @@ func run(args []string) error {
 		fs.Usage()
 		return fmt.Errorf("a command is required")
 	}
-	tr, err := canon.ListenTCPOpts("127.0.0.1:0", canon.TCPTransportOptions{
-		Wire:         *wire,
-		ConnsPerPeer: *connsPeer,
-	})
+	tr, err := canon.ListenTCP("127.0.0.1:0")
 	if err != nil {
 		return err
 	}

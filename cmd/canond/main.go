@@ -14,6 +14,17 @@
 // stored item again when the node's ring neighbors change — and replicas
 // are repaired by Merkle anti-entropy on the -sync-interval schedule.
 //
+// On SIGINT or SIGTERM the node leaves gracefully: it hands every stored
+// record to the record's next owner and tells its neighbors to splice it
+// out. A record it could not hand off — the next owner unreachable, or no
+// other node in the record's domain — is counted
+// (canon_leave_handoff_failures_total) and canond exits non-zero saying how
+// many there were.
+//
+// There is one wire protocol (docs/WIRE.md), so nothing selects one: -wire
+// survives only because bench/cluster.go passes "-wire binary", and any
+// other value is refused.
+//
 // With -admin set, the node also serves an HTTP observability endpoint:
 //
 //	/metrics        — telemetry registry in Prometheus text format
@@ -63,9 +74,7 @@ func run(args []string) (err error) {
 		admin     = fs.String("admin", "", "HTTP admin address serving /metrics, /status, /debug/trace/ and /debug/pprof/ (empty = off)")
 		sample    = fs.Float64("trace-sample", 0, "fraction of lookups sampled into route traces, 0..1")
 		traceBuf  = fs.Int("trace-buffer", 0, "completed-trace ring buffer size (0 = default 128)")
-		proto     = fs.String("transport", "tcp", "wire transport: tcp or udp")
-		wire      = fs.String("wire", "binary", "TCP wire protocol: binary (multiplexed, auto-downgrades to json per peer) or json (legacy framing)")
-		connsPeer = fs.Int("conns-per-peer", 0, "TCP connections per peer: mux conns on the binary wire and the pooled-conn cap on the json wire (0 = defaults: 2 and 4)")
+		wire      = fs.String("wire", "binary", "vestige: only \"binary\" is accepted; kept because bench/cluster.go still passes it")
 		retries   = fs.Int("retries", 0, "RPC attempts per call (0 = default of 3, 1 = no retries)")
 		backoff   = fs.Duration("retry-backoff", 0, "base retry backoff (0 = default 5ms; doubles per retry)")
 		loss      = fs.Float64("inject-loss", 0, "drop this fraction of outgoing RPCs (soak testing; 0 = off)")
@@ -78,27 +87,15 @@ func run(args []string) (err error) {
 		return fmt.Errorf("-trace-sample must be in [0,1], got %g", *sample)
 	}
 
-	// One registry carries wire-level series (the binary-mux counters from
-	// the TCP transport itself plus the instrumented wrapper) and node-level
-	// series (via LiveConfig.Telemetry); /metrics serves all of them.
-	reg := canon.NewMetricsRegistry()
-	var tr canon.Transport
-	switch *proto {
-	case "tcp":
-		tr, err = canon.ListenTCPOpts(*listen, canon.TCPTransportOptions{
-			Wire:         *wire,
-			ConnsPerPeer: *connsPeer,
-			PoolCap:      *connsPeer, // <= 0 keeps the default of 4
-			Telemetry:    reg,
-		})
-	case "udp":
-		if *wire != "binary" || *connsPeer != 0 {
-			fmt.Fprintln(os.Stderr, "canond: note: -wire and -conns-per-peer only apply to -transport tcp")
-		}
-		tr, err = canon.ListenUDP(*listen)
-	default:
-		return fmt.Errorf("unknown transport %q", *proto)
+	if *wire != "binary" {
+		return fmt.Errorf("-wire %s: the JSON wire was removed; the binary mux is the only protocol (docs/WIRE.md)", *wire)
 	}
+
+	// One registry carries wire-level series (the mux counters from the TCP
+	// transport itself plus the instrumented wrapper) and node-level series
+	// (via LiveConfig.Telemetry); /metrics serves all of them.
+	reg := canon.NewMetricsRegistry()
+	tr, err := canon.ListenTCPOpts(*listen, canon.TCPTransportOptions{Telemetry: reg})
 	if err != nil {
 		return err
 	}

@@ -3,12 +3,13 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
 func TestRunValidation(t *testing.T) {
-	if err := run([]string{"-transport", "carrier-pigeon"}); err == nil {
-		t.Error("unknown transport should error")
+	if err := run([]string{"-wire", "json"}); err == nil || !strings.Contains(err.Error(), "JSON wire was removed") {
+		t.Errorf("-wire json: err = %v, want the removal notice", err)
 	}
 	if err := run([]string{"-listen", "definitely:not:an:address"}); err == nil {
 		t.Error("bad listen address should error")

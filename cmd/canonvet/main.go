@@ -22,7 +22,7 @@
 // friends) abstractly executes every AppendBinary/UnmarshalBinary pair in
 // the wire packages and extracts a byte-level schema — field order, fixed
 // widths, varint kinds, flag-conditional fields, length-prefixed sequences —
-// per message type and wire version. Four checks consume it: wiresym
+// per message type, at the one wire version. Four checks consume it: wiresym
 // (encoder and decoder disagree on layout), wirebreak (schema drifted from
 // the committed docs/wire.schema.json baseline without a version bump),
 // wirebounds (decoder preallocates from a wire-controlled count with no

@@ -7,8 +7,8 @@ package lint
 //                byte layout (or a codec defeated the interpreters, which
 //                is reported rather than silently unchecked).
 //   wirebreak  — the extracted schema differs from the committed baseline
-//                (docs/wire.schema.json) in a wire-breaking way without a
-//                version bump.
+//                (docs/wire.schema.json) in a wire-breaking way while the
+//                wire version stands still.
 //   wirebounds — a decoder preallocates from a wire-controlled count with
 //                no cap: a one-line remote-OOM.
 //   wiredoc    — the docs/WIRE.md field tables drift from the code.
@@ -89,6 +89,15 @@ var checkWireBreak = Check{
 			return
 		}
 
+		// One version covers every layout: once it has moved, the baseline is
+		// stale as a whole and per-message drift is not judged.
+		if base.Version != ext.schema.Version {
+			mp.Report(ext.anchorPos, nil,
+				"wire schema baseline out of date: the wire version moved from %d to %d; run canonvet -write-schema and commit the result",
+				base.Version, ext.schema.Version)
+			return
+		}
+
 		current := make(map[string]*wireMsg) // keyed by package|name
 		for _, wm := range ext.msgs {
 			current[wm.m.Package+"|"+wm.m.Name] = wm
@@ -116,24 +125,13 @@ var checkWireBreak = Check{
 			}
 			d := diffWireFields("", bm.Fields, wm.m.Fields)
 			if d == nil {
-				if wm.m.Version != bm.Version {
-					mp.Report(wm.encPos, nil,
-						"wire schema baseline out of date: %s moved from version %d to %d; run canonvet -write-schema and commit the result",
-						bm.Name, bm.Version, wm.m.Version)
-				}
-				continue
-			}
-			if wm.m.Version != bm.Version {
-				mp.Report(wm.encPos, nil,
-					"wire schema baseline out of date: %s changed under a version bump (%d -> %d); run canonvet -write-schema and commit the result",
-					bm.Name, bm.Version, wm.m.Version)
 				continue
 			}
 			mp.Report(wm.encPos, []string{
 				"baseline layout: " + renderWireFields(bm.Fields),
 				"current layout:  " + renderWireFields(wm.m.Fields),
 			}, "wire-breaking change in %s at %s: baseline %s, current %s (same wire version %d; bump the version or revert, then canonvet -write-schema)",
-				bm.Name, d.path, d.a, d.b, bm.Version)
+				bm.Name, d.path, d.a, d.b, base.Version)
 		}
 		var fresh []*wireMsg
 		for key, wm := range current {

@@ -3,100 +3,65 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-	"reflect"
 )
 
-// checkWireCompat guards the wire format against silent drift. A "wire
-// struct" is any struct with json-tagged fields — the request/response
-// bodies in internal/netnode/wire.go, transport.Message, telemetry spans.
-// Two rules:
-//
-//  1. Unkeyed composite literals of wire structs are flagged everywhere:
-//     adding or reordering a field silently shifts every positional value
-//     into the wrong JSON key while still compiling.
-//  2. Envelope literals built outside the transport package (keyed literals
-//     of a struct carrying both Type and Nonce fields — i.e.
-//     transport.Message) that populate Type but not Nonce are flagged:
-//     hand-rolled envelopes bypass transport.NewMessage and the
-//     nonce-tagging call helpers, so receivers cannot deduplicate the
-//     request and at-most-once semantics silently degrade.
+// checkWireCompat guards at-most-once delivery against hand-built envelopes.
+// A keyed literal of a struct carrying both Type and Nonce fields — i.e.
+// transport.Message — built outside the package that declares it, that
+// populates Type but not Nonce, is flagged: hand-rolled envelopes bypass
+// transport.NewMessage and the nonce-tagging call helpers, so receivers
+// cannot deduplicate the request and at-most-once semantics silently
+// degrade.
 var checkWireCompat = Check{
 	Name: "wirecompat",
-	Doc:  "unkeyed wire-struct literals, and hand-built message envelopes missing Nonce population",
+	Doc:  "hand-built message envelopes missing Nonce population",
 	Run:  runWireCompat,
-}
-
-// wireStruct returns the struct type behind t when it has at least one
-// json-tagged field, along with its named type (for the defining package).
-func wireStruct(t types.Type) (*types.Struct, *types.Named) {
-	named := namedOf(t)
-	if named == nil {
-		return nil, nil
-	}
-	st, ok := named.Underlying().(*types.Struct)
-	if !ok {
-		return nil, nil
-	}
-	for i := 0; i < st.NumFields(); i++ {
-		if tag := reflect.StructTag(st.Tag(i)); tag.Get("json") != "" {
-			return st, named
-		}
-	}
-	return nil, nil
 }
 
 func runWireCompat(pass *Pass) {
 	for _, f := range pass.Pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			lit, ok := n.(*ast.CompositeLit)
-			if !ok || len(lit.Elts) == 0 {
+			if !ok {
 				return true
 			}
-			st, named := wireStruct(pass.TypeOf(lit))
-			if st == nil {
+			named := namedOf(pass.TypeOf(lit))
+			if named == nil {
 				return true
 			}
-			if _, keyed := lit.Elts[0].(*ast.KeyValueExpr); !keyed {
+			st, ok := named.Underlying().(*types.Struct)
+			if !ok || !hasField(st, "Type") || !hasField(st, "Nonce") {
+				return true
+			}
+			// Inside the defining package — its implementation, constructors
+			// (NewMessage, ErrorMessage), and its own tests — envelopes are
+			// legitimately built by hand; nonce tagging happens in the call
+			// helpers downstream, and the transport tests exercise raw
+			// envelopes by design.
+			if named.Obj().Pkg() != nil && named.Obj().Pkg().Path() == pass.Pkg.Path {
+				return true
+			}
+			setsType, setsNonce := false, false
+			for _, elt := range lit.Elts {
+				kv, ok := elt.(*ast.KeyValueExpr)
+				if !ok {
+					continue
+				}
+				if key, ok := kv.Key.(*ast.Ident); ok {
+					switch key.Name {
+					case "Type":
+						setsType = true
+					case "Nonce":
+						setsNonce = true
+					}
+				}
+			}
+			if setsType && !setsNonce {
 				pass.Reportf(lit.Pos(),
-					"unkeyed composite literal of wire struct %s; field reordering would silently change the wire format — use keyed fields", named.Obj().Name())
-				return true
+					"%s envelope built with Type but no Nonce; un-nonced requests bypass receiver dedup (at-most-once semantics) — use transport.NewMessage plus the nonce-tagging call helpers", named.Obj().Name())
 			}
-			checkEnvelopeNonce(pass, lit, st, named)
 			return true
 		})
-	}
-}
-
-// checkEnvelopeNonce applies rule 2 to a keyed literal.
-func checkEnvelopeNonce(pass *Pass, lit *ast.CompositeLit, st *types.Struct, named *types.Named) {
-	if !hasField(st, "Type") || !hasField(st, "Nonce") {
-		return
-	}
-	// Inside the defining package — its implementation, constructors
-	// (NewMessage, ErrorMessage), and its own tests — envelopes are
-	// legitimately built by hand; nonce tagging happens in the call helpers
-	// downstream, and the transport tests exercise raw envelopes by design.
-	if named.Obj().Pkg() != nil && named.Obj().Pkg().Path() == pass.Pkg.Path {
-		return
-	}
-	setsType, setsNonce := false, false
-	for _, elt := range lit.Elts {
-		kv, ok := elt.(*ast.KeyValueExpr)
-		if !ok {
-			continue
-		}
-		if key, ok := kv.Key.(*ast.Ident); ok {
-			switch key.Name {
-			case "Type":
-				setsType = true
-			case "Nonce":
-				setsNonce = true
-			}
-		}
-	}
-	if setsType && !setsNonce {
-		pass.Reportf(lit.Pos(),
-			"%s envelope built with Type but no Nonce; un-nonced requests bypass receiver dedup (at-most-once semantics) — use transport.NewMessage plus the nonce-tagging call helpers", named.Obj().Name())
 	}
 }
 

@@ -3,8 +3,8 @@
 // has already been bitten by (or is structurally exposed to): circular-ID
 // arithmetic must go through the ring-metric helpers in internal/id,
 // pure-simulation packages must stay seed-reproducible, shared RNGs must be
-// lock-adjacent, metric names must be named constants, wire-message
-// structs must not drift silently, and published copy-on-write snapshot
+// lock-adjacent, metric names must be named constants, message envelopes
+// must carry their dedup nonce, and published copy-on-write snapshot
 // types (marked //canonvet:immutable) must only be mutated in the file
 // that declares them — their builder — never by a reader of a shared view.
 //
@@ -155,9 +155,6 @@ type Config struct {
 	// WirePackages are the import paths whose binary codecs the v4 symbolic
 	// wire-schema engine interprets (wiresym/wirebreak/wirebounds/wiredoc).
 	WirePackages map[string]bool
-	// WireVersionFiles maps codec file basenames to the wire protocol
-	// version their layouts belong to; unlisted files are version 1.
-	WireVersionFiles map[string]int
 	// WireDocPath is the human wire specification the wiredoc check compares
 	// against the extracted schema; relative paths resolve against Root.
 	// Empty disables wiredoc.
@@ -208,13 +205,6 @@ func DefaultConfig(module string) *Config {
 		WirePackages: map[string]bool{
 			module + "/internal/netnode":   true,
 			module + "/internal/transport": true,
-		},
-		WireVersionFiles: map[string]int{
-			"binwire.go":  1,
-			"binwire2.go": 2,
-			"binwire3.go": 3,
-			"binwire4.go": 4,
-			"codec.go":    1,
 		},
 		WireDocPath:      "docs/WIRE.md",
 		WireBaselinePath: "docs/wire.schema.json",

@@ -10,6 +10,10 @@ import (
 	"fmt"
 )
 
+// muxVersion is the wire version the baseline was recorded at; it did not
+// move with the layout change in bad.go.
+const muxVersion = 1
+
 var errWire = errors.New("wirebreak: malformed payload")
 
 func appendU64(b []byte, v uint64) []byte {

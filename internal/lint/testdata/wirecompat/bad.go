@@ -1,14 +1,8 @@
-// Package wirecompat is a canonvet fixture: unkeyed wire-struct literals and
-// hand-rolled envelopes that populate Type but not Nonce must be flagged.
+// Package wirecompat is a canonvet fixture: hand-rolled envelopes that
+// populate Type but not Nonce must be flagged.
 package wirecompat
 
 import "github.com/canon-dht/canon/internal/lint/testdata/wirecompat/wire"
-
-// unkeyed builds a wire struct positionally: inserting or reordering a field
-// silently shifts every value into the wrong JSON key.
-func unkeyed() wire.Ping {
-	return wire.Ping{7, 1} // want `unkeyed composite literal of wire struct Ping`
-}
 
 // handRolled builds an envelope by hand with no nonce, so receivers cannot
 // deduplicate a retried delivery.

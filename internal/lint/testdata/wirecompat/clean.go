@@ -2,11 +2,6 @@ package wirecompat
 
 import "github.com/canon-dht/canon/internal/lint/testdata/wirecompat/wire"
 
-// keyed names every field: a reorder or insertion cannot shift values.
-func keyed() wire.Ping {
-	return wire.Ping{From: 7, Seq: 1}
-}
-
 // viaConstructor goes through the sanctioned constructor.
 func viaConstructor(payload []byte) wire.Envelope {
 	return wire.NewEnvelope("ping", payload, 42)
@@ -18,16 +13,17 @@ func explicitNonce(payload []byte) wire.Envelope {
 	return wire.Envelope{Type: "ping", Payload: payload, Nonce: 7}
 }
 
-// zeroValue literals with no elements carry no positional risk.
-func zeroValue() wire.Ping {
-	return wire.Ping{}
+// zeroValue carries no Type: it is not a request on its way out.
+func zeroValue() wire.Envelope {
+	return wire.Envelope{}
 }
 
-// notWire has no json tags; unkeyed literals of it are ordinary Go.
-type notWire struct {
-	a, b int
+// notEnvelope has a Type but no Nonce field; the rule keys on the pair.
+type notEnvelope struct {
+	Type string
+	Seq  int
 }
 
-func plain() notWire {
-	return notWire{1, 2}
+func plain() notEnvelope {
+	return notEnvelope{Type: "ping", Seq: 2}
 }

@@ -1,22 +1,15 @@
-// Package wire defines the fixture's wire structs in their own package, the
-// way transport.Message lives apart from its callers: the wirecompat
-// envelope rule only applies outside the defining package, where hand-rolled
-// literals bypass the constructor and the nonce-tagging helpers.
+// Package wire defines the fixture's envelope in its own package, the way
+// transport.Message lives apart from its callers: the wirecompat rule only
+// applies outside the defining package, where hand-rolled literals bypass
+// the constructor and the nonce-tagging helpers.
 package wire
-
-// Ping is a json-tagged request body — a wire struct by the check's
-// definition.
-type Ping struct {
-	From uint64 `json:"from"`
-	Seq  int    `json:"seq"`
-}
 
 // Envelope mirrors transport.Message: Type routes the request, Nonce is the
 // at-most-once dedup token receivers key on.
 type Envelope struct {
-	Type    string `json:"type"`
-	Payload []byte `json:"payload,omitempty"`
-	Nonce   uint64 `json:"nonce,omitempty"`
+	Type    string
+	Payload []byte
+	Nonce   uint64
 }
 
 // NewEnvelope is the sanctioned constructor; it always stamps a nonce.

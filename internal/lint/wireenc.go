@@ -627,7 +627,7 @@ func (e *encInterp) helperCall(call *ast.CallExpr, out *[]*wOp) {
 }
 
 // addBit appends a flag bit unless the same mask+name pair is already
-// recorded (the envelope sets envHasPayload on two exclusive paths).
+// recorded (an encoder may set one bit on two exclusive paths).
 func addBit(bits *[]*WireBit, mask uint64, name string) {
 	for _, b := range *bits {
 		if b.Mask == mask && b.Name == name {

@@ -175,7 +175,7 @@ func (d *envDecInterp) assign(s *ast.AssignStmt) {
 				return
 			}
 		}
-		// Assignments that decode nothing (msg.PayloadCodec = PayloadBinary).
+		// Assignments that decode nothing.
 		if !d.mentionsStream(s) {
 			return
 		}

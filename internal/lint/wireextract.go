@@ -12,9 +12,9 @@ package lint
 
 import (
 	"go/ast"
+	"go/constant"
 	"go/token"
 	"go/types"
-	"path/filepath"
 	"regexp"
 	"strings"
 )
@@ -104,6 +104,30 @@ func wireNameOf(structName string) string {
 	return strings.ToLower(m[1]) + m[3] + " " + dir
 }
 
+// wireVersionConst names the constant that carries the wire protocol
+// version, in whichever wire package declares it.
+const wireVersionConst = "muxVersion"
+
+// wireVersionOf reads the wire version from pkg or from a wire package it
+// imports, so a run that loads only the body codecs still sees the version
+// the envelope package declares.
+func wireVersionOf(cfg *Config, pkg *types.Package) (int, bool) {
+	if pkg == nil {
+		return 0, false
+	}
+	for _, p := range append([]*types.Package{pkg}, pkg.Imports()...) {
+		if p != pkg && !cfg.WirePackages[p.Path()] {
+			continue
+		}
+		if c, ok := p.Scope().Lookup(wireVersionConst).(*types.Const); ok {
+			if v, exact := constant.Int64Val(c.Val()); exact {
+				return int(v), true
+			}
+		}
+	}
+	return 0, false
+}
+
 // ExtractWireSchema runs the symbolic engine standalone and returns the
 // extracted schema (canonvet -schema / -write-schema). Extraction notes and
 // bounds findings are dropped; the checks report those during a lint run.
@@ -130,6 +154,9 @@ func extractWire(cfg *Config, fset *token.FileSet, pkgs []*Package) *wireExtract
 		}
 		rel := wireRel(cfg, pkg.Path)
 		ext.loaded[rel] = true
+		if v, ok := wireVersionOf(cfg, pkg.Types); ok {
+			ext.schema.Version = v
+		}
 		if len(pkg.Files) > 0 {
 			ext.pkgPos[rel] = pkg.Files[0].Package
 			if !ext.anchorPos.IsValid() {
@@ -242,16 +269,6 @@ func (x *wirePkg) isTestFile(pos token.Pos) bool {
 	return strings.HasSuffix(x.ext.fset.Position(pos).Filename, "_test.go")
 }
 
-// versionOf maps a codec declaration to its wire protocol version via the
-// configured file->version table; unlisted files are version 1.
-func (x *wirePkg) versionOf(pos token.Pos) int {
-	base := filepath.Base(x.ext.fset.Position(pos).Filename)
-	if v, ok := x.ext.cfg.WireVersionFiles[base]; ok {
-		return v
-	}
-	return 1
-}
-
 // run discovers and interprets every codec pair in the package.
 func (x *wirePkg) run() {
 	type pair struct {
@@ -305,7 +322,7 @@ func (x *wirePkg) run() {
 	for _, named := range order {
 		p := msgs[named]
 		if p.enc == nil || p.dec == nil {
-			// Half a codec is a wirecompat-era concern, not a layout one.
+			// Half a codec has no layout to compare.
 			continue
 		}
 		x.extractMessage(named, p.enc, p.dec)
@@ -337,7 +354,6 @@ func (x *wirePkg) extractMessage(named *types.Named, enc, dec *ast.FuncDecl) {
 			Name:    wireNameOf(named.Obj().Name()),
 			Struct:  x.structPath(named),
 			Package: x.rel,
-			Version: x.versionOf(enc.Pos()),
 			Kind:    "message",
 		},
 		encPos: enc.Pos(),
@@ -363,7 +379,6 @@ func (x *wirePkg) extractEnvelope(enc, dec *ast.FuncDecl) {
 		m: &WireMessage{
 			Name:    "envelope",
 			Package: x.rel,
-			Version: x.versionOf(enc.Pos()),
 			Kind:    "envelope",
 		},
 		encPos: enc.Pos(),
@@ -406,7 +421,6 @@ func (x *wirePkg) addStructEntry(sum *wireStructSummary, fromEncoder bool) {
 				Name:    sum.ref,
 				Struct:  sum.spath,
 				Package: x.rel,
-				Version: x.versionOf(sum.pos),
 				Kind:    "struct",
 			},
 			encPos: sum.pos,

@@ -44,6 +44,10 @@ type WireSchema struct {
 	Format int `json:"format"`
 	// Module is the Go module the schema was extracted from.
 	Module string `json:"module,omitempty"`
+	// Version is the one wire protocol version every layout belongs to: the
+	// value of the wire packages' muxVersion constant (0 when none declares
+	// it).
+	Version int `json:"version"`
 	// Messages is sorted by (package, name) for a stable diffable baseline.
 	Messages []*WireMessage `json:"messages"`
 }
@@ -60,9 +64,6 @@ type WireMessage struct {
 	// Package is the module-relative import path of the package whose codec
 	// functions encode this message.
 	Package string `json:"package"`
-	// Version is the wire protocol version the layout belongs to, from the
-	// Config.WireVersionFiles mapping of codec files to versions.
-	Version int `json:"version"`
 	// Kind is "message" (top-level body), "struct" (embedded), or
 	// "envelope".
 	Kind string `json:"kind"`
@@ -97,8 +98,9 @@ type WireBit struct {
 	Name string `json:"name"`
 }
 
-// wireSchemaFormat is the current schema file format version.
-const wireSchemaFormat = 1
+// wireSchemaFormat is the current schema file format version: 2 moved the
+// wire version from each message to the schema.
+const wireSchemaFormat = 2
 
 // sortMessages puts the schema in its canonical order.
 func (s *WireSchema) sortMessages() {

@@ -9,13 +9,13 @@ import (
 	"github.com/canon-dht/canon/internal/transport"
 )
 
-// Binary marshaling for the hot wire payloads (lookup, fetch, ping).
+// Binary marshaling for the routing and membership payloads (lookup, fetch,
+// ping, neighbors, notify, register, members, leaving); the storage,
+// geometry and key-value payloads follow in binwire2.go to binwire4.go.
 //
-// Every type here keeps its json tags — the JSON form is the legacy wire
-// format and remains fully supported — and additionally implements
-// transport.BinaryAppender + encoding.BinaryUnmarshaler, so the binary mux
-// protocol carries these payloads in the compact form specified in
-// docs/WIRE.md. Conventions (all multi-byte integers big-endian):
+// Every wire body implements transport.BinaryAppender +
+// encoding.BinaryUnmarshaler: that pair is the only body codec, in the form
+// specified in docs/WIRE.md. Conventions (all multi-byte integers big-endian):
 //
 //   - ring identifiers and keys: fixed 8 bytes (they are uniformly random,
 //     so varints would usually be longer)
@@ -24,8 +24,7 @@ import (
 //     varints (zigzag)
 //   - strings: uvarint byte length, then the bytes
 //   - optional byte slices and slices: uvarint n where 0 means absent (nil)
-//     and n means length n-1 — preserving the nil/empty distinction the
-//     JSON omitempty encoding makes
+//     and n means length n-1 — preserving the nil/empty distinction
 //   - booleans: one byte, 0 or 1
 //
 // Decoders are strict: trailing bytes, truncated fields and overflowing
@@ -41,14 +40,20 @@ var errBinWire = errors.New("netnode: malformed binary payload")
 // no longer reserve gigabytes before the truncation error surfaces.
 const maxDecodePrealloc = 4096
 
-// Compile-time interface checks: these are the payloads the binary wire
-// protocol encodes natively.
+// Compile-time interface checks for the payloads encoded in this file.
 var (
 	_ transport.BinaryAppender = Info{}
 	_ transport.BinaryAppender = lookupReq{}
 	_ transport.BinaryAppender = lookupResp{}
 	_ transport.BinaryAppender = fetchReq{}
 	_ transport.BinaryAppender = fetchResp{}
+	_ transport.BinaryAppender = neighborsReq{}
+	_ transport.BinaryAppender = neighborsResp{}
+	_ transport.BinaryAppender = notifyReq{}
+	_ transport.BinaryAppender = registerReq{}
+	_ transport.BinaryAppender = membersReq{}
+	_ transport.BinaryAppender = membersResp{}
+	_ transport.BinaryAppender = leavingReq{}
 )
 
 // ---- append helpers ----
@@ -229,9 +234,6 @@ func (i Info) AppendBinary(b []byte) ([]byte, error) {
 	return b, nil
 }
 
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (i Info) MarshalBinary() ([]byte, error) { return i.AppendBinary(nil) }
-
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (i *Info) UnmarshalBinary(data []byte) error {
 	r := &binReader{data: data}
@@ -248,6 +250,28 @@ func (i *Info) readFrom(r *binReader) {
 	i.ID = r.u64()
 	i.Name = r.str()
 	i.Addr = r.str()
+}
+
+func appendInfos(b []byte, infos []Info) []byte {
+	b = appendSliceLen(b, len(infos), infos == nil)
+	for _, i := range infos {
+		b = i.appendTo(b)
+	}
+	return b
+}
+
+func readInfos(r *binReader) []Info {
+	n, present := r.sliceLen()
+	if !present {
+		return nil
+	}
+	out := make([]Info, 0, min(n, maxDecodePrealloc))
+	for j := 0; j < n && r.err == nil; j++ {
+		var i Info
+		i.readFrom(r)
+		out = append(out, i)
+	}
+	return out
 }
 
 // ---- telemetry spans (carried inside lookup messages) ----
@@ -327,9 +351,6 @@ func (q lookupReq) AppendBinary(b []byte) ([]byte, error) {
 	return b, nil
 }
 
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (q lookupReq) MarshalBinary() ([]byte, error) { return q.AppendBinary(nil) }
-
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (q *lookupReq) UnmarshalBinary(data []byte) error {
 	r := &binReader{data: data}
@@ -351,9 +372,6 @@ func (p lookupResp) AppendBinary(b []byte) ([]byte, error) {
 	return b, nil
 }
 
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (p lookupResp) MarshalBinary() ([]byte, error) { return p.AppendBinary(nil) }
-
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (p *lookupResp) UnmarshalBinary(data []byte) error {
 	r := &binReader{data: data}
@@ -373,9 +391,6 @@ func (q fetchReq) AppendBinary(b []byte) ([]byte, error) {
 	b = appendStr(b, q.Origin)
 	return b, nil
 }
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (q fetchReq) MarshalBinary() ([]byte, error) { return q.AppendBinary(nil) }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (q *fetchReq) UnmarshalBinary(data []byte) error {
@@ -409,9 +424,6 @@ func (p fetchResp) AppendBinary(b []byte) ([]byte, error) {
 	return b, nil
 }
 
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (p fetchResp) MarshalBinary() ([]byte, error) { return p.AppendBinary(nil) }
-
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (p *fetchResp) UnmarshalBinary(data []byte) error {
 	r := &binReader{data: data}
@@ -424,5 +436,113 @@ func (p *fetchResp) UnmarshalBinary(data []byte) error {
 	for j := 0; j < n && r.err == nil; j++ {
 		p.Values = append(p.Values, readFetchValue(r))
 	}
+	return r.done()
+}
+
+// ---- neighbors ----
+
+// AppendBinary implements transport.BinaryAppender.
+func (q neighborsReq) AppendBinary(b []byte) ([]byte, error) {
+	b = binary.AppendVarint(b, int64(q.Level))
+	return b, nil
+}
+
+// UnmarshalBinary implements encoding.BinaryUnmarshaler.
+func (q *neighborsReq) UnmarshalBinary(data []byte) error {
+	r := &binReader{data: data}
+	q.Level = int(r.varint())
+	return r.done()
+}
+
+// AppendBinary implements transport.BinaryAppender.
+func (p neighborsResp) AppendBinary(b []byte) ([]byte, error) {
+	b = p.Pred.appendTo(b)
+	b = appendInfos(b, p.Succs)
+	return b, nil
+}
+
+// UnmarshalBinary implements encoding.BinaryUnmarshaler.
+func (p *neighborsResp) UnmarshalBinary(data []byte) error {
+	r := &binReader{data: data}
+	p.Pred.readFrom(r)
+	p.Succs = readInfos(r)
+	return r.done()
+}
+
+// ---- notify ----
+
+// AppendBinary implements transport.BinaryAppender.
+func (q notifyReq) AppendBinary(b []byte) ([]byte, error) {
+	b = binary.AppendVarint(b, int64(q.Level))
+	b = q.From.appendTo(b)
+	b = appendBool(b, q.AsSuccessor)
+	return b, nil
+}
+
+// UnmarshalBinary implements encoding.BinaryUnmarshaler.
+func (q *notifyReq) UnmarshalBinary(data []byte) error {
+	r := &binReader{data: data}
+	q.Level = int(r.varint())
+	q.From.readFrom(r)
+	q.AsSuccessor = r.bool()
+	return r.done()
+}
+
+// ---- register / members ----
+
+// AppendBinary implements transport.BinaryAppender.
+func (q registerReq) AppendBinary(b []byte) ([]byte, error) {
+	b = appendStr(b, q.Prefix)
+	b = q.From.appendTo(b)
+	return b, nil
+}
+
+// UnmarshalBinary implements encoding.BinaryUnmarshaler.
+func (q *registerReq) UnmarshalBinary(data []byte) error {
+	r := &binReader{data: data}
+	q.Prefix = r.str()
+	q.From.readFrom(r)
+	return r.done()
+}
+
+// AppendBinary implements transport.BinaryAppender.
+func (q membersReq) AppendBinary(b []byte) ([]byte, error) {
+	b = appendStr(b, q.Prefix)
+	return b, nil
+}
+
+// UnmarshalBinary implements encoding.BinaryUnmarshaler.
+func (q *membersReq) UnmarshalBinary(data []byte) error {
+	r := &binReader{data: data}
+	q.Prefix = r.str()
+	return r.done()
+}
+
+// AppendBinary implements transport.BinaryAppender.
+func (p membersResp) AppendBinary(b []byte) ([]byte, error) {
+	return appendInfos(b, p.Members), nil
+}
+
+// UnmarshalBinary implements encoding.BinaryUnmarshaler.
+func (p *membersResp) UnmarshalBinary(data []byte) error {
+	r := &binReader{data: data}
+	p.Members = readInfos(r)
+	return r.done()
+}
+
+// ---- leaving ----
+
+// AppendBinary implements transport.BinaryAppender.
+func (q leavingReq) AppendBinary(b []byte) ([]byte, error) {
+	b = q.From.appendTo(b)
+	b = appendInfos(b, q.Succs)
+	return b, nil
+}
+
+// UnmarshalBinary implements encoding.BinaryUnmarshaler.
+func (q *leavingReq) UnmarshalBinary(data []byte) error {
+	r := &binReader{data: data}
+	q.From.readFrom(r)
+	q.Succs = readInfos(r)
 	return r.done()
 }

@@ -6,15 +6,10 @@ import (
 	"github.com/canon-dht/canon/internal/transport"
 )
 
-// Binary marshaling for the payloads introduced at wire version 2: the
-// versioned store and the anti-entropy protocol (docs/WIRE.md). They follow
-// the conventions documented in binwire.go. These are new message types —
-// the v1 layouts are frozen, and a v1 peer never parses a type it does not
-// know — so the layouts here are unambiguous without any version byte in the
-// payload. repairResp intentionally has no
-// binary form: repair is a rare operations RPC and rides JSON.
+// Binary marshaling for the versioned store and the anti-entropy protocol
+// (docs/WIRE.md §8). They follow the conventions documented in binwire.go.
 
-// Compile-time interface checks for the v2 binary payloads.
+// Compile-time interface checks for the storage payloads.
 var (
 	_ transport.BinaryAppender = storeReq2{}
 	_ transport.BinaryAppender = syncTreeReq{}
@@ -23,6 +18,7 @@ var (
 	_ transport.BinaryAppender = syncKeysResp{}
 	_ transport.BinaryAppender = syncPullReq{}
 	_ transport.BinaryAppender = syncPullResp{}
+	_ transport.BinaryAppender = repairResp{}
 )
 
 // ---- store2 ----
@@ -53,9 +49,6 @@ func (q *storeReq2) readFrom(r *binReader) {
 // AppendBinary implements transport.BinaryAppender.
 func (q storeReq2) AppendBinary(b []byte) ([]byte, error) { return q.appendTo(b), nil }
 
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (q storeReq2) MarshalBinary() ([]byte, error) { return q.AppendBinary(nil) }
-
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (q *storeReq2) UnmarshalBinary(data []byte) error {
 	r := &binReader{data: data}
@@ -72,9 +65,6 @@ func (q syncTreeReq) AppendBinary(b []byte) ([]byte, error) {
 	b = appendU64(b, q.Hi)
 	return b, nil
 }
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (q syncTreeReq) MarshalBinary() ([]byte, error) { return q.AppendBinary(nil) }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (q *syncTreeReq) UnmarshalBinary(data []byte) error {
@@ -95,9 +85,6 @@ func (p syncTreeResp) AppendBinary(b []byte) ([]byte, error) {
 	}
 	return b, nil
 }
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (p syncTreeResp) MarshalBinary() ([]byte, error) { return p.AppendBinary(nil) }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (p *syncTreeResp) UnmarshalBinary(data []byte) error {
@@ -128,9 +115,6 @@ func (q syncKeysReq) AppendBinary(b []byte) ([]byte, error) {
 	}
 	return b, nil
 }
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (q syncKeysReq) MarshalBinary() ([]byte, error) { return q.AppendBinary(nil) }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (q *syncKeysReq) UnmarshalBinary(data []byte) error {
@@ -180,9 +164,6 @@ func (p syncKeysResp) AppendBinary(b []byte) ([]byte, error) {
 	return b, nil
 }
 
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (p syncKeysResp) MarshalBinary() ([]byte, error) { return p.AppendBinary(nil) }
-
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (p *syncKeysResp) UnmarshalBinary(data []byte) error {
 	r := &binReader{data: data}
@@ -209,9 +190,6 @@ func (q syncPullReq) AppendBinary(b []byte) ([]byte, error) {
 	return b, nil
 }
 
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (q syncPullReq) MarshalBinary() ([]byte, error) { return q.AppendBinary(nil) }
-
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (q *syncPullReq) UnmarshalBinary(data []byte) error {
 	r := &binReader{data: data}
@@ -231,9 +209,6 @@ func (p syncPullResp) AppendBinary(b []byte) ([]byte, error) {
 	return b, nil
 }
 
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (p syncPullResp) MarshalBinary() ([]byte, error) { return p.AppendBinary(nil) }
-
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (p *syncPullResp) UnmarshalBinary(data []byte) error {
 	r := &binReader{data: data}
@@ -248,5 +223,24 @@ func (p *syncPullResp) UnmarshalBinary(data []byte) error {
 		e.readFrom(r)
 		p.Entries = append(p.Entries, e)
 	}
+	return r.done()
+}
+
+// ---- repair ----
+
+// AppendBinary implements transport.BinaryAppender.
+func (p repairResp) AppendBinary(b []byte) ([]byte, error) {
+	b = binary.AppendUvarint(b, uint64(p.Partners))
+	b = binary.AppendUvarint(b, uint64(p.Pushed))
+	b = binary.AppendUvarint(b, uint64(p.Pulled))
+	return b, nil
+}
+
+// UnmarshalBinary implements encoding.BinaryUnmarshaler.
+func (p *repairResp) UnmarshalBinary(data []byte) error {
+	r := &binReader{data: data}
+	p.Partners = int(r.uvarint())
+	p.Pushed = int(r.uvarint())
+	p.Pulled = int(r.uvarint())
 	return r.done()
 }

@@ -6,44 +6,17 @@ import (
 	"github.com/canon-dht/canon/internal/transport"
 )
 
-// Binary marshaling for the payloads introduced at wire version 3: the
-// geometry maintenance protocol (docs/WIRE.md §9) — Kandy's bucket-refresh
-// probe and Cacophony's lookahead neighbor exchange. They follow the
-// conventions documented in binwire.go. Like the v2 additions, these are new
-// message types — a peer that does not know a type never parses it — so the
-// layouts are unambiguous without any version byte in the payload.
+// Binary marshaling for the geometry maintenance protocol (docs/WIRE.md §9):
+// Kandy's bucket-refresh probe and Cacophony's lookahead neighbor exchange.
+// They follow the conventions documented in binwire.go.
 
-// Compile-time interface checks for the v3 binary payloads.
+// Compile-time interface checks for the geometry maintenance payloads.
 var (
 	_ transport.BinaryAppender = bucketRefReq{}
 	_ transport.BinaryAppender = bucketRefResp{}
 	_ transport.BinaryAppender = lookaheadReq{}
 	_ transport.BinaryAppender = lookaheadResp{}
 )
-
-// ---- shared slice helpers ----
-
-func appendInfos(b []byte, infos []Info) []byte {
-	b = appendSliceLen(b, len(infos), infos == nil)
-	for _, i := range infos {
-		b = i.appendTo(b)
-	}
-	return b
-}
-
-func readInfos(r *binReader) []Info {
-	n, present := r.sliceLen()
-	if !present {
-		return nil
-	}
-	out := make([]Info, 0, min(n, maxDecodePrealloc))
-	for j := 0; j < n && r.err == nil; j++ {
-		var i Info
-		i.readFrom(r)
-		out = append(out, i)
-	}
-	return out
-}
 
 // appendUvarints encodes a slice of small counters (ring-size estimates) as
 // uvarints.
@@ -76,9 +49,6 @@ func (q bucketRefReq) AppendBinary(b []byte) ([]byte, error) {
 	return b, nil
 }
 
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (q bucketRefReq) MarshalBinary() ([]byte, error) { return q.AppendBinary(nil) }
-
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (q *bucketRefReq) UnmarshalBinary(data []byte) error {
 	r := &binReader{data: data}
@@ -91,9 +61,6 @@ func (q *bucketRefReq) UnmarshalBinary(data []byte) error {
 func (p bucketRefResp) AppendBinary(b []byte) ([]byte, error) {
 	return appendInfos(b, p.Contacts), nil
 }
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (p bucketRefResp) MarshalBinary() ([]byte, error) { return p.AppendBinary(nil) }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (p *bucketRefResp) UnmarshalBinary(data []byte) error {
@@ -110,9 +77,6 @@ func (q lookaheadReq) AppendBinary(b []byte) ([]byte, error) {
 	return b, nil
 }
 
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (q lookaheadReq) MarshalBinary() ([]byte, error) { return q.AppendBinary(nil) }
-
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (q *lookaheadReq) UnmarshalBinary(data []byte) error {
 	r := &binReader{data: data}
@@ -127,9 +91,6 @@ func (p lookaheadResp) AppendBinary(b []byte) ([]byte, error) {
 	b = appendUvarints(b, p.Ests)
 	return b, nil
 }
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (p lookaheadResp) MarshalBinary() ([]byte, error) { return p.AppendBinary(nil) }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (p *lookaheadResp) UnmarshalBinary(data []byte) error {

@@ -6,15 +6,12 @@ import (
 	"github.com/canon-dht/canon/internal/transport"
 )
 
-// Binary marshaling for the payloads introduced at wire version 4: the
-// routed key-value operations (docs/WIRE.md §10). They follow the
-// conventions documented in binwire.go. Like the v2 and v3 additions these
-// are new message types — a peer that does not know a type never parses it —
-// so the layouts are unambiguous without any version byte in the payload.
-// Value fields ride as optional bytes, so the decoder bounds them by the
-// bytes actually present, exactly as storeReq2 does.
+// Binary marshaling for the routed key-value operations (docs/WIRE.md §10).
+// They follow the conventions documented in binwire.go. Value fields ride as
+// optional bytes, so the decoder bounds them by the bytes actually present,
+// exactly as storeReq2 does.
 
-// Compile-time interface checks for the v4 binary payloads.
+// Compile-time interface checks for the key-value payloads.
 var (
 	_ transport.BinaryAppender = getReq{}
 	_ transport.BinaryAppender = getResp{}
@@ -32,9 +29,6 @@ func (q getReq) AppendBinary(b []byte) ([]byte, error) {
 	b = binary.AppendVarint(b, int64(q.Hops))
 	return b, nil
 }
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (q getReq) MarshalBinary() ([]byte, error) { return q.AppendBinary(nil) }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (q *getReq) UnmarshalBinary(data []byte) error {
@@ -54,9 +48,6 @@ func (p getResp) AppendBinary(b []byte) ([]byte, error) {
 	b = binary.AppendVarint(b, int64(p.Hops))
 	return b, nil
 }
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (p getResp) MarshalBinary() ([]byte, error) { return p.AppendBinary(nil) }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (p *getResp) UnmarshalBinary(data []byte) error {
@@ -81,9 +72,6 @@ func (q putReq) AppendBinary(b []byte) ([]byte, error) {
 	return b, nil
 }
 
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (q putReq) MarshalBinary() ([]byte, error) { return q.AppendBinary(nil) }
-
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (q *putReq) UnmarshalBinary(data []byte) error {
 	r := &binReader{data: data}
@@ -103,9 +91,6 @@ func (p putResp) AppendBinary(b []byte) ([]byte, error) {
 	b = binary.AppendVarint(b, int64(p.Hops))
 	return b, nil
 }
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (p putResp) MarshalBinary() ([]byte, error) { return p.AppendBinary(nil) }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (p *putResp) UnmarshalBinary(data []byte) error {

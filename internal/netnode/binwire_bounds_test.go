@@ -58,6 +58,22 @@ func TestBinWireHostileCountsBounded(t *testing.T) {
 	var pp syncPullResp
 	check("syncPullResp.Entries", pp.UnmarshalBinary(hostilePayload(nil, n, 0xff)), cap(pp.Entries))
 
+	// The Info lists: an element's ID swallows eight 0xff bytes and its Name
+	// length overflows. neighborsResp and leavingReq lead with a zero Info
+	// (ID, empty Name, empty Addr); lookaheadResp's estimates follow a nil
+	// successor list.
+	zeroInfo := make([]byte, 10)
+	var np neighborsResp
+	check("neighborsResp.Succs", np.UnmarshalBinary(hostilePayload(zeroInfo, n, 0xff)), cap(np.Succs))
+	var mp membersResp
+	check("membersResp.Members", mp.UnmarshalBinary(hostilePayload(nil, n, 0xff)), cap(mp.Members))
+	var lv leavingReq
+	check("leavingReq.Succs", lv.UnmarshalBinary(hostilePayload(zeroInfo, n, 0xff)), cap(lv.Succs))
+	var bp bucketRefResp
+	check("bucketRefResp.Contacts", bp.UnmarshalBinary(hostilePayload(nil, n, 0xff)), cap(bp.Contacts))
+	var ap lookaheadResp
+	check("lookaheadResp.Ests", ap.UnmarshalBinary(hostilePayload([]byte{0x00}, n, 0xff)), cap(ap.Ests))
+
 	// syncTreeResp leaves are raw u64s, so 0xff bytes decode fine and the
 	// capacity legitimately grows past the preallocation as elements land;
 	// an odd padding length still truncates the last element. The claimed

@@ -10,8 +10,8 @@ import (
 // one minimal valid encoding per top-level message this package decodes —
 // every optional field present, every slice carrying one element — keyed by
 // wire name. The fuzz targets feed these to the corpus so every message
-// type and wire version starts covered; TestSchemaSeedsDecode proves the
-// synthesized bytes actually decode.
+// type starts covered; TestSchemaSeedsDecode proves the synthesized bytes
+// actually decode.
 func loadSchemaSeeds(tb testing.TB) map[string][]byte {
 	tb.Helper()
 	s, err := lint.LoadWireSchema("../../docs/wire.schema.json")
@@ -34,12 +34,19 @@ func loadSchemaSeeds(tb testing.TB) map[string][]byte {
 // bytes. The decoder map doubles as a completeness pin: a message added to
 // the codecs (or removed) without updating the baseline fails this test.
 func TestSchemaSeedsDecode(t *testing.T) {
-	decoders := map[string]interface{ UnmarshalBinary([]byte) error }{
+	decoders := map[string]wireDecoder{
 		"Info":               &Info{},
 		"lookup request":     &lookupReq{},
 		"lookup response":    &lookupResp{},
 		"fetch request":      &fetchReq{},
 		"fetch response":     &fetchResp{},
+		"neighbors request":  &neighborsReq{},
+		"neighbors response": &neighborsResp{},
+		"notify request":     &notifyReq{},
+		"register request":   &registerReq{},
+		"members request":    &membersReq{},
+		"members response":   &membersResp{},
+		"leaving request":    &leavingReq{},
 		"store2 request":     &storeReq2{},
 		"synctree request":   &syncTreeReq{},
 		"synctree response":  &syncTreeResp{},
@@ -47,6 +54,7 @@ func TestSchemaSeedsDecode(t *testing.T) {
 		"synckeys response":  &syncKeysResp{},
 		"syncpull request":   &syncPullReq{},
 		"syncpull response":  &syncPullResp{},
+		"repair response":    &repairResp{},
 		"bucketref request":  &bucketRefReq{},
 		"bucketref response": &bucketRefResp{},
 		"lookahead request":  &lookaheadReq{},

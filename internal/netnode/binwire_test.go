@@ -1,44 +1,41 @@
 package netnode
 
 import (
-	"encoding/json"
+	"reflect"
 	"testing"
-	"unicode/utf8"
 
 	"github.com/canon-dht/canon/internal/telemetry"
 )
 
-// jsonEq reports whether two values have identical JSON renderings — the
-// equality that matters for wire compatibility, since JSON is the legacy wire
-// format the binary codec must round-trip against (including the nil-vs-empty
-// distinctions omitempty makes observable).
-func jsonEq(t *testing.T, a, b any) bool {
-	t.Helper()
-	ja, err := json.Marshal(a)
-	if err != nil {
-		t.Fatalf("marshal %T: %v", a, err)
-	}
-	jb, err := json.Marshal(b)
-	if err != nil {
-		t.Fatalf("marshal %T: %v", b, err)
-	}
-	return string(ja) == string(jb)
+// wireBody is what every wire body is on the encode side; a pointer to the
+// same type is a wireDecoder.
+type wireBody interface {
+	AppendBinary([]byte) ([]byte, error)
 }
 
-// roundTrip encodes in through AppendBinary and decodes into out (a pointer
-// to the same type), failing the test on either error.
-func roundTrip(t *testing.T, in interface {
-	AppendBinary([]byte) ([]byte, error)
-}, out interface {
+type wireDecoder interface {
 	UnmarshalBinary([]byte) error
-}) {
+}
+
+// newDecoder returns a pointer to a zero value of in's type.
+func newDecoder(in wireBody) wireDecoder {
+	return reflect.New(reflect.TypeOf(in)).Interface().(wireDecoder)
+}
+
+// checkRoundTrip requires decode(encode(in)) to deep-equal in — nil and
+// empty slices are different values, as they are on the wire.
+func checkRoundTrip(t *testing.T, in wireBody) {
 	t.Helper()
 	enc, err := in.AppendBinary(nil)
 	if err != nil {
 		t.Fatalf("encode %T: %v", in, err)
 	}
+	out := newDecoder(in)
 	if err := out.UnmarshalBinary(enc); err != nil {
-		t.Fatalf("decode %T: %v", out, err)
+		t.Fatalf("decode %T: %v", in, err)
+	}
+	if got := reflect.ValueOf(out).Elem().Interface(); !reflect.DeepEqual(got, in) {
+		t.Errorf("%T round-tripped\n  from %+v\n  to   %+v", in, in, got)
 	}
 }
 
@@ -48,322 +45,289 @@ var binwireSpans = []telemetry.Span{
 	{Hop: 2, Name: "mit", ID: 99, Addr: "10.0.0.3:7001", Level: -1, Owner: true},
 }
 
+var binwireInfos = []Info{{ID: 1, Name: "a", Addr: "x:1"}, {ID: 2, Name: "b/c", Addr: "y:2"}}
+
+// wireSamples is one fully populated value of every wire body: every slice
+// present, every optional value set. The strictness test and the fuzz
+// corpora start from these, so a body missing here is a body they skip —
+// TestSchemaSeedsDecode's map pins the same list against the schema.
+func wireSamples() []wireBody {
+	ptr := Info{ID: 3, Name: "c", Addr: "z:3"}
+	entry := storeReq2{Key: 9, Value: []byte("v"), Storage: "stanford/cs", Access: "stanford", Pointer: ptr, Replica: true, Level: 2, Version: 77}
+	return []wireBody{
+		ptr,
+		lookupReq{Key: 1, Prefix: "p", Hops: 2, Trace: "t", Spans: binwireSpans},
+		lookupResp{Pred: binwireInfos[0], Succ: binwireInfos[1], Hops: 7, Trace: "t-2", Spans: binwireSpans},
+		fetchReq{Key: 11, Origin: "mit/csail"},
+		fetchResp{Values: []fetchValue{{Value: []byte("data"), Access: "stanford"}, {Pointer: ptr}}},
+		neighborsReq{Level: 2},
+		neighborsResp{Pred: ptr, Succs: binwireInfos},
+		notifyReq{Level: 1, From: ptr, AsSuccessor: true},
+		registerReq{Prefix: "stanford/cs", From: ptr},
+		membersReq{Prefix: "stanford"},
+		membersResp{Members: binwireInfos},
+		leavingReq{From: ptr, Succs: binwireInfos},
+		entry,
+		syncTreeReq{Prefix: "stanford", Lo: 5, Hi: 500},
+		syncTreeResp{Root: 0xfeed, Leaves: []uint64{1, 2, ^uint64(0)}},
+		syncKeysReq{Prefix: "stanford", Lo: 5, Hi: 500, Buckets: []int{0, 3, 255}},
+		syncKeysResp{Items: []syncItem{{Key: 9, Storage: "s", Access: "a", Pointer: true, Version: 4, Digest: 0xd1}}},
+		syncPullReq{Prefix: "stanford", Lo: 5, Hi: 500, Key: 9},
+		syncPullResp{Entries: []storeReq2{entry}},
+		repairResp{Partners: 3, Pushed: 40, Pulled: 2},
+		bucketRefReq{Prefix: "stanford/cs", Target: ^uint64(0)},
+		bucketRefResp{Contacts: binwireInfos},
+		lookaheadReq{Levels: 3},
+		lookaheadResp{Succs: binwireInfos, Ests: []uint64{2, 1 << 40, 0}},
+		getReq{Key: ^uint64(0), Origin: "stanford/cs", Level: 2, Hops: 5},
+		getResp{Status: statusNotFound, Value: []byte("v"), Level: -1, Hops: 3},
+		putReq{Key: 9, Value: []byte("v"), Storage: "stanford/cs", Access: "stanford", Pointer: ptr, Hops: 7},
+		putResp{Status: statusBadDomain, Owner: ptr, Hops: 4},
+	}
+}
+
 func TestBinWireInfoRoundTrip(t *testing.T) {
-	cases := []Info{
+	for _, in := range []Info{
 		{},
 		{ID: 1, Name: "a", Addr: "x:1"},
 		{ID: ^uint64(0), Name: "stanford/cs/db", Addr: "192.0.2.1:65535"},
-	}
-	for _, in := range cases {
-		var out Info
-		roundTrip(t, in, &out)
-		if !jsonEq(t, in, out) {
-			t.Errorf("Info %+v round-tripped to %+v", in, out)
-		}
+	} {
+		checkRoundTrip(t, in)
 	}
 }
 
 func TestBinWireLookupRoundTrip(t *testing.T) {
-	reqs := []lookupReq{
-		{},
-		{Key: 123, Prefix: "stanford", Hops: 4},
-		{Key: ^uint64(0), Prefix: "", Hops: 0, Trace: "t-1", Spans: binwireSpans},
-		{Key: 5, Spans: []telemetry.Span{}}, // empty-but-present slice
-	}
-	for _, in := range reqs {
-		var out lookupReq
-		roundTrip(t, in, &out)
-		if !jsonEq(t, in, out) {
-			t.Errorf("lookupReq %+v round-tripped to %+v", in, out)
-		}
-	}
-	resps := []lookupResp{
-		{},
-		{
-			Pred:  Info{ID: 1, Name: "a", Addr: "x:1"},
-			Succ:  Info{ID: 2, Name: "b", Addr: "y:2"},
-			Hops:  7,
-			Trace: "t-2",
-			Spans: binwireSpans,
-		},
-	}
-	for _, in := range resps {
-		var out lookupResp
-		roundTrip(t, in, &out)
-		if !jsonEq(t, in, out) {
-			t.Errorf("lookupResp %+v round-tripped to %+v", in, out)
-		}
+	for _, in := range []wireBody{
+		lookupReq{},
+		lookupReq{Key: 123, Prefix: "stanford", Hops: 4},
+		lookupReq{Key: ^uint64(0), Trace: "t-1", Spans: binwireSpans},
+		lookupReq{Key: 5, Spans: []telemetry.Span{}}, // empty-but-present slice
+		lookupResp{},
+		lookupResp{Pred: binwireInfos[0], Succ: binwireInfos[1], Hops: 7, Trace: "t-2", Spans: binwireSpans},
+	} {
+		checkRoundTrip(t, in)
 	}
 }
 
 func TestBinWireFetchRoundTrip(t *testing.T) {
-	var fq fetchReq
-	roundTrip(t, fetchReq{Key: 11, Origin: "mit/csail"}, &fq)
-	if fq.Key != 11 || fq.Origin != "mit/csail" {
-		t.Errorf("fetchReq round-tripped to %+v", fq)
-	}
-	fetches := []fetchResp{
-		{},
-		{Values: []fetchValue{}},
-		{Values: []fetchValue{
+	for _, in := range []wireBody{
+		fetchReq{Key: 11, Origin: "mit/csail"},
+		fetchResp{},
+		fetchResp{Values: []fetchValue{}},
+		fetchResp{Values: []fetchValue{
 			{Value: []byte("data"), Access: "stanford"},
 			{Value: nil, Access: "", Pointer: Info{ID: 4, Name: "d", Addr: "w:4"}},
+			{Value: []byte{}}, // empty-but-present value
 		}},
-	}
-	for _, in := range fetches {
-		var out fetchResp
-		roundTrip(t, in, &out)
-		if !jsonEq(t, in, out) {
-			t.Errorf("fetchResp %+v round-tripped to %+v", in, out)
-		}
-	}
-}
-
-// TestBinWireGeometryRoundTrip covers the v3 geometry-maintenance payloads:
-// every representable value — including the nil-vs-empty slice distinction —
-// must survive the binary round trip exactly as JSON preserves it.
-func TestBinWireGeometryRoundTrip(t *testing.T) {
-	infos := []Info{{ID: 1, Name: "a", Addr: "x:1"}, {ID: 2, Name: "b/c", Addr: "y:2"}}
-	var bq bucketRefReq
-	roundTrip(t, bucketRefReq{Prefix: "stanford/cs", Target: ^uint64(0)}, &bq)
-	if bq.Prefix != "stanford/cs" || bq.Target != ^uint64(0) {
-		t.Errorf("bucketRefReq round-tripped to %+v", bq)
-	}
-	for _, in := range []bucketRefResp{{}, {Contacts: []Info{}}, {Contacts: infos}} {
-		var out bucketRefResp
-		roundTrip(t, in, &out)
-		if !jsonEq(t, in, out) {
-			t.Errorf("bucketRefResp %+v round-tripped to %+v", in, out)
-		}
-	}
-	for _, in := range []lookaheadReq{{}, {Levels: 3}} {
-		var out lookaheadReq
-		roundTrip(t, in, &out)
-		if !jsonEq(t, in, out) {
-			t.Errorf("lookaheadReq %+v round-tripped to %+v", in, out)
-		}
-	}
-	for _, in := range []lookaheadResp{
-		{},
-		{Succs: []Info{}, Ests: []uint64{}},
-		{Succs: infos, Ests: []uint64{2, 1 << 40, 0}},
 	} {
-		var out lookaheadResp
-		roundTrip(t, in, &out)
-		if !jsonEq(t, in, out) {
-			t.Errorf("lookaheadResp %+v round-tripped to %+v", in, out)
-		}
+		checkRoundTrip(t, in)
 	}
 }
 
-// TestBinWireRoutedRoundTrip covers the v4 routed key-value payloads, the
+// TestBinWireMembershipRoundTrip covers the ring-maintenance and membership
+// payloads: negative levels, the nil-vs-empty successor list and the zero
+// Info included.
+func TestBinWireMembershipRoundTrip(t *testing.T) {
+	for _, in := range []wireBody{
+		neighborsReq{}, neighborsReq{Level: 999}, neighborsReq{Level: -3},
+		neighborsResp{}, neighborsResp{Succs: []Info{}}, neighborsResp{Pred: binwireInfos[0], Succs: binwireInfos},
+		notifyReq{}, notifyReq{Level: 2, From: binwireInfos[1]}, notifyReq{Level: -1, From: binwireInfos[0], AsSuccessor: true},
+		registerReq{}, registerReq{Prefix: "a/b", From: binwireInfos[0]},
+		membersReq{}, membersReq{Prefix: "a/b"},
+		membersResp{}, membersResp{Members: []Info{}}, membersResp{Members: binwireInfos},
+		leavingReq{}, leavingReq{From: binwireInfos[0], Succs: []Info{}}, leavingReq{From: binwireInfos[0], Succs: binwireInfos},
+	} {
+		checkRoundTrip(t, in)
+	}
+}
+
+// TestBinWireStorageRoundTrip covers the versioned store and the
+// anti-entropy payloads.
+func TestBinWireStorageRoundTrip(t *testing.T) {
+	entry := storeReq2{Key: 9, Value: []byte("v"), Storage: "s/t", Access: "s", Replica: true, Level: 2, Version: 1 << 50}
+	for _, in := range []wireBody{
+		storeReq2{}, entry, storeReq2{Key: 1, Value: []byte{}, Pointer: binwireInfos[0], Level: -1},
+		syncTreeReq{}, syncTreeReq{Prefix: "s", Lo: ^uint64(0), Hi: 1},
+		syncTreeResp{}, syncTreeResp{Leaves: []uint64{}}, syncTreeResp{Root: 7, Leaves: []uint64{0, ^uint64(0)}},
+		syncKeysReq{}, syncKeysReq{Buckets: []int{}}, syncKeysReq{Prefix: "s", Lo: 1, Hi: 2, Buckets: []int{0, 255}},
+		syncKeysResp{}, syncKeysResp{Items: []syncItem{}}, syncKeysResp{Items: []syncItem{{Key: 9, Storage: "s", Access: "a", Pointer: true, Version: 4, Digest: 5}, {}}},
+		syncPullReq{}, syncPullReq{Prefix: "s", Lo: 1, Hi: 2, Key: 3},
+		syncPullResp{}, syncPullResp{Entries: []storeReq2{}}, syncPullResp{Entries: []storeReq2{entry, {}}},
+		repairResp{}, repairResp{Partners: 3, Pushed: 1 << 40, Pulled: 2},
+	} {
+		checkRoundTrip(t, in)
+	}
+}
+
+// TestBinWireGeometryRoundTrip covers the geometry-maintenance payloads,
+// the nil-vs-empty slice distinction included.
+func TestBinWireGeometryRoundTrip(t *testing.T) {
+	for _, in := range []wireBody{
+		bucketRefReq{Prefix: "stanford/cs", Target: ^uint64(0)},
+		bucketRefResp{}, bucketRefResp{Contacts: []Info{}}, bucketRefResp{Contacts: binwireInfos},
+		lookaheadReq{}, lookaheadReq{Levels: 3},
+		lookaheadResp{},
+		lookaheadResp{Succs: []Info{}, Ests: []uint64{}},
+		lookaheadResp{Succs: binwireInfos, Ests: []uint64{2, 1 << 40, 0}},
+	} {
+		checkRoundTrip(t, in)
+	}
+}
+
+// TestBinWireRoutedRoundTrip covers the routed key-value payloads, the
 // nil-vs-empty value distinction and the negative "no level answered"
 // included.
 func TestBinWireRoutedRoundTrip(t *testing.T) {
 	ptr := Info{ID: 3, Name: "c", Addr: "z:3"}
-	for _, in := range []getReq{{}, {Key: 9}, {Key: ^uint64(0), Origin: "stanford/cs", Level: 2, Hops: 5}} {
-		var out getReq
-		roundTrip(t, in, &out)
-		if in != out {
-			t.Errorf("getReq %+v round-tripped to %+v", in, out)
-		}
-	}
-	for _, in := range []getResp{
-		{},
-		{Status: statusNotFound, Level: -1, Hops: 3},
-		{Value: []byte("v"), Level: 2},
-		{Value: []byte{}, Hops: 1}, // empty-but-present value
+	for _, in := range []wireBody{
+		getReq{}, getReq{Key: 9}, getReq{Key: ^uint64(0), Origin: "stanford/cs", Level: 2, Hops: 5},
+		getResp{},
+		getResp{Status: statusNotFound, Level: -1, Hops: 3},
+		getResp{Value: []byte("v"), Level: 2},
+		getResp{Value: []byte{}, Hops: 1}, // empty-but-present value
+		putReq{},
+		putReq{Key: 9, Value: []byte("v"), Storage: "stanford/cs", Access: "stanford", Hops: 2},
+		putReq{Key: 9, Value: []byte{}},
+		putReq{Key: 9, Storage: "stanford/cs", Access: "stanford", Pointer: ptr, Hops: 7},
+		putResp{}, putResp{Status: statusBadDomain}, putResp{Owner: ptr, Hops: 4},
 	} {
-		var out getResp
-		roundTrip(t, in, &out)
-		if !jsonEq(t, in, out) || (in.Value == nil) != (out.Value == nil) {
-			t.Errorf("getResp %+v round-tripped to %+v", in, out)
-		}
-	}
-	for _, in := range []putReq{
-		{},
-		{Key: 9, Value: []byte("v"), Storage: "stanford/cs", Access: "stanford", Hops: 2},
-		{Key: 9, Value: []byte{}},
-		{Key: 9, Storage: "stanford/cs", Access: "stanford", Pointer: ptr, Hops: 7},
-	} {
-		var out putReq
-		roundTrip(t, in, &out)
-		if !jsonEq(t, in, out) || (in.Value == nil) != (out.Value == nil) {
-			t.Errorf("putReq %+v round-tripped to %+v", in, out)
-		}
-	}
-	for _, in := range []putResp{{}, {Status: statusBadDomain}, {Owner: ptr, Hops: 4}} {
-		var out putResp
-		roundTrip(t, in, &out)
-		if in != out {
-			t.Errorf("putResp %+v round-tripped to %+v", in, out)
-		}
+		checkRoundTrip(t, in)
 	}
 }
 
-// TestBinWireStrictDecoding pins the strictness guarantees: trailing bytes
-// and truncations must error, never silently decode.
+// TestBinWireStrictDecoding pins the strictness guarantees for every body:
+// a trailing byte and every truncation must error, never silently decode.
 func TestBinWireStrictDecoding(t *testing.T) {
-	in := lookupReq{Key: 1, Prefix: "p", Hops: 2, Trace: "t", Spans: binwireSpans}
-	enc, err := in.AppendBinary(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out lookupReq
-	if err := out.UnmarshalBinary(append(enc, 0x00)); err == nil {
-		t.Error("trailing byte decoded without error")
-	}
-	for i := 0; i < len(enc); i++ {
-		var q lookupReq
-		if err := q.UnmarshalBinary(enc[:i]); err == nil {
-			t.Errorf("truncation to %d of %d bytes decoded without error", i, len(enc))
+	for _, in := range wireSamples() {
+		checkRoundTrip(t, in)
+		enc, err := in.AppendBinary(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := newDecoder(in).UnmarshalBinary(append(enc, 0x00)); err == nil {
+			t.Errorf("%T: trailing byte decoded without error", in)
+		}
+		for i := 0; i < len(enc); i++ {
+			if err := newDecoder(in).UnmarshalBinary(enc[:i]); err == nil {
+				t.Errorf("%T: truncation to %d of %d bytes decoded without error", in, i, len(enc))
+			}
 		}
 	}
 }
 
 // FuzzBinWireDecode throws arbitrary bytes at every binary decoder: none may
-// panic or over-allocate, whatever the input.
+// panic or over-allocate, whatever the input, and whatever one accepts must
+// re-encode to bytes that decode to the same value.
 func FuzzBinWireDecode(f *testing.F) {
-	seed := lookupReq{Key: 1, Prefix: "stanford", Hops: 3, Trace: "t", Spans: binwireSpans}
-	if enc, err := seed.AppendBinary(nil); err == nil {
-		f.Add(enc)
+	samples := wireSamples()
+	for _, s := range samples {
+		if enc, err := s.AppendBinary(nil); err == nil {
+			f.Add(enc)
+		}
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0})
-	// Schema-guided corpus: one valid minimal encoding per message type per
-	// wire version, synthesized from the committed schema baseline, so no
-	// decoder path starts uncovered.
+	// Schema-guided corpus: one valid minimal encoding per message type,
+	// synthesized from the committed schema baseline.
 	for _, seed := range loadSchemaSeeds(f) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var i Info
-		_ = i.UnmarshalBinary(data)
-		var lq lookupReq
-		_ = lq.UnmarshalBinary(data)
-		var lp lookupResp
-		_ = lp.UnmarshalBinary(data)
-		var fq fetchReq
-		_ = fq.UnmarshalBinary(data)
-		var fp fetchResp
-		_ = fp.UnmarshalBinary(data)
-		var s2 storeReq2
-		_ = s2.UnmarshalBinary(data)
-		var tq syncTreeReq
-		_ = tq.UnmarshalBinary(data)
-		var tp syncTreeResp
-		_ = tp.UnmarshalBinary(data)
-		var kq syncKeysReq
-		_ = kq.UnmarshalBinary(data)
-		var kp syncKeysResp
-		_ = kp.UnmarshalBinary(data)
-		var pq syncPullReq
-		_ = pq.UnmarshalBinary(data)
-		var pp syncPullResp
-		_ = pp.UnmarshalBinary(data)
-		var bq bucketRefReq
-		_ = bq.UnmarshalBinary(data)
-		var bp bucketRefResp
-		_ = bp.UnmarshalBinary(data)
-		var aq lookaheadReq
-		_ = aq.UnmarshalBinary(data)
-		var ap lookaheadResp
-		_ = ap.UnmarshalBinary(data)
-		var gq getReq
-		_ = gq.UnmarshalBinary(data)
-		var gp getResp
-		_ = gp.UnmarshalBinary(data)
-		var uq putReq
-		_ = uq.UnmarshalBinary(data)
-		var up putResp
-		_ = up.UnmarshalBinary(data)
+		for _, s := range samples {
+			first := newDecoder(s)
+			if first.UnmarshalBinary(data) != nil {
+				continue
+			}
+			reenc, err := first.(wireBody).AppendBinary(nil)
+			if err != nil {
+				t.Fatalf("%T: re-encode of an accepted payload: %v", s, err)
+			}
+			again := newDecoder(s)
+			if err := again.UnmarshalBinary(reenc); err != nil {
+				t.Fatalf("%T: re-decode: %v", s, err)
+			}
+			if !reflect.DeepEqual(first, again) {
+				t.Errorf("%T: unstable round trip\n  first %+v\n  again %+v", s, first, again)
+			}
+		}
 	})
 }
 
-// binJSONAgree round-trips in through both codecs into the two zero values
-// and reports whether they agree — the binary form must preserve exactly
-// what the JSON wire form preserves.
-func binJSONAgree(t *testing.T, in interface {
-	AppendBinary([]byte) ([]byte, error)
-}, binOut interface {
-	UnmarshalBinary([]byte) error
-}, jsonOut any) {
-	t.Helper()
-	roundTrip(t, in, binOut)
-	raw, err := json.Marshal(in)
-	if err != nil {
-		t.Fatalf("json encode %T: %v", in, err)
-	}
-	if err := json.Unmarshal(raw, jsonOut); err != nil {
-		t.Fatalf("json decode of own %T encoding: %v", in, err)
-	}
-	if !jsonEq(t, binOut, jsonOut) {
-		t.Errorf("%T codecs disagree:\n  binary: %+v\n  json:   %+v", in, binOut, jsonOut)
-	}
-}
-
-// FuzzBinWireDifferential builds a lookupReq — and the routed get/put bodies
-// — from fuzzed primitives and checks the binary round trip preserves
-// exactly what the JSON wire form preserves — the two codecs must agree on
-// every representable value.
-func FuzzBinWireDifferential(f *testing.F) {
+// FuzzBinWireRoundTrip builds every body from fuzzed primitives — strings
+// that are not UTF-8 included — and requires decode(encode(x)) to deep-equal
+// x.
+func FuzzBinWireRoundTrip(f *testing.F) {
 	f.Add(uint64(1), "stanford/cs", 3, "trace-1", 2, "hop", "addr:1", -1, true)
 	f.Add(uint64(0), "", 0, "", 0, "", "", 0, false)
+	f.Add(^uint64(0), "p\xff", -9, "\xc4CN", 7, "n\x80", "\x00", 1<<40, true)
 	f.Fuzz(func(t *testing.T, key uint64, prefix string, hops int, trace string,
-		nspans int, spanName, spanAddr string, spanLevel int, owner bool) {
-		// JSON cannot carry invalid UTF-8 (it substitutes U+FFFD), so the
-		// codecs only have to agree on strings it can represent.
-		for _, s := range []string{prefix, trace, spanName, spanAddr} {
-			if !utf8.ValidString(s) {
-				t.Skip("not representable in JSON")
-			}
+		n int, name, addr string, level int, flag bool) {
+		if n < 0 {
+			n = -n
 		}
-		in := lookupReq{Key: key, Prefix: prefix, Hops: hops, Trace: trace}
-		if nspans < 0 {
-			nspans = -nspans
-		}
-		nspans %= 8
-		for j := 0; j < nspans; j++ {
-			in.Spans = append(in.Spans, telemetry.Span{
-				Hop: j, Name: spanName, ID: key + uint64(j), Addr: spanAddr,
-				Level: spanLevel, Owner: owner,
-			})
-		}
-
-		// Binary round trip.
-		enc, err := in.AppendBinary(nil)
-		if err != nil {
-			t.Fatalf("binary encode: %v", err)
-		}
-		var binOut lookupReq
-		if err := binOut.UnmarshalBinary(enc); err != nil {
-			t.Fatalf("binary decode of own encoding: %v", err)
-		}
-
-		// JSON round trip (the legacy wire).
-		raw, err := json.Marshal(in)
-		if err != nil {
-			t.Fatalf("json encode: %v", err)
-		}
-		var jsonOut lookupReq
-		if err := json.Unmarshal(raw, &jsonOut); err != nil {
-			t.Fatalf("json decode of own encoding: %v", err)
-		}
-
-		if !jsonEq(t, binOut, jsonOut) {
-			t.Errorf("codecs disagree:\n  binary: %+v\n  json:   %+v", binOut, jsonOut)
-		}
-
-		// The routed key-value bodies, from the same primitives.
-		var value []byte
-		if owner {
+		n %= 8
+		info := Info{ID: key, Name: name, Addr: addr}
+		var (
+			spans []telemetry.Span
+			infos []Info
+			words []uint64
+			ints  []int
+			value []byte
+		)
+		if flag {
+			spans, infos, words, ints = []telemetry.Span{}, []Info{}, []uint64{}, []int{}
 			value = []byte(trace)
 		}
-		ptr := Info{ID: key, Name: spanName, Addr: spanAddr}
-		binJSONAgree(t, getReq{Key: key, Origin: prefix, Level: spanLevel, Hops: hops}, &getReq{}, &getReq{})
-		binJSONAgree(t, getResp{Status: nspans, Value: value, Level: spanLevel, Hops: hops}, &getResp{}, &getResp{})
-		binJSONAgree(t, putReq{Key: key, Value: value, Storage: prefix, Access: trace, Pointer: ptr, Hops: hops}, &putReq{}, &putReq{})
-		binJSONAgree(t, putResp{Status: nspans, Owner: ptr, Hops: hops}, &putResp{}, &putResp{})
+		for j := 0; j < n; j++ {
+			spans = append(spans, telemetry.Span{
+				Hop: j, Name: name, ID: key + uint64(j), Addr: addr,
+				Level: level, RouteAround: !flag, Owner: flag,
+			})
+			infos = append(infos, Info{ID: key + uint64(j), Name: name, Addr: addr})
+			words = append(words, key>>uint(j))
+			ints = append(ints, int(uint(hops)>>uint(j))) // wire form is unsigned
+		}
+		entry := storeReq2{Key: key, Value: value, Storage: prefix, Access: trace, Pointer: info, Replica: flag, Level: level, Version: key}
+		var entries []storeReq2
+		var items []syncItem
+		var values []fetchValue
+		for j := 0; j < n; j++ {
+			entries = append(entries, entry)
+			items = append(items, syncItem{Key: key, Storage: prefix, Access: trace, Pointer: flag, Version: key, Digest: ^key})
+			values = append(values, fetchValue{Value: value, Access: trace, Pointer: info})
+		}
+		for _, in := range []wireBody{
+			info,
+			lookupReq{Key: key, Prefix: prefix, Hops: hops, Trace: trace, Spans: spans},
+			lookupResp{Pred: info, Succ: info, Hops: hops, Trace: trace, Spans: spans},
+			fetchReq{Key: key, Origin: prefix},
+			fetchResp{Values: values},
+			neighborsReq{Level: level},
+			neighborsResp{Pred: info, Succs: infos},
+			notifyReq{Level: level, From: info, AsSuccessor: flag},
+			registerReq{Prefix: prefix, From: info},
+			membersReq{Prefix: prefix},
+			membersResp{Members: infos},
+			leavingReq{From: info, Succs: infos},
+			entry,
+			syncTreeReq{Prefix: prefix, Lo: key, Hi: ^key},
+			syncTreeResp{Root: key, Leaves: words},
+			syncKeysReq{Prefix: prefix, Lo: key, Hi: ^key, Buckets: ints},
+			syncKeysResp{Items: items},
+			syncPullReq{Prefix: prefix, Lo: key, Hi: ^key, Key: key},
+			syncPullResp{Entries: entries},
+			repairResp{Partners: n, Pushed: hops, Pulled: level},
+			bucketRefReq{Prefix: prefix, Target: key},
+			bucketRefResp{Contacts: infos},
+			lookaheadReq{Levels: level},
+			lookaheadResp{Succs: infos, Ests: words},
+			getReq{Key: key, Origin: prefix, Level: level, Hops: hops},
+			getResp{Status: n, Value: value, Level: level, Hops: hops},
+			putReq{Key: key, Value: value, Storage: prefix, Access: trace, Pointer: info, Hops: hops},
+			putResp{Status: n, Owner: info, Hops: hops},
+		} {
+			checkRoundTrip(t, in)
+		}
 	})
 }

@@ -113,67 +113,62 @@ func TestGetPlantsNoStaleCopies(t *testing.T) {
 
 // TestClientErrorsAcrossTheWire is test (e): a routed operation's "not
 // found" and "bad domain" are statuses in the reply body, so errors.Is keeps
-// working for a client in another process — over real TCP, in the binary
-// framing and in the legacy JSON one.
+// working for a client in another process, over real TCP.
 func TestClientErrorsAcrossTheWire(t *testing.T) {
-	for _, wire := range []string{transport.WireBinary, transport.WireJSON} {
-		t.Run(wire, func(t *testing.T) {
-			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-			defer cancel()
-			rng := rand.New(rand.NewSource(5))
-			var nodes []*netnode.Node
-			for i, name := range []string{"west/a", "west/b", "east/a"} {
-				tr, err := transport.ListenTCPOpts("127.0.0.1:0", transport.TCPOptions{Wire: wire})
-				if err != nil {
-					t.Fatal(err)
-				}
-				n, err := netnode.New(netnode.Config{Name: name, RandomID: true, Rand: rng, Transport: tr})
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer n.Close()
-				contact := ""
-				if i > 0 {
-					contact = nodes[0].Info().Addr
-				}
-				if err := n.Join(ctx, contact); err != nil {
-					t.Fatal(err)
-				}
-				nodes = append(nodes, n)
-			}
-			for r := 0; r < 4; r++ {
-				for _, n := range nodes {
-					n.StabilizeOnce(ctx)
-					n.FixFingers(ctx)
-				}
-			}
-			tr, err := transport.ListenTCPOpts("127.0.0.1:0", transport.TCPOptions{Wire: wire})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer tr.Close()
-			client := netnode.NewClient(tr)
-			west, east := nodes[1].Info().Addr, nodes[2].Info().Addr
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	rng := rand.New(rand.NewSource(5))
+	var nodes []*netnode.Node
+	for i, name := range []string{"west/a", "west/b", "east/a"} {
+		tr, err := transport.ListenTCP("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := netnode.New(netnode.Config{Name: name, RandomID: true, Rand: rng, Transport: tr})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer n.Close()
+		contact := ""
+		if i > 0 {
+			contact = nodes[0].Info().Addr
+		}
+		if err := n.Join(ctx, contact); err != nil {
+			t.Fatal(err)
+		}
+		nodes = append(nodes, n)
+	}
+	for r := 0; r < 4; r++ {
+		for _, n := range nodes {
+			n.StabilizeOnce(ctx)
+			n.FixFingers(ctx)
+		}
+	}
+	tr, err := transport.ListenTCP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	client := netnode.NewClient(tr)
+	west, east := nodes[1].Info().Addr, nodes[2].Info().Addr
 
-			if err := client.Put(ctx, west, 99, []byte("scoped"), "west", "west"); err != nil {
-				t.Fatal(err)
-			}
-			if got, err := client.Get(ctx, nodes[0].Info().Addr, 99); err != nil || string(got) != "scoped" {
-				t.Fatalf("get inside the access domain: %q, %v", got, err)
-			}
-			if _, err := client.Get(ctx, east, 99); !errors.Is(err, netnode.ErrNotFound) {
-				t.Errorf("get outside the access domain: %v, want ErrNotFound", err)
-			}
-			if _, err := client.Get(ctx, west, 100); !errors.Is(err, netnode.ErrNotFound) {
-				t.Errorf("get of an absent key: %v, want ErrNotFound", err)
-			}
-			if err := client.Put(ctx, east, 1, []byte("v"), "west", "west"); !errors.Is(err, netnode.ErrBadDomain) {
-				t.Errorf("put with a storage domain that excludes the entry node: %v, want ErrBadDomain", err)
-			}
-			if err := client.Put(ctx, west, 1, []byte("v"), "west", "west/a"); !errors.Is(err, netnode.ErrBadDomain) {
-				t.Errorf("put with an access domain inside the storage domain: %v, want ErrBadDomain", err)
-			}
-		})
+	if err := client.Put(ctx, west, 99, []byte("scoped"), "west", "west"); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := client.Get(ctx, nodes[0].Info().Addr, 99); err != nil || string(got) != "scoped" {
+		t.Fatalf("get inside the access domain: %q, %v", got, err)
+	}
+	if _, err := client.Get(ctx, east, 99); !errors.Is(err, netnode.ErrNotFound) {
+		t.Errorf("get outside the access domain: %v, want ErrNotFound", err)
+	}
+	if _, err := client.Get(ctx, west, 100); !errors.Is(err, netnode.ErrNotFound) {
+		t.Errorf("get of an absent key: %v, want ErrNotFound", err)
+	}
+	if err := client.Put(ctx, east, 1, []byte("v"), "west", "west"); !errors.Is(err, netnode.ErrBadDomain) {
+		t.Errorf("put with a storage domain that excludes the entry node: %v, want ErrBadDomain", err)
+	}
+	if err := client.Put(ctx, west, 1, []byte("v"), "west", "west/a"); !errors.Is(err, netnode.ErrBadDomain) {
+		t.Errorf("put with an access domain inside the storage domain: %v, want ErrBadDomain", err)
 	}
 }
 

@@ -34,19 +34,14 @@
 // at the owner before the ack. Node.Get/Put and Client.Get/Put are that one
 // path.
 //
-// # Wire formats
+// # Wire format
 //
-// RPC bodies are declared in wire.go with json struct tags — the legacy
-// wire form — and the hot payloads (lookup, fetch, node identities, trace
-// spans) additionally implement transport.BinaryAppender and
-// encoding.BinaryUnmarshaler in binwire.go, so binary-mux connections carry
-// them in the compact encoding specified in docs/WIRE.md §4. Both forms are
-// maintained in lockstep; the differential fuzzers in binwire_test.go hold
-// them to byte-level agreement on everything JSON can represent. The
-// storage-sync payloads are wire version 2 (binwire2.go, docs/WIRE.md §8)
-// the geometry maintenance payloads are wire version 3 (binwire3.go,
-// docs/WIRE.md §9) and the routed get and put are wire version 4
-// (binwire4.go, docs/WIRE.md §10).
+// RPC bodies are declared in wire.go and every one of them implements
+// transport.BinaryAppender and encoding.BinaryUnmarshaler in binwire.go to
+// binwire4.go: that pair is the only body codec, in the compact encoding
+// specified in docs/WIRE.md §4 and §8–§10. Decoders are strict, and the
+// round-trip fuzzers in binwire_test.go hold decode(encode(x)) to x for every
+// body.
 //
 // # Resilience
 //

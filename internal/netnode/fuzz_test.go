@@ -1,11 +1,9 @@
-package netnode_test
+package netnode
 
 import (
 	"context"
-	"encoding/json"
 	"testing"
 
-	"github.com/canon-dht/canon/internal/netnode"
 	"github.com/canon-dht/canon/internal/transport"
 )
 
@@ -14,7 +12,7 @@ import (
 // corrupted state.
 func FuzzHandle(f *testing.F) {
 	bus := transport.NewBus()
-	node, err := netnode.New(netnode.Config{
+	node, err := New(Config{
 		Name: "fuzz/target", ID: 12345, Transport: bus.Endpoint("target"),
 	})
 	if err != nil {
@@ -26,33 +24,48 @@ func FuzzHandle(f *testing.F) {
 	}
 	caller := bus.Endpoint("caller")
 
-	f.Add("lookup", []byte(`{"key":1,"prefix":""}`))
-	f.Add("lookup", []byte(`{"key":-1}`))
-	f.Add("neighbors", []byte(`{"level":999}`))
-	f.Add("neighbors", []byte(`{"level":-3}`))
-	f.Add("notify", []byte(`{"level":0,"from":{"id":7,"addr":"x"}}`))
-	f.Add("store2", []byte(`{"key":5,"storage":"nope/nope"}`))
-	f.Add("get", []byte(`{"key":5}`))
-	f.Add("get", []byte(`{"key":5,"origin":"who/else","level":99,"hops":3}`))
-	f.Add("get", []byte(`{"key":5,"origin":"fuzz","level":-7,"hops":511}`))
-	f.Add("put", []byte(`{"key":5,"value":"dg==","storage":"fuzz","access":""}`))
-	f.Add("put", []byte(`{"key":5,"storage":"nope/nope","access":"nope"}`))
-	f.Add("put", []byte(`{"key":5,"storage":"elsewhere","hops":2,"pointer":{"id":1,"addr":"x"}}`))
-	f.Add("fetch", []byte(`{"key":5,"origin":"who"}`))
-	f.Add("register", []byte(`{"prefix":"a/b","from":{}}`))
-	f.Add("members", []byte(`{"prefix":""}`))
-	f.Add("leaving", []byte(`{"from":{"addr":"ghost"}}`))
-	f.Add("no-such-type", []byte(`{}`))
-	f.Add("ping", []byte(`garbage`))
+	seed := func(msgType string, body wireBody) {
+		enc, err := body.AppendBinary(nil)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(msgType, enc)
+	}
+	ghost := Info{ID: 7, Addr: "x"}
+	seed(msgLookup, lookupReq{Key: 1})
+	seed(msgLookup, lookupReq{Key: ^uint64(0), Hops: -1})
+	seed(msgNeighbors, neighborsReq{Level: 999})
+	seed(msgNeighbors, neighborsReq{Level: -3})
+	seed(msgNotify, notifyReq{From: ghost})
+	seed(msgNotify, notifyReq{Level: 1, From: ghost, AsSuccessor: true})
+	seed(msgStoreV2, storeReq2{Key: 5, Storage: "nope/nope"})
+	seed(msgGet, getReq{Key: 5})
+	seed(msgGet, getReq{Key: 5, Origin: "who/else", Level: 99, Hops: 3})
+	seed(msgGet, getReq{Key: 5, Origin: "fuzz", Level: -7, Hops: 511})
+	seed(msgPut, putReq{Key: 5, Value: []byte("v"), Storage: "fuzz"})
+	seed(msgPut, putReq{Key: 5, Storage: "nope/nope", Access: "nope"})
+	seed(msgPut, putReq{Key: 5, Storage: "elsewhere", Hops: 2, Pointer: Info{ID: 1, Addr: "x"}})
+	seed(msgFetch, fetchReq{Key: 5, Origin: "who"})
+	seed(msgRegister, registerReq{Prefix: "a/b"})
+	seed(msgMembers, membersReq{})
+	seed(msgLeaving, leavingReq{From: Info{Addr: "ghost"}, Succs: []Info{ghost}})
+	seed(msgSyncTree, syncTreeReq{Prefix: "fuzz"})
+	seed(msgSyncKeys, syncKeysReq{Buckets: []int{0, 1 << 30}})
+	seed(msgSyncPull, syncPullReq{Key: 5})
+	seed(msgBucketRef, bucketRefReq{Prefix: "fuzz", Target: 9})
+	seed(msgLookahead, lookaheadReq{Levels: 99})
+	f.Add(msgRepair, []byte{})
+	f.Add("no-such-type", []byte{})
+	f.Add(msgPing, []byte("garbage"))
 
 	f.Fuzz(func(t *testing.T, msgType string, payload []byte) {
 		//canonvet:ignore wirecompat -- fuzzing the dispatcher with raw, deliberately un-nonced envelopes
-		msg := transport.Message{Type: msgType, Payload: json.RawMessage(payload)}
+		msg := transport.Message{Type: msgType, Payload: payload}
 		resp, err := caller.Call(context.Background(), "target", msg)
 		_ = resp
 		_ = err
 		// After any input the node must still answer a well-formed lookup.
-		good, merr := transport.NewMessage("lookup", map[string]any{"key": 42, "prefix": ""})
+		good, merr := transport.NewMessage(msgLookup, lookupReq{Key: 42})
 		if merr != nil {
 			t.Fatal(merr)
 		}
@@ -60,11 +73,7 @@ func FuzzHandle(f *testing.F) {
 		if err != nil {
 			t.Fatalf("node broken after fuzz input: %v", err)
 		}
-		var out struct {
-			Pred struct {
-				ID uint64 `json:"id"`
-			} `json:"pred"`
-		}
+		var out lookupResp
 		if err := raw.Decode(&out); err != nil {
 			t.Fatalf("node returned bad lookup after fuzz input: %v", err)
 		}

@@ -11,16 +11,11 @@ import (
 	"github.com/canon-dht/canon/internal/transport"
 )
 
-// TestMixedWireCluster runs a five-node cluster over real TCP where nodes
-// alternate wire modes — binary, json, binary, json, binary — simulating a
-// rolling upgrade in which old JSON-only builds and new binary-mux builds
-// coexist. Every pair must interoperate: joins cross wire boundaries, puts
-// from a JSON node must be readable from a binary node and vice versa, and
-// binary-mode nodes must have negotiated the binary wire among themselves.
-// The whole scenario runs once per routing geometry, plus once with the
-// geometries themselves mixed across the cluster — geometry governs link
-// construction only, so lookups and storage must interoperate regardless.
-func TestMixedWireCluster(t *testing.T) {
+// TestMixedGeometryCluster runs a five-node cluster over real TCP once per
+// routing geometry, plus once with the geometries themselves mixed across
+// the cluster — geometry governs link construction only, so joins, lookups
+// and storage must interoperate regardless of which geometry each side runs.
+func TestMixedGeometryCluster(t *testing.T) {
 	configs := []struct {
 		name  string
 		geoms []string
@@ -32,50 +27,39 @@ func TestMixedWireCluster(t *testing.T) {
 	}
 	for _, tc := range configs {
 		t.Run(tc.name, func(t *testing.T) {
-			runMixedWireCluster(t, tc.geoms)
+			runGeometryCluster(t, tc.geoms)
 		})
 	}
 }
 
-func runMixedWireCluster(t *testing.T, geoms []string) {
+func runGeometryCluster(t *testing.T, geoms []string) {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	rng := rand.New(rand.NewSource(23))
 
-	wires := []string{
-		transport.WireBinary,
-		transport.WireJSON,
-		transport.WireBinary,
-		transport.WireJSON,
-		transport.WireBinary,
-	}
-	var (
-		nodes []*netnode.Node
-		tcps  []*transport.TCP
-	)
-	for i, wire := range wires {
-		tr, err := transport.ListenTCPOpts("127.0.0.1:0", transport.TCPOptions{Wire: wire})
+	var nodes []*netnode.Node
+	for i, geom := range geoms {
+		tr, err := transport.ListenTCP("127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
 		n, err := netnode.New(netnode.Config{
 			Name: fmt.Sprintf("mixed/n%d", i), RandomID: true, Rand: rng, Transport: tr,
-			Geometry: geoms[i],
+			Geometry: geom,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		contact := ""
 		if i > 0 {
-			// Join through the previous node, so every join crosses a wire
-			// boundary (binary joins through json and vice versa).
+			// Join through the previous node, so in the mixed configuration
+			// every join crosses a geometry boundary.
 			contact = nodes[i-1].Info().Addr
 		}
 		if err := n.Join(ctx, contact); err != nil {
-			t.Fatalf("node %d (%s wire) join: %v", i, wire, err)
+			t.Fatalf("node %d (%q) join: %v", i, geom, err)
 		}
 		nodes = append(nodes, n)
-		tcps = append(tcps, tr)
 	}
 	defer func() {
 		for _, n := range nodes {
@@ -89,56 +73,34 @@ func runMixedWireCluster(t *testing.T, geoms []string) {
 		}
 	}
 
-	// JSON node writes, binary node reads.
-	if err := nodes[1].Put(ctx, 4242, []byte("written-by-json"), "", ""); err != nil {
-		t.Fatalf("put from json node: %v", err)
+	// A put through one node is readable through another, both ways.
+	if err := nodes[1].Put(ctx, 4242, []byte("written-by-1"), "", ""); err != nil {
+		t.Fatalf("put from node 1: %v", err)
 	}
 	got, err := nodes[4].Get(ctx, 4242)
-	if err != nil || string(got) != "written-by-json" {
-		t.Fatalf("get from binary node: %q, %v", got, err)
+	if err != nil || string(got) != "written-by-1" {
+		t.Fatalf("get from node 4: %q, %v", got, err)
 	}
-
-	// Binary node writes, JSON node reads.
-	if err := nodes[0].Put(ctx, 7777, []byte("written-by-binary"), "", ""); err != nil {
-		t.Fatalf("put from binary node: %v", err)
+	if err := nodes[0].Put(ctx, 7777, []byte("written-by-0"), "", ""); err != nil {
+		t.Fatalf("put from node 0: %v", err)
 	}
 	got, err = nodes[3].Get(ctx, 7777)
-	if err != nil || string(got) != "written-by-binary" {
-		t.Fatalf("get from json node: %q, %v", got, err)
+	if err != nil || string(got) != "written-by-0" {
+		t.Fatalf("get from node 3: %q, %v", got, err)
 	}
 
-	// Lookups resolve identically regardless of the asking node's wire.
+	// Lookups resolve identically regardless of the asking node.
 	for key := uint64(0); key < 50; key += 7 {
-		ownerBin, err := nodes[0].Lookup(ctx, key, "")
+		a, err := nodes[0].Lookup(ctx, key, "")
 		if err != nil {
-			t.Fatalf("binary-wire lookup of %d: %v", key, err)
+			t.Fatalf("node 0 lookup of %d: %v", key, err)
 		}
-		ownerJSON, err := nodes[1].Lookup(ctx, key, "")
+		b, err := nodes[1].Lookup(ctx, key, "")
 		if err != nil {
-			t.Fatalf("json-wire lookup of %d: %v", key, err)
+			t.Fatalf("node 1 lookup of %d: %v", key, err)
 		}
-		if ownerBin.ID != ownerJSON.ID {
-			t.Errorf("key %d: binary wire says owner %d, json wire says %d", key, ownerBin.ID, ownerJSON.ID)
+		if a.ID != b.ID {
+			t.Errorf("key %d: node 0 says owner %d, node 1 says %d", key, a.ID, b.ID)
 		}
-	}
-
-	// Binary-mode nodes that talked to each other must have negotiated the
-	// binary wire (both ends are new builds), and every peer a JSON-mode node
-	// dialed stays on the legacy framing by construction.
-	binPeers := 0
-	for _, i := range []int{0, 2, 4} {
-		for _, j := range []int{0, 2, 4} {
-			if i == j {
-				continue
-			}
-			if w := tcps[i].PeerWire(nodes[j].Info().Addr); w == transport.WireBinary {
-				binPeers++
-			} else if w != "" {
-				t.Errorf("binary node %d negotiated %q with binary node %d", i, w, j)
-			}
-		}
-	}
-	if binPeers == 0 {
-		t.Error("no binary-to-binary pair negotiated the binary wire")
 	}
 }

@@ -37,6 +37,7 @@ const (
 	mnReplPushes   = "canon_replica_pushes_total"
 	mnReplFailures = "canon_replica_push_failures_total"
 	mnReplFull     = "canon_replica_full_passes_total"
+	mnLeaveLost    = "canon_leave_handoff_failures_total"
 )
 
 // knownMsgTypes is every wire message type the node itself sends or serves.
@@ -77,12 +78,13 @@ type nodeMetrics struct {
 	antiEntropyPushed *telemetry.Counter
 	antiEntropyPulled *telemetry.Counter
 
-	replicaDirty        *telemetry.Gauge
-	replicaPushChain    *telemetry.Counter
-	replicaPushLevel    *telemetry.Counter
-	replicaPushHandoff  *telemetry.Counter
-	replicaPushFailures *telemetry.Counter
-	replicaFullPasses   *telemetry.Counter
+	replicaDirty         *telemetry.Gauge
+	replicaPushChain     *telemetry.Counter
+	replicaPushLevel     *telemetry.Counter
+	replicaPushHandoff   *telemetry.Counter
+	replicaPushFailures  *telemetry.Counter
+	replicaFullPasses    *telemetry.Counter
+	leaveHandoffFailures *telemetry.Counter
 
 	// answered[l] counts the gets entered at this node that the level-l owner
 	// answered; answeredNone those that found nothing. Both are immutable
@@ -135,6 +137,8 @@ func newNodeMetrics(reg *telemetry.Registry, levels int) *nodeMetrics {
 			"keys a replication round re-queued because a push for them failed"),
 		replicaFullPasses: reg.Counter(mnReplFull,
 			"replication rounds that re-queued every stored key because the node's ring neighbors changed"),
+		leaveHandoffFailures: reg.Counter(mnLeaveLost,
+			"stored records a graceful leave could not hand to their next owner"),
 		sentFixed:     make(map[string]*telemetry.Counter, len(knownMsgTypes)),
 		receivedFixed: make(map[string]*telemetry.Counter, len(knownMsgTypes)),
 		sent:          make(map[string]*telemetry.Counter),

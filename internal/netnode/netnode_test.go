@@ -605,48 +605,3 @@ func TestStatusEndpoint(t *testing.T) {
 		t.Errorf("POST status = %d", postResp.StatusCode)
 	}
 }
-
-func TestOverUDP(t *testing.T) {
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	rng := rand.New(rand.NewSource(12))
-	var nodes []*netnode.Node
-	for i := 0; i < 4; i++ {
-		tr, err := transport.ListenUDP("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		n, err := netnode.New(netnode.Config{
-			Name: "lan/segment", RandomID: true, Rand: rng, Transport: tr,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		contact := ""
-		if i > 0 {
-			contact = nodes[0].Info().Addr
-		}
-		if err := n.Join(ctx, contact); err != nil {
-			t.Fatal(err)
-		}
-		nodes = append(nodes, n)
-	}
-	for r := 0; r < 3; r++ {
-		for _, n := range nodes {
-			n.StabilizeOnce(ctx)
-			n.FixFingers(ctx)
-		}
-	}
-	if err := nodes[0].Put(ctx, 77, []byte("over-udp"), "lan", "lan"); err != nil {
-		t.Fatal(err)
-	}
-	got, err := nodes[2].Get(ctx, 77)
-	if err != nil || string(got) != "over-udp" {
-		t.Fatalf("udp get: %q, %v", got, err)
-	}
-	for _, n := range nodes {
-		if err := n.Close(); err != nil {
-			t.Errorf("close: %v", err)
-		}
-	}
-}

@@ -509,7 +509,8 @@ func (n *Node) Close() error {
 
 // Leave gracefully exits: stored items move to each item's new owner with
 // their versions intact, and neighbors at every level are told to splice
-// the node out. Close follows.
+// the node out. Close follows in every case; a record that could not be
+// handed off is counted and makes Leave return an error saying how many.
 func (n *Node) Leave(ctx context.Context) error {
 	// Snapshot the store first: ForEach holds the store's lock, and the
 	// handoff RPCs below must not run under it.
@@ -525,16 +526,12 @@ func (n *Node) Leave(ctx context.Context) error {
 
 	// Hand every item to the next owner within its home domain (storage
 	// domain for values, access domain for pointer records).
+	lost := 0
 	for _, item := range items {
-		target, err := n.Lookup(ctx, uint64(n.space.Sub(id.ID(n.self.ID), 1)), entryHome(item))
-		if err != nil || target.Addr == n.self.Addr {
-			continue
+		if err := n.handOffLeaving(ctx, item); err != nil {
+			lost++
+			n.m.leaveHandoffFailures.Inc()
 		}
-		req, err := transport.NewMessage(msgStoreV2, reqFromEntry(item, true))
-		if err != nil {
-			continue
-		}
-		_, _ = n.call(ctx, target.Addr, req)
 	}
 	// Tell per-level predecessors we are going, handing them our successor
 	// lists as repair hints.
@@ -549,7 +546,32 @@ func (n *Node) Leave(ctx context.Context) error {
 			_, _ = n.call(ctx, p.Addr, req)
 		}
 	}
-	return n.Close()
+	err = n.Close()
+	if err == nil && lost > 0 {
+		err = fmt.Errorf("netnode: leave: %d of %d stored records were not handed off", lost, len(items))
+	}
+	return err
+}
+
+// handOffLeaving transfers one record to the node that owns its key once
+// this node is gone, and reports why it could not.
+func (n *Node) handOffLeaving(ctx context.Context, item canonstore.Entry) error {
+	target, err := n.Lookup(ctx, uint64(n.space.Sub(id.ID(n.self.ID), 1)), entryHome(item))
+	if err != nil {
+		return err
+	}
+	if target.Addr == n.self.Addr {
+		return fmt.Errorf("netnode: no other node in %q", entryHome(item))
+	}
+	req, err := transport.NewMessage(msgStoreV2, reqFromEntry(item, true))
+	if err != nil {
+		return err
+	}
+	resp, err := n.call(ctx, target.Addr, req)
+	if err != nil {
+		return err
+	}
+	return resp.Err()
 }
 
 // Successors returns a copy of the node's successor list at a level.

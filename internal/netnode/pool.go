@@ -17,12 +17,11 @@ import (
 //     delivers duplicates synchronously, and the mux encodes the body into
 //     the frame before round-tripping), and receiver-side dedup caches only
 //     responses — so once n.call returns, nothing references the request.
-//   - A pooled object is fully zeroed before reuse (putLookupReq). This
-//     matters because JSON decoding does not overwrite fields absent from
-//     the payload: without the zeroing, an untraced request decoded into a
-//     recycled object would inherit the previous request's Trace and Spans.
-//     The pool-reuse fuzzer (FuzzLookupReqPoolReuse) proves no sequence of
-//     decodes leaks spans between requests.
+//   - A pooled object is fully zeroed before reuse (putLookupReq), so what
+//     the pool hands out is indistinguishable from a fresh object whichever
+//     fields its next user sets: no request can inherit the previous one's
+//     Trace and Spans. The pool-reuse fuzzer (FuzzLookupReqPoolReuse) proves
+//     no sequence of decodes leaks spans between requests.
 var lookupReqPool = sync.Pool{
 	New: func() any { return new(lookupReq) },
 }
@@ -45,8 +44,7 @@ func putLookupReq(q *lookupReq) {
 // getReqPool recycles routed-get request objects the same way: a get is the
 // hot key-value message and, like a lookup, carries no payload worth
 // allocating for on every forwarded hop. The same two properties hold — the
-// request is dead once n.call returns, and putGetReq zeroes it because JSON
-// decoding leaves absent (omitempty) fields untouched.
+// request is dead once n.call returns, and putGetReq zeroes it.
 var getReqPool = sync.Pool{
 	New: func() any { return new(getReq) },
 }

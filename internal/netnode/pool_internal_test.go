@@ -1,7 +1,6 @@
 package netnode
 
 import (
-	"encoding/json"
 	"testing"
 
 	"github.com/canon-dht/canon/internal/telemetry"
@@ -10,15 +9,14 @@ import (
 
 // FuzzLookupReqPoolReuse proves the pooling hygiene the forwarding hot path
 // depends on: a lookupReq recycled through the pool carries nothing from its
-// previous life. The dangerous case is JSON decoding, which leaves fields
-// absent from the payload untouched — an unzeroed recycled object would hand
-// an untraced request the previous request's Trace and Spans, leaking route
-// data across lookups (and across tenants, on a shared deployment).
+// previous life — an unzeroed recycled object could hand an untraced request
+// the previous request's Trace and Spans, leaking route data across lookups
+// (and across tenants, on a shared deployment).
 func FuzzLookupReqPoolReuse(f *testing.F) {
-	f.Add(uint64(1), "west/ca", 3, "trace-1", 4, true)
-	f.Add(uint64(0), "", 0, "", 0, false)
-	f.Add(uint64(1<<40), "a/b/c", 511, "t", 16, true)
-	f.Fuzz(func(t *testing.T, key uint64, prefix string, hops int, trace string, spanCount int, viaJSON bool) {
+	f.Add(uint64(1), "west/ca", 3, "trace-1", 4)
+	f.Add(uint64(0), "", 0, "", 0)
+	f.Add(uint64(1<<40), "a/b/c", 511, "t", 16)
+	f.Fuzz(func(t *testing.T, key uint64, prefix string, hops int, trace string, spanCount int) {
 		// A traced hop populates a pooled request and returns it.
 		q := getLookupReq()
 		q.Key, q.Prefix, q.Hops, q.Trace = key, prefix, hops, trace
@@ -37,24 +35,14 @@ func FuzzLookupReqPoolReuse(f *testing.F) {
 		}
 
 		// Decoding an UNtraced request into the recycled object must yield an
-		// untraced request — through both wire codecs.
+		// untraced request.
 		fresh := lookupReq{Key: key, Prefix: prefix, Hops: hops}
-		if viaJSON {
-			raw, err := json.Marshal(fresh)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := json.Unmarshal(raw, q2); err != nil {
-				t.Fatal(err)
-			}
-		} else {
-			msg, err := transport.NewMessage(msgLookup, &fresh)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := msg.Decode(q2); err != nil {
-				t.Fatal(err)
-			}
+		msg, err := transport.NewMessage(msgLookup, &fresh)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := msg.Decode(q2); err != nil {
+			t.Fatal(err)
 		}
 		if q2.Trace != "" || len(q2.Spans) != 0 {
 			t.Fatalf("recycled request leaked trace state: trace=%q spans=%d", q2.Trace, len(q2.Spans))

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -330,6 +331,48 @@ func TestReplicationConcurrentWritesNotLost(t *testing.T) {
 	for k := 1; k <= writers*perWriter; k++ {
 		if key := replNodeID(1) + uint64(k); !holds(pred, key) {
 			t.Fatalf("predecessor lacks key %#x written during the rounds", key)
+		}
+	}
+}
+
+// A graceful leave hands every record to its next owner or says how many it
+// could not: with the next owner partitioned away the leaver still closes,
+// counts each record and returns an error naming the number; healed, the
+// same leave is clean and the next owner holds every key.
+func TestLeaveReportsFailedHandoffs(t *testing.T) {
+	for _, partitioned := range []bool{true, false} {
+		c := newReplCluster(t, 4, 1)
+		leaver, next := c.nodes[2], c.nodes[1]
+		keys := c.putOwned(t, 2, 3)
+		if partitioned {
+			c.faulty[2].Partition(next.self.Addr)
+		}
+		err := leaver.Leave(context.Background())
+		lost := leaver.m.leaveHandoffFailures.Value()
+		leaver.mu.Lock()
+		closed := leaver.closed
+		leaver.mu.Unlock()
+		if !closed {
+			t.Errorf("partitioned=%v: leave did not close the node", partitioned)
+		}
+		if !partitioned {
+			if err != nil || lost != 0 {
+				t.Errorf("clean leave: err %v, %d failures counted", err, lost)
+			}
+			for _, key := range keys {
+				if !holds(next, key) {
+					t.Errorf("clean leave: next owner lacks key %#x", key)
+				}
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), "3 of 3") || lost != 3 {
+			t.Errorf("partitioned leave: err %v, %d failures counted, want an error naming 3 of 3 and 3", err, lost)
+		}
+		for _, key := range keys {
+			if holds(next, key) {
+				t.Errorf("partitioned leave: key %#x reached the partitioned owner", key)
+			}
 		}
 	}
 }

@@ -186,8 +186,7 @@ func (n *Node) storeAt(ctx context.Context, target Info, req storeReq2) error {
 	if err != nil {
 		return fmt.Errorf("netnode: store at %s: %w", target.Addr, err)
 	}
-	var empty struct{}
-	return resp.Decode(&empty)
+	return resp.Err()
 }
 
 // storeLocalV2 writes one entry into the node's storage engine. Version 0

@@ -33,8 +33,8 @@ const (
 	msgLeaving   = "leaving"
 )
 
-// Message types introduced at wire version 2 (docs/WIRE.md): the versioned
-// store and the replica anti-entropy protocol.
+// The versioned store and the replica anti-entropy protocol (docs/WIRE.md
+// §8).
 const (
 	msgStoreV2  = "store2"
 	msgSyncTree = "synctree"
@@ -43,19 +43,19 @@ const (
 	msgRepair   = "repair"
 )
 
-// Message types introduced at wire version 3 (docs/WIRE.md §9): the geometry
-// maintenance protocol — Kandy's bucket-refresh probe and Cacophony's
-// lookahead neighbor exchange. Nodes serve both regardless of their own
-// geometry, so a mixed cluster keeps every side's links fresh.
+// The geometry maintenance protocol (docs/WIRE.md §9): Kandy's
+// bucket-refresh probe and Cacophony's lookahead neighbor exchange. Nodes
+// serve both regardless of their own geometry, so a mixed cluster keeps every
+// side's links fresh.
 const (
 	msgBucketRef = "bucketref"
 	msgLookahead = "lookahead"
 )
 
-// Message types introduced at wire version 4 (docs/WIRE.md §10): the routed
-// key-value operations. One get or put travels the paper's bottom-up route
-// (Section 4.1) node to node and is answered where it lands; they are the
-// only implementation of Get and Put, for nodes and clients alike.
+// The routed key-value operations (docs/WIRE.md §10). One get or put travels
+// the paper's bottom-up route (Section 4.1) node to node and is answered
+// where it lands; they are the only implementation of Get and Put, for nodes
+// and clients alike.
 const (
 	msgGet = "get"
 	msgPut = "put"
@@ -93,45 +93,44 @@ func statusErr(status int) error {
 // forwarding (or answers with the accumulated spans, terminal span
 // included). The span list rides the request clockwise and returns to the
 // originator inside lookupResp, so the route's per-hop evidence — node,
-// domain, routing level, route-arounds — costs no extra messages. Untraced
-// lookups carry neither field on the wire (omitempty).
+// domain, routing level, route-arounds — costs no extra messages.
 type lookupReq struct {
-	Key    uint64 `json:"key"`
-	Prefix string `json:"prefix"`
-	Hops   int    `json:"hops"`
+	Key    uint64
+	Prefix string
+	Hops   int
 	// Trace is the trace identifier; empty means the lookup is untraced.
-	Trace string `json:"trace,omitempty"`
+	Trace string
 	// Spans accumulates one record per hop already taken.
-	Spans []telemetry.Span `json:"spans,omitempty"`
+	Spans []telemetry.Span
 }
 
 type lookupResp struct {
-	Pred Info `json:"pred"`
-	Succ Info `json:"succ"`
-	Hops int  `json:"hops"`
+	Pred Info
+	Succ Info
+	Hops int
 	// Trace and Spans echo a traced request's context with the terminal
 	// span appended; see lookupReq.
-	Trace string           `json:"trace,omitempty"`
-	Spans []telemetry.Span `json:"spans,omitempty"`
+	Trace string
+	Spans []telemetry.Span
 }
 
 // neighborsReq asks for a node's neighbor state at one level.
 type neighborsReq struct {
-	Level int `json:"level"`
+	Level int
 }
 
 type neighborsResp struct {
-	Pred  Info   `json:"pred"`
-	Succs []Info `json:"succs"`
+	Pred  Info
+	Succs []Info
 }
 
 // notifyReq tells a node that From may be its predecessor at Level, or —
 // with AsSuccessor set — that From may be its successor (the paper's eager
 // notification of nodes that would otherwise erroneously skip a joiner).
 type notifyReq struct {
-	Level       int  `json:"level"`
-	From        Info `json:"from"`
-	AsSuccessor bool `json:"asSuccessor,omitempty"`
+	Level       int
+	From        Info
+	AsSuccessor bool
 }
 
 // storeReq2 stores a key-value pair (or a pointer to one) at the receiver,
@@ -141,20 +140,20 @@ type notifyReq struct {
 // handoffs and anti-entropy repairs carry the origin's version verbatim so
 // the record's history survives the transfer.
 type storeReq2 struct {
-	Key     uint64 `json:"key"`
-	Value   []byte `json:"value,omitempty"`
-	Storage string `json:"storage"`
-	Access  string `json:"access"`
+	Key     uint64
+	Value   []byte
+	Storage string
+	Access  string
 	// Pointer, when set, is the node actually holding the value.
-	Pointer Info `json:"pointer,omitempty"`
+	Pointer Info
 	// Replica marks a copy pushed by the key's owner to its successors; the
 	// receiver stores it without re-replicating.
-	Replica bool `json:"replica,omitempty"`
+	Replica bool
 	// Level is the hierarchy level this copy is placed for: the home
 	// domain's depth for primaries and chain replicas, deeper for per-level
 	// copies on nested rings.
-	Level   int    `json:"level"`
-	Version uint64 `json:"version"`
+	Level   int
+	Version uint64
 }
 
 // syncTreeReq asks a replica for its Merkle summary of one sync scope: the
@@ -162,77 +161,76 @@ type storeReq2 struct {
 // clockwise range [Lo, Hi) (Lo == Hi means the whole ring). Both sides
 // compute the scope by the same rule, so the summaries are comparable.
 type syncTreeReq struct {
-	Prefix string `json:"prefix"`
-	Lo     uint64 `json:"lo"`
-	Hi     uint64 `json:"hi"`
+	Prefix string
+	Lo     uint64
+	Hi     uint64
 }
 
 // syncTreeResp is the sealed summary: canonstore.MerkleLeaves leaf digests
 // plus the root folded over them.
 type syncTreeResp struct {
-	Root   uint64   `json:"root"`
-	Leaves []uint64 `json:"leaves"`
+	Root   uint64
+	Leaves []uint64
 }
 
 // syncKeysReq asks for the per-record identities and digests in the listed
 // divergent Merkle buckets of a sync scope.
 type syncKeysReq struct {
-	Prefix  string `json:"prefix"`
-	Lo      uint64 `json:"lo"`
-	Hi      uint64 `json:"hi"`
-	Buckets []int  `json:"buckets"`
+	Prefix  string
+	Lo      uint64
+	Hi      uint64
+	Buckets []int
 }
 
 // syncItem names one stored record and its (Version, Digest) conflict
 // position, without the value bytes — values only travel for records that
 // actually differ.
 type syncItem struct {
-	Key     uint64 `json:"key"`
-	Storage string `json:"storage"`
-	Access  string `json:"access"`
-	Pointer bool   `json:"pointer,omitempty"`
-	Version uint64 `json:"version"`
-	Digest  uint64 `json:"digest"`
+	Key     uint64
+	Storage string
+	Access  string
+	Pointer bool
+	Version uint64
+	Digest  uint64
 }
 
 type syncKeysResp struct {
-	Items []syncItem `json:"items"`
+	Items []syncItem
 }
 
 // syncPullReq retrieves the full entries a peer holds for Key within a sync
 // scope, versions included — the pull half of anti-entropy repair.
 type syncPullReq struct {
-	Prefix string `json:"prefix"`
-	Lo     uint64 `json:"lo"`
-	Hi     uint64 `json:"hi"`
-	Key    uint64 `json:"key"`
+	Prefix string
+	Lo     uint64
+	Hi     uint64
+	Key    uint64
 }
 
 type syncPullResp struct {
-	Entries []storeReq2 `json:"entries"`
+	Entries []storeReq2
 }
 
 // repairResp reports one operator-triggered anti-entropy round (the request
-// carries no body). It is JSON-only on the wire: repair is a rare
-// operations RPC, so it takes no binary codec (docs/WIRE.md allows that).
+// carries no body).
 type repairResp struct {
-	Partners int `json:"partners"`
-	Pushed   int `json:"pushed"`
-	Pulled   int `json:"pulled"`
+	Partners int
+	Pushed   int
+	Pulled   int
 }
 
 // bucketRefReq asks the receiver for the contacts it knows XOR-nearest to
 // Target within the domain named Prefix — Kandy's bucket-refresh probe, the
 // live analog of Kademlia FIND_NODE. The receiver must belong to the domain.
 type bucketRefReq struct {
-	Prefix string `json:"prefix"`
-	Target uint64 `json:"target"`
+	Prefix string
+	Target uint64
 }
 
 // bucketRefResp carries up to bucketRefFanout in-domain contacts, XOR-nearest
 // first.
 type bucketRefResp struct {
-	Contacts []Info `json:"contacts"`
+	Contacts []Info
 }
 
 // lookaheadReq asks the receiver for its lookahead state — per-level first
@@ -240,7 +238,7 @@ type bucketRefResp struct {
 // (Cacophony's neighbor exchange; the sender passes the depth of the lowest
 // common domain, the levels whose rings the two sides share).
 type lookaheadReq struct {
-	Levels int `json:"levels"`
+	Levels int
 }
 
 // lookaheadResp answers with Succs[l] (the receiver's first successor at
@@ -248,24 +246,24 @@ type lookaheadReq struct {
 // 0 when it has no successor list to estimate from) for levels
 // 0..min(Levels, receiver's depth).
 type lookaheadResp struct {
-	Succs []Info   `json:"succs"`
-	Ests  []uint64 `json:"ests"`
+	Succs []Info
+	Ests  []uint64
 }
 
 // fetchReq retrieves values for Key visible to a querier named Origin.
 type fetchReq struct {
-	Key    uint64 `json:"key"`
-	Origin string `json:"origin"`
+	Key    uint64
+	Origin string
 }
 
 type fetchValue struct {
-	Value   []byte `json:"value"`
-	Access  string `json:"access"`
-	Pointer Info   `json:"pointer,omitempty"`
+	Value   []byte
+	Access  string
+	Pointer Info
 }
 
 type fetchResp struct {
-	Values []fetchValue `json:"values"`
+	Values []fetchValue
 }
 
 // getReq is the routed retrieval of Key. A client (or Node.Get) sends only
@@ -275,24 +273,24 @@ type fetchResp struct {
 // is forwarded greedily to the key's owner there, which answers from its
 // store or lowers Level and routes on from where it stands.
 type getReq struct {
-	Key uint64 `json:"key"`
+	Key uint64
 	// Origin is the entry node's domain name: access control is evaluated
 	// for it, and its domain chain is the route.
-	Origin string `json:"origin,omitempty"`
+	Origin string
 	// Level is the depth of the Origin domain being searched.
-	Level int `json:"level,omitempty"`
+	Level int
 	// Hops counts the forwards taken so far; 0 marks the entry node.
-	Hops int `json:"hops,omitempty"`
+	Hops int
 }
 
 // getResp answers a get. Level is the depth of the domain whose owner held
 // the answer (-1 when Status is not statusOK) and Hops the forwards the get
 // took in total, so the entry node can say where the answer came from.
 type getResp struct {
-	Status int    `json:"status"`
-	Value  []byte `json:"value,omitempty"`
-	Level  int    `json:"level"`
-	Hops   int    `json:"hops"`
+	Status int
+	Value  []byte
+	Level  int
+	Hops   int
 }
 
 // putReq is the routed store of one record. The entry node (Hops == 0)
@@ -302,43 +300,43 @@ type getResp struct {
 // only ever set by the entry node, on the second put of an access ⊋ storage
 // write.
 type putReq struct {
-	Key     uint64 `json:"key"`
-	Value   []byte `json:"value,omitempty"`
-	Storage string `json:"storage"`
-	Access  string `json:"access"`
-	Pointer Info   `json:"pointer,omitempty"`
-	Hops    int    `json:"hops,omitempty"`
+	Key     uint64
+	Value   []byte
+	Storage string
+	Access  string
+	Pointer Info
+	Hops    int
 }
 
 // putResp acknowledges a put: with statusOK it is a durability promise from
 // Owner, the node that applied the record (which the entry needs to build
 // the pointer record). Hops is the forwards taken, both records included.
 type putResp struct {
-	Status int  `json:"status"`
-	Owner  Info `json:"owner"`
-	Hops   int  `json:"hops"`
+	Status int
+	Owner  Info
+	Hops   int
 }
 
 // registerReq records From as a live member of the domain named Prefix in
 // the receiver's membership registry.
 type registerReq struct {
-	Prefix string `json:"prefix"`
-	From   Info   `json:"from"`
+	Prefix string
+	From   Info
 }
 
 // membersReq asks for registered members of the domain named Prefix.
 type membersReq struct {
-	Prefix string `json:"prefix"`
+	Prefix string
 }
 
 type membersResp struct {
-	Members []Info `json:"members"`
+	Members []Info
 }
 
 // leavingReq announces a graceful departure at every shared level.
 type leavingReq struct {
-	From  Info   `json:"from"`
-	Succs []Info `json:"succs"` // the leaver's global successor list, as repair hints
+	From  Info
+	Succs []Info // the leaver's global successor list, as repair hints
 }
 
 // components splits a hierarchical name; the root is the empty slice.

@@ -3,7 +3,6 @@ package transport_test
 import (
 	"context"
 	"encoding/binary"
-	"encoding/json"
 	"runtime"
 	"testing"
 
@@ -13,13 +12,13 @@ import (
 // benchBody mirrors the shape of the hot netnode payloads (lookup responses:
 // two node identities plus routing metadata) without importing netnode.
 type benchBody struct {
-	PredID   uint64 `json:"predId"`
-	PredName string `json:"predName"`
-	PredAddr string `json:"predAddr"`
-	SuccID   uint64 `json:"succId"`
-	SuccName string `json:"succName"`
-	SuccAddr string `json:"succAddr"`
-	Hops     int    `json:"hops"`
+	PredID   uint64
+	PredName string
+	PredAddr string
+	SuccID   uint64
+	SuccName string
+	SuccAddr string
+	Hops     int
 }
 
 func (b benchBody) AppendBinary(buf []byte) ([]byte, error) {
@@ -41,8 +40,6 @@ func (b benchBody) AppendBinary(buf []byte) ([]byte, error) {
 	buf = binary.AppendVarint(buf, int64(b.Hops))
 	return buf, nil
 }
-
-func (b benchBody) MarshalBinary() ([]byte, error) { return b.AppendBinary(nil) }
 
 func (b *benchBody) UnmarshalBinary(data []byte) error {
 	u64 := func() uint64 {
@@ -73,25 +70,9 @@ var benchMsgBody = benchBody{
 	Hops: 5,
 }
 
-// BenchmarkEnvelopeEncodeJSON measures the legacy frame body encoding: the
-// full JSON materialization of a typical lookup-response message.
-func BenchmarkEnvelopeEncodeJSON(b *testing.B) {
-	msg, err := transport.NewMessage("lookup", benchMsgBody)
-	if err != nil {
-		b.Fatal(err)
-	}
-	msg.Nonce = "bench-nonce-0001"
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := json.Marshal(msg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkEnvelopeEncodeBinary measures the binary envelope encoding of the
-// same message into a reused buffer — the steady-state mux send path.
+// BenchmarkEnvelopeEncodeBinary measures the envelope encoding of a typical
+// lookup-response message into a reused buffer — the steady-state mux send
+// path.
 func BenchmarkEnvelopeEncodeBinary(b *testing.B) {
 	msg, err := transport.NewMessage("lookup", benchMsgBody)
 	if err != nil {
@@ -107,32 +88,6 @@ func BenchmarkEnvelopeEncodeBinary(b *testing.B) {
 			b.Fatal(err)
 		}
 		buf = enc[:0]
-	}
-}
-
-// BenchmarkEnvelopeDecodeJSON measures legacy decode: frame JSON to Message,
-// then payload JSON to the typed body.
-func BenchmarkEnvelopeDecodeJSON(b *testing.B) {
-	msg, err := transport.NewMessage("lookup", benchMsgBody)
-	if err != nil {
-		b.Fatal(err)
-	}
-	msg.Nonce = "bench-nonce-0001"
-	raw, err := json.Marshal(msg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var m transport.Message
-		if err := json.Unmarshal(raw, &m); err != nil {
-			b.Fatal(err)
-		}
-		var body benchBody
-		if err := m.Decode(&body); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 
@@ -162,11 +117,9 @@ func BenchmarkEnvelopeDecodeBinary(b *testing.B) {
 	}
 }
 
-// benchRoundTrips drives concurrent same-peer RPCs through a client in the
-// given wire mode against a binary-capable server. With 64 concurrent callers
-// this is the ISSUE's headline comparison: 64-deep multiplexing on 2
-// persistent connections versus the legacy pool (cap 4) dialing under churn.
-func benchRoundTrips(b *testing.B, wire string, callers int) {
+// benchRoundTrips drives concurrent same-peer RPCs at one server: with 64
+// callers, 64-deep multiplexing on 2 persistent connections.
+func benchRoundTrips(b *testing.B, callers int) {
 	srv, err := transport.ListenTCP("127.0.0.1:0")
 	if err != nil {
 		b.Fatal(err)
@@ -176,13 +129,13 @@ func benchRoundTrips(b *testing.B, wire string, callers int) {
 		return transport.NewMessage("lookup-reply", benchMsgBody)
 	})
 
-	cli, err := transport.ListenTCPOpts("127.0.0.1:0", transport.TCPOptions{Wire: wire})
+	cli, err := transport.ListenTCP("127.0.0.1:0")
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer cli.Close()
 
-	// Warm the connection path (and, in binary mode, the negotiation cache).
+	// Warm the connection path.
 	warm, _ := transport.NewMessage("lookup", benchMsgBody)
 	if _, err := cli.Call(context.Background(), srv.Addr(), warm); err != nil {
 		b.Fatal(err)
@@ -213,8 +166,5 @@ func benchRoundTrips(b *testing.B, wire string, callers int) {
 	})
 }
 
-func BenchmarkRoundTrip64JSON(b *testing.B)   { benchRoundTrips(b, transport.WireJSON, 64) }
-func BenchmarkRoundTrip64Binary(b *testing.B) { benchRoundTrips(b, transport.WireBinary, 64) }
-
-func BenchmarkRoundTrip1JSON(b *testing.B)   { benchRoundTrips(b, transport.WireJSON, 1) }
-func BenchmarkRoundTrip1Binary(b *testing.B) { benchRoundTrips(b, transport.WireBinary, 1) }
+func BenchmarkRoundTrip64Binary(b *testing.B) { benchRoundTrips(b, 64) }
+func BenchmarkRoundTrip1Binary(b *testing.B)  { benchRoundTrips(b, 1) }

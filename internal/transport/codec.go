@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"encoding"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -12,39 +11,24 @@ import (
 // specification; the values here must never change for a given version.
 const (
 	// muxMagic0/1/2 open the 4-byte connection hello "\xC4CN<version>".
-	// 0xC4 can never begin a legacy JSON frame: legacy frames start with a
-	// 4-byte big-endian length bounded by maxFrameBytes (16 MiB), so their
-	// first byte is 0x00 or 0x01. A legacy server reading the hello as a
-	// length sees ~3.3 GiB, rejects the frame and closes the connection —
-	// which is exactly the downgrade signal a new dialer listens for.
 	muxMagic0 = 0xC4
 	muxMagic1 = 'C'
 	muxMagic2 = 'N'
-	// muxVersion is the highest binary protocol version this build speaks.
-	// The dialer offers its highest; the acceptor replies with
-	// min(offered, own); both sides then speak the replied version. A
-	// dialer therefore accepts any reply from 1 up to its own offer.
-	//
-	// Version 2 changes no framing: it marks the builds that understand
-	// the storage/anti-entropy message types ("store2", "synctree",
-	// "synckeys", "syncpull", "repair") introduced in docs/WIRE.md §v2. A
-	// v1 peer on a negotiated-v1 connection simply never receives them.
-	// Version 3 likewise changes no framing: it marks the builds that
-	// understand the geometry maintenance message types ("bucketref",
-	// "lookahead") introduced in docs/WIRE.md §9, and version 4 the builds
-	// that understand the routed key-value operations ("get", "put") of
-	// docs/WIRE.md §10.
-	muxVersion = 4
+	// muxVersion is the one protocol version this build speaks. Both sides
+	// of a connection state theirs in the handshake and a mismatch ends it:
+	// framing, the envelope and every body layout in docs/WIRE.md belong to
+	// this number, and any change to one of them changes it.
+	muxVersion = 5
 
 	// Frame kinds.
 	frameRequest  = 0x01
 	frameResponse = 0x02
 
 	// Envelope flag bits.
-	envHasNonce      = 1 << 0
-	envHasError      = 1 << 1
-	envHasPayload    = 1 << 2
-	envPayloadBinary = 1 << 3
+	envHasNonce   = 1 << 0
+	envHasError   = 1 << 1
+	envHasPayload = 1 << 2
+	envKnownFlags = envHasNonce | envHasError | envHasPayload
 )
 
 // errBadEnvelope is returned for structurally invalid binary envelopes.
@@ -85,10 +69,10 @@ func appendUvarintString(buf []byte, s string) []byte {
 }
 
 // AppendBinaryMessage appends the canonical binary envelope encoding of msg
-// to buf and returns the extended slice. Bodies implementing BinaryAppender
-// (or encoding.BinaryMarshaler) are encoded in their binary form with the
-// payload-binary flag set; all other payloads are carried as JSON bytes
-// inside the binary envelope. The layout is specified in docs/WIRE.md.
+// to buf and returns the extended slice. The payload is the binary form of
+// msg.Body, or msg.Payload verbatim for a message that was itself decoded
+// from the wire; a Body that is not a BinaryAppender is an encode error. The
+// layout is specified in docs/WIRE.md.
 func AppendBinaryMessage(buf []byte, msg Message) ([]byte, error) {
 	var flags byte
 	if msg.Nonce != "" {
@@ -98,15 +82,12 @@ func AppendBinaryMessage(buf []byte, msg Message) ([]byte, error) {
 		flags |= envHasError
 	}
 
-	// Resolve the payload form first so the flag byte is complete before any
+	// Resolve the payload first so the flag byte is complete before any
 	// variable-length field is written.
-	var (
-		payload     []byte
-		fromBody    bool
-		payloadTmp  *[]byte
-		payloadJSON []byte
-	)
+	payload := msg.Payload
+	var payloadTmp *[]byte
 	switch body := msg.Body.(type) {
+	case nil:
 	case BinaryAppender:
 		tmp := getBuf()
 		enc, err := body.AppendBinary(*tmp)
@@ -115,28 +96,12 @@ func AppendBinaryMessage(buf []byte, msg Message) ([]byte, error) {
 			return nil, fmt.Errorf("transport: binary-marshal %s payload: %w", msg.Type, err)
 		}
 		*tmp = enc
-		payload, payloadTmp, fromBody = enc, tmp, true
-	case encoding.BinaryMarshaler:
-		enc, err := body.MarshalBinary()
-		if err != nil {
-			return nil, fmt.Errorf("transport: binary-marshal %s payload: %w", msg.Type, err)
-		}
-		payload, fromBody = enc, true
+		payload, payloadTmp = enc, tmp
 	default:
-		raw, err := msg.jsonPayload()
-		if err != nil {
-			return nil, err
-		}
-		payloadJSON = raw
+		return nil, fmt.Errorf("transport: %s body %T has no binary codec", msg.Type, body)
 	}
-	if fromBody {
-		flags |= envPayloadBinary
-		if len(payload) > 0 {
-			flags |= envHasPayload
-		}
-	} else if len(payloadJSON) > 0 {
+	if len(payload) > 0 {
 		flags |= envHasPayload
-		payload = payloadJSON
 	}
 
 	buf = append(buf, flags)
@@ -164,6 +129,9 @@ func DecodeBinaryMessage(data []byte) (Message, error) {
 		return Message{}, errBadEnvelope
 	}
 	flags := data[0]
+	if flags&^envKnownFlags != 0 {
+		return Message{}, errBadEnvelope
+	}
 	rest := data[1:]
 
 	readStr := func() (string, error) {
@@ -201,9 +169,6 @@ func DecodeBinaryMessage(data []byte) (Message, error) {
 	}
 	if len(rest) != 0 {
 		return Message{}, errBadEnvelope
-	}
-	if flags&envPayloadBinary != 0 {
-		msg.PayloadCodec = PayloadBinary
 	}
 	return msg, nil
 }

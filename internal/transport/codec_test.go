@@ -9,7 +9,7 @@ import (
 )
 
 // TestBinaryMessageRoundTrip covers the envelope codec across every flag
-// combination: type only, nonce, error, JSON payload, and combinations.
+// combination: type only, nonce, error, payload, and combinations.
 func TestBinaryMessageRoundTrip(t *testing.T) {
 	cases := []transport.Message{
 		{Type: "ping"},
@@ -35,23 +35,18 @@ func TestBinaryMessageRoundTrip(t *testing.T) {
 		if !bytes.Equal(got.Payload, want.Payload) {
 			t.Errorf("round trip of %q changed payload: got %d bytes, want %d", want.Type, len(got.Payload), len(want.Payload))
 		}
-		if got.PayloadCodec != transport.PayloadJSON {
-			t.Errorf("JSON payload decoded with codec %d", got.PayloadCodec)
-		}
 	}
 }
 
-// binBody is a payload implementing the binary codec interfaces, for
-// exercising the payload-binary envelope path without importing netnode.
+// binBody is a fixed-width payload with a strict decoder, for exercising
+// the envelope's body path without importing netnode.
 type binBody struct {
-	X uint32 `json:"x"`
+	X uint32
 }
 
 func (b binBody) AppendBinary(buf []byte) ([]byte, error) {
 	return append(buf, byte(b.X>>24), byte(b.X>>16), byte(b.X>>8), byte(b.X)), nil
 }
-
-func (b binBody) MarshalBinary() ([]byte, error) { return b.AppendBinary(nil) }
 
 func (b *binBody) UnmarshalBinary(data []byte) error {
 	if len(data) != 4 {
@@ -70,7 +65,7 @@ func TestBinaryMessageBinaryBody(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(msg.Payload) != 0 {
-		t.Fatalf("binary-capable body should not be eagerly JSON-encoded, got %q", msg.Payload)
+		t.Fatalf("body should stay unencoded until framed, got %q", msg.Payload)
 	}
 	enc, err := transport.AppendBinaryMessage(nil, msg)
 	if err != nil {
@@ -80,9 +75,6 @@ func TestBinaryMessageBinaryBody(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.PayloadCodec != transport.PayloadBinary {
-		t.Fatalf("payload codec = %d, want binary", got.PayloadCodec)
-	}
 	var out binBody
 	if err := got.Decode(&out); err != nil {
 		t.Fatal(err)
@@ -91,14 +83,19 @@ func TestBinaryMessageBinaryBody(t *testing.T) {
 		t.Errorf("decoded %#x", out.X)
 	}
 
-	// The same message must also render as JSON (lazy materialization) for
-	// legacy connections.
-	var jsonOut binBody
-	if err := msg.Decode(&jsonOut); err != nil {
+	// An in-process delivery decodes the same message straight from Body.
+	var inproc binBody
+	if err := msg.Decode(&inproc); err != nil {
 		t.Fatal(err)
 	}
-	if jsonOut.X != 0xDEADBEEF {
-		t.Errorf("JSON fallback decoded %#x", jsonOut.X)
+	if inproc.X != 0xDEADBEEF {
+		t.Errorf("in-process decode produced %#x", inproc.X)
+	}
+
+	// A relayed message (Payload, no Body) re-encodes to the same bytes.
+	relayed, err := transport.AppendBinaryMessage(nil, got)
+	if err != nil || !bytes.Equal(relayed, enc) {
+		t.Errorf("relayed envelope = % x (err %v), want % x", relayed, err, enc)
 	}
 }
 
@@ -118,5 +115,10 @@ func TestBinaryMessageTruncations(t *testing.T) {
 			// is a bug.
 			t.Errorf("truncation to %d bytes decoded without error", i)
 		}
+	}
+	// A flag bit this version does not define is malformed, not ignored.
+	enc[0] |= 1 << 3
+	if _, err := transport.DecodeBinaryMessage(enc); err == nil {
+		t.Error("envelope with an undefined flag bit decoded without error")
 	}
 }

@@ -1,40 +1,27 @@
 // Package transport provides the message transport used by live Canon nodes
-// (internal/netnode): a request/response abstraction with three
-// implementations — an in-memory bus for tests and simulations, a TCP
-// transport for real deployments, and a retrying UDP transport for
-// low-overhead LAN messaging (paper, Section 3.5).
+// (internal/netnode): a request/response abstraction with two
+// implementations — an in-memory bus for tests and simulations, and a TCP
+// transport for real deployments.
 //
-// # Wire protocols
+// # Wire protocol
 //
-// The TCP transport speaks two wire protocols on the same listening port,
-// distinguished by the first byte a connection carries (docs/WIRE.md is the
-// authoritative specification):
+// The TCP transport speaks one protocol, specified in docs/WIRE.md: two
+// persistent connections per peer, each carrying many concurrent in-flight
+// requests, every frame tagged with a uint64 request ID. Envelopes use a
+// compact binary encoding with varint lengths, and every body travels in the
+// binary form its BinaryAppender produces and its encoding.BinaryUnmarshaler
+// reads back; a body with no such codec is an encode error. Encode buffers
+// are sync.Pool-recycled.
 //
-//   - Binary mux (preferred): one persistent connection per peer (default 2)
-//     carries many concurrent in-flight requests, each frame tagged with a
-//     uint64 request ID. Envelopes use a compact binary encoding with varint
-//     lengths; bodies that implement BinaryAppender/encoding.BinaryMarshaler
-//     (the hot netnode payloads: lookup, store, fetch, ping) are encoded in
-//     their canonical binary form, everything else rides as JSON inside the
-//     binary envelope. Encode buffers are sync.Pool-recycled.
-//
-//   - Legacy JSON (fallback): one request/response per connection at a time,
-//     4-byte big-endian length prefix followed by the envelope as a JSON
-//     object. Connections are pooled per peer and carry one call each.
-//
-// A dialing node always tries the binary handshake first (unless configured
-// -wire=json) and downgrades automatically when the peer closes the
-// connection on the unrecognized magic, so mixed-version clusters
-// interoperate without configuration. The serving side sniffs the first byte
-// of every accepted connection and serves whichever protocol the dialer
-// chose.
+// A connection opens with a 4-byte hello carrying the one wire version this
+// build speaks. The acceptor answers with its own; a mismatch on either side
+// closes the connection (the dialer reports both numbers), and an accepted
+// connection that does not open with the hello is closed and counted.
 //
 // # Composition
 //
 // Faulty (deterministic fault injection + nonce dedup) and Instrumented
-// (wire-level telemetry) wrap any Transport, in any order, and compose
-// unchanged with both wire protocols: they operate on Message values, which
-// carry their typed Body alongside the encoded Payload, so a message crossing
-// a binary connection is encoded from Body while the same message crossing a
-// JSON connection materializes JSON — no wrapper ever needs to know which.
+// (wire-level telemetry) wrap any Transport, in any order: they operate on
+// Message values, which carry their typed Body until a connection frames
+// them, so the in-memory bus and TCP deliver identical semantics.
 package transport

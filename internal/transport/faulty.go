@@ -49,7 +49,7 @@ type FaultStats struct {
 	HandlerCalls int64 // incoming requests actually handed to the handler
 }
 
-// Faulty wraps any Transport (in-memory, TCP, UDP) and injects deterministic,
+// Faulty wraps any Transport (in-memory, TCP) and injects deterministic,
 // seeded faults on the send path: drops, delays, duplicates and partitions,
 // configurable per destination peer. On the serve path it deduplicates
 // requests by Message.Nonce, giving at-most-once handler execution under

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -31,7 +32,7 @@ func schedule(t *testing.T, seed int64, def transport.Faults, n int) []bool {
 	src, _, _ := echoPair(seed, def)
 	out := make([]bool, n)
 	for i := range out {
-		msg, err := transport.NewMessage("echo", map[string]int{"i": i})
+		msg, err := transport.NewMessage("echo", echoBody{Text: strconv.Itoa(i)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,7 +118,7 @@ func TestFaultyPartitionHeals(t *testing.T) {
 
 func TestFaultyDuplicateDoesNotDoubleApply(t *testing.T) {
 	src, dst, handled := echoPair(5, transport.Faults{Dup: 1.0})
-	msg, err := transport.NewMessage("echo", map[string]string{"k": "v"})
+	msg, err := transport.NewMessage("echo", echoBody{Text: "v"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +199,7 @@ func TestDedupHandlerReplaysCachedResponse(t *testing.T) {
 	var runs int64
 	h := transport.DedupHandler(func(_ context.Context, _ string, msg transport.Message) (transport.Message, error) {
 		n := atomic.AddInt64(&runs, 1)
-		return transport.NewMessage("resp", map[string]int64{"run": n})
+		return transport.NewMessage("resp", echoBody{Text: strconv.FormatInt(n, 10)})
 	}, 8)
 	ctx := context.Background()
 	first, err := h(ctx, "x", transport.Message{Type: "q", Nonce: "n1"})
@@ -212,8 +213,15 @@ func TestDedupHandlerReplaysCachedResponse(t *testing.T) {
 	if atomic.LoadInt64(&runs) != 1 {
 		t.Fatalf("handler ran %d times for one nonce, want 1", runs)
 	}
-	if string(first.Payload) != string(second.Payload) {
-		t.Fatalf("replayed response differs: %s vs %s", first.Payload, second.Payload)
+	var a, b echoBody
+	if err := first.Decode(&a); err != nil {
+		t.Fatal(err)
+	}
+	if err := second.Decode(&b); err != nil {
+		t.Fatal(err)
+	}
+	if a.Text != "1" || b.Text != "1" {
+		t.Fatalf("replayed response differs: %q vs %q, want the first run's", a.Text, b.Text)
 	}
 	if _, err := h(ctx, "x", transport.Message{Type: "q", Nonce: "n2"}); err != nil {
 		t.Fatal(err)
@@ -241,14 +249,15 @@ func TestFaultyWrapsTCP(t *testing.T) {
 	}
 	cli := transport.NewFaulty(cliInner, 4, transport.Faults{})
 	defer cli.Close()
-	msg, _ := transport.NewMessage("echo", map[string]string{"over": "tcp"})
+	msg, _ := transport.NewMessage("echo", echoBody{Text: "over tcp"})
 	msg.Nonce = "tcp-1"
 	resp, err := cli.Call(context.Background(), srv.Addr(), msg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(resp.Payload) != string(msg.Payload) {
-		t.Fatalf("echo mismatch: %s", resp.Payload)
+	var out echoBody
+	if err := resp.Decode(&out); err != nil || out.Text != "over tcp" {
+		t.Fatalf("echo mismatch: %q, err %v", out.Text, err)
 	}
 	cli.Partition(srv.Addr())
 	if _, err := cli.Call(context.Background(), srv.Addr(), msg); !errors.Is(err, transport.ErrInjectedFault) {

@@ -1,12 +1,10 @@
 package transport_test
 
 import (
-	"bytes"
 	"context"
-	"encoding/binary"
-	"encoding/json"
 	"io"
 	"net"
+	"reflect"
 	"testing"
 	"time"
 
@@ -46,86 +44,73 @@ func TestEnvelopeSchemaSeedDecodes(t *testing.T) {
 
 // FuzzMessageDecode ensures arbitrary payload bytes never panic Decode.
 func FuzzMessageDecode(f *testing.F) {
-	f.Add([]byte(`{"x":1}`))
 	f.Add([]byte(``))
-	f.Add([]byte(`null`))
-	f.Add([]byte(`[1,2,3]`))
+	f.Add([]byte{0xde, 0xad, 0xbe, 0xef})
 	f.Add([]byte("\x00\xff\xfe"))
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		msg := transport.Message{Type: "fuzz", Payload: payload}
-		var out map[string]any
-		_ = msg.Decode(&out) // must not panic
-		var s struct {
-			X int `json:"x"`
+		var strict binBody
+		_ = msg.Decode(&strict) // must not panic
+		var loose echoBody
+		if err := msg.Decode(&loose); err != nil || loose.Text != string(payload) {
+			t.Errorf("payload %q decoded to %q, err %v", payload, loose.Text, err)
 		}
-		_ = msg.Decode(&s)
+		var plain struct{ X int }
+		if msg.Decode(&plain) == nil {
+			t.Error("Decode into a value with no binary codec succeeded")
+		}
 	})
 }
 
-// FuzzBinaryJSONDifferential round-trips the same message through both wire
-// codecs — the binary envelope and the legacy JSON framing — and requires
-// them to agree on every header field and payload byte. Payload bytes are
-// JSON-quoted first so the legacy path (which requires valid JSON) can carry
-// arbitrary fuzzed content.
-func FuzzBinaryJSONDifferential(f *testing.F) {
-	f.Add("lookup", "nonce-1", "", []byte("hello"), true)
-	f.Add("", "", "remote boom", []byte{}, false)
-	f.Add("t", "n", "e", []byte{0x00, 0xff, 0xc4, 'C', 'N'}, true)
-	f.Fuzz(func(t *testing.T, msgType, nonce, errStr string, payload []byte, hasPayload bool) {
-		msg := transport.Message{Type: msgType, Nonce: nonce, Error: errStr}
-		if hasPayload {
-			quoted, err := json.Marshal(string(payload))
+// FuzzEnvelopeRoundTrip requires decode(encode(x)) to equal x for every
+// envelope the fuzzer can build — arbitrary bytes in every field, strings
+// that are not UTF-8 included — whether the payload is framed from a typed
+// Body or relayed as raw Payload bytes.
+func FuzzEnvelopeRoundTrip(f *testing.F) {
+	f.Add("lookup", "nonce-1", "", []byte("hello"))
+	f.Add("", "", "remote boom", []byte{})
+	f.Add("t\xff", "n\xc4", "e\x80", []byte{0x00, 0xff, 0xc4, 'C', 'N'})
+	f.Fuzz(func(t *testing.T, msgType, nonce, errStr string, payload []byte) {
+		want := transport.Message{Type: msgType, Nonce: nonce, Error: errStr}
+		if len(payload) > 0 {
+			want.Payload = payload
+		}
+		for _, in := range []transport.Message{
+			want,
+			{Type: msgType, Nonce: nonce, Error: errStr, Body: rawBinary(payload)},
+		} {
+			enc, err := transport.AppendBinaryMessage(nil, in)
 			if err != nil {
-				t.Skip("unquotable payload")
+				t.Fatalf("encode: %v", err)
 			}
-			msg.Payload = quoted
-		}
-
-		// Binary envelope round trip.
-		enc, err := transport.AppendBinaryMessage(nil, msg)
-		if err != nil {
-			t.Fatalf("binary encode: %v", err)
-		}
-		binOut, err := transport.DecodeBinaryMessage(enc)
-		if err != nil {
-			t.Fatalf("binary decode of own encoding: %v", err)
-		}
-
-		// Legacy JSON round trip.
-		raw, err := json.Marshal(msg)
-		if err != nil {
-			t.Fatalf("json encode: %v", err)
-		}
-		var jsonOut transport.Message
-		if err := json.Unmarshal(raw, &jsonOut); err != nil {
-			t.Fatalf("json decode of own encoding: %v", err)
-		}
-
-		if binOut.Type != jsonOut.Type || binOut.Nonce != jsonOut.Nonce || binOut.Error != jsonOut.Error {
-			t.Errorf("codecs disagree on headers:\n  binary: %+v\n  json:   %+v", binOut, jsonOut)
-		}
-		if !bytes.Equal(binOut.Payload, jsonOut.Payload) {
-			t.Errorf("codecs disagree on payload: binary %q vs json %q", binOut.Payload, jsonOut.Payload)
+			got, err := transport.DecodeBinaryMessage(enc)
+			if err != nil {
+				t.Fatalf("decode of own encoding: %v", err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("round trip changed the envelope:\n  in:  %+v\n  out: %+v", want, got)
+			}
 		}
 	})
 }
 
-// rawBinary re-encodes already-binary payload bytes verbatim, standing in
-// for the typed Body a decoded envelope no longer has.
+// rawBinary is a Body whose binary form is its own bytes.
 type rawBinary []byte
 
 func (r rawBinary) AppendBinary(buf []byte) ([]byte, error) { return append(buf, r...), nil }
 
 // FuzzBinaryMessageDecode ensures arbitrary envelope bytes never panic the
-// binary decoder, and that anything it accepts re-encodes losslessly.
+// decoder, and that anything it accepts re-encodes to bytes that decode to
+// the same value.
 func FuzzBinaryMessageDecode(f *testing.F) {
 	if enc, err := transport.AppendBinaryMessage(nil, transport.Message{
-		Type: "seed", Nonce: "n", Error: "e", Payload: []byte(`{"x":1}`),
+		Type: "seed", Nonce: "n", Error: "e", Payload: []byte{1, 2, 3},
 	}); err == nil {
 		f.Add(enc)
 	}
 	f.Add([]byte{})
-	f.Add([]byte{0x0f, 0x01, 'a'})
+	f.Add([]byte{0x07, 0x01, 'a'})
+	f.Add([]byte{0x0f, 0x01, 'a'}) // an undefined flag bit
 	f.Add([]byte{0xff, 0xff, 0xff})
 	f.Add(envelopeSchemaSeed(f))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -133,16 +118,7 @@ func FuzzBinaryMessageDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
-		// Accepted envelopes must survive a second round trip unchanged. A
-		// decoded binary payload carries no typed Body, and the codec
-		// (deliberately) refuses to re-encode without one — stand in the raw
-		// bytes, which is what a relaying transport would forward.
-		reencIn := msg
-		if msg.PayloadCodec == transport.PayloadBinary {
-			reencIn.Body = rawBinary(msg.Payload)
-			reencIn.Payload = nil
-		}
-		reenc, err := transport.AppendBinaryMessage(nil, reencIn)
+		reenc, err := transport.AppendBinaryMessage(nil, msg)
 		if err != nil {
 			t.Fatalf("re-encode of accepted envelope: %v", err)
 		}
@@ -150,7 +126,7 @@ func FuzzBinaryMessageDecode(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-decode: %v", err)
 		}
-		if again.Type != msg.Type || again.Nonce != msg.Nonce || again.Error != msg.Error || !bytes.Equal(again.Payload, msg.Payload) {
+		if !reflect.DeepEqual(again, msg) {
 			t.Errorf("unstable round trip: %+v vs %+v", msg, again)
 		}
 	})
@@ -174,7 +150,7 @@ func FuzzMuxFrame(f *testing.F) {
 	f.Add(good)
 	f.Add([]byte{0x02, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0x00})    // response kind at server
 	f.Add([]byte{0x01, 0, 0, 0, 0, 0, 0, 0, 1, 0xff, 0xff}) // absurd length varint
-	f.Add([]byte{0xc4, 'C', 'N', 1})                        // a second hello mid-stream
+	f.Add([]byte{0xc4, 'C', 'N', wireVersion})              // a second hello mid-stream
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		conn, err := net.DialTimeout("tcp", srv.Addr(), time.Second)
 		if err != nil {
@@ -182,7 +158,7 @@ func FuzzMuxFrame(f *testing.F) {
 		}
 		defer conn.Close()
 		_ = conn.SetDeadline(time.Now().Add(500 * time.Millisecond))
-		if _, err := conn.Write([]byte{0xc4, 'C', 'N', 1}); err != nil {
+		if _, err := conn.Write([]byte{0xc4, 'C', 'N', wireVersion}); err != nil {
 			t.Skip("handshake write failed")
 		}
 		var accept [4]byte
@@ -192,40 +168,5 @@ func FuzzMuxFrame(f *testing.F) {
 		_, _ = conn.Write(raw)
 		buf := make([]byte, 1024)
 		_, _ = conn.Read(buf) // response, close or timeout; all fine
-	})
-}
-
-// FuzzTCPFrame throws raw bytes at a live TCP server: malformed frames must
-// be rejected without panics, hangs or resource leaks.
-func FuzzTCPFrame(f *testing.F) {
-	srv, err := transport.ListenTCP("127.0.0.1:0")
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Cleanup(func() { _ = srv.Close() })
-	srv.Serve(func(_ context.Context, _ string, msg transport.Message) (transport.Message, error) {
-		return msg, nil
-	})
-
-	good := func(body string) []byte {
-		var hdr [4]byte
-		binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
-		return append(hdr[:], body...)
-	}
-	f.Add(good(`{"type":"echo"}`))
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff})           // absurd length
-	f.Add([]byte{0, 0, 0, 5, 'h', 'i'})             // truncated body
-	f.Add([]byte{0, 0, 0, 2, '{', '}', 0, 0, 0, 0}) // frame + empty frame
-
-	f.Fuzz(func(t *testing.T, raw []byte) {
-		conn, err := net.DialTimeout("tcp", srv.Addr(), time.Second)
-		if err != nil {
-			t.Skip("dial failed")
-		}
-		defer conn.Close()
-		_ = conn.SetDeadline(time.Now().Add(500 * time.Millisecond))
-		_, _ = conn.Write(raw)
-		buf := make([]byte, 1024)
-		_, _ = conn.Read(buf) // response or error; either is fine
 	})
 }

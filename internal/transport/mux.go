@@ -13,12 +13,9 @@ import (
 	"time"
 )
 
-// errDowngrade is the internal signal that a dialed peer does not speak the
-// binary mux protocol: it closed (or answered garbage to) the connection
-// hello, which is exactly what a legacy JSON-framing node does when it reads
-// the hello as an absurd frame length. The caller falls back to JSON framing
-// and caches the decision for the peer.
-var errDowngrade = errors.New("transport: peer speaks legacy JSON framing")
+// errFrameTooLarge rejects an envelope beyond maxFrameBytes, on either side
+// of a connection.
+var errFrameTooLarge = errors.New("transport: frame too large")
 
 // muxReply is one response delivered to a waiting caller.
 type muxReply struct {
@@ -48,9 +45,9 @@ type muxConn struct {
 	br *bufio.Reader // owned by readLoop after the handshake
 }
 
-// dialMux establishes a binary mux connection to addr: dial, 4-byte hello,
-// 4-byte accept. A peer that closes the connection instead of accepting is a
-// legacy JSON node — the error is errDowngrade and the caller falls back.
+// dialMux establishes a mux connection to addr: dial, 4-byte hello, 4-byte
+// accept. The acceptor answers with its own version; anything but this
+// build's is a refusal, reported with both numbers.
 func (t *TCP) dialMux(ctx context.Context, addr string) (*muxConn, error) {
 	d := net.Dialer{Timeout: defaultDialTimeout}
 	c, err := d.DialContext(ctx, "tcp", addr)
@@ -71,27 +68,16 @@ func (t *TCP) dialMux(ctx context.Context, addr string) (*muxConn, error) {
 	var accept [4]byte
 	if _, err := io.ReadFull(br, accept[:]); err != nil {
 		_ = c.Close()
-		var nerr net.Error
-		if errors.As(err, &nerr) && nerr.Timeout() {
-			// A live binary peer answers immediately; a silent peer is slow
-			// or dead, not provably legacy — surface the failure instead of
-			// caching a wrong downgrade.
-			return nil, fmt.Errorf("%w: handshake read from %s: %v", ErrUnreachable, addr, err)
-		}
-		// Connection closed on the hello: the legacy downgrade signal.
-		return nil, errDowngrade
+		return nil, fmt.Errorf("%w: handshake read from %s: %v", ErrUnreachable, addr, err)
 	}
 	if accept[0] != muxMagic0 || accept[1] != muxMagic1 || accept[2] != muxMagic2 {
 		_ = c.Close()
-		return nil, errDowngrade
+		return nil, fmt.Errorf("%w: %s did not answer the mux hello", ErrUnreachable, addr)
 	}
-	// The acceptor replies min(offered, own): anything from 1 to our own
-	// offer is a legal downgrade (an older peer), higher is a protocol
-	// violation. The negotiated version only gates which message types the
-	// layers above may send — framing is identical across versions.
-	if accept[3] == 0 || accept[3] > muxVersion {
+	if accept[3] != muxVersion {
 		_ = c.Close()
-		return nil, fmt.Errorf("%w: %s negotiated unsupported wire version %d", ErrUnreachable, addr, accept[3])
+		return nil, fmt.Errorf("%w: %s speaks wire version %d, this node speaks %d",
+			ErrUnreachable, addr, accept[3], muxVersion)
 	}
 	_ = c.SetDeadline(time.Time{})
 	mc := &muxConn{
@@ -163,7 +149,7 @@ func (mc *muxConn) writeFrame(ctx context.Context, kind byte, id uint64, msg Mes
 	}
 	*buf = env
 	if len(env) > maxFrameBytes {
-		return errors.New("transport: frame too large")
+		return errFrameTooLarge
 	}
 	var hdr [1 + 8 + binary.MaxVarintLen64]byte
 	hdr[0] = kind
@@ -242,16 +228,7 @@ func (mc *muxConn) readLoop() {
 		if ch == nil {
 			continue // caller gave up (context expiry); drop the late response
 		}
-		if derr != nil {
-			ch <- muxReply{err: derr}
-			continue
-		}
-		if msg.PayloadCodec == PayloadBinary {
-			mc.t.metrics.payloads(codecBinaryLabel).Inc()
-		} else {
-			mc.t.metrics.payloads(codecJSONLabel).Inc()
-		}
-		ch <- muxReply{msg: msg}
+		ch <- muxReply{msg: msg, err: derr}
 	}
 }
 
@@ -301,7 +278,7 @@ func readMuxFrame(br *bufio.Reader, scratch *[]byte) (kind byte, id uint64, env 
 		return 0, 0, nil, err
 	}
 	if n > maxFrameBytes {
-		return 0, 0, nil, errors.New("transport: frame too large")
+		return 0, 0, nil, errFrameTooLarge
 	}
 	if uint64(cap(*scratch)) < n {
 		*scratch = make([]byte, n)
@@ -313,28 +290,30 @@ func readMuxFrame(br *bufio.Reader, scratch *[]byte) (kind byte, id uint64, env 
 	return kind, id, *scratch, nil
 }
 
-// serveMux serves one accepted binary-mux connection: it completes the
-// handshake (the magic byte has been sniffed but not consumed), then reads
+// acceptMux completes the acceptor's half of the handshake: it reads the
+// 4-byte hello and, when that is a mux hello, answers with this build's
+// version. It reports whether the connection may carry frames — the dialer
+// offered the same version — and otherwise leaves the caller to close it.
+func (t *TCP) acceptMux(c net.Conn, br *bufio.Reader) bool {
+	var hello [4]byte
+	if _, err := io.ReadFull(br, hello[:]); err != nil {
+		return false
+	}
+	if hello[0] != muxMagic0 || hello[1] != muxMagic1 || hello[2] != muxMagic2 {
+		return false
+	}
+	accept := [4]byte{muxMagic0, muxMagic1, muxMagic2, muxVersion}
+	if _, err := c.Write(accept[:]); err != nil {
+		return false
+	}
+	return hello[3] == muxVersion
+}
+
+// serveMux serves one accepted mux connection after the handshake: it reads
 // request frames and runs each handler in its own goroutine so many requests
 // from the same peer proceed concurrently. Responses are written back under
 // a per-connection write lock, tagged with the request's ID.
 func (t *TCP) serveMux(c net.Conn, br *bufio.Reader) {
-	var hello [4]byte
-	if _, err := io.ReadFull(br, hello[:]); err != nil {
-		return
-	}
-	if hello[1] != muxMagic1 || hello[2] != muxMagic2 || hello[3] == 0 {
-		return // bad magic or version 0: not ours
-	}
-	ver := hello[3]
-	if ver > muxVersion {
-		ver = muxVersion
-	}
-	accept := [4]byte{muxMagic0, muxMagic1, muxMagic2, ver}
-	if _, err := c.Write(accept[:]); err != nil {
-		return
-	}
-
 	// Responses share one write lock and one queued-writer counter: like the
 	// client side, concurrent responses to the same peer coalesce into one
 	// flush (see flushCoalesced).
@@ -355,11 +334,6 @@ func (t *TCP) serveMux(c net.Conn, br *bufio.Reader) {
 			t.wg.Add(1)
 			go t.writeMuxResponse(w, id, ErrorMessage(derr))
 			continue
-		}
-		if msg.PayloadCodec == PayloadBinary {
-			t.metrics.payloads(codecBinaryLabel).Inc()
-		} else {
-			t.metrics.payloads(codecJSONLabel).Inc()
 		}
 		t.wg.Add(1)
 		go t.serveMuxRequest(w, id, msg)
@@ -404,18 +378,19 @@ func (t *TCP) writeMuxResponse(w *muxServerWriter, id uint64, resp Message) {
 	buf := getBuf()
 	defer putBuf(buf)
 	env, err := AppendBinaryMessage(*buf, resp)
+	if err == nil && len(env) > maxFrameBytes {
+		err = errors.New("transport: response too large")
+	}
 	if err != nil {
-		// The response body failed to encode; degrade to an error envelope
-		// so the caller is unblocked rather than timing out.
+		// The response cannot be sent as it is; an error envelope under the
+		// same request ID unblocks the caller rather than leaving it to wait
+		// out its deadline.
 		env, err = AppendBinaryMessage(*buf, ErrorMessage(err))
 		if err != nil {
 			return
 		}
 	}
 	*buf = env
-	if len(env) > maxFrameBytes {
-		return
-	}
 	var hdr [1 + 8 + binary.MaxVarintLen64]byte
 	hdr[0] = frameResponse
 	binary.BigEndian.PutUint64(hdr[1:9], id)

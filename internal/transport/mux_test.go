@@ -1,14 +1,12 @@
 package transport_test
 
 import (
-	"bufio"
 	"context"
-	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -17,8 +15,8 @@ import (
 	"github.com/canon-dht/canon/internal/transport"
 )
 
-// newTCPPair returns a served binary-capable server and a binary-mode client
-// whose mux metrics land in the returned registry.
+// newTCPPair returns a served server and a client whose mux metrics land in
+// the returned registry.
 func newTCPPair(t *testing.T, h transport.Handler) (*transport.TCP, *transport.TCP, *telemetry.Registry) {
 	t.Helper()
 	srv, err := transport.ListenTCP("127.0.0.1:0")
@@ -38,9 +36,8 @@ func newTCPPair(t *testing.T, h transport.Handler) (*transport.TCP, *transport.T
 }
 
 // TestMuxConcurrentInFlight drives 64 concurrent callers at one peer over the
-// binary mux wire and checks that every response reaches its caller untangled,
-// that the peer negotiated binary, and that the connection count stayed at the
-// configured ConnsPerPeer (multiplexing, not conn-per-call).
+// mux and checks that every response reaches its caller untangled and that the
+// connection count stayed at two per peer (multiplexing, not conn-per-call).
 func TestMuxConcurrentInFlight(t *testing.T) {
 	srv, cli, reg := newTCPPair(t, echoHandler)
 
@@ -76,11 +73,8 @@ func TestMuxConcurrentInFlight(t *testing.T) {
 		t.Error(err)
 	}
 
-	if w := cli.PeerWire(srv.Addr()); w != transport.WireBinary {
-		t.Errorf("negotiated wire = %q, want %q", w, transport.WireBinary)
-	}
 	if dials := reg.CounterValue("canon_transport_mux_dials_total"); dials > 2 {
-		t.Errorf("dials = %d, want <= ConnsPerPeer (2): calls must multiplex", dials)
+		t.Errorf("dials = %d, want <= 2 per peer: calls must multiplex", dials)
 	}
 	if reuse := reg.CounterValue("canon_transport_mux_conn_reuse_total"); reuse == 0 {
 		t.Error("conn reuse counter stayed 0 across 512 calls")
@@ -92,185 +86,49 @@ func TestMuxConcurrentInFlight(t *testing.T) {
 	}
 }
 
-// runLegacyJSONServer hand-rolls a pre-mux peer: length-prefixed JSON frames
-// only, oversized frame lengths rejected by closing the connection. New builds
-// always sniff both protocols, so simulating an old build requires going
-// straight to the socket.
-func runLegacyJSONServer(t *testing.T) string {
-	t.Helper()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = l.Close() })
-	go func() {
-		for {
-			c, err := l.Accept()
-			if err != nil {
-				return
-			}
-			go func(c net.Conn) {
-				defer c.Close()
-				br := bufio.NewReader(c)
-				for {
-					var hdr [4]byte
-					if _, err := io.ReadFull(br, hdr[:]); err != nil {
-						return
-					}
-					n := binary.BigEndian.Uint32(hdr[:])
-					if n > 16<<20 {
-						// The mux hello decodes as a ~3.3 GiB length; an old
-						// build rejects it and closes — the downgrade signal.
-						return
-					}
-					raw := make([]byte, n)
-					if _, err := io.ReadFull(br, raw); err != nil {
-						return
-					}
-					var msg transport.Message
-					if err := json.Unmarshal(raw, &msg); err != nil {
-						return
-					}
-					resp, err := json.Marshal(transport.Message{Type: "legacy-reply", Payload: msg.Payload})
-					if err != nil {
-						return
-					}
-					var rh [4]byte
-					binary.BigEndian.PutUint32(rh[:], uint32(len(resp)))
-					if _, err := c.Write(append(rh[:], resp...)); err != nil {
-						return
-					}
-				}
-			}(c)
-		}
-	}()
-	return l.Addr().String()
-}
-
-// TestMuxDowngradeToLegacyPeer dials a hand-rolled legacy JSON server with a
-// binary-mode client: the rejected hello must downgrade the peer to JSON
-// framing (once — the decision is cached) and calls must succeed.
-func TestMuxDowngradeToLegacyPeer(t *testing.T) {
-	addr := runLegacyJSONServer(t)
-
-	reg := telemetry.NewRegistry()
-	cli, err := transport.ListenTCPOpts("127.0.0.1:0", transport.TCPOptions{Telemetry: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
-
-	for i := 0; i < 3; i++ {
-		msg, _ := transport.NewMessage("echo", echoBody{Text: fmt.Sprintf("legacy%d", i)})
-		resp, err := cli.Call(context.Background(), addr, msg)
-		if err != nil {
-			t.Fatalf("call %d through downgraded wire: %v", i, err)
-		}
-		if resp.Type != "legacy-reply" {
-			t.Fatalf("call %d: response type %q", i, resp.Type)
-		}
-		var out echoBody
-		if err := resp.Decode(&out); err != nil {
-			t.Fatal(err)
-		}
-		if want := fmt.Sprintf("legacy%d", i); out.Text != want {
-			t.Errorf("call %d echoed %q, want %q", i, out.Text, want)
-		}
-	}
-	if w := cli.PeerWire(addr); w != transport.WireJSON {
-		t.Errorf("negotiated wire = %q, want %q", w, transport.WireJSON)
-	}
-	if n := reg.CounterValue("canon_transport_mux_downgrades_total"); n != 1 {
-		t.Errorf("downgrades = %d, want exactly 1 (the decision is cached)", n)
-	}
-}
-
-// TestMuxJSONModeClient forces a client to legacy JSON framing against a
-// binary-capable server: the server must sniff and serve the old protocol.
-func TestMuxJSONModeClient(t *testing.T) {
-	srv, err := transport.ListenTCP("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	srv.Serve(echoHandler)
-
-	cli, err := transport.ListenTCPOpts("127.0.0.1:0", transport.TCPOptions{Wire: transport.WireJSON})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
-
-	msg, _ := transport.NewMessage("echo", echoBody{Text: "old-school"})
-	resp, err := cli.Call(context.Background(), srv.Addr(), msg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out echoBody
-	if err := resp.Decode(&out); err != nil {
-		t.Fatal(err)
-	}
-	if out.Text != "echo:old-school" {
-		t.Errorf("got %q", out.Text)
-	}
-}
-
-// TestMuxBinaryBodyPayload sends a BinaryAppender body over the mux and checks
-// the payload traveled in binary form both ways (request decoded by the
-// handler, response decoded by the caller), with the codec counters agreeing.
-func TestMuxBinaryBodyPayload(t *testing.T) {
+// TestMuxResponseTooLarge has the handler return a body beyond the frame
+// bound: the caller must get an error envelope under its request ID promptly,
+// not wait out its deadline, and the connection must stay usable.
+func TestMuxResponseTooLarge(t *testing.T) {
 	h := func(_ context.Context, _ string, msg transport.Message) (transport.Message, error) {
-		if msg.PayloadCodec != transport.PayloadBinary {
-			return transport.Message{}, fmt.Errorf("request payload codec = %d, want binary", msg.PayloadCodec)
-		}
-		var in binBody
+		var in echoBody
 		if err := msg.Decode(&in); err != nil {
 			return transport.Message{}, err
 		}
-		return transport.NewMessage("bin-reply", binBody{X: in.X + 1})
-	}
-	srv, cli, reg := newTCPPair(t, h)
-
-	msg, err := transport.NewMessage("bin", binBody{X: 41})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := cli.Call(context.Background(), srv.Addr(), msg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.PayloadCodec != transport.PayloadBinary {
-		t.Fatalf("response payload codec = %d, want binary", resp.PayloadCodec)
-	}
-	var out binBody
-	if err := resp.Decode(&out); err != nil {
-		t.Fatal(err)
-	}
-	if out.X != 42 {
-		t.Errorf("round trip produced %d, want 42", out.X)
-	}
-	if n := reg.CounterValue("canon_transport_mux_codec_payloads_total", telemetry.L("codec", "binary")); n == 0 {
-		t.Error("binary payload codec counter stayed 0")
-	}
-
-	// A plain JSON body must still ride the same binary envelope.
-	jmsg, _ := transport.NewMessage("echo", echoBody{Text: "json-over-mux"})
-	jresp, err := cli.Call(context.Background(), srv.Addr(), jmsg)
-	if err == nil {
-		// handler rejects non-binary codec; the error travels as an envelope
-		var o echoBody
-		if derr := jresp.Decode(&o); derr == nil {
-			t.Error("handler should have rejected the JSON payload codec")
+		if in.Text == "big" {
+			in.Text = strings.Repeat("x", 16<<20+1)
 		}
+		return transport.NewMessage("reply", in)
 	}
-	if n := reg.CounterValue("canon_transport_mux_codec_payloads_total", telemetry.L("codec", "json")); n == 0 {
-		t.Error("json payload codec counter stayed 0")
+	srv, cli, _ := newTCPPair(t, h)
+
+	const callTimeout = 30 * time.Second
+	ctx, cancel := context.WithTimeout(context.Background(), callTimeout)
+	defer cancel()
+	start := time.Now()
+	msg, _ := transport.NewMessage("q", echoBody{Text: "big"})
+	resp, err := cli.Call(ctx, srv.Addr(), msg)
+	if err != nil {
+		t.Fatalf("call: %v (want an error reply, not a transport failure)", err)
+	}
+	if !strings.Contains(resp.Error, "response too large") {
+		t.Errorf("reply error = %q, want \"response too large\"", resp.Error)
+	}
+	if took := time.Since(start); took > callTimeout/3 {
+		t.Errorf("error reply took %v of a %v deadline", took, callTimeout)
+	}
+
+	msg, _ = transport.NewMessage("q", echoBody{Text: "small"})
+	resp, err = cli.Call(ctx, srv.Addr(), msg)
+	var out echoBody
+	if err != nil || resp.Decode(&out) != nil || out.Text != "small" {
+		t.Errorf("call after the oversized reply: %q, err %v", out.Text, err)
 	}
 }
 
 // TestMuxResilienceUnderLoss is the shared-connection retry/dedup soak: a
 // faulty wrapper drops 20% of calls (half request drops, half response drops)
-// over a multiplexed binary transport, callers retry with stable nonces, and
+// over a multiplexed transport, callers retry with stable nonces, and
 // the server's dedup layer must keep handler execution at-most-once per nonce
 // even though all requests share a handful of connections.
 func TestMuxResilienceUnderLoss(t *testing.T) {
@@ -354,9 +212,6 @@ func TestMuxResilienceUnderLoss(t *testing.T) {
 			t.Errorf("nonce %s executed %d times, want exactly 1 (dedup must hold on shared conns)", nonce, n)
 		}
 	}
-	if tcp.PeerWire(srv.Addr()) != transport.WireBinary {
-		t.Errorf("soak ran on wire %q, want %q", tcp.PeerWire(srv.Addr()), transport.WireBinary)
-	}
 }
 
 // TestMuxServerSurvivesGarbage completes a valid handshake, then writes junk:
@@ -370,7 +225,7 @@ func TestMuxServerSurvivesGarbage(t *testing.T) {
 	}
 	defer c.Close()
 	_ = c.SetDeadline(time.Now().Add(2 * time.Second))
-	hello := []byte{0xC4, 'C', 'N', 1}
+	hello := []byte{0xC4, 'C', 'N', wireVersion}
 	if _, err := c.Write(hello); err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +233,7 @@ func TestMuxServerSurvivesGarbage(t *testing.T) {
 	if _, err := io.ReadFull(c, accept[:]); err != nil {
 		t.Fatalf("handshake accept: %v", err)
 	}
-	if accept[0] != 0xC4 || accept[3] != 1 {
+	if accept[0] != 0xC4 || accept[3] != wireVersion {
 		t.Fatalf("accept = % x", accept)
 	}
 	// Not a request frame: the server must hang up, not crash or stall.

@@ -1,20 +1,27 @@
 package transport_test
 
 import (
-	"bufio"
+	"bytes"
 	"context"
 	"encoding/binary"
+	"errors"
 	"io"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
+	"github.com/canon-dht/canon/internal/telemetry"
 	"github.com/canon-dht/canon/internal/transport"
 )
 
-// handshakeWith dials addr raw, offers the given version and returns the
-// 4-byte accept.
-func handshakeWith(t *testing.T, addr string, offer byte) [4]byte {
+// wireVersion is the version byte of this build's mux hello (docs/WIRE.md
+// §1.1), restated here so the tests speak the handshake from outside.
+const wireVersion = 5
+
+// rawConn dials addr, writes first and returns everything the server sends
+// back before it closes the connection (or the 2 s deadline passes).
+func rawConn(t *testing.T, addr string, first []byte) []byte {
 	t.Helper()
 	c, err := net.DialTimeout("tcp", addr, time.Second)
 	if err != nil {
@@ -22,113 +29,120 @@ func handshakeWith(t *testing.T, addr string, offer byte) [4]byte {
 	}
 	defer c.Close()
 	_ = c.SetDeadline(time.Now().Add(2 * time.Second))
-	if _, err := c.Write([]byte{0xC4, 'C', 'N', offer}); err != nil {
+	if _, err := c.Write(first); err != nil {
 		t.Fatal(err)
 	}
-	var accept [4]byte
-	if _, err := io.ReadFull(c, accept[:]); err != nil {
-		t.Fatalf("accept for offer %d: %v", offer, err)
+	got, err := io.ReadAll(c)
+	if err != nil {
+		t.Fatalf("server kept the connection open after % x: %v", first, err)
 	}
-	return accept
+	return got
 }
 
-// TestMuxVersionNegotiation pins the min(offered, own) handshake rule of
-// docs/WIRE.md across a version bump: a current server must clamp newer
-// offers to its own version and serve older offers at theirs, so mixed-
-// version clusters keep talking during a rolling upgrade.
-func TestMuxVersionNegotiation(t *testing.T) {
-	srv, _, _ := newTCPPair(t, echoHandler)
+// TestMuxHandshakeVersions pins the one-version rule of docs/WIRE.md §6 from
+// both ends: the acceptor always states its own version and serves only a
+// dialer that offered the same, and the dialer refuses any other answer with
+// an ErrUnreachable naming both numbers.
+func TestMuxHandshakeVersions(t *testing.T) {
+	srv, cli, _ := newTCPPair(t, echoHandler)
+	own := []byte{0xC4, 'C', 'N', wireVersion}
 
-	cases := []struct {
-		offer, want byte
-	}{
-		{offer: 4, want: 4},  // current build's own offer
-		{offer: 3, want: 3},  // older peer: serve its version
-		{offer: 1, want: 1},  // oldest peer: serve its version
-		{offer: 99, want: 4}, // newer peer: clamp to ours
+	// Same version: the connection is accepted and carries frames.
+	msg, _ := transport.NewMessage("echo", echoBody{Text: "v"})
+	if _, err := cli.Call(context.Background(), srv.Addr(), msg); err != nil {
+		t.Fatalf("same-version call: %v", err)
 	}
-	for _, tc := range cases {
-		accept := handshakeWith(t, srv.Addr(), tc.offer)
-		if accept[0] != 0xC4 || accept[1] != 'C' || accept[2] != 'N' {
-			t.Fatalf("offer %d: bad accept magic % x", tc.offer, accept)
-		}
-		if accept[3] != tc.want {
-			t.Errorf("offer %d: negotiated version %d, want %d", tc.offer, accept[3], tc.want)
+
+	// Any other offer, version 0 included: the accept names the server's
+	// version and the connection is closed behind it.
+	for _, offer := range []byte{0, wireVersion - 1, wireVersion + 1, 99} {
+		if got := rawConn(t, srv.Addr(), []byte{0xC4, 'C', 'N', offer}); !bytes.Equal(got, own) {
+			t.Errorf("offer %d: server sent % x then closed, want % x", offer, got, own)
 		}
 	}
-}
 
-// TestMuxDialerAcceptsDowngrade runs a fake old server that answers the
-// handshake with version 1 and echoes request envelopes back verbatim: the
-// current dialer must treat the downgraded accept as success and complete
-// calls over it, not error out — a current build dialing a v1 build is the
-// normal rolling-upgrade state.
-func TestMuxDialerAcceptsDowngrade(t *testing.T) {
+	// A peer answering with another version is refused by the dialer.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ln.Close()
 	go func() {
-		c, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		defer c.Close()
-		br := bufio.NewReader(c)
-		var hello [4]byte
-		if _, err := io.ReadFull(br, hello[:]); err != nil {
-			return
-		}
-		// An old build speaks version 1 regardless of the offer.
-		if _, err := c.Write([]byte{0xC4, 'C', 'N', 1}); err != nil {
-			return
-		}
 		for {
-			kind, err := br.ReadByte()
-			if err != nil || kind != 0x01 {
-				return
-			}
-			var idb [8]byte
-			if _, err := io.ReadFull(br, idb[:]); err != nil {
-				return
-			}
-			n, err := binary.ReadUvarint(br)
+			c, err := ln.Accept()
 			if err != nil {
 				return
 			}
-			env := make([]byte, n)
-			if _, err := io.ReadFull(br, env); err != nil {
-				return
+			var hello [4]byte
+			if _, err := io.ReadFull(c, hello[:]); err == nil {
+				_, _ = c.Write([]byte{0xC4, 'C', 'N', wireVersion - 1})
 			}
-			// Echo the request envelope back as the response frame.
-			out := append([]byte{0x02}, idb[:]...)
-			out = binary.AppendUvarint(out, uint64(len(env)))
-			out = append(out, env...)
-			if _, err := c.Write(out); err != nil {
-				return
-			}
+			_ = c.Close()
 		}
 	}()
+	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
+	defer cancel()
+	_, err = cli.Call(ctx, ln.Addr().String(), msg)
+	if !errors.Is(err, transport.ErrUnreachable) {
+		t.Fatalf("call to a version-%d peer: err = %v, want ErrUnreachable", wireVersion-1, err)
+	}
+	if !strings.Contains(err.Error(), "version 4") || !strings.Contains(err.Error(), "speaks 5") {
+		t.Errorf("error %q does not name both versions", err)
+	}
+}
+
+// TestMuxRejectsNonMuxConnections sends the server what is not a mux hello —
+// a pre-mux length-prefixed JSON frame, random garbage, a truncated hello —
+// and requires each connection to be closed unanswered and counted while
+// the server keeps serving real peers.
+func TestMuxRejectsNonMuxConnections(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	srv, err := transport.ListenTCPOpts("127.0.0.1:0", transport.TCPOptions{Telemetry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	srv.Serve(echoHandler)
+
+	body := `{"type":"ping"}`
+	legacy := binary.BigEndian.AppendUint32(nil, uint32(len(body)))
+	legacy = append(legacy, body...)
+	inputs := [][]byte{
+		legacy,
+		{0xde, 0xad, 0xbe, 0xef, 0x00, 0x17},
+		{0xC4, 'C', 'X', wireVersion},
+		{0xC4, 'C'}, // closed mid-hello
+	}
+	for _, in := range inputs {
+		c, err := net.DialTimeout("tcp", srv.Addr(), time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = c.SetDeadline(time.Now().Add(2 * time.Second))
+		if _, err := c.Write(in); err != nil {
+			t.Fatal(err)
+		}
+		if len(in) < 4 {
+			_ = c.(*net.TCPConn).CloseWrite()
+		}
+		if got, err := io.ReadAll(c); err != nil || len(got) != 0 {
+			t.Errorf("input % x: server answered % x (err %v), want a bare close", in, got, err)
+		}
+		_ = c.Close()
+	}
+	if n := reg.CounterValue("canon_transport_mux_rejected_total"); n != int64(len(inputs)) {
+		t.Errorf("rejected counter = %d, want %d", n, len(inputs))
+	}
 
 	cli, err := transport.ListenTCP("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cli.Close()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
-	defer cancel()
-	msg, _ := transport.NewMessage("echo", echoBody{Text: "downgrade"})
-	resp, err := cli.Call(ctx, ln.Addr().String(), msg)
-	if err != nil {
-		t.Fatalf("call over downgraded connection: %v", err)
-	}
+	msg, _ := transport.NewMessage("echo", echoBody{Text: "still-alive"})
+	resp, err := cli.Call(context.Background(), srv.Addr(), msg)
 	var out echoBody
-	if err := resp.Decode(&out); err != nil || out.Text != "downgrade" {
-		t.Fatalf("echoed body = %q, err %v", out.Text, err)
-	}
-	if w := cli.PeerWire(ln.Addr().String()); w != transport.WireBinary {
-		t.Errorf("negotiated wire = %q, want %q", w, transport.WireBinary)
+	if err != nil || resp.Decode(&out) != nil || out.Text != "echo:still-alive" {
+		t.Errorf("call after rejected connections: %q, err %v", out.Text, err)
 	}
 }

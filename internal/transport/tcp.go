@@ -3,11 +3,7 @@ package transport
 import (
 	"bufio"
 	"context"
-	"encoding/binary"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"time"
@@ -23,63 +19,31 @@ const maxFrameBytes = 16 << 20
 // context has no deadline.
 const defaultDialTimeout = 5 * time.Second
 
-// Wire modes for TCPOptions.Wire.
-const (
-	// WireBinary (the default) dials peers with the binary mux handshake and
-	// downgrades automatically to legacy JSON framing when a peer rejects
-	// it. The serving side always speaks both.
-	WireBinary = "binary"
-	// WireJSON disables the binary dialer entirely: every outbound call uses
-	// legacy one-request-per-connection JSON framing. The serving side still
-	// accepts binary peers (sniffed per connection).
-	WireJSON = "json"
-)
+// connsPerPeer is how many multiplexed connections are kept per peer; calls
+// round-robin across them.
+const connsPerPeer = 2
 
-// Cached per-peer wire decisions.
-const (
-	peerUnknown = iota
-	peerBinary
-	peerJSON
-)
-
-// TCPOptions tunes a TCP transport. The zero value gives the defaults:
-// binary wire protocol with automatic JSON downgrade, 2 multiplexed
-// connections per peer, a legacy pool cap of 4, and a private (unexposed)
-// telemetry registry.
+// TCPOptions tunes a TCP transport. The zero value meters into a private
+// (unexposed) telemetry registry.
 type TCPOptions struct {
-	// Wire selects the outbound wire protocol: WireBinary (default) or
-	// WireJSON.
-	Wire string
-	// ConnsPerPeer is how many multiplexed connections are kept per peer in
-	// binary mode; calls round-robin across them. Default 2.
-	ConnsPerPeer int
-	// PoolCap bounds the legacy JSON connection pool per peer (the cap that
-	// was hardcoded to 4 before it was configurable). Default 4.
-	PoolCap int
 	// Telemetry, when set, receives the canon_transport_mux_* series
-	// (dials, connection reuse, in-flight requests, downgrades, frame and
-	// payload-codec counters). Nil meters into a private registry.
+	// (dials, connection reuse, in-flight requests, rejected connections,
+	// frame counters). Nil meters into a private registry.
 	Telemetry *telemetry.Registry
 }
 
-// TCP is a Transport over TCP speaking two wire protocols on one port: a
-// multiplexed binary protocol (many tagged in-flight requests per persistent
-// connection) and the legacy length-prefixed JSON framing (one request per
-// pooled connection). Outbound protocol choice is negotiated per peer with
-// automatic downgrade; inbound connections are sniffed by their first byte.
-// See docs/WIRE.md for the full specification.
+// TCP is a Transport over TCP speaking the multiplexed binary protocol of
+// docs/WIRE.md: a few persistent connections per peer, each carrying many
+// tagged in-flight requests.
 type TCP struct {
 	listener net.Listener
 	addr     string
-	opts     TCPOptions
 	metrics  muxMetrics
 
 	mu       sync.Mutex
 	dialCond *sync.Cond // signaled when a mux dial settles
 	handler  Handler
-	pools    map[string][]*tcpConn // legacy JSON conn pool, per peer
-	muxConns map[string]*muxPeer   // binary mux conns, per peer
-	wireMode map[string]int        // cached per-peer negotiation outcome
+	muxConns map[string]*muxPeer // mux conns, per peer
 	closed   bool
 	conns    map[net.Conn]struct{}
 	wg       sync.WaitGroup
@@ -88,22 +52,13 @@ type TCP struct {
 var _ Transport = (*TCP)(nil)
 
 // muxPeer is the per-peer set of multiplexed connections; calls round-robin
-// across up to ConnsPerPeer of them. dialing counts handshakes in flight so
-// concurrent first contacts never dial more than ConnsPerPeer sockets total
+// across up to connsPerPeer of them. dialing counts handshakes in flight so
+// concurrent first contacts never dial more than connsPerPeer sockets total
 // (no thundering herd: latecomers wait on TCP.dialCond for a slot to settle).
 type muxPeer struct {
 	conns   []*muxConn
 	next    int
 	dialing int
-}
-
-// tcpConn is one pooled legacy JSON connection.
-type tcpConn struct {
-	c  net.Conn
-	br *bufio.Reader
-	// broken marks a connection whose stream may be corrupt (a call errored
-	// mid-frame); putConn drops it instead of pooling it.
-	broken bool
 }
 
 // ListenTCP starts a TCP transport on the given address ("host:port"; ":0"
@@ -114,20 +69,6 @@ func ListenTCP(addr string) (*TCP, error) {
 
 // ListenTCPOpts starts a TCP transport with explicit options.
 func ListenTCPOpts(addr string, opts TCPOptions) (*TCP, error) {
-	switch opts.Wire {
-	case "", WireBinary, WireJSON:
-	default:
-		return nil, fmt.Errorf("transport: unknown wire mode %q (want %q or %q)", opts.Wire, WireBinary, WireJSON)
-	}
-	if opts.Wire == "" {
-		opts.Wire = WireBinary
-	}
-	if opts.ConnsPerPeer <= 0 {
-		opts.ConnsPerPeer = 2
-	}
-	if opts.PoolCap <= 0 {
-		opts.PoolCap = 4
-	}
 	l, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen %s: %w", addr, err)
@@ -139,11 +80,8 @@ func ListenTCPOpts(addr string, opts TCPOptions) (*TCP, error) {
 	t := &TCP{
 		listener: l,
 		addr:     l.Addr().String(),
-		opts:     opts,
 		metrics:  newMuxMetrics(reg),
-		pools:    make(map[string][]*tcpConn),
 		muxConns: make(map[string]*muxPeer),
-		wireMode: make(map[string]int),
 		conns:    make(map[net.Conn]struct{}),
 	}
 	t.dialCond = sync.NewCond(&t.mu)
@@ -160,20 +98,6 @@ func (t *TCP) Serve(h Handler) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.handler = h
-}
-
-// PeerWire reports the negotiated wire protocol for a peer: WireBinary,
-// WireJSON, or "" when the peer has not been dialed yet.
-func (t *TCP) PeerWire(addr string) string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	switch t.wireMode[addr] {
-	case peerBinary:
-		return WireBinary
-	case peerJSON:
-		return WireJSON
-	}
-	return ""
 }
 
 func (t *TCP) acceptLoop() {
@@ -196,9 +120,9 @@ func (t *TCP) acceptLoop() {
 	}
 }
 
-// serveConn sniffs the first byte of an accepted connection to pick its wire
-// protocol: the binary mux magic (0xC4) or a legacy JSON frame length (whose
-// first byte is always ≤ 0x01 given the 16 MiB frame bound).
+// serveConn serves one accepted connection, which must open with the mux
+// hello. Anything else — a pre-mux JSON frame, a port scan, garbage — is
+// input from outside the cluster: it is counted and the connection closed.
 func (t *TCP) serveConn(c net.Conn) {
 	defer t.wg.Done()
 	defer func() {
@@ -208,79 +132,27 @@ func (t *TCP) serveConn(c net.Conn) {
 		_ = c.Close()
 	}()
 	br := bufio.NewReader(c)
-	first, err := br.Peek(1)
-	if err != nil {
+	if !t.acceptMux(c, br) {
+		t.metrics.rejected.Inc()
 		return
 	}
-	if first[0] == muxMagic0 {
-		t.serveMux(c, br)
-		return
-	}
-	for {
-		msg, err := readFrame(br)
-		if err != nil {
-			return
-		}
-		t.mu.Lock()
-		h := t.handler
-		t.mu.Unlock()
-		var resp Message
-		if h == nil {
-			resp = ErrorMessage(ErrNoHandler)
-		} else {
-			r, herr := h(context.Background(), c.RemoteAddr().String(), msg)
-			if herr != nil {
-				resp = ErrorMessage(herr)
-			} else {
-				resp = r
-			}
-		}
-		if err := writeFrame(c, resp); err != nil {
-			return
-		}
-	}
+	t.serveMux(c, br)
 }
 
-// Call implements Transport: binary mux to binary peers, legacy JSON framing
-// to legacy peers (or always, with Wire == WireJSON), negotiating and caching
-// the choice on first contact.
+// Call implements Transport: one request/response over a multiplexed
+// connection to addr, dialed on first contact.
 func (t *TCP) Call(ctx context.Context, addr string, msg Message) (Message, error) {
-	if t.opts.Wire == WireJSON {
-		return t.jsonCall(ctx, addr, msg)
-	}
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
-		return Message{}, ErrClosed
-	}
-	mode := t.wireMode[addr]
-	t.mu.Unlock()
-	if mode == peerJSON {
-		return t.jsonCall(ctx, addr, msg)
-	}
 	mc, err := t.getMuxConn(ctx, addr)
-	if errors.Is(err, errDowngrade) {
-		t.metrics.downgrades.Inc()
-		t.setWireMode(addr, peerJSON)
-		return t.jsonCall(ctx, addr, msg)
-	}
 	if err != nil {
 		return Message{}, err
 	}
-	t.setWireMode(addr, peerBinary)
 	return mc.roundTrip(ctx, msg)
 }
 
-func (t *TCP) setWireMode(addr string, mode int) {
-	t.mu.Lock()
-	t.wireMode[addr] = mode
-	t.mu.Unlock()
-}
-
 // getMuxConn returns a live multiplexed connection to addr, round-robining
-// across up to ConnsPerPeer of them and dialing lazily. Dials are
+// across up to connsPerPeer of them and dialing lazily. Dials are
 // single-flighted per slot: established conns plus handshakes in flight never
-// exceed ConnsPerPeer, and a caller that finds every slot mid-handshake waits
+// exceed connsPerPeer, and a caller that finds every slot mid-handshake waits
 // on dialCond instead of piling a thundering herd of sockets onto the peer.
 func (t *TCP) getMuxConn(ctx context.Context, addr string) (*muxConn, error) {
 	t.mu.Lock()
@@ -294,7 +166,7 @@ func (t *TCP) getMuxConn(ctx context.Context, addr string) (*muxConn, error) {
 			p = &muxPeer{}
 			t.muxConns[addr] = p
 		}
-		if len(p.conns)+p.dialing < t.opts.ConnsPerPeer {
+		if len(p.conns)+p.dialing < connsPerPeer {
 			p.dialing++
 			break
 		}
@@ -364,81 +236,6 @@ func (t *TCP) dropMuxConn(addr string, mc *muxConn) {
 	}
 }
 
-// jsonCall performs one legacy request/response over a pooled connection.
-func (t *TCP) jsonCall(ctx context.Context, addr string, msg Message) (Message, error) {
-	conn, err := t.getConn(ctx, addr)
-	if err != nil {
-		return Message{}, err
-	}
-	if deadline, ok := ctx.Deadline(); ok {
-		_ = conn.c.SetDeadline(deadline)
-	} else {
-		_ = conn.c.SetDeadline(time.Now().Add(defaultDialTimeout))
-	}
-	if err := writeFrame(conn.c, msg); err != nil {
-		// The stream may hold a partial frame: mark broken and close so it
-		// can never be pooled and reused by a later call.
-		conn.broken = true
-		_ = conn.c.Close()
-		return Message{}, fmt.Errorf("%w: write to %s: %v", ErrUnreachable, addr, err)
-	}
-	resp, err := readFrame(conn.br)
-	if err != nil {
-		conn.broken = true
-		_ = conn.c.Close()
-		return Message{}, fmt.Errorf("%w: read from %s: %v", ErrUnreachable, addr, err)
-	}
-	_ = conn.c.SetDeadline(time.Time{})
-	t.putConn(addr, conn)
-	return resp, nil
-}
-
-func (t *TCP) getConn(ctx context.Context, addr string) (*tcpConn, error) {
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
-		return nil, ErrClosed
-	}
-	pool := t.pools[addr]
-	if len(pool) > 0 {
-		conn := pool[len(pool)-1]
-		t.pools[addr] = pool[:len(pool)-1]
-		t.mu.Unlock()
-		return conn, nil
-	}
-	t.mu.Unlock()
-
-	d := net.Dialer{Timeout: defaultDialTimeout}
-	c, err := d.DialContext(ctx, "tcp", addr)
-	if err != nil {
-		// The peer may have restarted into a different build; forget the
-		// cached wire decision so the next call renegotiates.
-		t.mu.Lock()
-		delete(t.wireMode, addr)
-		t.mu.Unlock()
-		return nil, fmt.Errorf("%w: dial %s: %v", ErrUnreachable, addr, err)
-	}
-	return &tcpConn{c: c, br: bufio.NewReader(c)}, nil
-}
-
-// putConn returns a healthy connection to the peer's pool. Connections
-// marked broken (a call errored mid-frame, possibly leaving a partial frame
-// on the stream) are dropped, never pooled; beyond PoolCap the connection is
-// closed.
-func (t *TCP) putConn(addr string, conn *tcpConn) {
-	if conn.broken {
-		_ = conn.c.Close()
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.closed || len(t.pools[addr]) >= t.opts.PoolCap {
-		_ = conn.c.Close()
-		return
-	}
-	t.pools[addr] = append(t.pools[addr], conn)
-}
-
 // Close implements Transport: it stops accepting, closes all connections and
 // waits for in-flight handlers to finish.
 func (t *TCP) Close() error {
@@ -449,12 +246,6 @@ func (t *TCP) Close() error {
 	}
 	t.closed = true
 	t.dialCond.Broadcast() // wake getMuxConn waiters so they observe closed
-	for _, pool := range t.pools {
-		for _, conn := range pool {
-			_ = conn.c.Close()
-		}
-	}
-	t.pools = make(map[string][]*tcpConn)
 	peers := t.muxConns
 	t.muxConns = make(map[string]*muxPeer)
 	for c := range t.conns {
@@ -469,41 +260,4 @@ func (t *TCP) Close() error {
 	err := t.listener.Close()
 	t.wg.Wait()
 	return err
-}
-
-func writeFrame(w io.Writer, msg Message) error {
-	raw, err := json.Marshal(msg)
-	if err != nil {
-		return err
-	}
-	if len(raw) > maxFrameBytes {
-		return errors.New("transport: frame too large")
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(raw)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err = w.Write(raw)
-	return err
-}
-
-func readFrame(r io.Reader) (Message, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return Message{}, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > maxFrameBytes {
-		return Message{}, errors.New("transport: frame too large")
-	}
-	raw := make([]byte, n)
-	if _, err := io.ReadFull(r, raw); err != nil {
-		return Message{}, err
-	}
-	var msg Message
-	if err := json.Unmarshal(raw, &msg); err != nil {
-		return Message{}, err
-	}
-	return msg, nil
 }

@@ -18,22 +18,15 @@ const (
 	mnTransportServed     = "canon_transport_served_total"
 	mnTransportHandleSec  = "canon_transport_handle_seconds"
 
-	// Binary mux wire-protocol series, published by TCP itself (pass
+	// Mux wire-protocol series, published by TCP itself (pass
 	// TCPOptions.Telemetry) rather than by the Instrumented wrapper: they
-	// describe connection-level mechanics — reuse, negotiation, in-flight
-	// multiplexing depth, codec mix — that no wrapper can observe.
-	mnMuxDials      = "canon_transport_mux_dials_total"
-	mnMuxConnReuse  = "canon_transport_mux_conn_reuse_total"
-	mnMuxInflight   = "canon_transport_mux_inflight"
-	mnMuxDowngrades = "canon_transport_mux_downgrades_total"
-	mnMuxFrames     = "canon_transport_mux_frames_total"
-	mnMuxPayloads   = "canon_transport_mux_codec_payloads_total"
-)
-
-// Label values for the mux payload-codec counter.
-const (
-	codecBinaryLabel = "binary"
-	codecJSONLabel   = "json"
+	// describe connection-level mechanics — reuse, refused handshakes,
+	// in-flight multiplexing depth — that no wrapper can observe.
+	mnMuxDials     = "canon_transport_mux_dials_total"
+	mnMuxConnReuse = "canon_transport_mux_conn_reuse_total"
+	mnMuxInflight  = "canon_transport_mux_inflight"
+	mnMuxRejected  = "canon_transport_mux_rejected_total"
+	mnMuxFrames    = "canon_transport_mux_frames_total"
 )
 
 // muxMetrics carries the cached handles for the canon_transport_mux_* series.
@@ -41,25 +34,20 @@ type muxMetrics struct {
 	dials      *telemetry.Counter
 	connReuse  *telemetry.Counter
 	inflight   *telemetry.Gauge
-	downgrades *telemetry.Counter
+	rejected   *telemetry.Counter
 	framesSent *telemetry.Counter
 	framesRecv *telemetry.Counter
-	payloads   func(codec string) *telemetry.Counter
 }
 
 // newMuxMetrics registers (or re-resolves) the mux series in reg.
 func newMuxMetrics(reg *telemetry.Registry) muxMetrics {
 	return muxMetrics{
-		dials:      reg.Counter(mnMuxDials, "binary mux connections successfully dialed and negotiated"),
+		dials:      reg.Counter(mnMuxDials, "mux connections successfully dialed"),
 		connReuse:  reg.Counter(mnMuxConnReuse, "calls multiplexed onto an already-established connection"),
 		inflight:   reg.Gauge(mnMuxInflight, "requests currently in flight on multiplexed connections"),
-		downgrades: reg.Counter(mnMuxDowngrades, "peers downgraded to legacy JSON framing after a rejected binary handshake"),
+		rejected:   reg.Counter(mnMuxRejected, "accepted connections closed in the handshake: no mux hello, or another wire version"),
 		framesSent: reg.Counter(mnMuxFrames, "mux frames moved, by direction", telemetry.L("dir", "send")),
 		framesRecv: reg.Counter(mnMuxFrames, "mux frames moved, by direction", telemetry.L("dir", "recv")),
-		payloads: func(codec string) *telemetry.Counter {
-			return reg.Counter(mnMuxPayloads, "payloads received over mux connections, by codec",
-				telemetry.L("codec", codec))
-		},
 	}
 }
 

@@ -3,7 +3,6 @@ package transport
 import (
 	"context"
 	"encoding"
-	"encoding/json"
 	"errors"
 	"fmt"
 )
@@ -17,145 +16,83 @@ var (
 	ErrNoHandler = errors.New("transport: no handler registered")
 )
 
-// Payload encodings carried by Message.PayloadCodec. The codec is a local,
-// per-delivery property: it describes how the Payload bytes of THIS message
-// copy are encoded, and is re-derived on every wire crossing (a binary-mux
-// connection re-encodes from Body; a JSON connection materializes JSON).
-const (
-	// PayloadJSON marks a JSON-encoded payload — the legacy and default form.
-	PayloadJSON byte = 0
-	// PayloadBinary marks a payload in the compact binary form described in
-	// docs/WIRE.md, produced from a Body implementing BinaryAppender or
-	// encoding.BinaryMarshaler. Only binary-mux connections deliver it.
-	PayloadBinary byte = 1
-)
-
 // BinaryAppender is the allocation-free flavor of encoding.BinaryMarshaler:
 // implementations append their canonical binary form to buf and return the
-// extended slice. Wire bodies that implement it (alongside
-// encoding.BinaryUnmarshaler for the decode direction) travel in compact
-// binary form over multiplexed connections; everything else rides as JSON.
-// The signature matches Go 1.24's encoding.BinaryAppender, declared locally
-// so the module keeps its go 1.22 floor.
+// extended slice. Every wire body implements it, alongside
+// encoding.BinaryUnmarshaler for the decode direction (docs/WIRE.md). The
+// signature matches Go 1.24's encoding.BinaryAppender, declared locally so
+// the module keeps its go 1.22 floor.
 type BinaryAppender interface {
 	AppendBinary(buf []byte) ([]byte, error)
 }
 
 // Message is the request/response envelope. Type selects the handler logic;
-// Payload carries the encoded body (JSON unless PayloadCodec says otherwise).
+// Payload carries the body in its binary form.
 type Message struct {
-	Type    string          `json:"type"`
-	Payload json.RawMessage `json:"payload,omitempty"`
+	Type    string
+	Payload []byte
 	// Nonce, when set, identifies the logical request across retried and
 	// duplicated deliveries: receivers that deduplicate (see Faulty.Serve)
 	// execute the handler at most once per nonce and replay the cached
 	// response afterwards. Empty nonces are never deduplicated.
-	Nonce string `json:"nonce,omitempty"`
+	Nonce string
 	// Error carries an application-level error string in responses.
-	Error string `json:"error,omitempty"`
+	Error string
 
 	// Body retains the typed value the message was built from (NewMessage).
-	// It never crosses the wire itself; encoders prefer it so a body that
-	// supports binary marshaling is encoded exactly once, in the form the
-	// negotiated connection wants, instead of paying json.Marshal up front.
-	Body any `json:"-"`
-	// PayloadCodec identifies the encoding of the Payload bytes
-	// (PayloadJSON or PayloadBinary). It is delivery-local state set by the
-	// decoding transport, never serialized.
-	PayloadCodec byte `json:"-"`
+	// It never crosses the wire itself: the envelope encoder appends its
+	// binary form straight into the frame, so a body is encoded exactly once.
+	Body any
 }
 
-// NewMessage builds a Message of the given type around body. Bodies that
-// implement BinaryAppender or encoding.BinaryMarshaler are kept unencoded
-// until a connection needs them (binary frames encode straight from Body,
-// JSON frames materialize lazily via MarshalJSON); other bodies are JSON-
-// encoded eagerly so marshal errors surface at the call site.
+// NewMessage builds a Message of the given type around body, which must be
+// nil or a BinaryAppender; it stays unencoded until a connection frames it.
 func NewMessage(msgType string, body any) (Message, error) {
 	if body == nil {
 		return Message{Type: msgType}, nil
 	}
-	switch body.(type) {
-	case BinaryAppender, encoding.BinaryMarshaler:
-		return Message{Type: msgType, Body: body}, nil
+	if _, ok := body.(BinaryAppender); !ok {
+		return Message{}, fmt.Errorf("transport: %s body %T has no binary codec", msgType, body)
 	}
-	raw, err := json.Marshal(body)
-	if err != nil {
-		return Message{}, fmt.Errorf("transport: marshal %s: %w", msgType, err)
-	}
-	return Message{Type: msgType, Payload: raw, Body: body}, nil
+	return Message{Type: msgType, Body: body}, nil
 }
 
-// jsonPayload returns the payload as JSON bytes, materializing it from Body
-// when the message was built lazily. Binary payloads cannot be re-rendered as
-// JSON without the Body (the transport does not know the schema).
-func (m Message) jsonPayload() (json.RawMessage, error) {
-	if m.Body != nil && (len(m.Payload) == 0 || m.PayloadCodec != PayloadJSON) {
-		raw, err := json.Marshal(m.Body)
-		if err != nil {
-			return nil, fmt.Errorf("transport: marshal %s payload: %w", m.Type, err)
-		}
-		return raw, nil
-	}
-	if m.PayloadCodec != PayloadJSON {
-		return nil, fmt.Errorf("transport: %s payload is binary and has no Body to re-encode", m.Type)
-	}
-	return m.Payload, nil
-}
-
-// MarshalJSON renders the wire-visible JSON form, materializing a lazily
-// built payload from Body first. This is what legacy JSON framing (and the
-// UDP envelope) serializes.
-func (m Message) MarshalJSON() ([]byte, error) {
-	raw, err := m.jsonPayload()
-	if err != nil {
-		return nil, err
-	}
-	m.Payload = raw
-	type messageAlias Message // drops methods: no recursion
-	return json.Marshal(messageAlias(m))
-}
-
-// Decode unmarshals the message payload into out. Binary payloads (delivered
-// over multiplexed connections) decode through out's
-// encoding.BinaryUnmarshaler; JSON payloads through encoding/json. In-process
-// deliveries of lazily built messages round-trip through the body's own
-// encoding — the compact binary form when both ends support it (through a
-// pooled scratch buffer, so the in-memory hot path allocates no encode
-// buffer), JSON otherwise — so every transport observes identical semantics.
+// Decode unmarshals the message payload into out through its
+// encoding.BinaryUnmarshaler. An in-process delivery, which still carries
+// Body and no Payload, round-trips through the body's binary form (in a
+// pooled scratch buffer), so every transport observes identical semantics.
 func (m Message) Decode(out any) error {
-	if m.Error != "" {
-		return fmt.Errorf("transport: remote error: %s", m.Error)
+	if err := m.Err(); err != nil {
+		return err
 	}
-	if m.PayloadCodec == PayloadBinary {
-		u, ok := out.(encoding.BinaryUnmarshaler)
-		if !ok {
-			return fmt.Errorf("transport: %s payload is binary but %T cannot decode it", m.Type, out)
-		}
-		return u.UnmarshalBinary(m.Payload)
+	u, ok := out.(encoding.BinaryUnmarshaler)
+	if !ok {
+		return fmt.Errorf("transport: %T cannot decode a %s payload", out, m.Type)
 	}
 	if len(m.Payload) == 0 && m.Body != nil {
-		if a, ok := m.Body.(BinaryAppender); ok {
-			if u, ok := out.(encoding.BinaryUnmarshaler); ok {
-				buf := getBuf()
-				defer putBuf(buf)
-				enc, err := a.AppendBinary((*buf)[:0])
-				if err != nil {
-					return fmt.Errorf("transport: marshal %s payload: %w", m.Type, err)
-				}
-				*buf = enc
-				return u.UnmarshalBinary(enc)
-			}
+		a, ok := m.Body.(BinaryAppender)
+		if !ok {
+			return fmt.Errorf("transport: %s body %T has no binary codec", m.Type, m.Body)
 		}
-		raw, err := json.Marshal(m.Body)
+		buf := getBuf()
+		defer putBuf(buf)
+		enc, err := a.AppendBinary((*buf)[:0])
 		if err != nil {
 			return fmt.Errorf("transport: marshal %s payload: %w", m.Type, err)
 		}
-		return json.Unmarshal(raw, out)
+		*buf = enc
+		return u.UnmarshalBinary(enc)
 	}
-	if len(m.Payload) == 0 {
-		return nil
+	return u.UnmarshalBinary(m.Payload)
+}
+
+// Err returns the application-level error a response carries, or nil. It is
+// the whole of decoding a reply that has no body.
+func (m Message) Err() error {
+	if m.Error != "" {
+		return fmt.Errorf("transport: remote error: %s", m.Error)
 	}
-	return json.Unmarshal(m.Payload, out)
+	return nil
 }
 
 // ErrorMessage builds an error response.

@@ -12,7 +12,14 @@ import (
 )
 
 type echoBody struct {
-	Text string `json:"text"`
+	Text string
+}
+
+func (b echoBody) AppendBinary(buf []byte) ([]byte, error) { return append(buf, b.Text...), nil }
+
+func (b *echoBody) UnmarshalBinary(data []byte) error {
+	b.Text = string(data)
+	return nil
 }
 
 func echoHandler(_ context.Context, _ string, msg transport.Message) (transport.Message, error) {
@@ -44,6 +51,19 @@ func TestMessageRoundTrip(t *testing.T) {
 	m2, err := transport.NewMessage("empty", nil)
 	if err != nil || m2.Type != "empty" || len(m2.Payload) != 0 {
 		t.Errorf("empty message: %+v err %v", m2, err)
+	}
+	// A body without a binary codec is refused where the message is built,
+	// and again by the envelope encoder for a hand-built Message.
+	type plain struct{ X int }
+	if _, err := transport.NewMessage("plain", plain{X: 1}); err == nil {
+		t.Error("NewMessage accepted a body that is not a BinaryAppender")
+	}
+	if _, err := transport.AppendBinaryMessage(nil, transport.Message{Type: "plain", Body: plain{X: 1}}); err == nil {
+		t.Error("AppendBinaryMessage encoded a body that is not a BinaryAppender")
+	}
+	// So is a destination that cannot decode one.
+	if err := msg.Decode(&plain{}); err == nil {
+		t.Error("Decode into a value that is not a BinaryUnmarshaler succeeded")
 	}
 }
 

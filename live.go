@@ -99,30 +99,14 @@ func InstrumentTransport(inner Transport, reg *MetricsRegistry) Transport {
 }
 
 // ListenTCP starts a TCP transport for a live node ("host:port"; ":0" picks
-// a free port) with default options: binary mux wire protocol with automatic
-// JSON downgrade. See ListenTCPOpts to tune it.
+// a free port), speaking the multiplexed binary protocol of docs/WIRE.md.
 func ListenTCP(addr string) (Transport, error) { return transport.ListenTCP(addr) }
 
-// TCPTransportOptions tunes a TCP transport: wire protocol selection
-// (binary mux vs legacy JSON), multiplexed connections per peer, the legacy
-// pool cap, and the telemetry registry receiving the canon_transport_mux_*
-// series. See transport.TCPOptions.
+// TCPTransportOptions names the telemetry registry that receives a TCP
+// transport's canon_transport_mux_* series. See transport.TCPOptions.
 type TCPTransportOptions = transport.TCPOptions
-
-// Wire-protocol names for TCPTransportOptions.Wire.
-const (
-	// WireBinary selects the multiplexed binary protocol (with automatic
-	// downgrade to JSON when a peer does not speak it).
-	WireBinary = transport.WireBinary
-	// WireJSON forces legacy one-request-per-connection JSON framing.
-	WireJSON = transport.WireJSON
-)
 
 // ListenTCPOpts starts a TCP transport with explicit options.
 func ListenTCPOpts(addr string, opts TCPTransportOptions) (Transport, error) {
 	return transport.ListenTCPOpts(addr, opts)
 }
-
-// ListenUDP starts a UDP transport for a live node — the low-overhead
-// LAN-level option of Section 3.5 ("host:port"; ":0" picks a free port).
-func ListenUDP(addr string) (Transport, error) { return transport.ListenUDP(addr) }

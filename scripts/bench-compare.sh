@@ -24,15 +24,12 @@
 #      The baseline implementation is kept in-tree (test-only) precisely so
 #      this ratio is re-measured on the same hardware every time instead of
 #      trusted from a historical number.
-#   2. mux64_speedup — the PR 5 gate, carried forward: the 64-way-concurrent
-#      binary mux round trip must stay >= 2x the pooled legacy-JSON
-#      transport.
-#   3. replicate_quiescent — the absolute budget of the replication step of
+#   2. replicate_quiescent — the absolute budget of the replication step of
 #      a stabilization round on a converged node with an unchanged view
 #      (BenchmarkReplicateOnceQuiescent): it sends zero RPCs, and its median
 #      ns/op with 10 000 stored entries is within 2x of the median with
 #      1 000 — the round costs what was written, not what is stored.
-#   4. routed_ops — the absolute budgets of the routed key-value layer
+#   3. routed_ops — the absolute budgets of the routed key-value layer
 #      (BenchmarkRoutedGet / BenchmarkRoutedPut, a 64-node bus cluster driven
 #      through one Client): an op's rpcs/op — the client's one request plus
 #      every request any node sends for it — is at most the mean global
@@ -41,7 +38,7 @@
 #      And BenchmarkForwardDecision64Snapshot, the forwarding decision all
 #      routed messages share, still allocates nothing. Both hold on every
 #      run, baseline or not.
-#   5. vs-baseline: any NS-GATED benchmark whose median ns/op regressed more
+#   4. vs-baseline: any NS-GATED benchmark whose median ns/op regressed more
 #      than 10% fails the run, and any ALLOC-GATED benchmark whose allocs/op
 #      increased at all fails the run. A gated benchmark present in the
 #      baseline but missing from the run also fails (deleting a benchmark
@@ -50,17 +47,16 @@
 #      zero-allocation hot paths (snapshot forwarding decision, binary
 #      envelope encode) and the end-to-end lookup saturation macro-bench
 #      (long ops, noise averages out). The alloc gate additionally covers
-#      the allocating envelope codecs — allocs/op is deterministic, so "no
-#      new allocation" still has teeth even where GC scheduling swings their
-#      ns/op far past 10% with no code change (measured min..max spread >2x
-#      on the binary decoder). The node-local store apply and fetch paths
+#      the allocating envelope decoder — allocs/op is deterministic, so "no
+#      new allocation" still has teeth even where GC scheduling swings its
+#      ns/op far past 10% with no code change (measured min..max spread >2x). The node-local store apply and fetch paths
 #      are alloc-gated the same way: their sub-microsecond map-walk ns/op
 #      swings past 10% with cache and GC state (measured ~17% between runs
 #      with no code change), but allocs/op is exact — the store apply is
 #      pinned at ZERO allocs/op and the fetch at its result slice, so any
 #      new allocation on either path fails the gate. The
-#      mutex-held forwarding baseline and the TCP round trips are recorded
-#      and feed the ratio gates above, but are not point-gated: their
+#      mutex-held forwarding baseline (which feeds the ratio gate above) and
+#      the TCP round trips are recorded but not point-gated: their
 #      absolute numbers swing with scheduler/lock-contention noise far
 #      beyond 10% without any code change, and flaky gates train people to
 #      ignore red.
@@ -137,12 +133,10 @@ END {
 	}
 	printf "  },\n" >> out
 	fs = median("BenchmarkForwardDecision64Locked", "ns") / median("BenchmarkForwardDecision64Snapshot", "ns")
-	ms = median("BenchmarkRoundTrip64JSON", "ns") / median("BenchmarkRoundTrip64Binary", "ns")
 	q1k = "BenchmarkReplicateOnceQuiescent/entries=1000"; q10k = "BenchmarkReplicateOnceQuiescent/entries=10000"
 	qs = median(q10k, "ns") / median(q1k, "ns")
 	qr = median(q1k, "rpcs") + median(q10k, "rpcs")
 	printf "  \"forward64_speedup\": %.2f,\n", fs >> out
-	printf "  \"mux64_speedup\": %.2f,\n", ms >> out
 	printf "  \"replicate_quiescent_rpcs_per_op\": %s,\n", qr >> out
 	printf "  \"replicate_quiescent_10k_over_1k\": %.2f,\n", qs >> out
 	printf "  \"routed_get_rpcs_per_op\": %s,\n", median("BenchmarkRoutedGet", "rpcs") >> out
@@ -183,11 +177,7 @@ END {
 		printf "FAIL: 64-way forwarding speedup %.2fx is below the 3x acceptance floor\n", fs > "/dev/stderr"
 		bad = 1
 	}
-	if (ms < 2.0) {
-		printf "FAIL: 64-way mux speedup %.2fx is below the 2x acceptance floor\n", ms > "/dev/stderr"
-		bad = 1
-	}
-	printf "forward64_speedup: %.2fx (floor 3.0x), mux64_speedup: %.2fx (floor 2.0x)\n", fs, ms > "/dev/stderr"
+	printf "forward64_speedup: %.2fx (floor 3.0x)\n", fs > "/dev/stderr"
 	exit bad
 }
 '
@@ -204,8 +194,6 @@ BEGIN {
 	nsgated["BenchmarkLookupSaturation"] = 1
 	nsgated["BenchmarkEnvelopeEncodeBinary"] = 1
 	for (name in nsgated) allocgated[name] = 1
-	allocgated["BenchmarkEnvelopeEncodeJSON"] = 1
-	allocgated["BenchmarkEnvelopeDecodeJSON"] = 1
 	allocgated["BenchmarkEnvelopeDecodeBinary"] = 1
 	allocgated["BenchmarkStoreLocalMem"] = 1
 	allocgated["BenchmarkFetchLocalMem"] = 1

@@ -1,10 +1,7 @@
 #!/usr/bin/env bash
 # telemetry-smoke.sh — end-to-end smoke test of the observability stack.
 #
-# Boots a real five-node canond cluster over TCP — deliberately mixed-wire:
-# nodes 2 and 4 are forced to the legacy JSON framing (-wire json) while the
-# rest speak the binary mux, so the run exercises binary<->binary mux reuse,
-# binary->json downgrades and json->binary upgrades on real sockets — with
+# Boots a real five-node canond cluster over TCP on the default wire, with
 # the admin endpoint enabled on every node (the bootstrap's is the one the
 # later checks read), runs puts/gets and a traced lookup through canonctl,
 # then asserts:
@@ -13,10 +10,13 @@
 #     nonzero, and the entry node of the get observed canon_get_hops,
 #   * /metrics serves Prometheus text with nonzero canon_rpc_sent_total and
 #     canon_transport_calls_total counters,
-#   * the canon_transport_mux_* negotiation series prove the binary wire was
-#     actually used (dials > 0) in the mixed cluster,
+#   * the canon_transport_mux_* series prove connections were dialed and
+#     frames moved,
 #   * canonctl trace prints an owner and per-hop spans,
-#   * /debug/trace/ archives the trace and serves it back by id.
+#   * /debug/trace/ archives the trace and serves it back by id,
+#   * a pre-mux length-prefixed JSON frame sent at the bootstrap node is
+#     refused: the node closes the connection without answering, bumps
+#     canon_transport_mux_rejected_total and keeps answering canonctl ping.
 # Then boots a second, three-node cluster with -replicas 2 and asserts the
 # canon_replica_* series exist, that writes were pushed to a replica, and
 # that the cluster goes quiet once converged: no dirty keys, and
@@ -48,13 +48,8 @@ PIDS+=($!)
 sleep 1
 domains=(west/a west/b east/a east/b)
 for i in 1 2 3 4; do
-  # Mixed wires: even-numbered joiners speak the legacy JSON framing
-  # outbound, odd-numbered ones (and the bootstrap) the binary mux. Every
-  # node *serves* both, so the cluster interoperates regardless.
-  wire=binary
-  if [ $((i % 2)) -eq 0 ]; then wire=json; fi
   "$CANOND" -listen "127.0.0.1:$((BASE + i))" -domain "${domains[$((i % 4))]}" \
-    -join "127.0.0.1:$BASE" -admin "127.0.0.1:$((ADMIN + i))" -stabilize 200ms -wire "$wire" &
+    -join "127.0.0.1:$BASE" -admin "127.0.0.1:$((ADMIN + i))" -stabilize 200ms &
   PIDS+=($!)
   sleep 0.5
 done
@@ -94,8 +89,7 @@ echo "$metrics" | awk '/^canon_transport_calls_total/ {s += $NF} END {exit !(s >
   || { echo "canon_transport_calls_total missing or zero" >&2; exit 1; }
 echo "$metrics" | grep -q '^canon_lookup_hops_count' \
   || { echo "canon_lookup_hops histogram missing" >&2; exit 1; }
-# The bootstrap node speaks the binary mux outbound; the negotiation series
-# must show it actually dialed and multiplexed binary connections.
+# The mux series must show the bootstrap node dialed and moved frames.
 echo "$metrics" | awk '/^canon_transport_mux_dials_total/ {s += $NF} END {exit !(s > 0)}' \
   || { echo "canon_transport_mux_dials_total missing or zero" >&2; exit 1; }
 echo "$metrics" | awk '/^canon_transport_mux_frames_total/ {s += $NF} END {exit !(s > 0)}' \
@@ -108,6 +102,23 @@ curl -sf "http://127.0.0.1:$ADMIN/debug/trace/$trace_id" | grep -q "$trace_id" \
 echo "== /status still answers"
 curl -sf "http://127.0.0.1:$ADMIN/status" | grep -q '"info"\|"Info"\|{' \
   || { echo "/status unusable" >&2; exit 1; }
+
+echo "== a pre-mux JSON frame is refused"
+rejected() {
+  curl -sf "http://127.0.0.1:$ADMIN/metrics" | awk '/^canon_transport_mux_rejected_total/ {print $NF}'
+}
+before=$(rejected)
+exec 3<>"/dev/tcp/127.0.0.1/$BASE"
+printf '\x00\x00\x00\x0f{"type":"ping"}' >&3
+# read: 0 = the node answered, 1 = it closed the connection, >128 = timeout.
+rc=0
+IFS= read -r -t 5 -n 1 -u 3 _ || rc=$?
+exec 3<&- 3>&-
+[ "$rc" -eq 1 ] || { echo "node did not close a legacy JSON frame unanswered (read status $rc)" >&2; exit 1; }
+[ "$(rejected)" -gt "$before" ] \
+  || { echo "canon_transport_mux_rejected_total did not grow past $before" >&2; exit 1; }
+"$CANONCTL" -node "127.0.0.1:$BASE" ping >/dev/null \
+  || { echo "node stopped answering after the refused frame" >&2; exit 1; }
 
 echo "== three replicated nodes (admin at :$RADMIN)"
 "$CANOND" -listen "127.0.0.1:$RBASE" -admin "127.0.0.1:$RADMIN" -replicas 2 -stabilize 200ms &
