@@ -19,7 +19,11 @@
 // out. A record it could not hand off — the next owner unreachable, or no
 // other node in the record's domain — is counted
 // (canon_leave_handoff_failures_total) and canond exits non-zero saying how
-// many there were.
+// many there were; a neighbor it could not tell is counted too
+// (canon_leave_notify_failures_total). The maintenance it retries every round
+// rather than fail — registry registration, ring notifications, anti-entropy
+// comparisons — counts what went wrong in canon_register_failures_total,
+// canon_notify_failures_total and canon_antientropy_sync_failures_total.
 //
 // There is one wire protocol (docs/WIRE.md), so nothing selects one: -wire
 // survives only because bench/cluster.go passes "-wire binary", and any

@@ -18,19 +18,6 @@
 // was put/published, where it was misused — rendered by -why exactly like
 // the call-chain evidence of the interprocedural checks.
 //
-// Since v4 a symbolic wire-schema engine (internal/lint/wireextract.go and
-// friends) abstractly executes every AppendBinary/UnmarshalBinary pair in
-// the wire packages and extracts a byte-level schema — field order, fixed
-// widths, varint kinds, flag-conditional fields, length-prefixed sequences —
-// per message type, at the one wire version. Four checks consume it: wiresym
-// (encoder and decoder disagree on layout), wirebreak (schema drifted from
-// the committed docs/wire.schema.json baseline without a version bump),
-// wirebounds (decoder preallocates from a wire-controlled count with no
-// cap — a remote-OOM vector), and wiredoc (docs/WIRE.md field tables drift
-// from the code). The extracted schema itself is available with -schema,
-// and -write-schema refreshes the committed baseline after an intentional,
-// version-bumped wire change.
-//
 // Usage:
 //
 //	go run ./cmd/canonvet ./...              # whole module, human output
@@ -41,8 +28,6 @@
 //	go run ./cmd/canonvet -callgraph dot ./... > callgraph.dot
 //	go run ./cmd/canonvet -write-baseline .canonvet-baseline ./...
 //	go run ./cmd/canonvet -baseline .canonvet-baseline ./...  # fail on NEW findings only
-//	go run ./cmd/canonvet -schema ./...       # extracted wire schema as JSON
-//	go run ./cmd/canonvet -write-schema ./... # refresh docs/wire.schema.json
 //
 // Exit status: 0 clean, 1 findings (new findings when -baseline is given),
 // 2 usage or load failure. Deliberate exceptions are annotated in source with
@@ -77,8 +62,6 @@ func run(args []string, stdout, stderr *os.File) int {
 	callgraph := fs.String("callgraph", "", "export the module call graph instead of findings (formats: dot)")
 	baseline := fs.String("baseline", "", "fingerprint file of known findings; exit 1 only on findings not in it")
 	writeBaseline := fs.String("write-baseline", "", "write the current findings' fingerprints to this file and exit 0")
-	schema := fs.Bool("schema", false, "print the extracted wire schema as JSON and exit (v4 symbolic engine)")
-	writeSchema := fs.Bool("write-schema", false, "write the extracted wire schema to the configured baseline path and exit 0")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -149,32 +132,6 @@ func run(args []string, stdout, stderr *os.File) int {
 		g := lint.BuildCallGraph(cfg, loader.Fset, pkgs)
 		g.ComputeSummaries()
 		fmt.Fprint(stdout, g.DOT())
-		return 0
-	}
-
-	if *schema || *writeSchema {
-		out, err := lint.ExtractWireSchema(cfg, loader.Fset, pkgs).EncodeJSON()
-		if err != nil {
-			fmt.Fprintln(stderr, "canonvet:", err)
-			return 2
-		}
-		if *writeSchema {
-			path := cfg.WireBaselinePath
-			if path == "" {
-				fmt.Fprintln(stderr, "canonvet: no wire schema baseline path configured")
-				return 2
-			}
-			if !filepath.IsAbs(path) {
-				path = filepath.Join(root, path)
-			}
-			if err := os.WriteFile(path, out, 0o644); err != nil {
-				fmt.Fprintln(stderr, "canonvet:", err)
-				return 2
-			}
-			fmt.Fprintf(stderr, "canonvet: wrote wire schema to %s\n", path)
-			return 0
-		}
-		stdout.Write(out)
 		return 0
 	}
 

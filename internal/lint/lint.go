@@ -116,10 +116,6 @@ func AllChecks() []Check {
 		checkPublishRace,
 		checkAtomicMix,
 		checkDurabilityErr,
-		checkWireSym,
-		checkWireBreak,
-		checkWireBounds,
-		checkWireDoc,
 		{
 			Name: deadPragmaName,
 			Doc:  "//canonvet:ignore pragmas whose check no longer fires at that scope (stale suppressions)",
@@ -152,27 +148,8 @@ type Config struct {
 	// by these packages, os, or bufio are in scope wherever they are called
 	// from one of these packages.
 	DurabilityPackages map[string]bool
-	// WirePackages are the import paths whose binary codecs the v4 symbolic
-	// wire-schema engine interprets (wiresym/wirebreak/wirebounds/wiredoc).
-	WirePackages map[string]bool
-	// WireDocPath is the human wire specification the wiredoc check compares
-	// against the extracted schema; relative paths resolve against Root.
-	// Empty disables wiredoc.
-	WireDocPath string
-	// WireBaselinePath is the committed machine-readable schema baseline the
-	// wirebreak check gates against (canonvet -write-schema refreshes it);
-	// relative paths resolve against Root. Empty disables wirebreak.
-	WireBaselinePath string
 	// Enabled restricts the run to the named checks; nil means all.
 	Enabled map[string]bool
-}
-
-// wirePath resolves a wire doc/baseline path against the module root.
-func (cfg *Config) wirePath(p string) string {
-	if p == "" || filepath.IsAbs(p) || cfg.Root == "" {
-		return p
-	}
-	return filepath.Join(cfg.Root, p)
 }
 
 // DefaultConfig returns the Canon module's tuning: the pure-simulation
@@ -202,12 +179,6 @@ func DefaultConfig(module string) *Config {
 			module + "/internal/canonstore": true,
 			module + "/internal/netnode":    true,
 		},
-		WirePackages: map[string]bool{
-			module + "/internal/netnode":   true,
-			module + "/internal/transport": true,
-		},
-		WireDocPath:      "docs/WIRE.md",
-		WireBaselinePath: "docs/wire.schema.json",
 	}
 }
 
@@ -237,9 +208,6 @@ type ModulePass struct {
 	Cfg   *Config
 	Fset  *token.FileSet
 	Graph *CallGraph
-	// wire is the symbolic wire-schema extraction, computed once per run
-	// when any wire check is enabled (nil otherwise).
-	wire *wireExtraction
 
 	check   string
 	ignores map[string]*fileIgnores
@@ -518,17 +486,13 @@ func Run(cfg *Config, fset *token.FileSet, pkgs []*Package) []Diagnostic {
 		graph := BuildCallGraph(cfg, fset, pkgs)
 		graph.ComputeSummaries()
 		graph.ComputeFlowSummaries()
-		var wireExt *wireExtraction
-		if wireChecksEnabled(cfg) {
-			wireExt = extractWire(cfg, fset, pkgs)
-		}
 		for _, chk := range AllChecks() {
 			if chk.RunModule == nil || !cfg.enabled(chk.Name) {
 				continue
 			}
 			ran[chk.Name] = true
 			mp := &ModulePass{
-				Cfg: cfg, Fset: fset, Graph: graph, wire: wireExt,
+				Cfg: cfg, Fset: fset, Graph: graph,
 				check: chk.Name, ignores: ignores, sink: &diags,
 			}
 			chk.RunModule(mp)

@@ -92,20 +92,6 @@ func TestFixtures(t *testing.T) {
 				// "named check ran and suppressed nothing"); the fixture is
 				// deliberately clean under all of them.
 				cfg.Enabled = nil
-			case "wiresym", "wirebreak", "wirebounds", "wiredoc":
-				// The fixture package plays the wire codec package. The doc
-				// and baseline artifacts live inside the fixture directory;
-				// an empty path disables the corresponding check, which is
-				// what the fixtures of the other wire checks want.
-				cfg.WirePackages = map[string]bool{fixturePath: true}
-				cfg.WireDocPath = ""
-				cfg.WireBaselinePath = ""
-				if chk.Name == "wiredoc" {
-					cfg.WireDocPath = filepath.Join(dir, "WIRE.md")
-				}
-				if chk.Name == "wirebreak" {
-					cfg.WireBaselinePath = filepath.Join(dir, "wire.schema.json")
-				}
 			}
 
 			diags := Run(cfg, loader.Fset, pkgs)
@@ -173,9 +159,6 @@ func TestModuleClean(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := DefaultConfig(loader.Module)
-	// The wire checks resolve docs/WIRE.md and docs/wire.schema.json against
-	// the module root, exactly like cmd/canonvet does.
-	cfg.Root = root
 	diags := Run(cfg, loader.Fset, pkgs)
 	for _, d := range diags {
 		t.Errorf("module must be canonvet-clean: %s", d)

@@ -130,304 +130,6 @@ func (w *wal) commit() {
 }
 `
 
-// wireScratchReader is the miniature wire toolkit the v4 scratch proofs
-// build codecs from, written in the idioms of internal/netnode/binwire.go
-// so the symbolic interpreters model every operation.
-const wireScratchReader = `package scratch
-
-import (
-	"encoding/binary"
-	"errors"
-	"fmt"
-)
-
-var errWire = errors.New("scratch: malformed payload")
-
-func appendU64(b []byte, v uint64) []byte {
-	var x [8]byte
-	binary.BigEndian.PutUint64(x[:], v)
-	return append(b, x[:]...)
-}
-
-func appendU32(b []byte, v uint32) []byte {
-	var x [4]byte
-	binary.BigEndian.PutUint32(x[:], v)
-	return append(b, x[:]...)
-}
-
-func appendStr(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
-type binReader struct {
-	data []byte
-	off  int
-	err  error
-}
-
-func (r *binReader) fail(what string) {
-	if r.err == nil {
-		r.err = fmt.Errorf("%w: %s at offset %d", errWire, what, r.off)
-	}
-}
-
-func (r *binReader) u64() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	if r.off+8 > len(r.data) {
-		r.fail("truncated u64")
-		return 0
-	}
-	v := binary.BigEndian.Uint64(r.data[r.off:])
-	r.off += 8
-	return v
-}
-
-func (r *binReader) u32() uint32 {
-	if r.err != nil {
-		return 0
-	}
-	if r.off+4 > len(r.data) {
-		r.fail("truncated u32")
-		return 0
-	}
-	v := binary.BigEndian.Uint32(r.data[r.off:])
-	r.off += 4
-	return v
-}
-
-func (r *binReader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.data[r.off:])
-	if n <= 0 {
-		r.fail("bad uvarint")
-		return 0
-	}
-	r.off += n
-	return v
-}
-
-func (r *binReader) str() string {
-	if r.err != nil {
-		return ""
-	}
-	n, sz := binary.Uvarint(r.data[r.off:])
-	if sz <= 0 || n > uint64(len(r.data)-r.off-sz) {
-		r.fail("bad string")
-		return ""
-	}
-	s := string(r.data[r.off+sz : r.off+sz+int(n)])
-	r.off += sz + int(n)
-	return s
-}
-
-func (r *binReader) done() error {
-	if r.err == nil && r.off != len(r.data) {
-		r.fail("trailing bytes")
-	}
-	return r.err
-}
-`
-
-// wireScratchSymSrc plants a field reorder (the encoder writes A then B,
-// the decoder reads B then A) and an uncapped wire-count allocation inside
-// an otherwise clean codec package.
-const wireScratchSymSrc = `package scratch
-
-type pingReq struct {
-	A uint64
-	B string
-}
-
-func (p pingReq) AppendBinary(b []byte) ([]byte, error) {
-	b = appendU64(b, p.A)
-	b = appendStr(b, p.B)
-	return b, nil
-}
-
-func (p *pingReq) UnmarshalBinary(data []byte) error {
-	r := &binReader{data: data}
-	p.B = r.str()
-	p.A = r.u64()
-	return r.done()
-}
-
-type pongResp struct {
-	C uint64
-	D string
-}
-
-func (p pongResp) AppendBinary(b []byte) ([]byte, error) {
-	b = appendU64(b, p.C)
-	b = appendStr(b, p.D)
-	return b, nil
-}
-
-func (p *pongResp) UnmarshalBinary(data []byte) error {
-	r := &binReader{data: data}
-	p.C = r.u64()
-	p.D = r.str()
-	return r.done()
-}
-
-func readList(r *binReader) []uint64 {
-	n := r.uvarint()
-	out := make([]uint64, 0, n)
-	for i := uint64(0); i < n && r.err == nil; i++ {
-		out = append(out, r.u64())
-	}
-	return out
-}
-`
-
-// wireScratchVerV0/V1 are the before/after of an unversioned width change:
-// verReq.B narrows from u64 to u32 while the wire version stays 1.
-const wireScratchVerV0 = `package scratch
-
-type verReq struct {
-	A uint64
-	B uint64
-}
-
-func (q verReq) AppendBinary(b []byte) ([]byte, error) {
-	b = appendU64(b, q.A)
-	b = appendU64(b, q.B)
-	return b, nil
-}
-
-func (q *verReq) UnmarshalBinary(data []byte) error {
-	r := &binReader{data: data}
-	q.A = r.u64()
-	q.B = r.u64()
-	return r.done()
-}
-`
-
-const wireScratchVerV1 = `package scratch
-
-type verReq struct {
-	A uint64
-	B uint32
-}
-
-func (q verReq) AppendBinary(b []byte) ([]byte, error) {
-	b = appendU64(b, q.A)
-	b = appendU32(b, q.B)
-	return b, nil
-}
-
-func (q *verReq) UnmarshalBinary(data []byte) error {
-	r := &binReader{data: data}
-	q.A = r.u64()
-	q.B = r.u32()
-	return r.done()
-}
-`
-
-// TestScratchWireProof runs the v4 symbolic engine over a generated codec
-// package carrying a seeded field reorder and a seeded uncapped allocation:
-// each must produce exactly one finding with byte-level evidence chains,
-// and the clean codec pair must stay silent.
-func TestScratchWireProof(t *testing.T) {
-	cfg, _, pkgs, loader := writeScratchPkg(t, map[string]string{
-		"reader.go": wireScratchReader,
-		"codec.go":  wireScratchSymSrc,
-	})
-	cfg.WirePackages = map[string]bool{pkgs[0].Path: true}
-	cfg.WireDocPath = ""
-	cfg.WireBaselinePath = ""
-	cfg.Enabled = map[string]bool{"wiresym": true, "wirebounds": true}
-	diags := Run(cfg, loader.Fset, pkgs)
-
-	byCheck := make(map[string][]Diagnostic)
-	for _, d := range diags {
-		byCheck[d.Check] = append(byCheck[d.Check], d)
-	}
-	if n := len(byCheck["wiresym"]); n != 1 {
-		t.Fatalf("seeded field reorder: want exactly 1 wiresym finding, got %d (%v)", n, diags)
-	}
-	sym := byCheck["wiresym"][0]
-	if !strings.Contains(sym.Message, "encoder and decoder of ping request disagree") {
-		t.Errorf("wiresym message does not name the skewed pair: %s", sym.Message)
-	}
-	chain := strings.Join(sym.Chain, "\n")
-	if !strings.Contains(chain, "encoder layout:") || !strings.Contains(chain, "decoder layout:") {
-		t.Errorf("wiresym evidence chain missing the two layouts: %v", sym.Chain)
-	}
-	if n := len(byCheck["wirebounds"]); n != 1 {
-		t.Fatalf("seeded uncapped allocation: want exactly 1 wirebounds finding, got %d (%v)", n, diags)
-	}
-	bounds := byCheck["wirebounds"][0]
-	if !strings.Contains(bounds.Message, `readList preallocates []uint64 from wire-controlled count "n"`) {
-		t.Errorf("wirebounds message does not name the allocation: %s", bounds.Message)
-	}
-	chain = strings.Join(bounds.Chain, "\n")
-	if !strings.Contains(chain, "read from the wire at") || !strings.Contains(chain, "reserves 8 bytes per count unit") {
-		t.Errorf("wirebounds evidence chain missing the count/size frames: %v", bounds.Chain)
-	}
-	if len(diags) != 2 {
-		t.Errorf("clean codec pair must stay silent; got %d findings: %v", len(diags), diags)
-	}
-}
-
-// TestScratchWireBreakProof drives the breaking-change gate end to end: a
-// baseline extracted from the generated package, a silent run against it,
-// then a field-width change with no version bump that must produce exactly
-// one wirebreak finding carrying both layouts as evidence.
-func TestScratchWireBreakProof(t *testing.T) {
-	cfg, _, pkgs, loader := writeScratchPkg(t, map[string]string{
-		"reader.go": wireScratchReader,
-		"codec.go":  wireScratchVerV0,
-	})
-	cfg.WirePackages = map[string]bool{pkgs[0].Path: true}
-	cfg.WireDocPath = ""
-	cfg.Enabled = map[string]bool{"wirebreak": true}
-
-	base, err := ExtractWireSchema(cfg, loader.Fset, pkgs).EncodeJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	baselinePath := filepath.Join(pkgs[0].Dir, "wire.schema.json")
-	if err := os.WriteFile(baselinePath, base, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	cfg.WireBaselinePath = baselinePath
-
-	if diags := Run(cfg, loader.Fset, pkgs); len(diags) != 0 {
-		t.Fatalf("unchanged tree must be clean under its own baseline, got: %v", diags)
-	}
-
-	// Narrow verReq.B from u64 to u32 without touching the wire version.
-	if err := os.WriteFile(filepath.Join(pkgs[0].Dir, "codec.go"), []byte(wireScratchVerV1), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	loader2, err := NewLoader(cfg.Root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs2, err := loader2.LoadDirs([]string{pkgs[0].Dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	diags := Run(cfg, loader2.Fset, pkgs2)
-	if len(diags) != 1 || diags[0].Check != "wirebreak" {
-		t.Fatalf("seeded width change: want exactly 1 wirebreak finding, got: %v", diags)
-	}
-	d := diags[0]
-	if !strings.Contains(d.Message, "wire-breaking change in ver request") ||
-		!strings.Contains(d.Message, "baseline B:u64, current B:u32") {
-		t.Errorf("wirebreak message does not pin the width change: %s", d.Message)
-	}
-	chain := strings.Join(d.Chain, "\n")
-	if !strings.Contains(chain, "baseline layout:") || !strings.Contains(chain, "current layout:") {
-		t.Errorf("wirebreak evidence chain missing the two layouts: %v", d.Chain)
-	}
-}
-
 // TestScratchDataflowProof runs the full analyzer over the generated
 // package and demands that each of the four seeded value-flow defects is
 // caught with a correct dataflow evidence chain — and that nothing else

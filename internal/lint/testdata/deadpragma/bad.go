@@ -44,25 +44,3 @@ func barrierClean(a int) int {
 	//canonvet:ignore durabilityerr -- leftover: the barrier moved into the store // want `stale //canonvet:ignore: check "durabilityerr" no longer fires at this scope`
 	return a + 4
 }
-
-// the v4 wire checks participate too: this package has no binary codecs,
-// so a pragma naming any of them can never suppress anything.
-func wireSymClean(a int) int {
-	//canonvet:ignore wiresym -- leftover from the v4 rollout // want `stale //canonvet:ignore: check "wiresym" no longer fires at this scope`
-	return a + 5
-}
-
-func wireBreakClean(a int) int {
-	//canonvet:ignore wirebreak -- leftover: the baseline was refreshed // want `stale //canonvet:ignore: check "wirebreak" no longer fires at this scope`
-	return a + 6
-}
-
-func wireBoundsClean(a int) int {
-	//canonvet:ignore wirebounds -- leftover: the decoder grew its cap // want `stale //canonvet:ignore: check "wirebounds" no longer fires at this scope`
-	return a + 7
-}
-
-func wireDocClean(a int) int {
-	//canonvet:ignore wiredoc -- leftover: the tables were re-synced // want `stale //canonvet:ignore: check "wiredoc" no longer fires at this scope`
-	return a + 8
-}

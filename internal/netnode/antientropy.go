@@ -53,7 +53,7 @@ func (n *Node) AntiEntropyOnce(ctx context.Context) AntiEntropyStats {
 	for l := 0; l <= v.levels; l++ {
 		lo, hi := v.self.ID, v.succAt(l).ID
 		// A failed sync ends this level's walk; the next round retries it.
-		_ = n.walkReplicaChain(ctx, v, l, func(partner Info) error {
+		err := n.walkReplicaChain(ctx, v, l, func(partner Info) error {
 			pushed, pulled, err := n.syncWith(ctx, partner, v.prefixes[l], lo, hi)
 			if err != nil {
 				return err
@@ -63,6 +63,9 @@ func (n *Node) AntiEntropyOnce(ctx context.Context) AntiEntropyStats {
 			stats.Pulled += pulled
 			return nil
 		})
+		if err != nil {
+			n.m.antiEntropySyncFailures.Inc()
+		}
 	}
 	n.m.antiEntropyRounds.Inc()
 	return stats

@@ -9,88 +9,244 @@ import (
 	"github.com/canon-dht/canon/internal/transport"
 )
 
-// Binary marshaling for the routing and membership payloads (lookup, fetch,
-// ping, neighbors, notify, register, members, leaving); the storage,
-// geometry and key-value payloads follow in binwire2.go to binwire4.go.
+// The body codec. Every wire body's layout is written exactly once, as a
+// field walk over a bidirectional coder:
 //
-// Every wire body implements transport.BinaryAppender +
-// encoding.BinaryUnmarshaler: that pair is the only body codec, in the form
-// specified in docs/WIRE.md. Conventions (all multi-byte integers big-endian):
+//	func (q *fetchReq) wire(c *coder) { c.u64("Key", &q.Key); c.str("Origin", &q.Origin) }
 //
-//   - ring identifiers and keys: fixed 8 bytes (they are uniformly random,
-//     so varints would usually be longer)
-//   - counts and lengths: unsigned varints
-//   - small signed integers (hops, levels — levels can be -1): signed
-//     varints (zigzag)
-//   - strings: uvarint byte length, then the bytes
-//   - optional byte slices and slices: uvarint n where 0 means absent (nil)
-//     and n means length n-1 — preserving the nil/empty distinction
-//   - booleans: one byte, 0 or 1
+// The same walk appends the body (AppendBinary), reads it back through the
+// strict reader (UnmarshalBinary) and, in tests, states the layout as the
+// (name, encoding) rows of docs/wire.schema.json and docs/WIRE.md — so an
+// encoder and a decoder cannot disagree, and the documents are compared with
+// what the code says rather than with what an analyzer infers. This file
+// holds the coder and the routing and membership walks; the storage,
+// geometry and key-value walks follow in binwire2.go to binwire4.go.
 //
-// Decoders are strict: trailing bytes, truncated fields and overflowing
-// lengths are errors, so a corrupted frame can never silently decode.
+// Primitives (all multi-byte integers big-endian):
+//
+//   - u64: ring identifiers, keys and digests, fixed 8 bytes (they are
+//     uniformly random, so varints would usually be longer)
+//   - uvarint / uint: counts and versions, unsigned varints
+//   - int: small signed integers (hops, levels — levels can be -1), zigzag
+//     varints
+//   - str: uvarint byte length, then the bytes
+//   - optBytes and slice: uvarint n where 0 means absent (nil) and n means
+//     length n-1 — preserving the nil/empty distinction
+//   - bool: one byte, 0 or 1; flags: one byte of named bits, bit 0 first
+//
+// Decoding is strict: trailing bytes, truncated fields, overflowing lengths
+// and undefined flag bits are errors, so a corrupted frame can never
+// silently decode.
 
-// errBinWire is wrapped by every binary decode failure in this file.
+// errBinWire is wrapped by every binary decode failure in this package.
 var errBinWire = errors.New("netnode: malformed binary payload")
 
-// maxDecodePrealloc caps the capacity a decoder reserves up front from a
-// wire-declared element count. The count itself is still honored — append
-// grows past the cap if the payload really carries that many elements — but
-// a hostile header claiming 2^60 elements over a few bytes of payload can
-// no longer reserve gigabytes before the truncation error surfaces.
+// maxDecodePrealloc caps the capacity the slice primitive reserves up front
+// from a wire-declared element count. The count itself is still honored —
+// append grows past the cap if the payload really carries that many
+// elements — but a hostile header claiming 2^60 elements over a few bytes of
+// payload can not reserve gigabytes before the truncation error surfaces.
 const maxDecodePrealloc = 4096
 
-// Compile-time interface checks for the payloads encoded in this file.
-var (
-	_ transport.BinaryAppender = Info{}
-	_ transport.BinaryAppender = lookupReq{}
-	_ transport.BinaryAppender = lookupResp{}
-	_ transport.BinaryAppender = fetchReq{}
-	_ transport.BinaryAppender = fetchResp{}
-	_ transport.BinaryAppender = neighborsReq{}
-	_ transport.BinaryAppender = neighborsResp{}
-	_ transport.BinaryAppender = notifyReq{}
-	_ transport.BinaryAppender = registerReq{}
-	_ transport.BinaryAppender = membersReq{}
-	_ transport.BinaryAppender = membersResp{}
-	_ transport.BinaryAppender = leavingReq{}
+// Coder modes. Encode is the zero value: it is the hot one.
+const (
+	coderEncode = iota
+	coderDecode
+	coderDescribe
 )
 
-// ---- append helpers ----
-
-func appendU64(b []byte, v uint64) []byte {
-	var x [8]byte
-	binary.BigEndian.PutUint64(x[:], v)
-	return append(b, x[:]...)
+// coder carries one walk: the bytes appended so far, the reader consumed so
+// far, or the layout rows noted so far.
+type coder struct {
+	mode  uint8
+	b     []byte
+	r     binReader
+	rows  []transport.WireField
+	depth int
 }
 
-func appendStr(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
+func encoder(b []byte) coder    { return coder{b: b} }
+func decoder(data []byte) coder { return coder{mode: coderDecode, r: binReader{data: data}} }
+
+// note records one layout row at the current nesting depth.
+func (c *coder) note(name, enc string, bits ...string) {
+	c.rows = append(c.rows, transport.WireField{Depth: c.depth, Name: name, Enc: enc, Bits: bits})
 }
 
-// appendOptBytes encodes nil as 0 and a present slice p as uvarint(len+1)+p.
-func appendOptBytes(b, p []byte) []byte {
-	if p == nil {
-		return binary.AppendUvarint(b, 0)
+func (c *coder) u64(name string, v *uint64) {
+	switch c.mode {
+	case coderEncode:
+		c.b = binary.BigEndian.AppendUint64(c.b, *v)
+	case coderDecode:
+		*v = c.r.u64()
+	default:
+		c.note(name, "u64")
 	}
-	b = binary.AppendUvarint(b, uint64(len(p))+1)
-	return append(b, p...)
 }
 
-// appendSliceLen encodes a slice header with the same nil/present scheme.
-func appendSliceLen(b []byte, n int, isNil bool) []byte {
-	if isNil {
-		return binary.AppendUvarint(b, 0)
+func (c *coder) uvarint(name string, v *uint64) {
+	switch c.mode {
+	case coderEncode:
+		c.b = binary.AppendUvarint(c.b, *v)
+	case coderDecode:
+		*v = c.r.uvarint()
+	default:
+		c.note(name, "uvarint")
 	}
-	return binary.AppendUvarint(b, uint64(n)+1)
 }
 
-func appendBool(b []byte, v bool) []byte {
-	if v {
-		return append(b, 1)
+// uint is uvarint for a count held in an int.
+func (c *coder) uint(name string, v *int) {
+	switch c.mode {
+	case coderEncode:
+		c.b = binary.AppendUvarint(c.b, uint64(*v))
+	case coderDecode:
+		*v = int(c.r.uvarint())
+	default:
+		c.note(name, "uvarint")
 	}
-	return append(b, 0)
+}
+
+func (c *coder) int(name string, v *int) {
+	switch c.mode {
+	case coderEncode:
+		c.b = binary.AppendVarint(c.b, int64(*v))
+	case coderDecode:
+		*v = int(c.r.varint())
+	default:
+		c.note(name, "varint")
+	}
+}
+
+func (c *coder) str(name string, v *string) {
+	switch c.mode {
+	case coderEncode:
+		c.b = append(binary.AppendUvarint(c.b, uint64(len(*v))), *v...)
+	case coderDecode:
+		*v = c.r.str()
+	default:
+		c.note(name, "string")
+	}
+}
+
+func (c *coder) optBytes(name string, v *[]byte) {
+	switch c.mode {
+	case coderEncode:
+		if *v == nil {
+			c.b = append(c.b, 0)
+			return
+		}
+		c.b = append(binary.AppendUvarint(c.b, uint64(len(*v))+1), *v...)
+	case coderDecode:
+		*v = c.r.optBytes()
+	default:
+		c.note(name, "optbytes")
+	}
+}
+
+func (c *coder) bool(name string, v *bool) {
+	switch c.mode {
+	case coderEncode:
+		if *v {
+			c.b = append(c.b, 1)
+		} else {
+			c.b = append(c.b, 0)
+		}
+	case coderDecode:
+		*v = c.r.byteBelow(2, "bool") == 1
+	default:
+		c.note(name, "bool")
+	}
+}
+
+// flagBit is one named bit of a flags byte.
+type flagBit struct {
+	name string
+	v    *bool
+}
+
+// flags packs the listed booleans into one byte, bit 0 first; a set bit
+// beyond the listed ones is a decode error.
+func (c *coder) flags(name string, bits ...flagBit) {
+	switch c.mode {
+	case coderEncode:
+		var f byte
+		for i, bit := range bits {
+			if *bit.v {
+				f |= 1 << i
+			}
+		}
+		c.b = append(c.b, f)
+	case coderDecode:
+		f := c.r.byteBelow(1<<len(bits), "flags")
+		for i, bit := range bits {
+			*bit.v = f&(1<<i) != 0
+		}
+	default:
+		names := make([]string, len(bits))
+		for i, bit := range bits {
+			names[i] = bit.name
+		}
+		c.note(name, "flags", names...)
+	}
+}
+
+// slice walks a slice header and returns the number of elements the caller
+// visits, in a loop of its own so that no function value is involved:
+//
+//	for i, n := 0, slice(c, "Items", &p.Items); c.more(i, n); i++ { at(c, &p.Items, i).wire(c) }
+//
+// It owns the nil/present scheme and — through the reader's count check and
+// the cap on the reservation — every allocation sized by a wire count.
+func slice[T any](c *coder, name string, s *[]T) int {
+	switch c.mode {
+	case coderEncode:
+		if *s == nil {
+			c.b = append(c.b, 0)
+			return 0
+		}
+		c.b = binary.AppendUvarint(c.b, uint64(len(*s))+1)
+		return len(*s)
+	case coderDecode:
+		n, present := c.r.sliceLen()
+		if !present {
+			*s = nil
+			return 0
+		}
+		*s = make([]T, 0, min(n, maxDecodePrealloc))
+		return n
+	default:
+		c.note(name, "slice")
+		c.depth++
+		*s = nil
+		return 1 // one element states the element layout
+	}
+}
+
+// more is the loop condition of a slice walk: decoding stops at the first
+// error, describing after the one element.
+func (c *coder) more(i, n int) bool {
+	switch c.mode {
+	case coderEncode:
+		return i < n
+	case coderDecode:
+		return i < n && c.r.err == nil
+	default:
+		if i > 0 {
+			c.depth--
+		}
+		return i == 0
+	}
+}
+
+// at returns element i of a slice being walked; when decoding (and
+// describing) it first appends the zero element the walk then fills.
+func at[T any](c *coder, s *[]T, i int) *T {
+	if c.mode != coderEncode {
+		var zero T
+		*s = append(*s, zero)
+	}
+	return &(*s)[i]
 }
 
 // ---- strict reader ----
@@ -162,7 +318,7 @@ func (r *binReader) str() string {
 	return s
 }
 
-// optBytes decodes the nil/present scheme of appendOptBytes.
+// optBytes decodes the nil/present scheme.
 func (r *binReader) optBytes() []byte {
 	n := r.uvarint()
 	if r.err != nil || n == 0 {
@@ -196,21 +352,23 @@ func (r *binReader) sliceLen() (n int, present bool) {
 	return int(v - 1), true
 }
 
-func (r *binReader) bool() bool {
+// byteBelow reads one byte that must be less than limit (a bool, a flags
+// byte with its undefined bits clear).
+func (r *binReader) byteBelow(limit int, what string) byte {
 	if r.err != nil {
-		return false
+		return 0
 	}
 	if r.off >= len(r.data) {
-		r.fail("truncated bool")
-		return false
+		r.fail("truncated " + what)
+		return 0
 	}
 	b := r.data[r.off]
 	r.off++
-	if b > 1 {
-		r.fail("bad bool")
-		return false
+	if int(b) >= limit {
+		r.fail("bad " + what)
+		return 0
 	}
-	return b == 1
+	return b
 }
 
 // done returns the latched error, or an error if bytes remain.
@@ -224,325 +382,205 @@ func (r *binReader) done() error {
 	return nil
 }
 
-// ---- Info ----
+// ---- Info and Span, the two structures bodies embed ----
 
-// AppendBinary implements transport.BinaryAppender.
-func (i Info) AppendBinary(b []byte) ([]byte, error) {
-	b = appendU64(b, i.ID)
-	b = appendStr(b, i.Name)
-	b = appendStr(b, i.Addr)
-	return b, nil
+func (i *Info) wire(c *coder) {
+	c.u64("ID", &i.ID)
+	c.str("Name", &i.Name)
+	c.str("Addr", &i.Addr)
 }
 
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (i *Info) UnmarshalBinary(data []byte) error {
-	r := &binReader{data: data}
-	i.readFrom(r)
-	return r.done()
+func (i Info) AppendBinary(b []byte) ([]byte, error) { c := encoder(b); i.wire(&c); return c.b, nil }
+func (i *Info) UnmarshalBinary(data []byte) error    { c := decoder(data); i.wire(&c); return c.r.done() }
+
+// info walks an embedded Info.
+func (c *coder) info(name string, i *Info) {
+	if c.mode == coderDescribe {
+		c.note(name, "struct")
+		c.depth++
+		i.wire(c)
+		c.depth--
+		return
+	}
+	i.wire(c)
 }
 
-func (i Info) appendTo(b []byte) []byte {
-	b, _ = i.AppendBinary(b)
-	return b
+func infos(c *coder, name string, s *[]Info) {
+	for i, n := 0, slice(c, name, s); c.more(i, n); i++ {
+		at(c, s, i).wire(c)
+	}
 }
 
-func (i *Info) readFrom(r *binReader) {
-	i.ID = r.u64()
-	i.Name = r.str()
-	i.Addr = r.str()
+// wireSpan is the walk of telemetry.Span (carried inside lookup messages);
+// Level is -1 on terminal spans.
+func wireSpan(c *coder, s *telemetry.Span) {
+	c.int("Hop", &s.Hop)
+	c.u64("ID", &s.ID)
+	c.int("Level", &s.Level)
+	c.flags("flags", flagBit{"spanFlagRouteAround", &s.RouteAround}, flagBit{"spanFlagOwner", &s.Owner})
+	c.str("Name", &s.Name)
+	c.str("Addr", &s.Addr)
 }
 
-func appendInfos(b []byte, infos []Info) []byte {
-	b = appendSliceLen(b, len(infos), infos == nil)
-	for _, i := range infos {
-		b = i.appendTo(b)
+func spans(c *coder, name string, s *[]telemetry.Span) {
+	for i, n := 0, slice(c, name, s); c.more(i, n); i++ {
+		wireSpan(c, at(c, s, i))
 	}
-	return b
-}
-
-func readInfos(r *binReader) []Info {
-	n, present := r.sliceLen()
-	if !present {
-		return nil
-	}
-	out := make([]Info, 0, min(n, maxDecodePrealloc))
-	for j := 0; j < n && r.err == nil; j++ {
-		var i Info
-		i.readFrom(r)
-		out = append(out, i)
-	}
-	return out
-}
-
-// ---- telemetry spans (carried inside lookup messages) ----
-
-const (
-	spanFlagRouteAround = 1 << 0
-	spanFlagOwner       = 1 << 1
-)
-
-func appendSpan(b []byte, s telemetry.Span) []byte {
-	b = binary.AppendVarint(b, int64(s.Hop))
-	b = appendU64(b, s.ID)
-	b = binary.AppendVarint(b, int64(s.Level)) // -1 on terminal spans
-	var flags byte
-	if s.RouteAround {
-		flags |= spanFlagRouteAround
-	}
-	if s.Owner {
-		flags |= spanFlagOwner
-	}
-	b = append(b, flags)
-	b = appendStr(b, s.Name)
-	b = appendStr(b, s.Addr)
-	return b
-}
-
-func readSpan(r *binReader) telemetry.Span {
-	var s telemetry.Span
-	s.Hop = int(r.varint())
-	s.ID = r.u64()
-	s.Level = int(r.varint())
-	if r.err == nil && r.off < len(r.data) {
-		flags := r.data[r.off]
-		r.off++
-		if flags&^(spanFlagRouteAround|spanFlagOwner) != 0 {
-			r.fail("bad span flags")
-		}
-		s.RouteAround = flags&spanFlagRouteAround != 0
-		s.Owner = flags&spanFlagOwner != 0
-	} else {
-		r.fail("truncated span flags")
-	}
-	s.Name = r.str()
-	s.Addr = r.str()
-	return s
-}
-
-func appendSpans(b []byte, spans []telemetry.Span) []byte {
-	b = appendSliceLen(b, len(spans), spans == nil)
-	for _, s := range spans {
-		b = appendSpan(b, s)
-	}
-	return b
-}
-
-func readSpans(r *binReader) []telemetry.Span {
-	n, present := r.sliceLen()
-	if !present {
-		return nil
-	}
-	spans := make([]telemetry.Span, 0, min(n, maxDecodePrealloc))
-	for j := 0; j < n && r.err == nil; j++ {
-		spans = append(spans, readSpan(r))
-	}
-	return spans
 }
 
 // ---- lookup ----
 
-// AppendBinary implements transport.BinaryAppender.
-func (q lookupReq) AppendBinary(b []byte) ([]byte, error) {
-	b = appendU64(b, q.Key)
-	b = appendStr(b, q.Prefix)
-	b = binary.AppendVarint(b, int64(q.Hops))
-	b = appendStr(b, q.Trace)
-	b = appendSpans(b, q.Spans)
-	return b, nil
+func (q *lookupReq) wire(c *coder) {
+	c.u64("Key", &q.Key)
+	c.str("Prefix", &q.Prefix)
+	c.int("Hops", &q.Hops)
+	c.str("Trace", &q.Trace)
+	spans(c, "Spans", &q.Spans)
 }
 
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (q *lookupReq) UnmarshalBinary(data []byte) error {
-	r := &binReader{data: data}
-	q.Key = r.u64()
-	q.Prefix = r.str()
-	q.Hops = int(r.varint())
-	q.Trace = r.str()
-	q.Spans = readSpans(r)
-	return r.done()
-}
-
-// AppendBinary implements transport.BinaryAppender.
-func (p lookupResp) AppendBinary(b []byte) ([]byte, error) {
-	b = p.Pred.appendTo(b)
-	b = p.Succ.appendTo(b)
-	b = binary.AppendVarint(b, int64(p.Hops))
-	b = appendStr(b, p.Trace)
-	b = appendSpans(b, p.Spans)
-	return b, nil
-}
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (p *lookupResp) UnmarshalBinary(data []byte) error {
-	r := &binReader{data: data}
-	p.Pred.readFrom(r)
-	p.Succ.readFrom(r)
-	p.Hops = int(r.varint())
-	p.Trace = r.str()
-	p.Spans = readSpans(r)
-	return r.done()
+func (p *lookupResp) wire(c *coder) {
+	c.info("Pred", &p.Pred)
+	c.info("Succ", &p.Succ)
+	c.int("Hops", &p.Hops)
+	c.str("Trace", &p.Trace)
+	spans(c, "Spans", &p.Spans)
 }
 
 // ---- fetch ----
 
-// AppendBinary implements transport.BinaryAppender.
+func (q *fetchReq) wire(c *coder) {
+	c.u64("Key", &q.Key)
+	c.str("Origin", &q.Origin)
+}
+
+func (v *fetchValue) wire(c *coder) {
+	c.optBytes("Value", &v.Value)
+	c.str("Access", &v.Access)
+	c.info("Pointer", &v.Pointer)
+}
+
+func (p *fetchResp) wire(c *coder) {
+	for i, n := 0, slice(c, "Values", &p.Values); c.more(i, n); i++ {
+		at(c, &p.Values, i).wire(c)
+	}
+}
+
+// ---- neighbors, notify ----
+
+func (q *neighborsReq) wire(c *coder) { c.int("Level", &q.Level) }
+
+func (p *neighborsResp) wire(c *coder) {
+	c.info("Pred", &p.Pred)
+	infos(c, "Succs", &p.Succs)
+}
+
+func (q *notifyReq) wire(c *coder) {
+	c.int("Level", &q.Level)
+	c.info("From", &q.From)
+	c.bool("AsSuccessor", &q.AsSuccessor)
+}
+
+// ---- register, members, leaving ----
+
+func (q *registerReq) wire(c *coder) {
+	c.str("Prefix", &q.Prefix)
+	c.info("From", &q.From)
+}
+
+func (q *membersReq) wire(c *coder) { c.str("Prefix", &q.Prefix) }
+
+func (p *membersResp) wire(c *coder) { infos(c, "Members", &p.Members) }
+
+func (q *leavingReq) wire(c *coder) {
+	c.info("From", &q.From)
+	infos(c, "Succs", &q.Succs)
+}
+
+// The two methods the transport calls. They are the same three statements
+// for every body: the call to wire must be static, or the coder escapes to
+// the heap and every encode allocates.
+
+func (q lookupReq) AppendBinary(b []byte) ([]byte, error) {
+	c := encoder(b)
+	q.wire(&c)
+	return c.b, nil
+}
+func (q *lookupReq) UnmarshalBinary(d []byte) error { c := decoder(d); q.wire(&c); return c.r.done() }
+
+func (p lookupResp) AppendBinary(b []byte) ([]byte, error) {
+	c := encoder(b)
+	p.wire(&c)
+	return c.b, nil
+}
+func (p *lookupResp) UnmarshalBinary(d []byte) error { c := decoder(d); p.wire(&c); return c.r.done() }
+
 func (q fetchReq) AppendBinary(b []byte) ([]byte, error) {
-	b = appendU64(b, q.Key)
-	b = appendStr(b, q.Origin)
-	return b, nil
+	c := encoder(b)
+	q.wire(&c)
+	return c.b, nil
 }
+func (q *fetchReq) UnmarshalBinary(d []byte) error { c := decoder(d); q.wire(&c); return c.r.done() }
 
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (q *fetchReq) UnmarshalBinary(data []byte) error {
-	r := &binReader{data: data}
-	q.Key = r.u64()
-	q.Origin = r.str()
-	return r.done()
-}
-
-func appendFetchValue(b []byte, v fetchValue) []byte {
-	b = appendOptBytes(b, v.Value)
-	b = appendStr(b, v.Access)
-	b = v.Pointer.appendTo(b)
-	return b
-}
-
-func readFetchValue(r *binReader) fetchValue {
-	var v fetchValue
-	v.Value = r.optBytes()
-	v.Access = r.str()
-	v.Pointer.readFrom(r)
-	return v
-}
-
-// AppendBinary implements transport.BinaryAppender.
 func (p fetchResp) AppendBinary(b []byte) ([]byte, error) {
-	b = appendSliceLen(b, len(p.Values), p.Values == nil)
-	for _, v := range p.Values {
-		b = appendFetchValue(b, v)
-	}
-	return b, nil
+	c := encoder(b)
+	p.wire(&c)
+	return c.b, nil
 }
+func (p *fetchResp) UnmarshalBinary(d []byte) error { c := decoder(d); p.wire(&c); return c.r.done() }
 
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (p *fetchResp) UnmarshalBinary(data []byte) error {
-	r := &binReader{data: data}
-	n, present := r.sliceLen()
-	if !present {
-		p.Values = nil
-		return r.done()
-	}
-	p.Values = make([]fetchValue, 0, min(n, maxDecodePrealloc))
-	for j := 0; j < n && r.err == nil; j++ {
-		p.Values = append(p.Values, readFetchValue(r))
-	}
-	return r.done()
-}
-
-// ---- neighbors ----
-
-// AppendBinary implements transport.BinaryAppender.
 func (q neighborsReq) AppendBinary(b []byte) ([]byte, error) {
-	b = binary.AppendVarint(b, int64(q.Level))
-	return b, nil
+	c := encoder(b)
+	q.wire(&c)
+	return c.b, nil
+}
+func (q *neighborsReq) UnmarshalBinary(d []byte) error {
+	c := decoder(d)
+	q.wire(&c)
+	return c.r.done()
 }
 
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (q *neighborsReq) UnmarshalBinary(data []byte) error {
-	r := &binReader{data: data}
-	q.Level = int(r.varint())
-	return r.done()
-}
-
-// AppendBinary implements transport.BinaryAppender.
 func (p neighborsResp) AppendBinary(b []byte) ([]byte, error) {
-	b = p.Pred.appendTo(b)
-	b = appendInfos(b, p.Succs)
-	return b, nil
+	c := encoder(b)
+	p.wire(&c)
+	return c.b, nil
+}
+func (p *neighborsResp) UnmarshalBinary(d []byte) error {
+	c := decoder(d)
+	p.wire(&c)
+	return c.r.done()
 }
 
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (p *neighborsResp) UnmarshalBinary(data []byte) error {
-	r := &binReader{data: data}
-	p.Pred.readFrom(r)
-	p.Succs = readInfos(r)
-	return r.done()
-}
-
-// ---- notify ----
-
-// AppendBinary implements transport.BinaryAppender.
 func (q notifyReq) AppendBinary(b []byte) ([]byte, error) {
-	b = binary.AppendVarint(b, int64(q.Level))
-	b = q.From.appendTo(b)
-	b = appendBool(b, q.AsSuccessor)
-	return b, nil
+	c := encoder(b)
+	q.wire(&c)
+	return c.b, nil
 }
+func (q *notifyReq) UnmarshalBinary(d []byte) error { c := decoder(d); q.wire(&c); return c.r.done() }
 
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (q *notifyReq) UnmarshalBinary(data []byte) error {
-	r := &binReader{data: data}
-	q.Level = int(r.varint())
-	q.From.readFrom(r)
-	q.AsSuccessor = r.bool()
-	return r.done()
-}
-
-// ---- register / members ----
-
-// AppendBinary implements transport.BinaryAppender.
 func (q registerReq) AppendBinary(b []byte) ([]byte, error) {
-	b = appendStr(b, q.Prefix)
-	b = q.From.appendTo(b)
-	return b, nil
+	c := encoder(b)
+	q.wire(&c)
+	return c.b, nil
 }
+func (q *registerReq) UnmarshalBinary(d []byte) error { c := decoder(d); q.wire(&c); return c.r.done() }
 
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (q *registerReq) UnmarshalBinary(data []byte) error {
-	r := &binReader{data: data}
-	q.Prefix = r.str()
-	q.From.readFrom(r)
-	return r.done()
-}
-
-// AppendBinary implements transport.BinaryAppender.
 func (q membersReq) AppendBinary(b []byte) ([]byte, error) {
-	b = appendStr(b, q.Prefix)
-	return b, nil
+	c := encoder(b)
+	q.wire(&c)
+	return c.b, nil
 }
+func (q *membersReq) UnmarshalBinary(d []byte) error { c := decoder(d); q.wire(&c); return c.r.done() }
 
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (q *membersReq) UnmarshalBinary(data []byte) error {
-	r := &binReader{data: data}
-	q.Prefix = r.str()
-	return r.done()
-}
-
-// AppendBinary implements transport.BinaryAppender.
 func (p membersResp) AppendBinary(b []byte) ([]byte, error) {
-	return appendInfos(b, p.Members), nil
+	c := encoder(b)
+	p.wire(&c)
+	return c.b, nil
 }
+func (p *membersResp) UnmarshalBinary(d []byte) error { c := decoder(d); p.wire(&c); return c.r.done() }
 
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (p *membersResp) UnmarshalBinary(data []byte) error {
-	r := &binReader{data: data}
-	p.Members = readInfos(r)
-	return r.done()
-}
-
-// ---- leaving ----
-
-// AppendBinary implements transport.BinaryAppender.
 func (q leavingReq) AppendBinary(b []byte) ([]byte, error) {
-	b = q.From.appendTo(b)
-	b = appendInfos(b, q.Succs)
-	return b, nil
+	c := encoder(b)
+	q.wire(&c)
+	return c.b, nil
 }
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (q *leavingReq) UnmarshalBinary(data []byte) error {
-	r := &binReader{data: data}
-	q.From.readFrom(r)
-	q.Succs = readInfos(r)
-	return r.done()
-}
+func (q *leavingReq) UnmarshalBinary(d []byte) error { c := decoder(d); q.wire(&c); return c.r.done() }

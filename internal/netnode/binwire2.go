@@ -1,246 +1,150 @@
 package netnode
 
-import (
-	"encoding/binary"
-
-	"github.com/canon-dht/canon/internal/transport"
-)
-
-// Binary marshaling for the versioned store and the anti-entropy protocol
-// (docs/WIRE.md §8). They follow the conventions documented in binwire.go.
-
-// Compile-time interface checks for the storage payloads.
-var (
-	_ transport.BinaryAppender = storeReq2{}
-	_ transport.BinaryAppender = syncTreeReq{}
-	_ transport.BinaryAppender = syncTreeResp{}
-	_ transport.BinaryAppender = syncKeysReq{}
-	_ transport.BinaryAppender = syncKeysResp{}
-	_ transport.BinaryAppender = syncPullReq{}
-	_ transport.BinaryAppender = syncPullResp{}
-	_ transport.BinaryAppender = repairResp{}
-)
+// Walks of the versioned store and the anti-entropy protocol (docs/WIRE.md
+// §8), over the coder of binwire.go.
 
 // ---- store2 ----
 
-func (q storeReq2) appendTo(b []byte) []byte {
-	b = appendU64(b, q.Key)
-	b = appendOptBytes(b, q.Value)
-	b = appendStr(b, q.Storage)
-	b = appendStr(b, q.Access)
-	b = q.Pointer.appendTo(b)
-	b = appendBool(b, q.Replica)
-	b = binary.AppendVarint(b, int64(q.Level))
-	b = binary.AppendUvarint(b, q.Version)
-	return b
-}
-
-func (q *storeReq2) readFrom(r *binReader) {
-	q.Key = r.u64()
-	q.Value = r.optBytes()
-	q.Storage = r.str()
-	q.Access = r.str()
-	q.Pointer.readFrom(r)
-	q.Replica = r.bool()
-	q.Level = int(r.varint())
-	q.Version = r.uvarint()
-}
-
-// AppendBinary implements transport.BinaryAppender.
-func (q storeReq2) AppendBinary(b []byte) ([]byte, error) { return q.appendTo(b), nil }
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (q *storeReq2) UnmarshalBinary(data []byte) error {
-	r := &binReader{data: data}
-	q.readFrom(r)
-	return r.done()
+func (q *storeReq2) wire(c *coder) {
+	c.u64("Key", &q.Key)
+	c.optBytes("Value", &q.Value)
+	c.str("Storage", &q.Storage)
+	c.str("Access", &q.Access)
+	c.info("Pointer", &q.Pointer)
+	c.bool("Replica", &q.Replica)
+	c.int("Level", &q.Level)
+	c.uvarint("Version", &q.Version)
 }
 
 // ---- synctree ----
 
-// AppendBinary implements transport.BinaryAppender.
-func (q syncTreeReq) AppendBinary(b []byte) ([]byte, error) {
-	b = appendStr(b, q.Prefix)
-	b = appendU64(b, q.Lo)
-	b = appendU64(b, q.Hi)
-	return b, nil
+func (q *syncTreeReq) wire(c *coder) {
+	c.str("Prefix", &q.Prefix)
+	c.u64("Lo", &q.Lo)
+	c.u64("Hi", &q.Hi)
 }
 
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (q *syncTreeReq) UnmarshalBinary(data []byte) error {
-	r := &binReader{data: data}
-	q.Prefix = r.str()
-	q.Lo = r.u64()
-	q.Hi = r.u64()
-	return r.done()
-}
-
-// AppendBinary implements transport.BinaryAppender. Leaf digests are
-// uniformly distributed, so they ride as fixed 8-byte words.
-func (p syncTreeResp) AppendBinary(b []byte) ([]byte, error) {
-	b = appendU64(b, p.Root)
-	b = appendSliceLen(b, len(p.Leaves), p.Leaves == nil)
-	for _, l := range p.Leaves {
-		b = appendU64(b, l)
+// Leaf digests are uniformly distributed, so they ride as fixed 8-byte words.
+func (p *syncTreeResp) wire(c *coder) {
+	c.u64("Root", &p.Root)
+	for i, n := 0, slice(c, "Leaves", &p.Leaves); c.more(i, n); i++ {
+		c.u64("", at(c, &p.Leaves, i))
 	}
-	return b, nil
-}
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (p *syncTreeResp) UnmarshalBinary(data []byte) error {
-	r := &binReader{data: data}
-	p.Root = r.u64()
-	n, present := r.sliceLen()
-	if !present {
-		p.Leaves = nil
-		return r.done()
-	}
-	p.Leaves = make([]uint64, 0, min(n, maxDecodePrealloc))
-	for j := 0; j < n && r.err == nil; j++ {
-		p.Leaves = append(p.Leaves, r.u64())
-	}
-	return r.done()
 }
 
 // ---- synckeys ----
 
-// AppendBinary implements transport.BinaryAppender.
-func (q syncKeysReq) AppendBinary(b []byte) ([]byte, error) {
-	b = appendStr(b, q.Prefix)
-	b = appendU64(b, q.Lo)
-	b = appendU64(b, q.Hi)
-	b = appendSliceLen(b, len(q.Buckets), q.Buckets == nil)
-	for _, bk := range q.Buckets {
-		b = binary.AppendUvarint(b, uint64(bk))
+func (q *syncKeysReq) wire(c *coder) {
+	c.str("Prefix", &q.Prefix)
+	c.u64("Lo", &q.Lo)
+	c.u64("Hi", &q.Hi)
+	for i, n := 0, slice(c, "Buckets", &q.Buckets); c.more(i, n); i++ {
+		c.uint("", at(c, &q.Buckets, i))
 	}
-	return b, nil
 }
 
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (q *syncKeysReq) UnmarshalBinary(data []byte) error {
-	r := &binReader{data: data}
-	q.Prefix = r.str()
-	q.Lo = r.u64()
-	q.Hi = r.u64()
-	n, present := r.sliceLen()
-	if !present {
-		q.Buckets = nil
-		return r.done()
-	}
-	q.Buckets = make([]int, 0, min(n, maxDecodePrealloc))
-	for j := 0; j < n && r.err == nil; j++ {
-		q.Buckets = append(q.Buckets, int(r.uvarint()))
-	}
-	return r.done()
+func (it *syncItem) wire(c *coder) {
+	c.u64("Key", &it.Key)
+	c.str("Storage", &it.Storage)
+	c.str("Access", &it.Access)
+	c.bool("Pointer", &it.Pointer)
+	c.uvarint("Version", &it.Version)
+	c.u64("Digest", &it.Digest)
 }
 
-func appendSyncItem(b []byte, it syncItem) []byte {
-	b = appendU64(b, it.Key)
-	b = appendStr(b, it.Storage)
-	b = appendStr(b, it.Access)
-	b = appendBool(b, it.Pointer)
-	b = binary.AppendUvarint(b, it.Version)
-	b = appendU64(b, it.Digest)
-	return b
-}
-
-func readSyncItem(r *binReader) syncItem {
-	var it syncItem
-	it.Key = r.u64()
-	it.Storage = r.str()
-	it.Access = r.str()
-	it.Pointer = r.bool()
-	it.Version = r.uvarint()
-	it.Digest = r.u64()
-	return it
-}
-
-// AppendBinary implements transport.BinaryAppender.
-func (p syncKeysResp) AppendBinary(b []byte) ([]byte, error) {
-	b = appendSliceLen(b, len(p.Items), p.Items == nil)
-	for _, it := range p.Items {
-		b = appendSyncItem(b, it)
+func (p *syncKeysResp) wire(c *coder) {
+	for i, n := 0, slice(c, "Items", &p.Items); c.more(i, n); i++ {
+		at(c, &p.Items, i).wire(c)
 	}
-	return b, nil
-}
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (p *syncKeysResp) UnmarshalBinary(data []byte) error {
-	r := &binReader{data: data}
-	n, present := r.sliceLen()
-	if !present {
-		p.Items = nil
-		return r.done()
-	}
-	p.Items = make([]syncItem, 0, min(n, maxDecodePrealloc))
-	for j := 0; j < n && r.err == nil; j++ {
-		p.Items = append(p.Items, readSyncItem(r))
-	}
-	return r.done()
 }
 
 // ---- syncpull ----
 
-// AppendBinary implements transport.BinaryAppender.
-func (q syncPullReq) AppendBinary(b []byte) ([]byte, error) {
-	b = appendStr(b, q.Prefix)
-	b = appendU64(b, q.Lo)
-	b = appendU64(b, q.Hi)
-	b = appendU64(b, q.Key)
-	return b, nil
+func (q *syncPullReq) wire(c *coder) {
+	c.str("Prefix", &q.Prefix)
+	c.u64("Lo", &q.Lo)
+	c.u64("Hi", &q.Hi)
+	c.u64("Key", &q.Key)
 }
 
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (q *syncPullReq) UnmarshalBinary(data []byte) error {
-	r := &binReader{data: data}
-	q.Prefix = r.str()
-	q.Lo = r.u64()
-	q.Hi = r.u64()
-	q.Key = r.u64()
-	return r.done()
-}
-
-// AppendBinary implements transport.BinaryAppender.
-func (p syncPullResp) AppendBinary(b []byte) ([]byte, error) {
-	b = appendSliceLen(b, len(p.Entries), p.Entries == nil)
-	for _, e := range p.Entries {
-		b = e.appendTo(b)
+func (p *syncPullResp) wire(c *coder) {
+	for i, n := 0, slice(c, "Entries", &p.Entries); c.more(i, n); i++ {
+		at(c, &p.Entries, i).wire(c)
 	}
-	return b, nil
-}
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (p *syncPullResp) UnmarshalBinary(data []byte) error {
-	r := &binReader{data: data}
-	n, present := r.sliceLen()
-	if !present {
-		p.Entries = nil
-		return r.done()
-	}
-	p.Entries = make([]storeReq2, 0, min(n, maxDecodePrealloc))
-	for j := 0; j < n && r.err == nil; j++ {
-		var e storeReq2
-		e.readFrom(r)
-		p.Entries = append(p.Entries, e)
-	}
-	return r.done()
 }
 
 // ---- repair ----
 
-// AppendBinary implements transport.BinaryAppender.
-func (p repairResp) AppendBinary(b []byte) ([]byte, error) {
-	b = binary.AppendUvarint(b, uint64(p.Partners))
-	b = binary.AppendUvarint(b, uint64(p.Pushed))
-	b = binary.AppendUvarint(b, uint64(p.Pulled))
-	return b, nil
+func (p *repairResp) wire(c *coder) {
+	c.uint("Partners", &p.Partners)
+	c.uint("Pushed", &p.Pushed)
+	c.uint("Pulled", &p.Pulled)
 }
 
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (p *repairResp) UnmarshalBinary(data []byte) error {
-	r := &binReader{data: data}
-	p.Partners = int(r.uvarint())
-	p.Pushed = int(r.uvarint())
-	p.Pulled = int(r.uvarint())
-	return r.done()
+func (q storeReq2) AppendBinary(b []byte) ([]byte, error) {
+	c := encoder(b)
+	q.wire(&c)
+	return c.b, nil
 }
+func (q *storeReq2) UnmarshalBinary(d []byte) error { c := decoder(d); q.wire(&c); return c.r.done() }
+
+func (q syncTreeReq) AppendBinary(b []byte) ([]byte, error) {
+	c := encoder(b)
+	q.wire(&c)
+	return c.b, nil
+}
+func (q *syncTreeReq) UnmarshalBinary(d []byte) error { c := decoder(d); q.wire(&c); return c.r.done() }
+
+func (p syncTreeResp) AppendBinary(b []byte) ([]byte, error) {
+	c := encoder(b)
+	p.wire(&c)
+	return c.b, nil
+}
+func (p *syncTreeResp) UnmarshalBinary(d []byte) error {
+	c := decoder(d)
+	p.wire(&c)
+	return c.r.done()
+}
+
+func (q syncKeysReq) AppendBinary(b []byte) ([]byte, error) {
+	c := encoder(b)
+	q.wire(&c)
+	return c.b, nil
+}
+func (q *syncKeysReq) UnmarshalBinary(d []byte) error { c := decoder(d); q.wire(&c); return c.r.done() }
+
+func (p syncKeysResp) AppendBinary(b []byte) ([]byte, error) {
+	c := encoder(b)
+	p.wire(&c)
+	return c.b, nil
+}
+func (p *syncKeysResp) UnmarshalBinary(d []byte) error {
+	c := decoder(d)
+	p.wire(&c)
+	return c.r.done()
+}
+
+func (q syncPullReq) AppendBinary(b []byte) ([]byte, error) {
+	c := encoder(b)
+	q.wire(&c)
+	return c.b, nil
+}
+func (q *syncPullReq) UnmarshalBinary(d []byte) error { c := decoder(d); q.wire(&c); return c.r.done() }
+
+func (p syncPullResp) AppendBinary(b []byte) ([]byte, error) {
+	c := encoder(b)
+	p.wire(&c)
+	return c.b, nil
+}
+func (p *syncPullResp) UnmarshalBinary(d []byte) error {
+	c := decoder(d)
+	p.wire(&c)
+	return c.r.done()
+}
+
+func (p repairResp) AppendBinary(b []byte) ([]byte, error) {
+	c := encoder(b)
+	p.wire(&c)
+	return c.b, nil
+}
+func (p *repairResp) UnmarshalBinary(d []byte) error { c := decoder(d); p.wire(&c); return c.r.done() }

@@ -1,26 +1,12 @@
 package netnode
 
 import (
+	"os"
 	"reflect"
 	"testing"
 
 	"github.com/canon-dht/canon/internal/telemetry"
 )
-
-// wireBody is what every wire body is on the encode side; a pointer to the
-// same type is a wireDecoder.
-type wireBody interface {
-	AppendBinary([]byte) ([]byte, error)
-}
-
-type wireDecoder interface {
-	UnmarshalBinary([]byte) error
-}
-
-// newDecoder returns a pointer to a zero value of in's type.
-func newDecoder(in wireBody) wireDecoder {
-	return reflect.New(reflect.TypeOf(in)).Interface().(wireDecoder)
-}
 
 // checkRoundTrip requires decode(encode(in)) to deep-equal in — nil and
 // empty slices are different values, as they are on the wire.
@@ -30,59 +16,12 @@ func checkRoundTrip(t *testing.T, in wireBody) {
 	if err != nil {
 		t.Fatalf("encode %T: %v", in, err)
 	}
-	out := newDecoder(in)
+	out := newOf(in).(wireDecoder)
 	if err := out.UnmarshalBinary(enc); err != nil {
 		t.Fatalf("decode %T: %v", in, err)
 	}
 	if got := reflect.ValueOf(out).Elem().Interface(); !reflect.DeepEqual(got, in) {
 		t.Errorf("%T round-tripped\n  from %+v\n  to   %+v", in, in, got)
-	}
-}
-
-var binwireSpans = []telemetry.Span{
-	{Hop: 0, Name: "stanford/cs", ID: 42, Addr: "10.0.0.1:7001", Level: 2},
-	{Hop: 1, Name: "stanford/ee", ID: 7, Addr: "10.0.0.2:7001", Level: 1, RouteAround: true},
-	{Hop: 2, Name: "mit", ID: 99, Addr: "10.0.0.3:7001", Level: -1, Owner: true},
-}
-
-var binwireInfos = []Info{{ID: 1, Name: "a", Addr: "x:1"}, {ID: 2, Name: "b/c", Addr: "y:2"}}
-
-// wireSamples is one fully populated value of every wire body: every slice
-// present, every optional value set. The strictness test and the fuzz
-// corpora start from these, so a body missing here is a body they skip —
-// TestSchemaSeedsDecode's map pins the same list against the schema.
-func wireSamples() []wireBody {
-	ptr := Info{ID: 3, Name: "c", Addr: "z:3"}
-	entry := storeReq2{Key: 9, Value: []byte("v"), Storage: "stanford/cs", Access: "stanford", Pointer: ptr, Replica: true, Level: 2, Version: 77}
-	return []wireBody{
-		ptr,
-		lookupReq{Key: 1, Prefix: "p", Hops: 2, Trace: "t", Spans: binwireSpans},
-		lookupResp{Pred: binwireInfos[0], Succ: binwireInfos[1], Hops: 7, Trace: "t-2", Spans: binwireSpans},
-		fetchReq{Key: 11, Origin: "mit/csail"},
-		fetchResp{Values: []fetchValue{{Value: []byte("data"), Access: "stanford"}, {Pointer: ptr}}},
-		neighborsReq{Level: 2},
-		neighborsResp{Pred: ptr, Succs: binwireInfos},
-		notifyReq{Level: 1, From: ptr, AsSuccessor: true},
-		registerReq{Prefix: "stanford/cs", From: ptr},
-		membersReq{Prefix: "stanford"},
-		membersResp{Members: binwireInfos},
-		leavingReq{From: ptr, Succs: binwireInfos},
-		entry,
-		syncTreeReq{Prefix: "stanford", Lo: 5, Hi: 500},
-		syncTreeResp{Root: 0xfeed, Leaves: []uint64{1, 2, ^uint64(0)}},
-		syncKeysReq{Prefix: "stanford", Lo: 5, Hi: 500, Buckets: []int{0, 3, 255}},
-		syncKeysResp{Items: []syncItem{{Key: 9, Storage: "s", Access: "a", Pointer: true, Version: 4, Digest: 0xd1}}},
-		syncPullReq{Prefix: "stanford", Lo: 5, Hi: 500, Key: 9},
-		syncPullResp{Entries: []storeReq2{entry}},
-		repairResp{Partners: 3, Pushed: 40, Pulled: 2},
-		bucketRefReq{Prefix: "stanford/cs", Target: ^uint64(0)},
-		bucketRefResp{Contacts: binwireInfos},
-		lookaheadReq{Levels: 3},
-		lookaheadResp{Succs: binwireInfos, Ests: []uint64{2, 1 << 40, 0}},
-		getReq{Key: ^uint64(0), Origin: "stanford/cs", Level: 2, Hops: 5},
-		getResp{Status: statusNotFound, Value: []byte("v"), Level: -1, Hops: 3},
-		putReq{Key: 9, Value: []byte("v"), Storage: "stanford/cs", Access: "stanford", Pointer: ptr, Hops: 7},
-		putResp{Status: statusBadDomain, Owner: ptr, Hops: 4},
 	}
 }
 
@@ -195,60 +134,62 @@ func TestBinWireRoutedRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBinWireStrictDecoding pins the strictness guarantees for every body:
-// a trailing byte and every truncation must error, never silently decode.
+// TestBinWireStrictDecoding pins the strictness guarantees for every layout
+// in the registry: the sample round-trips, and a trailing byte and every
+// truncation must error, never silently decode.
 func TestBinWireStrictDecoding(t *testing.T) {
-	for _, in := range wireSamples() {
-		checkRoundTrip(t, in)
-		enc, err := in.AppendBinary(nil)
+	for _, e := range wireRegistry() {
+		enc, err := encodeWire(e.sample)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := newDecoder(in).UnmarshalBinary(append(enc, 0x00)); err == nil {
-			t.Errorf("%T: trailing byte decoded without error", in)
+		if got, err := decodeWire(e.sample, enc); err != nil || !reflect.DeepEqual(got, e.sample) {
+			t.Errorf("%s round-tripped\n  from %+v\n  to   %+v (err %v)", e.name, e.sample, got, err)
+		}
+		if _, err := decodeWire(e.sample, append(enc[:len(enc):len(enc)], 0x00)); err == nil {
+			t.Errorf("%s: trailing byte decoded without error", e.name)
 		}
 		for i := 0; i < len(enc); i++ {
-			if err := newDecoder(in).UnmarshalBinary(enc[:i]); err == nil {
-				t.Errorf("%T: truncation to %d of %d bytes decoded without error", in, i, len(enc))
+			if _, err := decodeWire(e.sample, enc[:i]); err == nil {
+				t.Errorf("%s: truncation to %d of %d bytes decoded without error", e.name, i, len(enc))
 			}
 		}
 	}
 }
 
-// FuzzBinWireDecode throws arbitrary bytes at every binary decoder: none may
-// panic or over-allocate, whatever the input, and whatever one accepts must
-// re-encode to bytes that decode to the same value.
+// FuzzBinWireDecode throws arbitrary bytes at every decoder in the registry:
+// none may panic or over-allocate, whatever the input, and whatever one
+// accepts must re-encode to bytes that decode to the same value.
 func FuzzBinWireDecode(f *testing.F) {
-	samples := wireSamples()
-	for _, s := range samples {
-		if enc, err := s.AppendBinary(nil); err == nil {
-			f.Add(enc)
-		}
+	// Seeds: the committed golden encodings, one fully populated and one
+	// zero-valued instance of every layout.
+	golden, err := os.ReadFile(wireGoldenPath)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, g := range goldenLines(f, golden) {
+		f.Add(g.data)
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0})
-	// Schema-guided corpus: one valid minimal encoding per message type,
-	// synthesized from the committed schema baseline.
-	for _, seed := range loadSchemaSeeds(f) {
-		f.Add(seed)
-	}
+	registry := wireRegistry()
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, s := range samples {
-			first := newDecoder(s)
-			if first.UnmarshalBinary(data) != nil {
+		for _, e := range registry {
+			first, err := decodeWire(e.sample, data)
+			if err != nil {
 				continue
 			}
-			reenc, err := first.(wireBody).AppendBinary(nil)
+			reenc, err := encodeWire(first)
 			if err != nil {
-				t.Fatalf("%T: re-encode of an accepted payload: %v", s, err)
+				t.Fatalf("%s: re-encode of an accepted payload: %v", e.name, err)
 			}
-			again := newDecoder(s)
-			if err := again.UnmarshalBinary(reenc); err != nil {
-				t.Fatalf("%T: re-decode: %v", s, err)
+			again, err := decodeWire(e.sample, reenc)
+			if err != nil {
+				t.Fatalf("%s: re-decode: %v", e.name, err)
 			}
 			if !reflect.DeepEqual(first, again) {
-				t.Errorf("%T: unstable round trip\n  first %+v\n  again %+v", s, first, again)
+				t.Errorf("%s: unstable round trip\n  first %+v\n  again %+v", e.name, first, again)
 			}
 		}
 	})

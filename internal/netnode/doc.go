@@ -39,9 +39,12 @@
 // RPC bodies are declared in wire.go and every one of them implements
 // transport.BinaryAppender and encoding.BinaryUnmarshaler in binwire.go to
 // binwire4.go: that pair is the only body codec, in the compact encoding
-// specified in docs/WIRE.md §4 and §8–§10. Decoders are strict, and the
-// round-trip fuzzers in binwire_test.go hold decode(encode(x)) to x for every
-// body.
+// specified in docs/WIRE.md §4 and §8–§10. Both methods of a body run the
+// same field walk over a bidirectional coder, so the layout is written once;
+// the walk also states the layout, and tests hold docs/wire.schema.json, the
+// WIRE.md field tables and the golden bytes in testdata to what it states
+// (docs/WIRE.md §6.1). Decoding is strict, and the round-trip fuzzers in
+// binwire_test.go hold decode(encode(x)) to x for every body.
 //
 // # Resilience
 //

@@ -101,8 +101,9 @@ func (n *Node) GeometryName() string { return n.geom.name() }
 
 // geomAdmissible evaluates the Canon link-retention rule (Section 2.2) under
 // a geometry's metric. It is the single source of truth for admissibility:
-// the mutex-held reference (canonAdmissible) and the snapshot builder
-// (admissibleInView) both delegate here, so the two can never drift.
+// the snapshot builder (admissibleInView) and the mutex-held reference the
+// tests compare it with (canonAdmissible, reference_test.go) both delegate
+// here, so the two can never drift.
 //
 // A contact whose lowest common domain with the node sits at depth s leaves
 // the node's level-(s+1) domain, and the merge that created level s only

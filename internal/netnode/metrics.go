@@ -38,6 +38,10 @@ const (
 	mnReplFailures = "canon_replica_push_failures_total"
 	mnReplFull     = "canon_replica_full_passes_total"
 	mnLeaveLost    = "canon_leave_handoff_failures_total"
+	mnLeaveNotify  = "canon_leave_notify_failures_total"
+	mnRegisterFail = "canon_register_failures_total"
+	mnNotifyFail   = "canon_notify_failures_total"
+	mnAESyncFail   = "canon_antientropy_sync_failures_total"
 )
 
 // knownMsgTypes is every wire message type the node itself sends or serves.
@@ -85,6 +89,13 @@ type nodeMetrics struct {
 	replicaPushFailures  *telemetry.Counter
 	replicaFullPasses    *telemetry.Counter
 	leaveHandoffFailures *telemetry.Counter
+
+	// Ring maintenance and repair retry every round, so their failures are
+	// not passed up; these count them so they are not silent either.
+	leaveNotifyFailures     *telemetry.Counter
+	registerFailures        *telemetry.Counter
+	notifyFailures          *telemetry.Counter
+	antiEntropySyncFailures *telemetry.Counter
 
 	// answered[l] counts the gets entered at this node that the level-l owner
 	// answered; answeredNone those that found nothing. Both are immutable
@@ -139,6 +150,14 @@ func newNodeMetrics(reg *telemetry.Registry, levels int) *nodeMetrics {
 			"replication rounds that re-queued every stored key because the node's ring neighbors changed"),
 		leaveHandoffFailures: reg.Counter(mnLeaveLost,
 			"stored records a graceful leave could not hand to their next owner"),
+		leaveNotifyFailures: reg.Counter(mnLeaveNotify,
+			"per-level predecessors a graceful leave could not tell it was going"),
+		registerFailures: reg.Counter(mnRegisterFail,
+			"domain registry registrations that failed: the registry owner was not found or not reached"),
+		notifyFailures: reg.Counter(mnNotifyFail,
+			"ring-neighbor notifications (join and stabilization) the neighbor did not acknowledge"),
+		antiEntropySyncFailures: reg.Counter(mnAESyncFail,
+			"anti-entropy level walks ended early by a failed comparison or repair with a replica partner"),
 		sentFixed:     make(map[string]*telemetry.Counter, len(knownMsgTypes)),
 		receivedFixed: make(map[string]*telemetry.Counter, len(knownMsgTypes)),
 		sent:          make(map[string]*telemetry.Counter),

@@ -283,7 +283,8 @@ func (n *Node) Join(ctx context.Context, contact string) error {
 		}
 		n.publishRoutingLocked()
 		n.mu.Unlock()
-		return n.registerSelf(ctx)
+		n.registerSelf(ctx)
+		return nil
 	}
 	// Find, for every level, a member of our domain to start the
 	// constrained lookup from. The contact serves the levels it shares;
@@ -329,19 +330,13 @@ func (n *Node) Join(ctx context.Context, contact string) error {
 		// Eagerly notify both ring neighbors (Section 2.3: nodes that would
 		// erroneously skip the joiner are told right away).
 		if succ.Addr != n.self.Addr {
-			if note, err := transport.NewMessage(msgNotify, notifyReq{Level: l, From: n.self}); err == nil {
-				_, _ = n.call(ctx, succ.Addr, note)
-			}
+			n.notify(ctx, succ.Addr, notifyReq{Level: l, From: n.self})
 		}
 		if !pred.IsZero() && pred.Addr != n.self.Addr {
-			if note, err := transport.NewMessage(msgNotify, notifyReq{Level: l, From: n.self, AsSuccessor: true}); err == nil {
-				_, _ = n.call(ctx, pred.Addr, note)
-			}
+			n.notify(ctx, pred.Addr, notifyReq{Level: l, From: n.self, AsSuccessor: true})
 		}
 	}
-	if err := n.registerSelf(ctx); err != nil {
-		return err
-	}
+	n.registerSelf(ctx)
 	// Pull successor lists, announce ourselves, and build fingers.
 	n.StabilizeOnce(ctx)
 	n.FixFingers(ctx)
@@ -350,28 +345,23 @@ func (n *Node) Join(ctx context.Context, contact string) error {
 }
 
 // registerSelf records the node in the membership registry of every domain
-// on its chain.
-func (n *Node) registerSelf(ctx context.Context) error {
+// on its chain. A domain whose registry owner could not be found or reached
+// is counted and retried by the next stabilization round.
+func (n *Node) registerSelf(ctx context.Context) {
 	for l := 0; l <= n.levels; l++ {
 		prefix := prefixAt(n.self.Name, l)
-		key := domainKey(n.space, prefix)
-		resp, err := n.lookupFrom(ctx, n.self, key, "")
-		if err != nil {
-			continue
-		}
-		req, err := transport.NewMessage(msgRegister, registerReq{Prefix: prefix, From: n.self})
-		if err != nil {
-			return err
-		}
-		if resp.Pred.Addr == n.self.Addr {
+		resp, err := n.lookupFrom(ctx, n.self, domainKey(n.space, prefix), "")
+		switch {
+		case err != nil:
+		case resp.Pred.Addr == n.self.Addr:
 			n.registerLocal(prefix, n.self)
-			continue
+		default:
+			err = n.tell(ctx, resp.Pred.Addr, msgRegister, registerReq{Prefix: prefix, From: n.self})
 		}
-		if _, err := n.call(ctx, resp.Pred.Addr, req); err != nil {
-			continue
+		if err != nil {
+			n.m.registerFailures.Inc()
 		}
 	}
-	return nil
 }
 
 // findMember locates a live member of the named domain via the registry.
@@ -535,18 +525,17 @@ func (n *Node) Leave(ctx context.Context) error {
 	}
 	// Tell per-level predecessors we are going, handing them our successor
 	// lists as repair hints.
-	req, err := transport.NewMessage(msgLeaving, leavingReq{From: n.self, Succs: globalSuccs})
-	if err == nil {
-		seen := make(map[string]bool)
-		for _, p := range preds {
-			if p.IsZero() || p.Addr == n.self.Addr || seen[p.Addr] {
-				continue
-			}
-			seen[p.Addr] = true
-			_, _ = n.call(ctx, p.Addr, req)
+	seen := make(map[string]bool)
+	for _, p := range preds {
+		if p.IsZero() || p.Addr == n.self.Addr || seen[p.Addr] {
+			continue
+		}
+		seen[p.Addr] = true
+		if err := n.tell(ctx, p.Addr, msgLeaving, leavingReq{From: n.self, Succs: globalSuccs}); err != nil {
+			n.m.leaveNotifyFailures.Inc()
 		}
 	}
-	err = n.Close()
+	err := n.Close()
 	if err == nil && lost > 0 {
 		err = fmt.Errorf("netnode: leave: %d of %d stored records were not handed off", lost, len(items))
 	}

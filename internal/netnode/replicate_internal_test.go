@@ -251,6 +251,45 @@ func TestReplicationRetriesFailedPush(t *testing.T) {
 	c.requireClean(t)
 }
 
+// Ring maintenance and repair retry every round, so they pass no failure up;
+// each one is counted instead. The ring successor of the root domain's
+// registry owner has that node as registry, ring neighbor and replica
+// partner at once: cut off from it, it fails to register, to notify and to
+// compare, and says so three times.
+func TestMaintenanceFailuresAreCounted(t *testing.T) {
+	c := newReplCluster(t, 4, 2)
+	ctx := context.Background()
+	registry, err := c.nodes[0].Lookup(ctx, domainKey(c.nodes[0].space, ""), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := 0
+	for c.nodes[r].self.ID != registry.ID {
+		r++
+	}
+	i := (r + 1) % len(c.nodes)
+	n := c.nodes[i]
+	c.faulty[i].Partition(registry.Addr)
+	n.registerSelf(ctx)
+	n.notify(ctx, registry.Addr, notifyReq{From: n.self, AsSuccessor: true})
+	n.AntiEntropyOnce(ctx)
+	for j, peer := range c.nodes {
+		want := int64(0)
+		if j == i {
+			want = 1
+		}
+		for name, got := range map[string]int64{
+			mnRegisterFail: peer.m.registerFailures.Value(),
+			mnNotifyFail:   peer.m.notifyFailures.Value(),
+			mnAESyncFail:   peer.m.antiEntropySyncFailures.Value(),
+		} {
+			if got != want {
+				t.Errorf("node %d (the cut-off one is %d): %s = %d, want %d", j, i, name, got, want)
+			}
+		}
+	}
+}
+
 // (e) A predecessor crash changes the owner's placement signature twice —
 // the dead predecessor is dropped, the next one notifies — and the second
 // change re-replicates every owned primary.
@@ -349,6 +388,10 @@ func TestLeaveReportsFailedHandoffs(t *testing.T) {
 		}
 		err := leaver.Leave(context.Background())
 		lost := leaver.m.leaveHandoffFailures.Value()
+		// next is also the leaver's only predecessor, the one node told.
+		if untold := leaver.m.leaveNotifyFailures.Value(); (untold == 1) != partitioned {
+			t.Errorf("partitioned=%v: %d leave notifications counted as failed", partitioned, untold)
+		}
 		leaver.mu.Lock()
 		closed := leaver.closed
 		leaver.mu.Unlock()

@@ -10,56 +10,6 @@ import (
 	"github.com/canon-dht/canon/internal/transport"
 )
 
-// candidates snapshots every known contact inside the named domain: fingers,
-// per-level successors and predecessors.
-//
-// Since the epoch-snapshot refactor the forwarding hot path no longer calls
-// this (it reads the precomputed candidate sets of the published
-// routingView); candidates stays as the mutex-held reference implementation
-// that the snapshot equivalence suite checks buildRoutingView against.
-func (n *Node) candidates(prefix string) []Info {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	seen := make(map[string]bool)
-	out := make([]Info, 0, len(n.fingers)+2*(n.levels+1))
-	add := func(i Info) {
-		if i.IsZero() || i.Addr == n.self.Addr || seen[i.Addr] {
-			return
-		}
-		if !inDomain(i.Name, prefix) {
-			return
-		}
-		seen[i.Addr] = true
-		out = append(out, i)
-	}
-	for _, f := range n.fingers {
-		add(f)
-	}
-	for l := 0; l <= n.levels; l++ {
-		for _, s := range n.succs[l] {
-			add(s)
-		}
-		add(n.preds[l])
-	}
-	return out
-}
-
-// canonAdmissible reports whether the Canon link-retention rule (Section 2.2)
-// admits cand as a greedy routing candidate from this node, under the node's
-// geometry's metric (geomAdmissible is the shared rule). FixFingers already
-// builds long links under this bound; applying the same bound to
-// successor-list and predecessor entries at lookup time is what makes the
-// proxy-convergence theorem (Section 3.2) hold on the live path: without it
-// a node could jump past its own domain's spine through a far global
-// successor-list entry, and different sources would then exit a domain
-// through different nodes.
-func (n *Node) canonAdmissible(cand Info) bool {
-	d := n.clockwise(n.self.ID, cand.ID)
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return geomAdmissible(n.geom.kind(), n.space, n.self, n.levels, n.succs, cand, d)
-}
-
 // succInDomain returns the node's successor within the domain named prefix,
 // which must be one of the node's own domains.
 func (n *Node) succInDomain(prefix string) Info {
@@ -327,7 +277,7 @@ func (n *Node) StabilizeOnce(ctx context.Context) {
 	for l := 0; l <= n.levels; l++ {
 		n.stabilizeLevel(ctx, l)
 	}
-	_ = n.registerSelf(ctx)
+	n.registerSelf(ctx)
 	n.replicateOnce(ctx)
 	n.geom.maintain(ctx, n)
 	n.m.suspects.Set(float64(len(n.health.snapshot())))
@@ -363,7 +313,7 @@ func (n *Node) stabilizeLevel(ctx context.Context, level int) {
 	// all in and keeping clockwise order matters twice over. A ring whose
 	// list went stale snaps back to the true successor in one round — and a
 	// correct successor is what the Canon link bound (FixFingers,
-	// canonAdmissible) measures against. More fundamentally, a ring that
+	// geomAdmissible) measures against. More fundamentally, a ring that
 	// partitioned into disjoint consistent cycles after a join burst is a
 	// stable fixpoint of pure successor/predecessor stabilization; only
 	// cross-level evidence like this merges the cycles back together.
@@ -420,7 +370,7 @@ func (n *Node) stabilizeLevel(ctx context.Context, level int) {
 		// predecessor chain to a fixpoint rather than one step per round.
 		// After a batch of joins a ring can be off by many nodes, and a
 		// single-step walk leaves the successor (and with it the Canon link
-		// bound that FixFingers and canonAdmissible measure against) wrong
+		// bound that FixFingers and geomAdmissible measure against) wrong
 		// for O(ring size) rounds; the full walk repairs it in one.
 		for walk := 0; walk < stabilizeWalkLimit; walk++ {
 			req, err := transport.NewMessage(msgNeighbors, neighborsReq{Level: level})
@@ -453,11 +403,7 @@ func (n *Node) stabilizeLevel(ctx context.Context, level int) {
 			break
 		}
 		// Notify the successor that we may be its predecessor.
-		if note, err := transport.NewMessage(msgNotify, notifyReq{
-			Level: level, From: n.self,
-		}); err == nil {
-			_, _ = n.call(ctx, succ.Addr, note)
-		}
+		n.notify(ctx, succ.Addr, notifyReq{Level: level, From: n.self})
 	} else {
 		// Alone at this level unless a notify told us otherwise.
 		if !pred.IsZero() && pred.Addr != n.self.Addr {

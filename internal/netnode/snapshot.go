@@ -96,8 +96,8 @@ type viewCandidate struct {
 	// to this candidate takes, recorded in trace spans.
 	level int
 	// admissible is the Canon link-retention rule's verdict for using this
-	// contact as a greedy candidate (see canonAdmissible, the mutex-held
-	// reference implementation this precomputation must agree with).
+	// contact as a greedy candidate (canonAdmissible in reference_test.go is
+	// the mutex-held reference this precomputation must agree with).
 	admissible bool
 }
 
@@ -366,7 +366,8 @@ func buildRoutingView(epoch uint64, space id.Space, self Info, levels int, geom 
 
 	// Gather every distinct contact once (fingers, all levels' successor
 	// lists, predecessors), then project it into each domain of the chain it
-	// belongs to. seen is keyed by address, like the mutex-held candidates().
+	// belongs to. seen is keyed by address, like the reference candidates()
+	// in reference_test.go.
 	contacts := make([]Info, 0, len(v.fingers)+2*(levels+1))
 	seen := make(map[string]bool, cap(contacts))
 	add := func(i Info) {
@@ -425,8 +426,8 @@ func buildRoutingView(epoch uint64, space id.Space, self Info, levels int, geom 
 
 // admissibleInView evaluates the Canon link-retention rule (Section 2.2)
 // against the view's own successor lists; it must agree with the mutex-held
-// canonAdmissible reference for the same write-side state (the snapshot
-// equivalence suite asserts this). Both sides delegate to geomAdmissible,
+// canonAdmissible reference (reference_test.go) for the same write-side
+// state (the snapshot equivalence suite asserts this). Both sides delegate to geomAdmissible,
 // the single shared rule, so they cannot drift.
 func admissibleInView(geom geomKind, space id.Space, self Info, levels int, succs [][]Info, cand Info, dist uint64) bool {
 	return geomAdmissible(geom, space, self, levels, succs, cand, dist)

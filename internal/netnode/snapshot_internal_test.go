@@ -626,33 +626,39 @@ func snapshotBenchParallelism() int {
 }
 
 // BenchmarkForwardDecision64Snapshot measures the lock-free forwarding
-// decision under 64-way concurrency: one atomic snapshot load, prefix
-// resolution, and candidate selection per iteration. This is the hot path of
-// every forwarded lookup hop. CI's bench-gate requires its p50 to beat the
-// locked baseline below by >= 3x and its allocs/op to stay at zero.
+// decision under 64-way concurrency, once per geometry: one atomic snapshot
+// load, prefix resolution, and candidate selection per iteration. This is the
+// hot path of every forwarded lookup hop. CI's bench-gate requires the
+// Crescendo p50 to beat the locked baseline below by >= 3x and every
+// geometry's allocs/op to stay at zero (TestForwardDecisionZeroAllocs asserts
+// the same per geometry in tier-1).
 func BenchmarkForwardDecision64Snapshot(b *testing.B) {
-	n := newSnapshotNode(b, 48, 7)
-	defer n.Close()
-	mask := n.space.Size() - 1
-	var seed atomic.Uint64
-	b.ReportAllocs()
-	b.SetParallelism(snapshotBenchParallelism())
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		x := seed.Add(0x9e3779b97f4a7c15)
-		var order [forwardAttemptLimit]viewCandidate
-		local := 0
-		for pb.Next() {
-			x ^= x << 13
-			x ^= x >> 7
-			x ^= x << 17
-			v := n.routing.Load()
-			level, _ := v.levelOf("west/ca")
-			cnt, _, _ := v.forwardSet(n.health, x&mask, level, order[:])
-			local += cnt
-		}
-		forwardSink.Add(uint64(local))
-	})
+	for _, geom := range snapshotGeometries {
+		b.Run(geom, func(b *testing.B) {
+			n := newSnapshotNodeGeom(b, 48, 7, geom)
+			defer n.Close()
+			mask := n.space.Size() - 1
+			var seed atomic.Uint64
+			b.ReportAllocs()
+			b.SetParallelism(snapshotBenchParallelism())
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				x := seed.Add(0x9e3779b97f4a7c15)
+				var order [forwardAttemptLimit]viewCandidate
+				local := 0
+				for pb.Next() {
+					x ^= x << 13
+					x ^= x >> 7
+					x ^= x << 17
+					v := n.routing.Load()
+					level, _ := v.levelOf("west/ca")
+					cnt, _, _ := v.forwardSet(n.health, x&mask, level, order[:])
+					local += cnt
+				}
+				forwardSink.Add(uint64(local))
+			})
+		})
+	}
 }
 
 // BenchmarkForwardDecision64Locked is the pre-snapshot baseline under the

@@ -136,6 +136,29 @@ func (n *Node) call(ctx context.Context, addr string, msg transport.Message) (tr
 	return transport.Message{}, lastErr
 }
 
+// tell sends a request whose reply carries no body and reports a transport
+// failure and the peer's error reply alike. Ring maintenance repeats itself
+// every round, so its callers do not pass a lost message up — they count it.
+func (n *Node) tell(ctx context.Context, addr, msgType string, body any) error {
+	msg, err := transport.NewMessage(msgType, body)
+	if err != nil {
+		return err
+	}
+	resp, err := n.call(ctx, addr, msg)
+	if err != nil {
+		return err
+	}
+	return resp.Err()
+}
+
+// notify tells the node at addr that this node may be its predecessor — or,
+// with AsSuccessor set, its successor — at a level.
+func (n *Node) notify(ctx context.Context, addr string, req notifyReq) {
+	if err := n.tell(ctx, addr, msgNotify, req); err != nil {
+		n.m.notifyFailures.Inc()
+	}
+}
+
 // jitter draws a uniform duration in [0, max) from the node's RNG.
 func (n *Node) jitter(max time.Duration) time.Duration {
 	if max <= 0 {

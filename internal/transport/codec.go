@@ -31,6 +31,42 @@ const (
 	envKnownFlags = envHasNonce | envHasError | envHasPayload
 )
 
+// WireVersion is muxVersion for the tests that pin docs/wire.schema.json and
+// the golden wire bytes to it.
+const WireVersion = muxVersion
+
+// WireField is one row of a wire layout, as docs/wire.schema.json and the
+// field tables of docs/WIRE.md state it. Body layouts are recorded by the
+// field walks of internal/netnode; the envelope states its own below.
+type WireField struct {
+	// Depth is 0 for a layout's own fields and one more inside each embedded
+	// structure or slice element.
+	Depth int
+	// Name is the Go field the value comes from; empty for a scalar slice
+	// element.
+	Name string
+	// Enc is the encoding: u64, uvarint, varint, bool, string, bytes,
+	// optbytes, flags, slice or struct.
+	Enc string
+	// Cond names the flag bit that gates the field's presence.
+	Cond string
+	// Bits names the defined bits of a flags byte, bit 0 first.
+	Bits []string
+}
+
+// EnvelopeLayout is the envelope's schema entry. The envelope is the one
+// layout with flag-conditional presence, so its codec below is written out
+// by hand in both directions and this literal is the third statement of it;
+// the round-trip, truncation and fuzz tests hold the two codecs together and
+// the golden bytes and the schema test hold the literal to them.
+var EnvelopeLayout = []WireField{
+	{Name: "flags", Enc: "flags", Bits: []string{"envHasNonce", "envHasError", "envHasPayload"}},
+	{Name: "Type", Enc: "string"},
+	{Name: "Nonce", Enc: "string", Cond: "envHasNonce"},
+	{Name: "Error", Enc: "string", Cond: "envHasError"},
+	{Name: "Payload", Enc: "bytes", Cond: "envHasPayload"},
+}
+
 // errBadEnvelope is returned for structurally invalid binary envelopes.
 var errBadEnvelope = errors.New("transport: malformed binary envelope")
 

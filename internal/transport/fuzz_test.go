@@ -8,37 +8,40 @@ import (
 	"testing"
 	"time"
 
-	"github.com/canon-dht/canon/internal/lint"
 	"github.com/canon-dht/canon/internal/transport"
 )
 
-// envelopeSchemaSeed synthesizes a minimal valid envelope — every flag bit
-// set, every conditional field present — from the committed wire-schema
-// baseline, so the fuzz corpus always covers the full envelope layout and
-// TestEnvelopeSchemaSeedDecodes proves the baseline matches the decoder.
-func envelopeSchemaSeed(tb testing.TB) []byte {
+// envelopeLayoutSeed synthesizes a minimal envelope from EnvelopeLayout, the
+// schema entry the codec states beside itself: every flag bit set, every
+// field one byte long. It ties the literal to the decoder — a field missing
+// from it, out of order or under the wrong flag does not decode to four
+// populated fields — and seeds the fuzz corpus with the full layout.
+func envelopeLayoutSeed(tb testing.TB) []byte {
 	tb.Helper()
-	s, err := lint.LoadWireSchema("../../docs/wire.schema.json")
-	if err != nil {
-		tb.Fatalf("load wire schema baseline: %v", err)
+	var b []byte
+	for _, f := range transport.EnvelopeLayout {
+		switch f.Enc {
+		case "flags":
+			b = append(b, 1<<len(f.Bits)-1)
+		case "string", "bytes":
+			b = append(b, 1, 'a')
+		default:
+			tb.Fatalf("EnvelopeLayout field %s has encoding %s, which this seed cannot build", f.Name, f.Enc)
+		}
 	}
-	m := s.MessageByName("envelope")
-	if m == nil {
-		tb.Fatal("wire schema baseline has no envelope entry; regenerate it with canonvet -write-schema")
-	}
-	return m.Seed()
+	return b
 }
 
-// TestEnvelopeSchemaSeedDecodes proves the schema-synthesized envelope seed
-// is accepted by the real decoder with all optional fields populated.
-func TestEnvelopeSchemaSeedDecodes(t *testing.T) {
-	seed := envelopeSchemaSeed(t)
+// TestEnvelopeLayoutSeedDecodes proves the seed built from EnvelopeLayout is
+// accepted by the real decoder with all optional fields populated.
+func TestEnvelopeLayoutSeedDecodes(t *testing.T) {
+	seed := envelopeLayoutSeed(t)
 	msg, err := transport.DecodeBinaryMessage(seed)
 	if err != nil {
-		t.Fatalf("schema envelope seed (% x) does not decode: %v", seed, err)
+		t.Fatalf("envelope layout seed (% x) does not decode: %v", seed, err)
 	}
 	if msg.Type == "" || msg.Nonce == "" || msg.Error == "" || len(msg.Payload) == 0 {
-		t.Errorf("schema envelope seed decoded with optional fields missing: %+v", msg)
+		t.Errorf("envelope layout seed decoded with optional fields missing: %+v", msg)
 	}
 }
 
@@ -112,7 +115,7 @@ func FuzzBinaryMessageDecode(f *testing.F) {
 	f.Add([]byte{0x07, 0x01, 'a'})
 	f.Add([]byte{0x0f, 0x01, 'a'}) // an undefined flag bit
 	f.Add([]byte{0xff, 0xff, 0xff})
-	f.Add(envelopeSchemaSeed(f))
+	f.Add(envelopeLayoutSeed(f))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		msg, err := transport.DecodeBinaryMessage(data)
 		if err != nil {

@@ -36,9 +36,15 @@
 #      lookup hops of the same entry nodes and keys (hops/op, reported by the
 #      same benchmark) plus one: one routed message per op, no second trip.
 #      And BenchmarkForwardDecision64Snapshot, the forwarding decision all
-#      routed messages share, still allocates nothing. Both hold on every
-#      run, baseline or not.
-#   4. vs-baseline: any NS-GATED benchmark whose median ns/op regressed more
+#      routed messages share, still allocates nothing under any of the three
+#      geometries. Both hold on every run, baseline or not.
+#   4. body_codec — the portable part of the body-codec layer
+#      (BenchmarkBodyCodec, the field walks of internal/netnode/binwire*.go):
+#      every encode is 0 allocs/op and every decode allocates exactly what
+#      the hand-written decoders it replaced did (the strings, value bytes
+#      and slices of the body and nothing else). ns/op is recorded, not
+#      gated: it is tens of nanoseconds and swings with the machine.
+#   5. vs-baseline: any NS-GATED benchmark whose median ns/op regressed more
 #      than 10% fails the run, and any ALLOC-GATED benchmark whose allocs/op
 #      increased at all fails the run. A gated benchmark present in the
 #      baseline but missing from the run also fails (deleting a benchmark
@@ -88,7 +94,7 @@ raw_netnode=$(go test -run '^$' -bench 'BenchmarkForwardDecision64|BenchmarkLook
 echo "$raw_netnode" >&2
 # The store-path benchmarks run single-threaded (no -cpu pin): they measure
 # the node-local apply/read paths, not contention shape.
-raw_store=$(go test -run '^$' -bench 'BenchmarkStoreLocalMem|BenchmarkFetchLocalMem|BenchmarkReplicateOnceQuiescent|BenchmarkRouted' \
+raw_store=$(go test -run '^$' -bench 'BenchmarkStoreLocalMem|BenchmarkFetchLocalMem|BenchmarkReplicateOnceQuiescent|BenchmarkRouted|BenchmarkBodyCodec' \
 	-benchmem -benchtime="$benchtime" -count="$count" ./internal/netnode/)
 echo "$raw_store" >&2
 raw_transport=$(go test -run '^$' -bench 'BenchmarkEnvelope|BenchmarkRoundTrip' \
@@ -132,7 +138,7 @@ END {
 			name, median(name, "ns"), median(name, "b"), median(name, "a"), (i < n-1 ? "," : "") >> out
 	}
 	printf "  },\n" >> out
-	fs = median("BenchmarkForwardDecision64Locked", "ns") / median("BenchmarkForwardDecision64Snapshot", "ns")
+	fs = median("BenchmarkForwardDecision64Locked", "ns") / median("BenchmarkForwardDecision64Snapshot/crescendo", "ns")
 	q1k = "BenchmarkReplicateOnceQuiescent/entries=1000"; q10k = "BenchmarkReplicateOnceQuiescent/entries=10000"
 	qs = median(q10k, "ns") / median(q1k, "ns")
 	qr = median(q1k, "rpcs") + median(q10k, "rpcs")
@@ -159,11 +165,31 @@ END {
 		}
 		printf "routed_ops: %s %s rpcs/op (budget %s hops/op + 1)\n", name, rp, hp > "/dev/stderr"
 	}
-	fa = median("BenchmarkForwardDecision64Snapshot", "a")
-	if (fa > 0) {
-		printf "FAIL: the shared forwarding decision allocates %s times per op; the budget is zero\n", fa > "/dev/stderr"
-		bad = 1
+	ng = split("crescendo kandy cacophony", geoms, " ")
+	for (i = 1; i <= ng; i++) {
+		name = "BenchmarkForwardDecision64Snapshot/" geoms[i]
+		if (!(name in cnt) || median(name, "a") > 0) {
+			printf "FAIL: %s did not run or allocates; the budget of the shared forwarding decision is zero allocs/op\n", name > "/dev/stderr"
+			bad = 1
+		}
 	}
+	# Decode allocs/op of the hand-written decoders the field walks replaced.
+	nb = split("lookup:1 lookup_traced:9 get:1 put:3 store2:3 syncpull_64:193", bodies, " ")
+	for (i = 1; i <= nb; i++) {
+		split(bodies[i], kv, ":")
+		enc = "BenchmarkBodyCodec/" kv[1] "/enc"; dec = "BenchmarkBodyCodec/" kv[1] "/dec"
+		if (!(enc in cnt) || !(dec in cnt)) {
+			printf "FAIL: BenchmarkBodyCodec/%s did not run\n", kv[1] > "/dev/stderr"
+			bad = 1
+			continue
+		}
+		if (median(enc, "a") > 0 || median(dec, "a") != kv[2] + 0) {
+			printf "FAIL: body codec %s allocates %s/op encoding (budget 0) and %s/op decoding (budget exactly %s)\n", \
+				kv[1], median(enc, "a"), median(dec, "a"), kv[2] > "/dev/stderr"
+			bad = 1
+		}
+	}
+	printf "body_codec: %d bodies at 0 allocs/op encode and the allocs/op of the hand-written decoders on decode\n", nb > "/dev/stderr"
 	if (qr > 0) {
 		printf "FAIL: a quiescent replication round sent %s RPCs per op; the budget is zero\n", qr > "/dev/stderr"
 		bad = 1
@@ -190,7 +216,7 @@ fi
 
 awk -v maxreg="1.10" '
 BEGIN {
-	nsgated["BenchmarkForwardDecision64Snapshot"] = 1
+	nsgated["BenchmarkForwardDecision64Snapshot/crescendo"] = 1
 	nsgated["BenchmarkLookupSaturation"] = 1
 	nsgated["BenchmarkEnvelopeEncodeBinary"] = 1
 	for (name in nsgated) allocgated[name] = 1

@@ -1,12 +1,14 @@
 #!/usr/bin/env bash
 # lint.sh — the project's full static-analysis gate, runnable locally and in
-# CI: gofmt (fail on any unformatted file), go vet, and canonvet (the
+# CI: gofmt (fail on any unformatted file), go vet, the line count that keeps
+# the analyzer smaller than the node it guards, and canonvet (the
 # project-specific analyzer in cmd/canonvet).
 #
 # Usage:
 #   ./scripts/lint.sh                # everything
-#   ./scripts/lint.sh --no-canonvet  # formatting + go vet only (CI splits the
-#                                    # canonvet step out to archive its JSON)
+#   ./scripts/lint.sh --no-canonvet  # formatting, go vet and the line count only
+#                                    # (CI splits the canonvet step out to
+#                                    # archive its JSON)
 #
 # Exit codes: 0 clean, 1 findings/format/vet failures, 2 canonvet could not
 # even load or type-check the module (a broken analyzer or broken tree — CI
@@ -41,14 +43,26 @@ if ! go vet ./...; then
   fail=1
 fi
 
+echo "== analyzer size =="
+# The analyzer must stay smaller than the node it guards (ROADMAP aim 2):
+# non-test Go lines of internal/lint against internal/netnode.
+count_go() { find "$1" -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' -print0 | xargs -0 cat | wc -l; }
+lint_lines=$(count_go internal/lint)
+node_lines=$(count_go internal/netnode)
+echo "internal/lint $lint_lines lines, internal/netnode $node_lines lines"
+if [ "$lint_lines" -gt "$node_lines" ]; then
+  echo "lint.sh: internal/lint ($lint_lines) is larger than internal/netnode ($node_lines)" >&2
+  fail=1
+fi
+
 if [ "$run_canonvet" = 1 ]; then
   echo "== canonvet =="
   SECONDS=0
   go run ./cmd/canonvet ./...
   vet_status=$?
   elapsed=$SECONDS
-  # Timing budget: the v3 value-flow fixpoint must keep a full-module run
-  # under 90 seconds, or the analyzer stops being something anyone runs
+  # Timing budget: the call-graph and value-flow fixpoints must keep a
+  # full-module run under 90 seconds, or the analyzer stops being something anyone runs
   # before committing. Budget breaches fail the gate like findings do.
   echo "canonvet: full-module run took ${elapsed}s (budget 90s)"
   if [ "$elapsed" -ge 90 ]; then
