@@ -11,7 +11,7 @@
 //	canonctl -node host:port get [-v] <key>
 //	canonctl -node host:port neighbors <level>
 //	canonctl -node host:port repair
-//	canonctl status http://host:statusport/
+//	canonctl status http://host:adminport/status
 //
 // Keys are unsigned integers (use canond's hash of your choice upstream).
 // With -v, put and get also say where the answer came from: the forwarding
@@ -176,7 +176,7 @@ func run(args []string) error {
 
 	case "status":
 		if len(rest) < 1 {
-			return fmt.Errorf("status needs the node's HTTP status URL")
+			return fmt.Errorf("status needs the node's status URL (http://<canond -admin address>/status)")
 		}
 		return fetchStatus(ctx, rest[0], *raw)
 

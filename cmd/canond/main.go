@@ -32,7 +32,7 @@
 // With -admin set, the node also serves an HTTP observability endpoint:
 //
 //	/metrics        — telemetry registry in Prometheus text format
-//	/status         — node status snapshot as JSON (same as -status)
+//	/status         — node status snapshot as JSON (canonctl status reads it)
 //	/debug/trace/   — recent route traces; /debug/trace/<id> for one
 //	/debug/pprof/   — standard net/http/pprof profiles
 //
@@ -74,10 +74,8 @@ func run(args []string) (err error) {
 		replicas  = fs.Int("replicas", 1, "copies of each stored item (1 = no replication)")
 		dataDir   = fs.String("data-dir", "", "directory for the durable storage engine; acked writes survive crashes and restarts (empty = volatile in-memory store)")
 		syncEvery = fs.Duration("sync-interval", 0, "target period between replica anti-entropy rounds (0 = every fourth stabilization tick; needs -replicas >= 2)")
-		status    = fs.String("status", "", "HTTP address serving node status as JSON (empty = off)")
 		admin     = fs.String("admin", "", "HTTP admin address serving /metrics, /status, /debug/trace/ and /debug/pprof/ (empty = off)")
 		sample    = fs.Float64("trace-sample", 0, "fraction of lookups sampled into route traces, 0..1")
-		traceBuf  = fs.Int("trace-buffer", 0, "completed-trace ring buffer size (0 = default 128)")
 		wire      = fs.String("wire", "binary", "vestige: only \"binary\" is accepted; kept because bench/cluster.go still passes it")
 		retries   = fs.Int("retries", 0, "RPC attempts per call (0 = default of 3, 1 = no retries)")
 		backoff   = fs.Duration("retry-backoff", 0, "base retry backoff (0 = default 5ms; doubles per retry)")
@@ -134,7 +132,6 @@ func run(args []string) (err error) {
 		},
 		Telemetry:       reg,
 		TraceSampleRate: *sample,
-		TraceBuffer:     *traceBuf,
 	}
 	if *nodeID != 0 {
 		cfg.ID = *nodeID
@@ -158,15 +155,6 @@ func run(args []string) (err error) {
 	}
 	node.Start(*stabevery)
 
-	var statusSrv *http.Server
-	if *status != "" {
-		statusSrv = &http.Server{Addr: *status, Handler: node}
-		go func() {
-			if err := statusSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-				fmt.Fprintln(os.Stderr, "canond: status server:", err)
-			}
-		}()
-	}
 	var adminSrv *http.Server
 	if *admin != "" {
 		adminSrv = &http.Server{Addr: *admin, Handler: adminMux(node, reg)}
@@ -179,9 +167,6 @@ func run(args []string) (err error) {
 
 	info := node.Info()
 	fmt.Printf("canond: node %d (%q) listening on %s\n", info.ID, info.Name, info.Addr)
-	if *status != "" {
-		fmt.Printf("canond: status at http://%s/\n", *status)
-	}
 	if *admin != "" {
 		fmt.Printf("canond: admin at http://%s/metrics (plus /status, /debug/trace/, /debug/pprof/)\n", *admin)
 	}
@@ -193,9 +178,6 @@ func run(args []string) (err error) {
 	fmt.Println("canond: leaving gracefully")
 	leaveCtx, cancelLeave := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancelLeave()
-	if statusSrv != nil {
-		_ = statusSrv.Shutdown(leaveCtx)
-	}
 	if adminSrv != nil {
 		_ = adminSrv.Shutdown(leaveCtx)
 	}

@@ -22,7 +22,7 @@ func TestDiskPersistsAcrossReopen(t *testing.T) {
 	for i := uint64(0); i < 100; i++ {
 		v := []byte(fmt.Sprintf("value-%d", i))
 		want[i] = v
-		if _, err := d.Put(Entry{Key: i, Value: v, Storage: "s", Access: "", Level: 1, Version: i + 1}); err != nil {
+		if _, err := d.Put(Entry{Key: i, Value: v, Storage: "s", Access: "", Version: i + 1}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -47,7 +47,7 @@ func TestDiskPersistsAcrossReopen(t *testing.T) {
 	}
 	for k, v := range want {
 		got := d2.Get(k, nil)
-		if len(got) != 1 || !bytes.Equal(got[0].Value, v) || got[0].Version != k+1 || got[0].Level != 1 {
+		if len(got) != 1 || !bytes.Equal(got[0].Value, v) || got[0].Version != k+1 {
 			t.Fatalf("key %d after reopen: %+v", k, got)
 		}
 	}
@@ -144,6 +144,46 @@ func TestDiskCorruptSealedSegmentRefused(t *testing.T) {
 	}
 	if _, err := Open(dir, Options{}); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("Open on corrupt sealed segment = %v, want ErrCorrupt", err)
+	}
+}
+
+// The WAL has no format header, so a data directory written by a build with
+// another put layout (here: the one that stored a placement level) must be
+// told apart by the records themselves: the old record passes its CRC and
+// fails the strict decode, which is corruption wherever it sits — in the
+// newest segment too, where a frame that fails its checksum would be a torn
+// tail and trimmed. Open refuses the directory and leaves every byte.
+func TestDiskOldLayoutRefusedNotTrimmed(t *testing.T) {
+	cur := appendRecord(nil, recPut, appendEntry(nil, Entry{Key: 1, Value: []byte("cur"), Version: 1}))
+	for _, level := range []int{0, 1, -1, 100} {
+		old := appendRecord(nil, recPut, appendOldEntry(nil, Entry{Key: 2, Value: []byte("old"), Storage: "a", Version: 300}, level))
+		if _, err := decodeEntry(old[walHeaderLen:]); !errors.Is(err, errWALDecode) {
+			t.Fatalf("level %d: old-layout payload decoded: %v", level, err)
+		}
+		withOld := append(append([]byte(nil), cur...), old...)
+		for name, segs := range map[string][2][]byte{
+			"sealed segment": {withOld, cur},
+			"newest segment": {cur, withOld},
+		} {
+			dir := t.TempDir()
+			for i, data := range segs {
+				if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("wal-%016d.log", i+1)), data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if d, err := Open(dir, Options{}); !errors.Is(err, ErrCorrupt) {
+				if err == nil {
+					d.Close()
+				}
+				t.Fatalf("level %d, old record in the %s: Open = %v, want ErrCorrupt", level, name, err)
+			}
+			for i, data := range segs {
+				got, err := os.ReadFile(filepath.Join(dir, fmt.Sprintf("wal-%016d.log", i+1)))
+				if err != nil || !bytes.Equal(got, data) {
+					t.Fatalf("level %d, old record in the %s: segment %d changed by the refused Open (err %v)", level, name, i+1, err)
+				}
+			}
+		}
 	}
 }
 
@@ -247,7 +287,7 @@ func TestDiskExactRePutIsNotAWrite(t *testing.T) {
 	for i := range entries {
 		entries[i] = Entry{
 			Key: uint64(i), Value: []byte(fmt.Sprintf("value-%d", i)),
-			Storage: "s", Access: "", Level: 1, Version: uint64(i) + 1,
+			Storage: "s", Access: "", Version: uint64(i) + 1,
 		}
 		if applied, err := d.Put(entries[i]); err != nil || !applied {
 			t.Fatalf("first put %d: applied=%v err=%v", i, applied, err)
@@ -278,7 +318,7 @@ func TestDiskExactRePutIsNotAWrite(t *testing.T) {
 
 	// A real write after the quiet stretch still reaches the log and the
 	// next Sync still fsyncs it.
-	if applied, err := d.Put(Entry{Key: 0, Value: []byte("newer"), Storage: "s", Level: 1, Version: 100}); err != nil || !applied {
+	if applied, err := d.Put(Entry{Key: 0, Value: []byte("newer"), Storage: "s", Version: 100}); err != nil || !applied {
 		t.Fatalf("overwrite: applied=%v err=%v", applied, err)
 	}
 	if err := d.Sync(); err != nil {

@@ -7,10 +7,8 @@
 // travel — tree exchange → diff → repair, with traffic proportional to
 // divergence, not to data size (the DistHash/Dynamo lineage).
 //
-// The per-entry digest covers identity, content and version — but not the
-// placement level, which replicas of the same record legitimately disagree
-// on — so a replica holding a stale version of a key diverges in exactly
-// that key's bucket. Leaves combine entry digests with modular addition,
+// The per-entry digest covers identity, content and version, so a replica
+// holding a stale version of a key diverges in exactly that key's bucket. Leaves combine entry digests with modular addition,
 // which is commutative — iteration order (map order, log order) cannot
 // change the summary. The combiner is not cryptographic: a colliding pair
 // would only delay repair by one round, because versions advance and
@@ -34,13 +32,10 @@ func MerkleBucket(key uint64) int {
 	return int(mix64(key) >> 56) // top 8 bits: 256 buckets
 }
 
-// Digest fingerprints an entry's identity, content and version. The
-// placement level is excluded: a per-level replica and its primary hold the
-// same record at different levels and must digest identically, and Digest
-// is also the conflict tie-break for equal-version writes (see putEntry),
-// where placement must not pick winners.
+// Digest fingerprints an entry's identity, content and version — every
+// field, so equal digests mean equal records. It is also the conflict
+// tie-break for equal-version writes (see putEntry).
 func (e Entry) Digest() uint64 {
-	e.Level = 0
 	var buf [512]byte
 	return mix64(fnv64a(appendEntry(buf[:0], e)))
 }

@@ -13,7 +13,6 @@ func randomEntries(rng *rand.Rand, n int) []Entry {
 			Value:   randBytes(rng, 1+rng.Intn(64)),
 			Storage: "org/a",
 			Version: uint64(1 + rng.Intn(10)),
-			Level:   rng.Intn(3),
 		}
 	}
 	return out

@@ -15,10 +15,10 @@
 // Entries are versioned: Put applies last-write-wins per record identity
 // (key, storage domain, access domain, pointerness), refusing writes whose
 // Version is below the stored one. Versions are Lamport-style stamps the
-// node layer assigns; the store only compares them. Entries also carry the
-// hierarchy level they were placed at (Level), following Sarshar &
-// Roychowdhury's level-annotated caching analysis, so replica sets and
-// future eviction policies can be level-preferential.
+// node layer assigns; the store only compares them. An entry carries no
+// placement annotation: which nodes hold a record follows from its home
+// domain alone (netnode/storage.go), so every copy of a record is the same
+// bytes.
 //
 // Values handed to and returned from a Store are shared, not copied:
 // callers must treat Entry.Value as immutable after Put and after Get.
@@ -53,11 +53,6 @@ type Entry struct {
 	PtrID   uint64
 	PtrName string
 	PtrAddr string
-
-	// Level is the hierarchy level this copy was placed for: the depth of
-	// the domain ring whose key-owner holds it (the entry's home level for
-	// the primary, deeper levels for per-level replicas).
-	Level int
 
 	// Version orders writes to the same record identity: higher wins, and
 	// equal versions are broken by content digest (see putEntry). The node
@@ -110,7 +105,7 @@ type Store interface {
 // concurrent stamps from different writers — fall back to the content
 // digest, so every replica that sees both candidates picks the same winner
 // and anti-entropy cannot ping-pong a conflicted record between replicas.
-// An exact re-put (equal version, digest and level) is not a write: the
+// An exact re-put (equal version and digest) is not a write: the
 // record is already stored, so it reports false and Disk appends nothing —
 // replica pushes stay idempotent without costing WAL bytes or an fsync.
 // Shared by Mem and Disk's index.
@@ -121,11 +116,8 @@ func putEntry(items map[uint64][]Entry, e Entry) bool {
 			if e.Version < list[i].Version {
 				return false
 			}
-			if e.Version == list[i].Version {
-				ed, sd := e.Digest(), list[i].Digest()
-				if ed < sd || (ed == sd && e.Level == list[i].Level) {
-					return false
-				}
+			if e.Version == list[i].Version && e.Digest() <= list[i].Digest() {
+				return false
 			}
 			list[i] = e
 			return true

@@ -84,14 +84,6 @@ func TestMemVersionConflict(t *testing.T) {
 	if err != nil || applied {
 		t.Fatalf("exact re-put applied=%v err=%v, want false, nil", applied, err)
 	}
-	// The placement level must not pick winners: re-placing the same record
-	// at another level applies (levels are metadata, not content).
-	relevel := hi
-	relevel.Level = 3
-	applied, err = m.Put(relevel)
-	if err != nil || !applied {
-		t.Fatalf("re-level put applied=%v err=%v, want true, nil", applied, err)
-	}
 }
 
 func TestMemDelete(t *testing.T) {

@@ -16,8 +16,11 @@
 //
 // The payload codec follows the conventions of netnode's binary wire
 // format (docs/WIRE.md Section 5): fixed 8-byte big-endian ring ids,
-// uvarint lengths and counts, zigzag varints for small signed ints, and a
-// nil/present scheme for optional byte slices (0 = nil, n = length n-1).
+// uvarint lengths and counts, and a nil/present scheme for optional byte
+// slices (0 = nil, n = length n-1). There is no format header either: a
+// record written by a build with a different payload layout passes its CRC,
+// fails the strict decode, and makes Open refuse the directory (ErrCorrupt)
+// wherever it sits — it is never mistaken for a torn tail and trimmed.
 // Decoders are strict — trailing bytes are an error — so one byte of
 // payload damage cannot silently decode, and re-encoding a decoded payload
 // reproduces it byte for byte (the FuzzWALRecordDecode invariant).
@@ -165,19 +168,6 @@ func (r *walReader) uvarint() uint64 {
 	return v
 }
 
-func (r *walReader) varint() int64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(r.data[r.off:])
-	if n <= 0 {
-		r.fail("bad varint")
-		return 0
-	}
-	r.off += n
-	return v
-}
-
 func (r *walReader) str() string {
 	n := r.uvarint()
 	if r.err != nil {
@@ -244,7 +234,6 @@ func appendEntry(b []byte, e Entry) []byte {
 	b = appendU64(b, e.PtrID)
 	b = appendStr(b, e.PtrName)
 	b = appendStr(b, e.PtrAddr)
-	b = binary.AppendVarint(b, int64(e.Level))
 	b = binary.AppendUvarint(b, e.Version)
 	return b
 }
@@ -260,7 +249,6 @@ func decodeEntry(data []byte) (Entry, error) {
 	e.PtrID = r.u64()
 	e.PtrName = r.str()
 	e.PtrAddr = r.str()
-	e.Level = int(r.varint())
 	e.Version = r.uvarint()
 	return e, r.done()
 }

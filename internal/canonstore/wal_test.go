@@ -2,6 +2,7 @@ package canonstore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -12,8 +13,8 @@ import (
 func TestRecordRoundTrip(t *testing.T) {
 	entries := []Entry{
 		{},
-		{Key: 1, Value: []byte("v"), Storage: "a/b", Access: "a", Level: 2, Version: 9},
-		{Key: ^uint64(0), Value: []byte{}, PtrID: 3, PtrName: "x/y", PtrAddr: "h:1", Level: -1},
+		{Key: 1, Value: []byte("v"), Storage: "a/b", Access: "a", Version: 9},
+		{Key: ^uint64(0), Value: []byte{}, PtrID: 3, PtrName: "x/y", PtrAddr: "h:1"},
 	}
 	var log []byte
 	for _, e := range entries {
@@ -50,7 +51,7 @@ func TestRecordRoundTrip(t *testing.T) {
 		t.Fatalf("got %d puts %d deletes", len(got), dels)
 	}
 	for i, e := range entries {
-		if !bytes.Equal(got[i].Value, e.Value) || got[i].Key != e.Key || got[i].Level != e.Level ||
+		if !bytes.Equal(got[i].Value, e.Value) || got[i].Key != e.Key ||
 			got[i].Version != e.Version || got[i].PtrAddr != e.PtrAddr {
 			t.Fatalf("entry %d round-trip: got %+v want %+v", i, got[i], e)
 		}
@@ -147,7 +148,6 @@ func TestWALCrashRecovery(t *testing.T) {
 				Key:     uint64(rng.Intn(200)),
 				Value:   randBytes(rng, rng.Intn(256)),
 				Storage: fmt.Sprintf("d%d", rng.Intn(3)),
-				Level:   rng.Intn(4),
 				Version: uint64(i + 1),
 			}
 			id := ident{e.Key, e.Storage, e.Access}
@@ -210,6 +210,20 @@ func randBytes(rng *rand.Rand, n int) []byte {
 	return b
 }
 
+// appendOldEntry encodes a put payload in the layout of builds that still
+// stored a placement level: a zigzag varint between PtrAddr and Version.
+func appendOldEntry(b []byte, e Entry, level int) []byte {
+	b = appendU64(b, e.Key)
+	b = appendOptBytes(b, e.Value)
+	b = appendStr(b, e.Storage)
+	b = appendStr(b, e.Access)
+	b = appendU64(b, e.PtrID)
+	b = appendStr(b, e.PtrName)
+	b = appendStr(b, e.PtrAddr)
+	b = binary.AppendVarint(b, int64(level))
+	return binary.AppendUvarint(b, e.Version)
+}
+
 // FuzzWALRecordDecode throws arbitrary bytes at the segment scanner and
 // the payload codecs: no panic, no record accepted past a bad checksum,
 // and every accepted put payload must re-encode byte-identically (the
@@ -220,6 +234,7 @@ func FuzzWALRecordDecode(f *testing.F) {
 	whole := appendRecord(nil, recPut, appendEntry(nil, Entry{Key: 3, Value: bytes.Repeat([]byte("z"), 100)}))
 	f.Add(whole[:len(whole)-5])
 	f.Add([]byte{})
+	f.Add(appendRecord(nil, recPut, appendOldEntry(nil, Entry{Key: 4, Value: []byte("old"), Storage: "a", Version: 7}, 1)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		consumed, _ := scanRecords(data, func(typ byte, payload []byte) error {
 			if typ == recPut {

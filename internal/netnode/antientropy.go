@@ -1,7 +1,10 @@
 // Merkle anti-entropy between replicas (docs/STORAGE.md): replicateOnce
 // pushes copies forward, but pushes are lossy — a replica that was down,
 // a dropped RPC, a compaction race — so replicas additionally compare
-// summaries and repair the difference. The protocol per (level, partner):
+// summaries and repair the difference. A node compares, for each ring of its
+// chain (each can be some record's home), the records homed on exactly that
+// ring which it owns there with the predecessors the placement rule
+// (storage.go) says hold their replicas. The protocol per (ring, partner):
 //
 //	tree exchange:  send (prefix, lo, hi); compare Merkle roots. Equal
 //	                roots end the sync — the steady-state cost is one
@@ -13,7 +16,7 @@
 //	                wins are pulled (syncpull) and applied through the
 //	                same versioned LWW gate every write takes.
 //
-// Both sides compute the sync scope by the same pure rule (replicaScope),
+// Both sides compute the sync scope by the same pure rule (inScope),
 // so their summaries are comparable without shared state. Convergence
 // follows from the total write order (Version, then Digest — see
 // canonstore.putEntry): each repaired record moves monotonically up that
@@ -30,7 +33,7 @@ import (
 
 // AntiEntropyStats reports one anti-entropy round.
 type AntiEntropyStats struct {
-	// Partners is how many (level, replica) pairs were compared.
+	// Partners is how many (ring, replica) pairs were compared.
 	Partners int `json:"partners"`
 	// Pushed and Pulled count records repaired in each direction.
 	Pushed int `json:"pushed"`
@@ -38,8 +41,9 @@ type AntiEntropyStats struct {
 }
 
 // AntiEntropyOnce runs one full anti-entropy round against the node's
-// replica partners: at every level of its chain, the ReplicationFactor-1
-// nearest predecessors holding copies of the range this node owns there.
+// replica partners: on every ring of its chain, the ReplicationFactor-1
+// nearest predecessors, which hold the replicas of the records homed on
+// that ring whose keys this node owns there.
 // It reads placement from one routing-view epoch, takes no node lock, and
 // is a no-op when replication is disabled. Called from the maintenance
 // loop on the Config.SyncInterval cadence, by the repair RPC, and directly
@@ -80,15 +84,21 @@ func inRange(space id.Space, lo, hi, key uint64) bool {
 	return space.Clockwise(id.ID(lo), id.ID(key)) < space.Clockwise(id.ID(lo), id.ID(hi))
 }
 
-// replicaScope returns the local entries inside one sync scope: entries
-// whose home domain contains prefix (the level's ring or an ancestor ring
-// whose copies this ring also carries) with keys in [lo, hi). The rule
-// depends only on the entry and the scope, never on which replica
-// evaluates it — that is what makes two replicas' summaries comparable.
+// inScope reports whether an entry belongs to one sync scope: its home ring
+// is the one named prefix and its key lies in [lo, hi) — with lo the owner
+// and hi its successor there, exactly the records pushChainReplicas sends to
+// the partners the scope is compared with. The rule depends only on the
+// entry and the scope, never on which replica evaluates it — that is what
+// makes two replicas' summaries comparable.
+func (n *Node) inScope(e canonstore.Entry, prefix string, lo, hi uint64) bool {
+	return entryHome(e) == prefix && inRange(n.space, lo, hi, e.Key)
+}
+
+// replicaScope returns the local entries inside one sync scope.
 func (n *Node) replicaScope(prefix string, lo, hi uint64) []canonstore.Entry {
 	var out []canonstore.Entry
 	n.store.ForEach(func(e canonstore.Entry) bool {
-		if inDomain(prefix, entryHome(e)) && inRange(n.space, lo, hi, e.Key) {
+		if n.inScope(e, prefix, lo, hi) {
 			out = append(out, e)
 		}
 		return true
@@ -258,7 +268,7 @@ func (n *Node) syncPullFrom(ctx context.Context, peer Info, req syncPullReq) ([]
 func (n *Node) syncPullLocal(req syncPullReq) []storeReq2 {
 	var out []storeReq2
 	for _, e := range n.store.Get(req.Key, nil) {
-		if inDomain(req.Prefix, entryHome(e)) && inRange(n.space, req.Lo, req.Hi, e.Key) {
+		if n.inScope(e, req.Prefix, req.Lo, req.Hi) {
 			out = append(out, reqFromEntry(e, true))
 		}
 	}

@@ -12,7 +12,6 @@ func (q *storeReq2) wire(c *coder) {
 	c.str("Access", &q.Access)
 	c.info("Pointer", &q.Pointer)
 	c.bool("Replica", &q.Replica)
-	c.int("Level", &q.Level)
 	c.uvarint("Version", &q.Version)
 }
 

@@ -83,9 +83,9 @@ func TestBinWireMembershipRoundTrip(t *testing.T) {
 // TestBinWireStorageRoundTrip covers the versioned store and the
 // anti-entropy payloads.
 func TestBinWireStorageRoundTrip(t *testing.T) {
-	entry := storeReq2{Key: 9, Value: []byte("v"), Storage: "s/t", Access: "s", Replica: true, Level: 2, Version: 1 << 50}
+	entry := storeReq2{Key: 9, Value: []byte("v"), Storage: "s/t", Access: "s", Replica: true, Version: 1 << 50}
 	for _, in := range []wireBody{
-		storeReq2{}, entry, storeReq2{Key: 1, Value: []byte{}, Pointer: binwireInfos[0], Level: -1},
+		storeReq2{}, entry, storeReq2{Key: 1, Value: []byte{}, Pointer: binwireInfos[0]},
 		syncTreeReq{}, syncTreeReq{Prefix: "s", Lo: ^uint64(0), Hi: 1},
 		syncTreeResp{}, syncTreeResp{Leaves: []uint64{}}, syncTreeResp{Root: 7, Leaves: []uint64{0, ^uint64(0)}},
 		syncKeysReq{}, syncKeysReq{Buckets: []int{}}, syncKeysReq{Prefix: "s", Lo: 1, Hi: 2, Buckets: []int{0, 255}},
@@ -229,7 +229,7 @@ func FuzzBinWireRoundTrip(f *testing.F) {
 			words = append(words, key>>uint(j))
 			ints = append(ints, int(uint(hops)>>uint(j))) // wire form is unsigned
 		}
-		entry := storeReq2{Key: key, Value: value, Storage: prefix, Access: trace, Pointer: info, Replica: flag, Level: level, Version: key}
+		entry := storeReq2{Key: key, Value: value, Storage: prefix, Access: trace, Pointer: info, Replica: flag, Version: key}
 		var entries []storeReq2
 		var items []syncItem
 		var values []fetchValue

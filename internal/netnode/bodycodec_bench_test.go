@@ -13,7 +13,7 @@ var bodyCodecSink []byte
 // interfaces the transport calls them through. Encode appends into a reused
 // buffer, as AppendBinaryMessage does; decode reuses one destination.
 func BenchmarkBodyCodec(b *testing.B) {
-	entry := storeReq2{Key: 9, Value: []byte("value-0123456789"), Storage: "stanford/cs", Access: "stanford", Replica: true, Level: 2, Version: 77}
+	entry := storeReq2{Key: 9, Value: []byte("value-0123456789"), Storage: "stanford/cs", Access: "stanford", Replica: true, Version: 77}
 	entries := make([]storeReq2, 64)
 	for i := range entries {
 		entries[i] = entry

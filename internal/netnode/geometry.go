@@ -2,9 +2,11 @@
 // is generic (paper Sections 5-6). A geometry owns everything about routing
 // that is not the ring substrate itself:
 //
-//   - the link table: which long links the node builds and the merge rule
-//     bounding links that leave a domain (fixLinks, the live analog of the
-//     offline core.Geometry BaseLinks/MergeLinks);
+//   - the link table: which long links the node builds on one ring and the
+//     bound the Canon merge carries from each ring to the next one out
+//     (levelLinks and mergeBound, the live analog of the offline
+//     core.Geometry BaseLinks/MergeLinks; Node.FixFingers is the merge loop
+//     that calls them);
 //   - the admissibility predicate: the Section 2.2 link-retention verdict a
 //     lookup applies before using a contact as a greedy candidate
 //     (geomAdmissible);
@@ -68,15 +70,32 @@ type geometry interface {
 	kind() geomKind
 	// name is the Config.Geometry spelling, reported by Node.GeometryName.
 	name() string
-	// fixLinks rebuilds Node.fingers with the geometry's link-creation rule
-	// under the Canon merge bound, leaf domain first and root last, and
-	// publishes the result. It is the live analog of the offline
-	// core.Geometry BaseLinks/MergeLinks pair.
-	fixLinks(ctx context.Context, n *Node)
+	// levelLinks applies the geometry's flat link-creation rule on the
+	// node's level-l ring (the domain named prefix), adding to fingers every
+	// link it finds that is, in the geometry's metric, strictly shorter than
+	// bound. Node.FixFingers calls it leaf ring first and root last.
+	levelLinks(ctx context.Context, n *Node, l int, prefix string, bound uint64, fingers map[uint64]Info)
+	// mergeBound returns the bound the next merge, one level out, admits
+	// links under: the geometry's distance to the nearest thing the node
+	// links to on the ring just done. succ is the node's successor on that
+	// ring, zero when it is alone there; fingers is every link kept so far.
+	mergeBound(n *Node, bound uint64, succ Info, fingers map[uint64]Info) uint64
 	// maintain runs the geometry's extra per-stabilization-round protocol
 	// (bucket refresh, lookahead exchange); a no-op for geometries whose
-	// links need nothing beyond fixLinks.
+	// links need nothing beyond FixFingers.
 	maintain(ctx context.Context, n *Node)
+}
+
+// successorBound is the mergeBound of the clockwise geometries (Crescendo,
+// Cacophony): the next merge keeps only links shorter than the clockwise
+// distance to the successor on the ring just done (symphony.Geometry.Bound).
+type successorBound struct{}
+
+func (successorBound) mergeBound(n *Node, bound uint64, succ Info, _ map[uint64]Info) uint64 {
+	if succ.IsZero() {
+		return bound
+	}
+	return n.clockwise(n.self.ID, succ.ID)
 }
 
 // geometryByName resolves a Config.Geometry spelling; empty selects

@@ -18,7 +18,7 @@ import (
 // candidate itself or its known ring successor — in forwardSetScored. The
 // successor tables that power the lookahead travel in a periodic
 // lookaheadReq/lookaheadResp exchange (maintain).
-type cacophonyGeometry struct{}
+type cacophonyGeometry struct{ successorBound }
 
 // lookaheadFanout bounds how many contacts one lookahead exchange round
 // queries.
@@ -34,52 +34,35 @@ type lookKey struct {
 func (cacophonyGeometry) kind() geomKind { return geomCacophony }
 func (cacophonyGeometry) name() string   { return GeometryCacophony }
 
-// fixLinks rebuilds the node's long links with the Symphony harmonic rule
-// under the Canon merge bound: at each level, draws against the estimated
-// ring size, keeping only links strictly shorter than the successor distance
-// inherited from the level below. Draws are independent; a rejected draw is
-// simply not replaced (symphony.Geometry.MergeLinks).
-func (cacophonyGeometry) fixLinks(ctx context.Context, n *Node) {
-	fingers := make(map[uint64]Info)
-	bound := n.space.Size()
-	for l := n.levels; l >= 0; l-- {
-		prefix := prefixAt(n.self.Name, l)
-		est := n.ringEstimate(l)
-		draws := int(math.Floor(math.Log2(float64(est))))
-		for i := 0; i < draws; i++ {
-			n.mu.Lock()
-			u := n.rng.Float64()
-			n.mu.Unlock()
-			d := symphony.HarmonicDraw(n.space, float64(est), u)
-			if d >= bound {
-				continue
-			}
-			target := uint64(n.space.Add(id.ID(n.self.ID), d))
-			resp, err := n.lookupFrom(ctx, n.self, uint64(n.space.Sub(id.ID(target), 1)), prefix)
-			if err != nil {
-				continue
-			}
-			cand := resp.Succ
-			if cand.IsZero() || cand.Addr == n.self.Addr {
-				continue
-			}
-			if cd := n.clockwise(n.self.ID, cand.ID); cd == 0 || cd >= bound {
-				continue
-			}
-			fingers[cand.ID] = cand
-		}
-		// The next (higher-level) merge keeps only links shorter than our
-		// successor distance at this level (symphony.Geometry.Bound).
+// levelLinks implements geometry with the Symphony harmonic rule: draws
+// against the ring's estimated size, keeping only links strictly shorter
+// than the bound. Draws are independent; a rejected draw is simply not
+// replaced (symphony.Geometry.MergeLinks).
+func (cacophonyGeometry) levelLinks(ctx context.Context, n *Node, l int, prefix string, bound uint64, fingers map[uint64]Info) {
+	est := n.ringEstimate(l)
+	draws := int(math.Floor(math.Log2(float64(est))))
+	for i := 0; i < draws; i++ {
 		n.mu.Lock()
-		if len(n.succs[l]) > 0 && n.succs[l][0].Addr != n.self.Addr {
-			bound = n.clockwise(n.self.ID, n.succs[l][0].ID)
-		}
+		u := n.rng.Float64()
 		n.mu.Unlock()
+		d := symphony.HarmonicDraw(n.space, float64(est), u)
+		if d >= bound {
+			continue
+		}
+		target := uint64(n.space.Add(id.ID(n.self.ID), d))
+		resp, err := n.lookupFrom(ctx, n.self, uint64(n.space.Sub(id.ID(target), 1)), prefix)
+		if err != nil {
+			continue
+		}
+		cand := resp.Succ
+		if cand.IsZero() || cand.Addr == n.self.Addr {
+			continue
+		}
+		if cd := n.clockwise(n.self.ID, cand.ID); cd == 0 || cd >= bound {
+			continue
+		}
+		fingers[cand.ID] = cand
 	}
-	n.mu.Lock()
-	n.fingers = fingers
-	n.publishRoutingLocked()
-	n.mu.Unlock()
 }
 
 // ringEstimate estimates the level-`level` ring size the way a live Symphony

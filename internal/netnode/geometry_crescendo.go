@@ -10,52 +10,36 @@ import (
 // geometry: clockwise metric, powers-of-two fingers under the merge bound,
 // maximal clockwise advance as the next-hop choice (the forwardSet fast
 // path).
-type crescendoGeometry struct{}
+type crescendoGeometry struct{ successorBound }
 
 func (crescendoGeometry) kind() geomKind { return geomCrescendo }
 func (crescendoGeometry) name() string   { return GeometryCrescendo }
 
 // maintain implements geometry: Crescendo's links need nothing beyond
-// fixLinks and ring stabilization.
+// FixFingers and ring stabilization.
 func (crescendoGeometry) maintain(context.Context, *Node) {}
 
-// fixLinks rebuilds the finger table with the Canon rule: full Chord fingers
-// within the leaf domain, and at every higher level only fingers strictly
-// shorter than the distance to the lower level's successor.
-func (crescendoGeometry) fixLinks(ctx context.Context, n *Node) {
-	fingers := make(map[uint64]Info)
-	bound := n.space.Size()
-	for l := n.levels; l >= 0; l-- {
-		prefix := prefixAt(n.self.Name, l)
-		for k := uint(0); k < n.space.Bits(); k++ {
-			step := uint64(1) << k
-			if step >= bound {
-				break
-			}
-			target := uint64(n.space.Add(id.ID(n.self.ID), step))
-			resp, err := n.lookupFrom(ctx, n.self, uint64(n.space.Sub(id.ID(target), 1)), prefix)
-			if err != nil {
-				continue
-			}
-			cand := resp.Succ
-			if cand.IsZero() || cand.Addr == n.self.Addr {
-				continue
-			}
-			d := n.clockwise(n.self.ID, cand.ID)
-			if d >= step && d < bound {
-				fingers[cand.ID] = cand
-			}
+// levelLinks implements geometry with the Chord rule: for every power of two
+// below the bound, the first ring member at least that far clockwise, kept
+// when it is itself nearer than the bound.
+func (crescendoGeometry) levelLinks(ctx context.Context, n *Node, _ int, prefix string, bound uint64, fingers map[uint64]Info) {
+	for k := uint(0); k < n.space.Bits(); k++ {
+		step := uint64(1) << k
+		if step >= bound {
+			break
 		}
-		// The next (higher-level) merge keeps only links shorter than our
-		// successor distance at this level.
-		n.mu.Lock()
-		if len(n.succs[l]) > 0 && n.succs[l][0].Addr != n.self.Addr {
-			bound = n.clockwise(n.self.ID, n.succs[l][0].ID)
+		target := uint64(n.space.Add(id.ID(n.self.ID), step))
+		resp, err := n.lookupFrom(ctx, n.self, uint64(n.space.Sub(id.ID(target), 1)), prefix)
+		if err != nil {
+			continue
 		}
-		n.mu.Unlock()
+		cand := resp.Succ
+		if cand.IsZero() || cand.Addr == n.self.Addr {
+			continue
+		}
+		d := n.clockwise(n.self.ID, cand.ID)
+		if d >= step && d < bound {
+			fingers[cand.ID] = cand
+		}
 	}
-	n.mu.Lock()
-	n.fingers = fingers
-	n.publishRoutingLocked()
-	n.mu.Unlock()
 }

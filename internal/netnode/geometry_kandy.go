@@ -32,54 +32,41 @@ func (kandyGeometry) kind() geomKind { return geomKandy }
 func (kandyGeometry) name() string   { return GeometryKandy }
 
 // maintain implements geometry: Kandy's bucket-refresh probes run inside
-// fixLinks, so there is no separate maintenance round.
+// levelLinks, so there is no separate maintenance round.
 func (kandyGeometry) maintain(context.Context, *Node) {}
 
-// fixLinks rebuilds the node's long links with the Kademlia bucket rule
-// under the Canon merge bound: within the leaf domain one representative per
-// XOR bucket [2^k, 2^(k+1)), and at every higher level only buckets below
-// the XOR distance of the shortest link kept at the level beneath
-// (kademlia.Geometry.Bound).
-func (kandyGeometry) fixLinks(ctx context.Context, n *Node) {
-	fingers := make(map[uint64]Info)
-	bound := n.space.Size()
-	for l := n.levels; l >= 0; l-- {
-		prefix := prefixAt(n.self.Name, l)
-		for k := uint(0); k < n.space.Bits(); k++ {
-			low := uint64(1) << k
-			if low >= bound {
-				break // every remaining bucket lies entirely beyond the bound
-			}
-			target := uint64(kademlia.BucketTarget(n.space, id.ID(n.self.ID), k))
-			cand := n.bucketProbe(ctx, prefix, target)
-			if cand.IsZero() || cand.Addr == n.self.Addr {
-				continue
-			}
-			d := n.space.XOR(id.ID(n.self.ID), id.ID(cand.ID))
-			if d >= low && d < low<<1 && d < bound {
-				fingers[cand.ID] = cand
-			}
+// levelLinks implements geometry with the Kademlia bucket rule: one
+// representative per XOR bucket [2^k, 2^(k+1)) that lies below the bound.
+func (kandyGeometry) levelLinks(ctx context.Context, n *Node, _ int, prefix string, bound uint64, fingers map[uint64]Info) {
+	for k := uint(0); k < n.space.Bits(); k++ {
+		low := uint64(1) << k
+		if low >= bound {
+			break // every remaining bucket lies entirely beyond the bound
 		}
-		// The next (higher-level) merge keeps only links whose XOR distance
-		// beats the shortest link this level ends up with: the level's ring
-		// successor and the bucket links just kept.
-		n.mu.Lock()
-		if len(n.succs[l]) > 0 && n.succs[l][0].Addr != n.self.Addr {
-			if d := n.space.XOR(id.ID(n.self.ID), id.ID(n.succs[l][0].ID)); d < bound {
-				bound = d
-			}
+		target := uint64(kademlia.BucketTarget(n.space, id.ID(n.self.ID), k))
+		cand := n.bucketProbe(ctx, prefix, target)
+		if cand.IsZero() || cand.Addr == n.self.Addr {
+			continue
 		}
-		n.mu.Unlock()
-		for _, f := range fingers {
-			if d := n.space.XOR(id.ID(n.self.ID), id.ID(f.ID)); d < bound {
-				bound = d
-			}
+		d := n.space.XOR(id.ID(n.self.ID), id.ID(cand.ID))
+		if d >= low && d < low<<1 && d < bound {
+			fingers[cand.ID] = cand
 		}
 	}
-	n.mu.Lock()
-	n.fingers = fingers
-	n.publishRoutingLocked()
-	n.mu.Unlock()
+}
+
+// mergeBound implements geometry: the next merge keeps only links whose XOR
+// distance beats the shortest link the node ends up with on the ring just
+// done — its ring successor there and the bucket links kept so far
+// (kademlia.Geometry.Bound).
+func (kandyGeometry) mergeBound(n *Node, bound uint64, succ Info, fingers map[uint64]Info) uint64 {
+	if !succ.IsZero() {
+		bound = min(bound, n.space.XOR(id.ID(n.self.ID), id.ID(succ.ID)))
+	}
+	for _, f := range fingers {
+		bound = min(bound, n.space.XOR(id.ID(n.self.ID), id.ID(f.ID)))
+	}
+	return bound
 }
 
 // bucketProbe runs a short iterative probe — the live analog of Kademlia

@@ -84,7 +84,6 @@ type nodeMetrics struct {
 
 	replicaDirty         *telemetry.Gauge
 	replicaPushChain     *telemetry.Counter
-	replicaPushLevel     *telemetry.Counter
 	replicaPushHandoff   *telemetry.Counter
 	replicaPushFailures  *telemetry.Counter
 	replicaFullPasses    *telemetry.Counter
@@ -142,7 +141,6 @@ func newNodeMetrics(reg *telemetry.Registry, levels int) *nodeMetrics {
 		replicaDirty: reg.Gauge(mnReplDirty,
 			"keys with pending replication work (written since the last round, or a push failed)"),
 		replicaPushChain:   replicaPushes(reg, "chain"),
-		replicaPushLevel:   replicaPushes(reg, "level"),
 		replicaPushHandoff: replicaPushes(reg, "handoff"),
 		replicaPushFailures: reg.Counter(mnReplFailures,
 			"keys a replication round re-queued because a push for them failed"),
@@ -178,7 +176,7 @@ func newNodeMetrics(reg *telemetry.Registry, levels int) *nodeMetrics {
 }
 
 // replicaPushes registers the replication push counter of one kind: chain
-// replicas, per-level copies or ownership handoffs.
+// replicas or ownership handoffs.
 func replicaPushes(reg *telemetry.Registry, kind string) *telemetry.Counter {
 	return reg.Counter(mnReplPushes, "records the replication round pushed, by kind", telemetry.L("kind", kind))
 }

@@ -35,6 +35,13 @@ const lookupHopLimit = 512
 // between a node and its stale successor.
 const stabilizeWalkLimit = 64
 
+// registrySize bounds the member hints a node keeps per domain in the
+// membership registry.
+const registrySize = 8
+
+// traceBufferSize bounds the node's completed-trace ring buffer.
+const traceBufferSize = 128
+
 // Config configures a live node.
 type Config struct {
 	// Space is the identifier space; the zero value means the default
@@ -60,8 +67,6 @@ type Config struct {
 	Geometry string
 	// SuccessorListLen is the per-level leaf-set length (default 4).
 	SuccessorListLen int
-	// RegistrySize bounds the per-domain membership registry (default 8).
-	RegistrySize int
 	// ReplicationFactor is how many copies of each item exist, counting the
 	// owner's: the owner pushes ReplicationFactor-1 replicas to its
 	// predecessors within the item's home domain on the stabilization round
@@ -91,8 +96,6 @@ type Config struct {
 	// traces archived in the node's trace store (0 disables sampling;
 	// TracedLookup is always traced regardless).
 	TraceSampleRate float64
-	// TraceBuffer bounds the completed-trace ring buffer (default 128).
-	TraceBuffer int
 }
 
 // Node is a live Canon participant running one of the routing geometries
@@ -193,9 +196,6 @@ func New(cfg Config) (*Node, error) {
 	if cfg.SuccessorListLen <= 0 {
 		cfg.SuccessorListLen = 4
 	}
-	if cfg.RegistrySize <= 0 {
-		cfg.RegistrySize = 8
-	}
 	geom, err := geometryByName(cfg.Geometry)
 	if err != nil {
 		return nil, err
@@ -221,7 +221,7 @@ func New(cfg Config) (*Node, error) {
 		health:   newHealthTracker(),
 		tel:      reg,
 		m:        newNodeMetrics(reg, levels),
-		traces:   telemetry.NewTraceStore(cfg.TraceBuffer),
+		traces:   telemetry.NewTraceStore(traceBufferSize),
 		nonceSeq: uint64(private.Uint32()),
 		store:    store,
 		dirty:    make(map[uint64]struct{}),
@@ -404,7 +404,7 @@ func (n *Node) registerLocal(prefix string, who Info) {
 			return
 		}
 	}
-	if len(members) >= n.cfg.RegistrySize {
+	if len(members) >= registrySize {
 		// Replace a random entry; stale entries get filtered by ping on use.
 		members[n.rng.Intn(len(members))] = who
 	} else {

@@ -4,10 +4,13 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
+	"github.com/canon-dht/canon/internal/canonstore"
+	"github.com/canon-dht/canon/internal/id"
 	"github.com/canon-dht/canon/internal/transport"
 )
 
@@ -15,10 +18,11 @@ import (
 // hand on the in-memory bus and counts RPCs from the nodes' own
 // canon_rpc_sent_total series — no sleeps, no wall clock.
 
-// replCluster is a flat cluster (one ring, level 0 only) with node i at
-// identifier (i+1)<<28, so every test can name the owner of a key and its
-// predecessors by index. Each node sends through a transport.Faulty with
-// no faults installed.
+// replCluster is a bus cluster whose members' identifiers the test chose, so
+// every test can name the owner of a key and its predecessors. Each node
+// sends through a transport.Faulty with no faults installed.
+// newReplCluster builds the flat one (one ring, level 0 only) with node i at
+// identifier (i+1)<<28; newHierCluster the benchmark's two-level topology.
 type replCluster struct {
 	bus    *transport.Bus
 	nodes  []*Node
@@ -31,23 +35,29 @@ func newReplCluster(t *testing.T, size, replicas int) *replCluster {
 	t.Helper()
 	c := &replCluster{bus: transport.NewBus()}
 	for i := 0; i < size; i++ {
-		c.join(t, fmt.Sprintf("repl-%d", i), replNodeID(i), replicas)
+		c.join(t, fmt.Sprintf("repl-%d", i), "", replNodeID(i), replicas)
 	}
+	c.settle()
+	return c
+}
+
+// settle runs the rounds a freshly joined cluster needs to converge.
+func (c *replCluster) settle() {
 	for r := 0; r < 4; r++ {
 		c.round()
 		for _, n := range c.nodes {
 			n.FixFingers(context.Background())
 		}
 	}
-	return c
 }
 
-// join adds one node through node 0 (or bootstraps the ring).
-func (c *replCluster) join(t *testing.T, addr string, nodeID uint64, replicas int) *Node {
+// join adds one node, named into the hierarchy, through node 0 (or
+// bootstraps the ring).
+func (c *replCluster) join(t *testing.T, addr, name string, nodeID uint64, replicas int) *Node {
 	t.Helper()
 	f := transport.NewFaulty(c.bus.Endpoint(addr), 1, transport.Faults{})
 	n, err := New(Config{
-		ID: nodeID, Rand: rand.New(rand.NewSource(int64(nodeID))),
+		Name: name, ID: nodeID, Rand: rand.New(rand.NewSource(int64(nodeID))),
 		Transport: f, ReplicationFactor: replicas,
 	})
 	if err != nil {
@@ -196,7 +206,7 @@ func TestReplicationFollowsArcSplit(t *testing.T) {
 	c.round()
 	c.requireClean(t)
 
-	joiner := c.join(t, "repl-joiner", keys[4]+1, 2) // inherits keys[5:]
+	joiner := c.join(t, "repl-joiner", "", keys[4]+1, 2) // inherits keys[5:]
 	c.round()
 	c.round()
 	if got := c.nodes[1].m.replicaPushHandoff.Value(); got != 5 {
@@ -417,5 +427,189 @@ func TestLeaveReportsFailedHandoffs(t *testing.T) {
 				t.Errorf("partitioned leave: key %#x reached the partitioned owner", key)
 			}
 		}
+	}
+}
+
+// hierTopology is the benchmark's cluster (bench/workload.go): two top-level
+// domains, two leaf domains each, two nodes each.
+var hierTopology = []struct {
+	id   uint64
+	name string
+}{
+	{1898122680, "west/a"}, {1424232574, "west/a"},
+	{2448338018, "west/b"}, {853820631, "west/b"},
+	{2839335395, "east/a"}, {3940604394, "east/a"},
+	{347470738, "east/b"}, {3359944329, "east/b"},
+}
+
+func newHierCluster(t *testing.T, replicas int) *replCluster {
+	t.Helper()
+	c := &replCluster{bus: transport.NewBus()}
+	for i, m := range hierTopology {
+		c.join(t, fmt.Sprintf("hier-%d", i), m.name, m.id, replicas)
+	}
+	c.settle()
+	return c
+}
+
+// hierBefore names, from the identifiers alone, the member of the domain
+// ring `home` closest counter-clockwise to the ring point at: the owner of a
+// key (footnote 3 of the paper) when at is the key, a node's ring
+// predecessor when at is one below its identifier.
+func hierBefore(home string, at uint64) int {
+	space := id.DefaultSpace()
+	best, bestDist := -1, uint64(0)
+	for i, m := range hierTopology {
+		if !inDomain(m.name, home) {
+			continue
+		}
+		if d := space.Clockwise(id.ID(m.id), id.ID(at)); best < 0 || d < bestDist {
+			best, bestDist = i, d
+		}
+	}
+	return best
+}
+
+// hierReplicaSet is the placement rule at ReplicationFactor 2, stated from
+// the identifiers: the key's owner on the home ring and that owner's
+// predecessor there.
+func hierReplicaSet(home string, key uint64) (owner, pred int) {
+	owner = hierBefore(home, key)
+	return owner, hierBefore(home, hierTopology[owner].id-1)
+}
+
+// holdings maps every record identity held anywhere in the cluster to the
+// sorted indexes of the nodes holding a copy.
+func (c *replCluster) holdings() (held map[entryIdent][]int, copies int) {
+	held = make(map[entryIdent][]int)
+	for i, n := range c.nodes {
+		n.store.ForEach(func(e canonstore.Entry) bool {
+			ident := identOfEntry(e)
+			held[ident] = append(held[ident], i)
+			copies++
+			return true
+		})
+	}
+	return held, copies
+}
+
+// sweep runs one anti-entropy round on every node and sums the repairs.
+func (c *replCluster) sweep() (pushed, pulled int) {
+	for _, n := range c.nodes {
+		st := n.AntiEntropyOnce(context.Background())
+		pushed += st.Pushed
+		pulled += st.Pulled
+	}
+	return pushed, pulled
+}
+
+// One replica set per record, on a hierarchy: every record — global value,
+// domain-scoped value, pointer record — is held by its home-ring owner and
+// that owner's home-ring predecessor and by nobody else; anti-entropy on the
+// converged cluster moves nothing, still repairs a lost replica on a
+// non-root home ring, and the predecessor's copy answers once the owner is
+// gone.
+func TestHierarchicalReplicaSet(t *testing.T) {
+	c := newHierCluster(t, 2)
+	ctx := context.Background()
+
+	// 400 records, 3 global : 1 homed at the writer's top-level domain; half
+	// of the scoped ones are readable globally, which adds a pointer record
+	// homed at the root wherever the two owners differ.
+	want := make(map[entryIdent][]int)
+	expect := func(ident entryIdent, home string) {
+		owner, pred := hierReplicaSet(home, ident.key)
+		set := []int{owner, pred}
+		slices.Sort(set)
+		want[ident] = set
+	}
+	rng := rand.New(rand.NewSource(19))
+	var westKey, globalKey uint64
+	for j := 0; j < 400; j++ {
+		key := uint64(rng.Uint32())
+		writer := j % len(c.nodes)
+		storage, access := "", ""
+		if j%4 == 3 {
+			storage = prefixAt(hierTopology[writer].name, 1)
+			access = storage
+			if j%8 == 7 {
+				access = ""
+			}
+		}
+		if err := c.nodes[writer].Put(ctx, key, []byte(fmt.Sprintf("v-%d", key)), storage, access); err != nil {
+			t.Fatal(err)
+		}
+		expect(entryIdent{key, storage, access, false}, storage)
+		if access != storage && hierBefore(access, key) != hierBefore(storage, key) {
+			expect(entryIdent{key, storage, access, true}, access)
+		}
+		switch {
+		case storage == "west" && access == "west":
+			westKey = key
+		case storage == "":
+			globalKey = key
+		}
+	}
+	c.round()
+	c.round()
+	c.requireClean(t)
+
+	requirePlaced := func(when string) {
+		t.Helper()
+		held, copies := c.holdings()
+		if len(held) != len(want) || copies != 2*len(want) {
+			t.Fatalf("%s: %d records in %d copies, want %d in %d", when, len(held), copies, len(want), 2*len(want))
+		}
+		for ident, set := range want {
+			if !slices.Equal(held[ident], set) {
+				t.Fatalf("%s: record %+v held by nodes %v, want owner and predecessor %v", when, ident, held[ident], set)
+			}
+		}
+	}
+	requirePlaced("after replication")
+
+	store2 := c.sent(msgStoreV2)
+	for r := 0; r < 3; r++ {
+		if pushed, pulled := c.sweep(); pushed != 0 || pulled != 0 {
+			t.Fatalf("anti-entropy sweep %d on the converged cluster pushed %d and pulled %d, want 0 and 0", r, pushed, pulled)
+		}
+	}
+	if got := c.sent(msgStoreV2) - store2; got != 0 {
+		t.Fatalf("three anti-entropy sweeps sent %d store2, want 0", got)
+	}
+	requirePlaced("after anti-entropy")
+
+	// Repair: lose the predecessor's copy of one west-homed and one global
+	// record; the owners' next comparison pushes back exactly those two.
+	for _, lost := range []struct {
+		home string
+		key  uint64
+	}{{"west", westKey}, {"", globalKey}} {
+		_, pred := hierReplicaSet(lost.home, lost.key)
+		if existed, err := c.nodes[pred].store.Delete(lost.key, lost.home, lost.home, false); err != nil || !existed {
+			t.Fatalf("deleting the %q replica of key %#x at node %d: existed=%v err=%v", lost.home, lost.key, pred, existed, err)
+		}
+	}
+	if pushed, pulled := c.sweep(); pushed != 2 || pulled != 0 {
+		t.Fatalf("sweep after losing two replicas pushed %d and pulled %d, want 2 and 0", pushed, pulled)
+	}
+	requirePlaced("after repair")
+
+	// Owner crash: a reader elsewhere in west still gets the west-homed key,
+	// and only the predecessor's copy can be what answered.
+	owner, pred := hierReplicaSet("west", westKey)
+	if err := c.nodes[owner].Close(); err != nil {
+		t.Fatal(err)
+	}
+	reader := -1
+	for i, m := range hierTopology {
+		if inDomain(m.name, "west") && i != owner && i != pred {
+			reader = i
+		}
+	}
+	wantValue := fmt.Sprintf("v-%d", westKey)
+	if got, err := c.nodes[reader].Get(ctx, westKey); err != nil || string(got) != wantValue {
+		t.Fatalf("get %#x through node %d after its owner %d closed = %q, %v, want %q from predecessor %d",
+			westKey, reader, owner, got, err, wantValue, pred)
 	}
 }

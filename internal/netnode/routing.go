@@ -468,12 +468,28 @@ func capList(in []Info, max int) []Info {
 	return in
 }
 
-// FixFingers rebuilds the node's long links with its geometry's link rule
-// under the Canon merge bound (Section 2.2): full links within the leaf
-// domain, and at every higher level only links the geometry's metric ranks
-// strictly shorter than the bound inherited from the level below. The name
-// is Chord's; the work is the geometry's (geometry.fixLinks — Chord fingers
-// for Crescendo, XOR buckets for Kandy, harmonic draws for Cacophony).
+// FixFingers rebuilds the node's long links by the Canon merge (Sections 2.1
+// and 2.2): the geometry's full link rule within the leaf domain, and at
+// every higher level only links the geometry's metric ranks strictly shorter
+// than the bound carried up from the level below; the result is published as
+// one new routing epoch. The name is Chord's; the per-ring rule and the
+// bound are the geometry's (levelLinks, mergeBound — Chord fingers for
+// Crescendo, XOR buckets for Kandy, harmonic draws for Cacophony).
 func (n *Node) FixFingers(ctx context.Context) {
-	n.geom.fixLinks(ctx, n)
+	fingers := make(map[uint64]Info)
+	bound := n.space.Size()
+	for l := n.levels; l >= 0; l-- {
+		n.geom.levelLinks(ctx, n, l, prefixAt(n.self.Name, l), bound, fingers)
+		var succ Info
+		n.mu.Lock()
+		if len(n.succs[l]) > 0 && n.succs[l][0].Addr != n.self.Addr {
+			succ = n.succs[l][0]
+		}
+		n.mu.Unlock()
+		bound = n.geom.mergeBound(n, bound, succ, fingers)
+	}
+	n.mu.Lock()
+	n.fingers = fingers
+	n.publishRoutingLocked()
+	n.mu.Unlock()
 }

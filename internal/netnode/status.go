@@ -14,7 +14,7 @@ type LevelStatus struct {
 }
 
 // Status is a JSON-serializable snapshot of a node's state for operations
-// tooling (canond serves it over HTTP when -status is set).
+// tooling (canond serves it at /status of its -admin HTTP endpoint).
 type Status struct {
 	Info       Info          `json:"info"`
 	Levels     []LevelStatus `json:"levels"`

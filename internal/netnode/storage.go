@@ -10,6 +10,17 @@ import (
 	"github.com/canon-dht/canon/internal/transport"
 )
 
+// Placement (Section 4.1, docs/STORAGE.md Section 6) is one rule: a record's
+// replica set is the owner of its key on its home ring plus that owner's
+// ReplicationFactor-1 nearest predecessors on the same ring. Its home is the
+// storage domain for a value and the access domain for a pointer record
+// (entryHome); the owner of a key on a ring is the member with the key in
+// [self, successor) (ownsInView); the predecessors are walked by
+// walkReplicaChain. The routed put, the replication round, handoff, graceful
+// leave and anti-entropy all place by these three functions and nothing
+// stores a second opinion: no record is kept on any other ring, and a copy
+// carries no note of where it was placed.
+
 // entryHome returns the domain whose ring an entry is placed by: the
 // storage domain for values, the access domain for pointer records (which
 // live at the access-domain owner, Section 4.1).
@@ -25,7 +36,7 @@ func entryFromReq(q storeReq2) canonstore.Entry {
 	return canonstore.Entry{
 		Key: q.Key, Value: q.Value, Storage: q.Storage, Access: q.Access,
 		PtrID: q.Pointer.ID, PtrName: q.Pointer.Name, PtrAddr: q.Pointer.Addr,
-		Level: q.Level, Version: q.Version,
+		Version: q.Version,
 	}
 }
 
@@ -36,7 +47,7 @@ func reqFromEntry(e canonstore.Entry, replica bool) storeReq2 {
 	return storeReq2{
 		Key: e.Key, Value: e.Value, Storage: e.Storage, Access: e.Access,
 		Pointer: Info{ID: e.PtrID, Name: e.PtrName, Addr: e.PtrAddr},
-		Replica: replica, Level: e.Level, Version: e.Version,
+		Replica: replica, Version: e.Version,
 	}
 }
 
@@ -156,7 +167,7 @@ func (n *Node) routePut(ctx context.Context, req *putReq) (putResp, error) {
 	if req.Pointer.Addr != v.self.Addr {
 		if err := n.storeLocalV2(storeReq2{
 			Key: req.Key, Value: req.Value, Storage: req.Storage, Access: req.Access,
-			Pointer: req.Pointer, Level: level,
+			Pointer: req.Pointer,
 		}); err != nil {
 			return putResp{}, err
 		}
@@ -367,15 +378,11 @@ func (n *Node) StoredKeys() int {
 	return n.store.Keys()
 }
 
-// ownsLocally reports whether, by the node's published routing view, it is
-// the owner of key within the domain at the given chain level: keys in
-// [self.ID, successor.ID) belong to it (footnote 3 of the paper).
-func (n *Node) ownsLocally(key uint64, level int) bool {
-	return ownsInView(n.routing.Load(), key, level)
-}
-
-// ownsInView is ownsLocally against one epoch snapshot, so a replication
-// round makes all its placement decisions from a single consistent view.
+// ownsInView reports whether, by one epoch snapshot of the node's routing
+// view, the node is the owner of key within the domain at the given chain
+// level: keys in [self.ID, successor.ID) belong to it (footnote 3 of the
+// paper). A replication round makes all its placement decisions from a
+// single consistent view.
 func ownsInView(v *routingView, key uint64, level int) bool {
 	if level < 0 || level > v.levels {
 		return false
@@ -388,19 +395,6 @@ func ownsInView(v *routingView, key uint64, level int) bool {
 		v.space.Clockwise(id.ID(v.self.ID), id.ID(succ.ID))
 }
 
-// placedLevel returns an entry's home level d — the depth of its home
-// domain — and the level of the ring whose key-owner should hold this copy:
-// the entry's own level annotation when it names a ring at or below d on
-// this node's chain, d otherwise. d > v.levels means the home domain is
-// deeper than this node's chain reaches.
-func placedLevel(v *routingView, e canonstore.Entry) (d, placed int) {
-	d = prefixLevel(entryHome(e))
-	if e.Level < d || e.Level > v.levels {
-		return d, d
-	}
-	return d, e.Level
-}
-
 // markDirty queues key for the next replication round.
 func (n *Node) markDirty(key uint64) {
 	n.replMu.Lock()
@@ -411,16 +405,16 @@ func (n *Node) markDirty(key uint64) {
 
 // mustPropagate reports whether an applied write leaves this node with
 // replication work: a fresh (non-replica) write always does; a transferred
-// record does only when the node owns it at its placement level — a
-// handoff receiver replicates what it inherits, while a chain replica
-// landing on a predecessor must not echo back to its owner.
+// record does only when the node owns it on its home ring — a handoff
+// receiver replicates what it inherits, while a chain replica landing on a
+// predecessor must not echo back to its owner.
 func (n *Node) mustPropagate(req storeReq2, e canonstore.Entry) bool {
 	if !req.Replica {
 		return true
 	}
 	v := n.routing.Load()
-	d, placed := placedLevel(v, e)
-	return d <= v.levels && ownsInView(v, e.Key, placed)
+	level, ok := v.levelOf(entryHome(e))
+	return ok && ownsInView(v, e.Key, level)
 }
 
 // takeDirty hands the round its work: the keys written since the last
@@ -453,20 +447,17 @@ func (n *Node) takeDirty(v *routingView) map[uint64]struct{} {
 	return keys
 }
 
-// replicateOnce enforces Section 4's placement, against one routing-view
-// epoch, for every key with pending replication work (see takeDirty):
+// replicateOnce enforces the placement rule, against one routing-view epoch,
+// for every key with pending replication work (see takeDirty):
 //
-//   - An entry whose placement-level ownership moved (a join spliced a new
-//     owner into the range, or this is a replica whose primary lives
-//     elsewhere) is handed to the current owner, versions intact; the local
-//     copy stays behind as an extra replica until eviction policy exists.
-//   - A primary (an entry at its home level that this node owns) is pushed
-//     to the ReplicationFactor-1 nearest predecessors within its home
-//     domain — under the paper's responsibility rule a dead node's range is
-//     inherited by its predecessor, so predecessors are the nodes that must
-//     hold the replicas — and re-placed on every deeper ring of this node's
-//     chain at that ring's key owner, level-annotated, so each nested
-//     domain can serve the key locally.
+//   - A record whose home-ring ownership moved (a join spliced a new owner
+//     into the range, or this is a replica whose owner lives elsewhere) is
+//     handed to the current owner, versions intact; the local copy stays
+//     behind as an extra replica until eviction policy exists.
+//   - A record this node owns is pushed to the ReplicationFactor-1 nearest
+//     predecessors on its home ring — under the paper's responsibility rule
+//     a dead node's range is inherited by its predecessor, so predecessors
+//     are the nodes that must hold the replicas.
 //
 // A key leaves the dirty set only when every push for it succeeded: a
 // failed push, or a round that runs out of its context, re-queues it for
@@ -493,28 +484,22 @@ func (n *Node) replicateOnce(ctx context.Context) {
 	}
 }
 
-// replicateEntry applies the placement rules to one stored entry and
-// reports whether every push it needed succeeded.
+// replicateEntry applies the placement rule to one stored entry and reports
+// whether every push it needed succeeded. A record whose home ring is not on
+// this node's chain is none of its business.
 func (n *Node) replicateEntry(ctx context.Context, v *routingView, e canonstore.Entry) bool {
-	d, placed := placedLevel(v, e)
-	if d > v.levels {
+	level, ok := v.levelOf(entryHome(e))
+	if !ok {
 		return true
 	}
-	if !ownsInView(v, e.Key, placed) {
-		return n.handOff(ctx, e, placed)
+	if !ownsInView(v, e.Key, level) {
+		return n.handOff(ctx, e)
 	}
-	if e.Level != d {
-		return true // a per-level copy we own: the primary refreshes it
-	}
-	ok := n.pushChainReplicas(ctx, v, e, d)
-	for l := d + 1; l <= v.levels; l++ {
-		ok = n.pushLevelCopy(ctx, v, e, l) && ok
-	}
-	return ok
+	return n.pushChainReplicas(ctx, v, e, level)
 }
 
-// pushChainReplicas pushes one owned primary to its replica partners on
-// its home-level ring.
+// pushChainReplicas pushes one owned record to its replica partners on its
+// home ring.
 func (n *Node) pushChainReplicas(ctx context.Context, v *routingView, e canonstore.Entry, level int) bool {
 	if n.cfg.ReplicationFactor < 2 {
 		return true
@@ -553,43 +538,17 @@ func (n *Node) walkReplicaChain(ctx context.Context, v *routingView, level int, 
 	return nil
 }
 
-// pushLevelCopy places a copy of an owned primary at the key's owner on
-// the level-l ring of this node's chain, annotated with that level — the
-// paper's per-level storage domains made live.
-func (n *Node) pushLevelCopy(ctx context.Context, v *routingView, e canonstore.Entry, l int) bool {
-	owner, err := n.Lookup(ctx, e.Key, v.prefixes[l])
-	if err != nil {
-		return false
-	}
-	if owner.Addr == v.self.Addr {
-		return true
-	}
-	req := reqFromEntry(e, true)
-	req.Level = l
-	if err := n.storeAt(ctx, owner, req); err != nil {
-		return false
-	}
-	n.m.replicaPushLevel.Inc()
-	return true
-}
-
-// handOff pushes an entry this node no longer owns at its placement level
-// to the current owner within the entry's home domain.
-func (n *Node) handOff(ctx context.Context, e canonstore.Entry, level int) bool {
-	prefix := prefixAt(n.self.Name, level)
-	if !inDomain(prefix, entryHome(e)) {
-		return true // the entry's home domain is not on our chain; nothing to do
-	}
-	owner, err := n.Lookup(ctx, e.Key, prefix)
+// handOff pushes an entry this node does not own on its home ring to the
+// current owner there.
+func (n *Node) handOff(ctx context.Context, e canonstore.Entry) bool {
+	owner, err := n.Lookup(ctx, e.Key, entryHome(e))
 	if err != nil {
 		return false
 	}
 	if owner.Addr == n.self.Addr {
 		return true
 	}
-	req := reqFromEntry(e, true)
-	req.Level = level
-	if err := n.storeAt(ctx, owner, req); err != nil {
+	if err := n.storeAt(ctx, owner, reqFromEntry(e, true)); err != nil {
 		return false
 	}
 	n.m.replicaPushHandoff.Inc()

@@ -134,8 +134,7 @@ type notifyReq struct {
 }
 
 // storeReq2 stores a key-value pair (or a pointer to one) at the receiver,
-// with the placement level and the write version the storage engine orders
-// writes by. It is the node-to-node transfer form — fresh writes arrive as a
+// with the write version the storage engine orders writes by. It is the node-to-node transfer form — fresh writes arrive as a
 // routed putReq. Version 0 asks the receiver to stamp one; replica pushes,
 // handoffs and anti-entropy repairs carry the origin's version verbatim so
 // the record's history survives the transfer.
@@ -146,19 +145,15 @@ type storeReq2 struct {
 	Access  string
 	// Pointer, when set, is the node actually holding the value.
 	Pointer Info
-	// Replica marks a copy pushed by the key's owner to its successors; the
-	// receiver stores it without re-replicating.
+	// Replica marks a transferred copy — a replica push, a handoff or a
+	// repair; the receiver replicates it on only when it owns the record
+	// (mustPropagate).
 	Replica bool
-	// Level is the hierarchy level this copy is placed for: the home
-	// domain's depth for primaries and chain replicas, deeper for per-level
-	// copies on nested rings.
-	Level   int
 	Version uint64
 }
 
 // syncTreeReq asks a replica for its Merkle summary of one sync scope: the
-// entries homed inside a domain containing Prefix with keys in the
-// clockwise range [Lo, Hi) (Lo == Hi means the whole ring). Both sides
+// entries whose home domain is Prefix with keys in the clockwise range [Lo, Hi) (Lo == Hi means the whole ring). Both sides
 // compute the scope by the same rule, so the summaries are comparable.
 type syncTreeReq struct {
 	Prefix string

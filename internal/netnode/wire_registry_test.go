@@ -36,7 +36,7 @@ var binwireInfos = []Info{{ID: 1, Name: "a", Addr: "x:1"}, {ID: 2, Name: "b/c", 
 // schema then has an entry the registry lacks or the reverse.
 func wireRegistry() []wireEntry {
 	ptr := Info{ID: 3, Name: "c", Addr: "z:3"}
-	entry := storeReq2{Key: 9, Value: []byte("v"), Storage: "stanford/cs", Access: "stanford", Pointer: ptr, Replica: true, Level: 2, Version: 77}
+	entry := storeReq2{Key: 9, Value: []byte("v"), Storage: "stanford/cs", Access: "stanford", Pointer: ptr, Replica: true, Version: 77}
 	return []wireEntry{
 		{"Info", "message", ptr},
 		{"Span", "struct", telemetry.Span{Hop: 1, Name: "stanford/ee", ID: 7, Addr: "10.0.0.2:7001", Level: -1, RouteAround: true, Owner: true}},

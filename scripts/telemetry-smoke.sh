@@ -18,9 +18,11 @@
 #     refused: the node closes the connection without answering, bumps
 #     canon_transport_mux_rejected_total and keeps answering canonctl ping.
 # Then boots a second, three-node cluster with -replicas 2 and asserts the
-# canon_replica_* series exist, that writes were pushed to a replica, and
-# that the cluster goes quiet once converged: no dirty keys, and
-# canon_replica_full_passes_total stops growing.
+# canon_replica_* series exist, that writes were pushed to a replica, that
+# the cluster goes quiet once converged — no dirty keys, and
+# canon_replica_full_passes_total stops growing — and that anti-entropy then
+# agrees with what replication placed: canonctl repair at each node compares
+# its replica partners and moves no record.
 #
 # Usage: telemetry-smoke.sh [path-to-canond] [path-to-canonctl]
 set -euo pipefail
@@ -142,8 +144,7 @@ series() {
     '$1 == name || index($1, name "{") == 1 {s += $NF; seen = 1} END {if (!seen) exit 1; print s}'
 }
 for name in canon_replica_dirty_keys canon_replica_push_failures_total canon_replica_full_passes_total \
-  'canon_replica_pushes_total{kind="chain"}' 'canon_replica_pushes_total{kind="level"}' \
-  'canon_replica_pushes_total{kind="handoff"}'; do
+  'canon_replica_pushes_total{kind="chain"}' 'canon_replica_pushes_total{kind="handoff"}'; do
   series "$name" >/dev/null || { echo "$name missing from /metrics" >&2; exit 1; }
 done
 
@@ -162,5 +163,12 @@ done
   || { echo "no full pass ever ran: joins must force one" >&2; exit 1; }
 [ "$(series canon_store_items)" -gt 0 ] \
   || { echo "the replicated node stores nothing: no write or replica reached it" >&2; exit 1; }
+
+echo "== anti-entropy on the converged cluster moves nothing"
+for i in 0 1 2; do
+  out=$("$CANONCTL" -node "127.0.0.1:$((RBASE + i))" repair)
+  echo "$out" | grep -Eq '^repair: [1-9][0-9]* partners, 0 records pushed, 0 pulled$' \
+    || { echo "repair at node $i: '$out', want partners compared and 0 records pushed, 0 pulled" >&2; exit 1; }
+done
 
 echo "telemetry smoke: OK"
