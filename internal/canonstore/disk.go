@@ -7,26 +7,32 @@
 // key→entries index (memtable) lives in memory: disk buys durability, not
 // capacity, which keeps reads lock-cheap and recovery a pure replay.
 //
+// Every file operation runs on the caller's goroutine under the memtable
+// lock, in program order: the store starts no goroutine of its own.
+//
 // Lifecycle:
 //
 //	Open    — replay every segment in sequence order into the memtable.
 //	          A torn tail (crash mid-append) is legal only in the newest
 //	          segment and is truncated away; framing damage in a sealed
-//	          segment is ErrCorrupt. A fresh active segment is then opened.
+//	          segment is ErrCorrupt. A fresh active segment is then opened,
+//	          and the sealed history compacted if it is long enough.
 //	Put     — apply to the memtable (last-write-wins by Version), append
 //	          one framed record to the active segment's buffer.
 //	Sync    — flush the buffer and fsync the active segment: the
 //	          durability barrier nodes invoke before acking a store RPC.
 //	          A no-op when nothing was appended since the last fsync.
-//	rotate  — when the active segment exceeds Options.SegmentBytes it is
-//	          sealed and a new one opened; rotation nudges the compactor.
-//	compact — a background goroutine merges every sealed segment into one
-//	          snapshot segment (live entries only, tombstones elided),
-//	          atomically renames it over the oldest sealed segment, then
-//	          deletes the rest oldest-first. Deleting oldest-first keeps
+//	rotate  — when the active segment reaches segmentBytes it is sealed
+//	          and a new one opened; the rotation that seals the
+//	          compactMinSegments-th segment compacts before returning.
+//	compact — merge every sealed segment into one snapshot segment written
+//	          from the memtable (live entries only, tombstones elided),
+//	          atomically rename it over the oldest sealed segment, then
+//	          delete the rest oldest-first. Deleting oldest-first keeps
 //	          any crash prefix replayable: every surviving record is newer
 //	          than every deleted one, so replaying [merged, survivors...,
-//	          active] converges to the same state.
+//	          active] converges to the same state. The merge stalls this
+//	          store's readers and writers while it writes the live set.
 //
 // See docs/STORAGE.md for the record framing and the crash-safety
 // argument in full.
@@ -42,7 +48,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"github.com/canon-dht/canon/internal/telemetry"
 )
@@ -56,22 +61,23 @@ const (
 	mnWALFsyncs      = "canon_store_wal_fsyncs_total"
 	mnWALSegments    = "canon_store_wal_segments"
 	mnWALCompactions = "canon_store_wal_compactions_total"
+	mnWALCompactFail = "canon_store_wal_compaction_failures_total"
 	mnWALReplayed    = "canon_store_wal_replayed_records_total"
 	mnWALTornTails   = "canon_store_wal_torn_tails_total"
 )
 
+// compactMinSegments sealed segments trigger a compaction.
+const compactMinSegments = 4
+
 // Options configures a Disk store; the zero value means the defaults.
 type Options struct {
-	// SegmentBytes rotates the active segment once it exceeds this size
-	// (default 4 MiB).
-	SegmentBytes int64
-	// CompactMinSegments triggers compaction when at least this many
-	// sealed segments exist (default 4).
-	CompactMinSegments int
 	// Telemetry receives the canon_store_wal_* series; nil means a
 	// private registry (the metrics are still maintained, just unread).
 	Telemetry *telemetry.Registry
 
+	// segmentBytes rotates the active segment once it reaches this size
+	// (default 4 MiB). Tests shrink it to force rotations.
+	segmentBytes int64
 	// testWrapWriter, when set, wraps the active segment's file writer.
 	// Fault-injection tests use it to sever the write path at an exact
 	// byte offset; production code leaves it nil.
@@ -84,6 +90,7 @@ type diskMetrics struct {
 	fsyncs      *telemetry.Counter
 	segments    *telemetry.Gauge
 	compactions *telemetry.Counter
+	compactFail *telemetry.Counter
 	replayed    *telemetry.Counter
 	tornTails   *telemetry.Counter
 }
@@ -95,6 +102,7 @@ func newDiskMetrics(reg *telemetry.Registry) diskMetrics {
 		fsyncs:      reg.Counter(mnWALFsyncs, "fsync barriers completed on the active segment"),
 		segments:    reg.Gauge(mnWALSegments, "WAL segment files on disk, active included"),
 		compactions: reg.Counter(mnWALCompactions, "sealed-segment compactions completed"),
+		compactFail: reg.Counter(mnWALCompactFail, "sealed-segment compactions aborted; the old segments were kept"),
 		replayed:    reg.Counter(mnWALReplayed, "WAL records replayed during recovery"),
 		tornTails:   reg.Counter(mnWALTornTails, "torn segment tails discarded during recovery"),
 	}
@@ -107,14 +115,14 @@ type walSeg struct {
 }
 
 // Disk is the durable Store. See the package and file comments for the
-// design; Mem documents the shared memtable semantics.
+// design. The embedded memtable serves Get, Keys and ForEach; its mutex
+// also guards the segment and write-path state below.
 type Disk struct {
+	memtable
 	dir  string
 	opts Options
 	m    diskMetrics
 
-	mu          sync.RWMutex
-	items       map[uint64][]Entry
 	sealed      []walSeg
 	seq         uint64 // active segment sequence
 	f           *os.File
@@ -125,10 +133,6 @@ type Disk struct {
 	rec         []byte // frame encode buffer, reused across appends
 	werr        error  // first write-path error; latched, fails every later op
 	closed      bool
-
-	compactCh chan struct{}
-	stop      chan struct{}
-	done      chan struct{}
 }
 
 var _ Store = (*Disk)(nil)
@@ -137,11 +141,8 @@ var _ Store = (*Mem)(nil)
 // Open replays the WAL under dir (creating it if needed) and returns a
 // ready store with a fresh active segment.
 func Open(dir string, opts Options) (*Disk, error) {
-	if opts.SegmentBytes <= 0 {
-		opts.SegmentBytes = 4 << 20
-	}
-	if opts.CompactMinSegments <= 0 {
-		opts.CompactMinSegments = 4
+	if opts.segmentBytes <= 0 {
+		opts.segmentBytes = 4 << 20
 	}
 	reg := opts.Telemetry
 	if reg == nil {
@@ -151,10 +152,10 @@ func Open(dir string, opts Options) (*Disk, error) {
 		return nil, fmt.Errorf("canonstore: %w", err)
 	}
 	d := &Disk{
-		dir:   dir,
-		opts:  opts,
-		m:     newDiskMetrics(reg),
-		items: make(map[uint64][]Entry),
+		memtable: newMemtable(),
+		dir:      dir,
+		opts:     opts,
+		m:        newDiskMetrics(reg),
 	}
 	if err := d.replay(); err != nil {
 		return nil, err
@@ -163,13 +164,7 @@ func Open(dir string, opts Options) (*Disk, error) {
 	if err := d.openActiveLocked(); err != nil {
 		return nil, err
 	}
-	d.compactCh = make(chan struct{}, 1)
-	d.stop = make(chan struct{})
-	d.done = make(chan struct{})
-	go d.compactLoop()
-	if len(d.sealed) >= d.opts.CompactMinSegments {
-		d.compactCh <- struct{}{}
-	}
+	d.compactLocked()
 	return d, nil
 }
 
@@ -250,12 +245,15 @@ func parseSegSeq(path string) (uint64, error) {
 }
 
 // openActiveLocked creates the segment file for d.seq and points the
-// write path at it.
+// write path at it. The directory is fsynced right after the create: a
+// file's fsync does not persist its directory entry, and without it a
+// crash could drop a fresh segment whose writes were already acked.
 func (d *Disk) openActiveLocked() error {
 	f, err := os.OpenFile(d.segPath(d.seq), os.O_CREATE|os.O_WRONLY|os.O_EXCL, 0o644)
 	if err != nil {
 		return fmt.Errorf("canonstore: %w", err)
 	}
+	d.syncDir()
 	d.f = f
 	var w io.Writer = f
 	if d.opts.testWrapWriter != nil {
@@ -315,7 +313,7 @@ func (d *Disk) appendLocked(typ byte, payload []byte) error {
 	d.unsynced = true
 	d.m.appends.Inc()
 	d.m.walBytes.Add(int64(len(d.rec)))
-	if d.activeBytes >= d.opts.SegmentBytes {
+	if d.activeBytes >= d.opts.segmentBytes {
 		if err := d.rotateLocked(); err != nil {
 			d.werr = err
 			return err
@@ -324,58 +322,36 @@ func (d *Disk) appendLocked(typ byte, payload []byte) error {
 	return nil
 }
 
-// rotateLocked seals the active segment and opens the next one.
+// rotateLocked seals the active segment, opens the next one and compacts
+// once enough sealed segments have piled up.
 func (d *Disk) rotateLocked() error {
+	if err := d.barrierLocked(); err != nil {
+		return err
+	}
+	if err := d.f.Close(); err != nil {
+		return err
+	}
+	d.sealed = append(d.sealed, walSeg{seq: d.seq, path: d.segPath(d.seq)})
+	d.seq++
+	if err := d.openActiveLocked(); err != nil {
+		return err
+	}
+	d.compactLocked()
+	return nil
+}
+
+// barrierLocked flushes the append buffer and fsyncs the active segment:
+// after it returns nil every record appended so far survives a crash.
+func (d *Disk) barrierLocked() error {
 	if err := d.bw.Flush(); err != nil {
 		return err
 	}
 	if err := d.f.Sync(); err != nil {
 		return err
 	}
-	if err := d.f.Close(); err != nil {
-		return err
-	}
 	d.m.fsyncs.Inc()
 	d.unsynced = false
-	d.sealed = append(d.sealed, walSeg{seq: d.seq, path: d.segPath(d.seq)})
-	d.seq++
-	if err := d.openActiveLocked(); err != nil {
-		return err
-	}
-	if len(d.sealed) >= d.opts.CompactMinSegments {
-		select {
-		case d.compactCh <- struct{}{}:
-		default:
-		}
-	}
 	return nil
-}
-
-// Get implements Store.
-func (d *Disk) Get(key uint64, dst []Entry) []Entry {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return append(dst, d.items[key]...)
-}
-
-// Keys implements Store.
-func (d *Disk) Keys() int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return len(d.items)
-}
-
-// ForEach implements Store.
-func (d *Disk) ForEach(fn func(Entry) bool) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	for _, list := range d.items {
-		for _, e := range list {
-			if !fn(e) {
-				return
-			}
-		}
-	}
 }
 
 // Sync implements Store: flush the append buffer and fsync the active
@@ -395,40 +371,24 @@ func (d *Disk) Sync() error {
 	if !d.unsynced {
 		return nil
 	}
-	if err := d.bw.Flush(); err != nil {
+	if err := d.barrierLocked(); err != nil {
 		d.werr = err
 		return err
 	}
-	if err := d.f.Sync(); err != nil {
-		d.werr = err
-		return err
-	}
-	d.m.fsyncs.Inc()
-	d.unsynced = false
 	return nil
 }
 
-// Close stops the compactor, flushes and seals the active segment.
+// Close flushes and seals the active segment.
 func (d *Disk) Close() error {
 	d.mu.Lock()
+	defer d.mu.Unlock()
 	if d.closed {
-		d.mu.Unlock()
 		return nil
 	}
 	d.closed = true
-	stop, done := d.stop, d.done
-	d.mu.Unlock()
-	close(stop)
-	<-done
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	var first error
 	if d.werr == nil {
-		if err := d.bw.Flush(); err != nil {
-			first = err
-		} else if err := d.f.Sync(); err != nil {
-			first = err
-		}
+		first = d.barrierLocked()
 	}
 	if err := d.f.Close(); err != nil && first == nil {
 		first = err
@@ -436,98 +396,76 @@ func (d *Disk) Close() error {
 	return first
 }
 
-// compactLoop runs merges in the background until Close.
-func (d *Disk) compactLoop() {
-	defer close(d.done)
-	for {
-		select {
-		case <-d.stop:
-			return
-		case <-d.compactCh:
-			d.compactOnce()
-		}
-	}
-}
-
-// compactOnce merges every currently sealed segment into one snapshot
-// segment. The merge runs off-lock against a memtable snapshot; only the
-// final bookkeeping retakes the lock. Failures abort and keep the old
-// segments — compaction is an optimization, never a durability hazard.
-func (d *Disk) compactOnce() {
-	d.mu.Lock()
-	if d.closed || len(d.sealed) < d.opts.CompactMinSegments {
-		d.mu.Unlock()
-		return
-	}
-	set := append([]walSeg(nil), d.sealed...)
-	snap := make([]Entry, 0, len(d.items))
-	for _, list := range d.items {
-		snap = append(snap, list...)
-	}
-	d.mu.Unlock()
-
-	merged, err := d.writeMergedSegment(set[0].seq, snap)
-	if err != nil {
+// compactLocked merges the sealed segments into one snapshot segment once
+// there are compactMinSegments of them. Its callers have just opened an
+// empty active segment, so the memtable holds exactly what the sealed
+// segments replay to. A failure aborts, is counted and keeps the old
+// segments; it never latches werr — compaction is an optimization, never
+// a durability hazard.
+func (d *Disk) compactLocked() {
+	if len(d.sealed) < compactMinSegments {
 		return
 	}
 	// The merged segment takes the oldest sealed sequence number, so it
-	// replays before every surviving record. Rename is atomic; the
-	// leftovers are then deleted oldest-first so that any crash prefix of
-	// the deletions leaves only records newer than everything deleted —
-	// replaying [merged, survivors..., active] still converges.
-	if err := os.Rename(merged, set[0].path); err != nil {
-		os.Remove(merged)
+	// replays before every surviving record.
+	if err := d.writeMergedSegment(d.sealed[0].path); err != nil {
+		d.m.compactFail.Inc()
 		return
 	}
 	d.syncDir()
-	for _, s := range set[1:] {
-		if os.Remove(s.path) != nil {
-			break
-		}
+	// Delete oldest-first and stop at the first failure: any crash prefix
+	// of the deletions leaves only records newer than everything deleted,
+	// so replaying [merged, survivors..., active] still converges.
+	rest := d.sealed[1:]
+	for len(rest) > 0 && os.Remove(rest[0].path) == nil {
+		rest = rest[1:]
 	}
 	d.syncDir()
-
-	d.mu.Lock()
-	d.sealed = append([]walSeg{set[0]}, d.sealed[len(set):]...)
+	d.sealed = append(d.sealed[:1], rest...)
 	d.m.compactions.Inc()
 	d.m.segments.Set(float64(len(d.sealed) + 1))
-	d.mu.Unlock()
 }
 
-// writeMergedSegment writes a snapshot of live entries as one fully synced
-// segment file next to the target name and returns its temporary path.
-func (d *Disk) writeMergedSegment(seq uint64, snap []Entry) (string, error) {
-	tmp := d.segPath(seq) + ".tmp"
+// writeMergedSegment writes every memtable entry as one fully synced
+// segment file next to path, then atomically renames it over path. On
+// failure the temporary file is removed and path is untouched.
+func (d *Disk) writeMergedSegment(path string) error {
+	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
-		return "", err
+		return err
 	}
+	err = writeEntries(f, d.items)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+	}
+	return err
+}
+
+// writeEntries writes every entry of items to f as a put record, then
+// flushes and fsyncs f.
+func writeEntries(f *os.File, items map[uint64][]Entry) error {
 	bw := bufio.NewWriterSize(f, 256<<10)
 	var payload, rec []byte
-	for _, e := range snap {
-		payload = appendEntry(payload[:0], e)
-		rec = appendRecord(rec[:0], recPut, payload)
-		if _, err := bw.Write(rec); err != nil {
-			f.Close()
-			os.Remove(tmp)
-			return "", err
+	for _, list := range items {
+		for _, e := range list {
+			payload = appendEntry(payload[:0], e)
+			rec = appendRecord(rec[:0], recPut, payload)
+			if _, err := bw.Write(rec); err != nil {
+				return err
+			}
 		}
 	}
 	if err := bw.Flush(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return "", err
+		return err
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return "", err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return "", err
-	}
-	return tmp, nil
+	return f.Sync()
 }
 
 // syncDir fsyncs the data directory so renames and deletes are themselves

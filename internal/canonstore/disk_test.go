@@ -9,7 +9,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
-	"time"
 )
 
 func TestDiskPersistsAcrossReopen(t *testing.T) {
@@ -56,35 +55,50 @@ func TestDiskPersistsAcrossReopen(t *testing.T) {
 	}
 }
 
+// segFiles counts the WAL segment files under dir, active included.
+func segFiles(t *testing.T, dir string) int {
+	t.Helper()
+	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return len(segs)
+}
+
 func TestDiskRotationAndCompaction(t *testing.T) {
 	dir := t.TempDir()
-	// Tiny segments force many rotations; CompactMinSegments=2 makes the
-	// background compactor run during the writes.
-	d, err := Open(dir, Options{SegmentBytes: 2 << 10, CompactMinSegments: 2})
+	// Tiny segments force ~30 rotations; every rotation that seals the
+	// compactMinSegments-th segment compacts before the Put returns.
+	const segBytes = 2 << 10
+	d, err := Open(dir, Options{segmentBytes: segBytes})
 	if err != nil {
 		t.Fatal(err)
 	}
 	val := bytes.Repeat([]byte("x"), 128)
+	var rotations, active int
 	for i := uint64(0); i < 400; i++ {
-		if _, err := d.Put(Entry{Key: i % 50, Value: val, Storage: "s", Version: i + 1}); err != nil {
+		e := Entry{Key: i % 50, Value: val, Storage: "s", Version: i + 1}
+		if _, err := d.Put(e); err != nil {
 			t.Fatal(err)
+		}
+		if active += len(appendRecord(nil, recPut, appendEntry(nil, e))); active >= segBytes {
+			rotations++
+			active = 0
+		}
+		if n := segFiles(t, dir); n > compactMinSegments {
+			t.Fatalf("after put %d: %d segment files, want at most %d", i, n, compactMinSegments)
 		}
 	}
 	if err := d.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	// Wait for the compactor to drain: segment count must come down to a
-	// small constant despite ~25 rotations' worth of appends.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		segs, _ := filepath.Glob(filepath.Join(dir, "wal-*.log"))
-		if len(segs) <= 3 || time.Now().After(deadline) {
-			if len(segs) > 3 {
-				t.Fatalf("compaction never caught up: %d segments", len(segs))
-			}
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
+	// The first compaction seals compactMinSegments segments; each later
+	// one seals compactMinSegments-1 more on top of the merged segment.
+	if want := int64(rotations-1) / (compactMinSegments - 1); d.m.compactions.Value() != want || want == 0 {
+		t.Fatalf("%d compactions after %d rotations, want %d (and at least one)", d.m.compactions.Value(), rotations, want)
+	}
+	if f := d.m.compactFail.Value(); f != 0 {
+		t.Fatalf("%d compactions failed", f)
 	}
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
@@ -110,9 +124,88 @@ func TestDiskRotationAndCompaction(t *testing.T) {
 	}
 }
 
+// TestDiskCompactionFailureKeepsSegments blocks the merged segment's
+// temporary name with a directory: the aborted merge is counted, keeps every
+// sealed segment, leaves the write path working, and loses nothing — at the
+// rotation, at a reopen that retries it, and at the reopen that finally
+// compacts once the blocker is gone.
+func TestDiskCompactionFailureKeepsSegments(t *testing.T) {
+	dir := t.TempDir()
+	blocker := filepath.Join(dir, fmt.Sprintf("wal-%016d.log.tmp", 1))
+	if err := os.Mkdir(blocker, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	d, err := Open(dir, Options{segmentBytes: 1 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	val := bytes.Repeat([]byte("z"), 100)
+	var acked []Entry
+	put := func(d *Disk, e Entry) {
+		t.Helper()
+		if _, err := d.Put(e); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		acked = append(acked, e)
+	}
+	for i := uint64(0); d.m.compactFail.Value() == 0; i++ {
+		if i == 1000 {
+			t.Fatal("no compaction was attempted")
+		}
+		put(d, Entry{Key: i, Value: val, Version: 1})
+	}
+	if f, c := d.m.compactFail.Value(), d.m.compactions.Value(); f != 1 || c != 0 {
+		t.Fatalf("compaction failures %d, compactions %d; want 1 and 0", f, c)
+	}
+	if n := segFiles(t, dir); n != compactMinSegments+1 {
+		t.Fatalf("%d segment files after the failed merge, want every sealed one plus the active: %d", n, compactMinSegments+1)
+	}
+	put(d, Entry{Key: 1 << 40, Value: []byte("after"), Version: 1})
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	check := func(unblock bool) *Disk {
+		t.Helper()
+		if unblock {
+			if err := os.Remove(blocker); err != nil {
+				t.Fatal(err)
+			}
+		}
+		d, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range acked {
+			if got := d.Get(e.Key, nil); len(got) != 1 || !reflect.DeepEqual(got[0], e) {
+				t.Fatalf("acked key %d after reopen: %+v", e.Key, got)
+			}
+		}
+		return d
+	}
+	d = check(false)
+	if f := d.m.compactFail.Value(); f != 1 {
+		t.Fatalf("reopen with the blocker: %d compaction failures, want 1", f)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	d = check(true)
+	defer d.Close()
+	if c := d.m.compactions.Value(); c != 1 {
+		t.Fatalf("reopen without the blocker: %d compactions, want 1", c)
+	}
+	if n := segFiles(t, dir); n != 2 {
+		t.Fatalf("%d segment files after Open compacted, want the merged one plus the active", n)
+	}
+}
+
 func TestDiskCorruptSealedSegmentRefused(t *testing.T) {
 	dir := t.TempDir()
-	d, err := Open(dir, Options{SegmentBytes: 1 << 10})
+	d, err := Open(dir, Options{segmentBytes: 1 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,9 +8,10 @@
 //     simulations, and the reference semantics.
 //   - Disk: a log-structured durable store — an append-only WAL of
 //     CRC-framed records, a full in-memory memtable index (disk is for
-//     durability, not capacity), segment rotation, background compaction
-//     and crash recovery by log replay. See docs/STORAGE.md for the exact
-//     record layout and the segment lifecycle.
+//     durability, not capacity), segment rotation, compaction inline at
+//     rotation and crash recovery by log replay, all on the caller's
+//     goroutine. See docs/STORAGE.md for the exact record layout and the
+//     segment lifecycle.
 //
 // Entries are versioned: Put applies last-write-wins per record identity
 // (key, storage domain, access domain, pointerness), refusing writes whose
@@ -146,17 +147,56 @@ func deleteEntry(items map[uint64][]Entry, key uint64, storage, access string, p
 	return false
 }
 
-// Mem is the volatile Store: a memtable with no log under it. Sync is a
-// no-op because nothing outlives the process anyway — the interface
-// contract ("durable after Sync") holds vacuously.
-type Mem struct {
+// memtable is the versioned in-memory index both stores are built on: the
+// map and its lock, plus the read half of Store. It has no Put or Delete,
+// so an embedding store must write through its own methods — Disk cannot
+// inherit a write that skips the log.
+type memtable struct {
 	mu    sync.RWMutex
 	items map[uint64][]Entry
 }
 
+func newMemtable() memtable {
+	return memtable{items: make(map[uint64][]Entry)}
+}
+
+// Get implements Store.
+func (t *memtable) Get(key uint64, dst []Entry) []Entry {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return append(dst, t.items[key]...)
+}
+
+// Keys implements Store.
+func (t *memtable) Keys() int {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return len(t.items)
+}
+
+// ForEach implements Store.
+func (t *memtable) ForEach(fn func(Entry) bool) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	for _, list := range t.items {
+		for _, e := range list {
+			if !fn(e) {
+				return
+			}
+		}
+	}
+}
+
+// Mem is the volatile Store: a memtable with no log under it. Sync is a
+// no-op because nothing outlives the process anyway — the interface
+// contract ("durable after Sync") holds vacuously.
+type Mem struct {
+	memtable
+}
+
 // NewMem returns an empty in-memory store.
 func NewMem() *Mem {
-	return &Mem{items: make(map[uint64][]Entry)}
+	return &Mem{memtable: newMemtable()}
 }
 
 // Put implements Store.
@@ -166,38 +206,11 @@ func (m *Mem) Put(e Entry) (bool, error) {
 	return putEntry(m.items, e), nil
 }
 
-// Get implements Store.
-func (m *Mem) Get(key uint64, dst []Entry) []Entry {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return append(dst, m.items[key]...)
-}
-
 // Delete implements Store.
 func (m *Mem) Delete(key uint64, storage, access string, pointer bool) (bool, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return deleteEntry(m.items, key, storage, access, pointer), nil
-}
-
-// Keys implements Store.
-func (m *Mem) Keys() int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return len(m.items)
-}
-
-// ForEach implements Store.
-func (m *Mem) ForEach(fn func(Entry) bool) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	for _, list := range m.items {
-		for _, e := range list {
-			if !fn(e) {
-				return
-			}
-		}
-	}
 }
 
 // Sync implements Store.

@@ -52,16 +52,16 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // benign (newest segment) or fatal (sealed segment) is the caller's call.
 var errTorn = errors.New("canonstore: torn WAL record")
 
-// appendRecord frames one record onto b.
+// appendRecord frames one record onto b. The frame is built in place — the
+// type byte and payload are contiguous, so one checksum pass covers them —
+// which keeps a WAL append free of heap allocations.
 func appendRecord(b []byte, typ byte, payload []byte) []byte {
-	var hdr [walHeaderLen]byte
-	binary.BigEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	hdr[8] = typ
-	c := crc32.Update(0, crcTable, hdr[8:9])
-	c = crc32.Update(c, crcTable, payload)
-	binary.BigEndian.PutUint32(hdr[4:8], c)
-	b = append(b, hdr[:]...)
-	return append(b, payload...)
+	off := len(b)
+	b = binary.BigEndian.AppendUint32(b, uint32(len(payload)))
+	b = append(b, 0, 0, 0, 0, typ)
+	b = append(b, payload...)
+	binary.BigEndian.PutUint32(b[off+4:], crc32.Checksum(b[off+8:], crcTable))
+	return b
 }
 
 // scanRecords walks the records of one segment, calling fn for each intact

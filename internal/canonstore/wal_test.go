@@ -126,8 +126,7 @@ func TestWALCrashRecovery(t *testing.T) {
 		dir := t.TempDir()
 		fw := &failWriter{remaining: 1 + rng.Intn(48<<10)}
 		d, err := Open(dir, Options{
-			SegmentBytes:       8 << 10,
-			CompactMinSegments: 1 << 30, // compaction writes outside the fault path; keep the test single-mechanism
+			segmentBytes: 8 << 10,
 			testWrapWriter: func(w io.Writer) io.Writer {
 				fw.w = w
 				return fw
