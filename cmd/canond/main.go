@@ -75,7 +75,7 @@ func run(args []string) (err error) {
 		dataDir   = fs.String("data-dir", "", "directory for the durable storage engine; acked writes survive crashes and restarts (empty = volatile in-memory store)")
 		syncEvery = fs.Duration("sync-interval", 0, "target period between replica anti-entropy rounds (0 = every fourth stabilization tick; needs -replicas >= 2)")
 		admin     = fs.String("admin", "", "HTTP admin address serving /metrics, /status, /debug/trace/ and /debug/pprof/ (empty = off)")
-		sample    = fs.Float64("trace-sample", 0, "fraction of lookups sampled into route traces, 0..1")
+		sample    = fs.Float64("trace-sample", 0, "fraction of the lookups, gets and puts this node itself originates sampled into route traces, 0..1 (client requests are traced only when the client asks)")
 		wire      = fs.String("wire", "binary", "vestige: only \"binary\" is accepted; kept because bench/cluster.go still passes it")
 		retries   = fs.Int("retries", 0, "RPC attempts per call (0 = default of 3, 1 = no retries)")
 		backoff   = fs.Duration("retry-backoff", 0, "base retry backoff (0 = default 5ms; doubles per retry)")

@@ -411,7 +411,7 @@ func infos(c *coder, name string, s *[]Info) {
 	}
 }
 
-// wireSpan is the walk of telemetry.Span (carried inside lookup messages);
+// wireSpan is the walk of telemetry.Span (carried in the route header);
 // Level is -1 on terminal spans.
 func wireSpan(c *coder, s *telemetry.Span) {
 	c.int("Hop", &s.Hop)
@@ -422,9 +422,13 @@ func wireSpan(c *coder, s *telemetry.Span) {
 	c.str("Addr", &s.Addr)
 }
 
-func spans(c *coder, name string, s *[]telemetry.Span) {
-	for i, n := 0, slice(c, name, s); c.more(i, n); i++ {
-		wireSpan(c, at(c, s, i))
+// wireRoute is the walk of the route header, the last fields of every routed
+// body (lookup, get and put; request and response).
+func wireRoute(c *coder, h *routeHeader) {
+	c.int("Hops", &h.Hops)
+	c.str("Trace", &h.Trace)
+	for i, n := 0, slice(c, "Spans", &h.Spans); c.more(i, n); i++ {
+		wireSpan(c, at(c, &h.Spans, i))
 	}
 }
 
@@ -433,17 +437,13 @@ func spans(c *coder, name string, s *[]telemetry.Span) {
 func (q *lookupReq) wire(c *coder) {
 	c.u64("Key", &q.Key)
 	c.str("Prefix", &q.Prefix)
-	c.int("Hops", &q.Hops)
-	c.str("Trace", &q.Trace)
-	spans(c, "Spans", &q.Spans)
+	wireRoute(c, &q.routeHeader)
 }
 
 func (p *lookupResp) wire(c *coder) {
 	c.info("Pred", &p.Pred)
 	c.info("Succ", &p.Succ)
-	c.int("Hops", &p.Hops)
-	c.str("Trace", &p.Trace)
-	spans(c, "Spans", &p.Spans)
+	wireRoute(c, &p.routeHeader)
 }
 
 // ---- fetch ----

@@ -10,14 +10,14 @@ func (q *getReq) wire(c *coder) {
 	c.u64("Key", &q.Key)
 	c.str("Origin", &q.Origin)
 	c.int("Level", &q.Level)
-	c.int("Hops", &q.Hops)
+	wireRoute(c, &q.routeHeader)
 }
 
 func (p *getResp) wire(c *coder) {
 	c.int("Status", &p.Status)
 	c.optBytes("Value", &p.Value)
 	c.int("Level", &p.Level)
-	c.int("Hops", &p.Hops)
+	wireRoute(c, &p.routeHeader)
 }
 
 // ---- put ----
@@ -28,13 +28,13 @@ func (q *putReq) wire(c *coder) {
 	c.str("Storage", &q.Storage)
 	c.str("Access", &q.Access)
 	c.info("Pointer", &q.Pointer)
-	c.int("Hops", &q.Hops)
+	wireRoute(c, &q.routeHeader)
 }
 
 func (p *putResp) wire(c *coder) {
 	c.int("Status", &p.Status)
 	c.info("Owner", &p.Owner)
-	c.int("Hops", &p.Hops)
+	wireRoute(c, &p.routeHeader)
 }
 
 func (q getReq) AppendBinary(b []byte) ([]byte, error) { c := encoder(b); q.wire(&c); return c.b, nil }

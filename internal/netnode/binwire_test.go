@@ -38,11 +38,11 @@ func TestBinWireInfoRoundTrip(t *testing.T) {
 func TestBinWireLookupRoundTrip(t *testing.T) {
 	for _, in := range []wireBody{
 		lookupReq{},
-		lookupReq{Key: 123, Prefix: "stanford", Hops: 4},
-		lookupReq{Key: ^uint64(0), Trace: "t-1", Spans: binwireSpans},
-		lookupReq{Key: 5, Spans: []telemetry.Span{}}, // empty-but-present slice
+		lookupReq{Key: 123, Prefix: "stanford", routeHeader: routeHeader{Hops: 4}},
+		lookupReq{Key: ^uint64(0), routeHeader: routeHeader{Trace: "t-1", Spans: binwireSpans}},
+		lookupReq{Key: 5, routeHeader: routeHeader{Spans: []telemetry.Span{}}}, // empty-but-present slice
 		lookupResp{},
-		lookupResp{Pred: binwireInfos[0], Succ: binwireInfos[1], Hops: 7, Trace: "t-2", Spans: binwireSpans},
+		lookupResp{Pred: binwireInfos[0], Succ: binwireInfos[1], routeHeader: routeHeader{Hops: 7, Trace: "t-2", Spans: binwireSpans}},
 	} {
 		checkRoundTrip(t, in)
 	}
@@ -114,21 +114,21 @@ func TestBinWireGeometryRoundTrip(t *testing.T) {
 }
 
 // TestBinWireRoutedRoundTrip covers the routed key-value payloads, the
-// nil-vs-empty value distinction and the negative "no level answered"
-// included.
+// nil-vs-empty value and span distinctions, traced routes and the negative
+// "no level answered" included.
 func TestBinWireRoutedRoundTrip(t *testing.T) {
 	ptr := Info{ID: 3, Name: "c", Addr: "z:3"}
 	for _, in := range []wireBody{
-		getReq{}, getReq{Key: 9}, getReq{Key: ^uint64(0), Origin: "stanford/cs", Level: 2, Hops: 5},
+		getReq{}, getReq{Key: 9}, getReq{Key: ^uint64(0), Origin: "stanford/cs", Level: 2, routeHeader: routeHeader{Hops: 5, Trace: "t-3", Spans: binwireSpans}},
 		getResp{},
-		getResp{Status: statusNotFound, Level: -1, Hops: 3},
-		getResp{Value: []byte("v"), Level: 2},
-		getResp{Value: []byte{}, Hops: 1}, // empty-but-present value
+		getResp{Status: statusNotFound, Level: -1, routeHeader: routeHeader{Hops: 3}},
+		getResp{Value: []byte("v"), Level: 2, routeHeader: routeHeader{Trace: "t-3", Spans: binwireSpans}},
+		getResp{Value: []byte{}, routeHeader: routeHeader{Hops: 1}}, // empty-but-present value
 		putReq{},
-		putReq{Key: 9, Value: []byte("v"), Storage: "stanford/cs", Access: "stanford", Hops: 2},
-		putReq{Key: 9, Value: []byte{}},
-		putReq{Key: 9, Storage: "stanford/cs", Access: "stanford", Pointer: ptr, Hops: 7},
-		putResp{}, putResp{Status: statusBadDomain}, putResp{Owner: ptr, Hops: 4},
+		putReq{Key: 9, Value: []byte("v"), Storage: "stanford/cs", Access: "stanford", routeHeader: routeHeader{Hops: 2}},
+		putReq{Key: 9, Value: []byte{}, routeHeader: routeHeader{Spans: []telemetry.Span{}}},
+		putReq{Key: 9, Storage: "stanford/cs", Access: "stanford", Pointer: ptr, routeHeader: routeHeader{Hops: 7}},
+		putResp{}, putResp{Status: statusBadDomain}, putResp{Owner: ptr, routeHeader: routeHeader{Hops: 4, Trace: "t-4", Spans: binwireSpans}},
 	} {
 		checkRoundTrip(t, in)
 	}
@@ -230,6 +230,7 @@ func FuzzBinWireRoundTrip(f *testing.F) {
 			ints = append(ints, int(uint(hops)>>uint(j))) // wire form is unsigned
 		}
 		entry := storeReq2{Key: key, Value: value, Storage: prefix, Access: trace, Pointer: info, Replica: flag, Version: key}
+		route := routeHeader{Hops: hops, Trace: trace, Spans: spans}
 		var entries []storeReq2
 		var items []syncItem
 		var values []fetchValue
@@ -240,8 +241,8 @@ func FuzzBinWireRoundTrip(f *testing.F) {
 		}
 		for _, in := range []wireBody{
 			info,
-			lookupReq{Key: key, Prefix: prefix, Hops: hops, Trace: trace, Spans: spans},
-			lookupResp{Pred: info, Succ: info, Hops: hops, Trace: trace, Spans: spans},
+			lookupReq{Key: key, Prefix: prefix, routeHeader: route},
+			lookupResp{Pred: info, Succ: info, routeHeader: route},
 			fetchReq{Key: key, Origin: prefix},
 			fetchResp{Values: values},
 			neighborsReq{Level: level},
@@ -263,10 +264,10 @@ func FuzzBinWireRoundTrip(f *testing.F) {
 			bucketRefResp{Contacts: infos},
 			lookaheadReq{Levels: level},
 			lookaheadResp{Succs: infos, Ests: words},
-			getReq{Key: key, Origin: prefix, Level: level, Hops: hops},
-			getResp{Status: n, Value: value, Level: level, Hops: hops},
-			putReq{Key: key, Value: value, Storage: prefix, Access: trace, Pointer: info, Hops: hops},
-			putResp{Status: n, Owner: info, Hops: hops},
+			getReq{Key: key, Origin: prefix, Level: level, routeHeader: route},
+			getResp{Status: n, Value: value, Level: level, routeHeader: route},
+			putReq{Key: key, Value: value, Storage: prefix, Access: trace, Pointer: info, routeHeader: route},
+			putResp{Status: n, Owner: info, routeHeader: route},
 		} {
 			checkRoundTrip(t, in)
 		}

@@ -23,10 +23,10 @@ func BenchmarkBodyCodec(b *testing.B) {
 		name string
 		body wireBody
 	}{
-		{"lookup", lookupReq{Key: 1 << 40, Prefix: "stanford/cs", Hops: 2}},
-		{"lookup_traced", lookupReq{Key: 1 << 40, Prefix: "stanford/cs", Hops: 3, Trace: "trace-1", Spans: binwireSpans}},
-		{"get", getReq{Key: 1 << 40, Origin: "stanford/cs", Level: 2, Hops: 1}},
-		{"put", putReq{Key: 1 << 40, Value: []byte("value-0123456789"), Storage: "stanford/cs", Access: "stanford", Hops: 1}},
+		{"lookup", lookupReq{Key: 1 << 40, Prefix: "stanford/cs", routeHeader: routeHeader{Hops: 2}}},
+		{"lookup_traced", lookupReq{Key: 1 << 40, Prefix: "stanford/cs", routeHeader: routeHeader{Hops: 3, Trace: "trace-1", Spans: binwireSpans}}},
+		{"get", getReq{Key: 1 << 40, Origin: "stanford/cs", Level: 2, routeHeader: routeHeader{Hops: 1}}},
+		{"put", putReq{Key: 1 << 40, Value: []byte("value-0123456789"), Storage: "stanford/cs", Access: "stanford", routeHeader: routeHeader{Hops: 1}}},
 		{"store2", entry},
 		{"syncpull_64", syncPullResp{Entries: entries}},
 	} {

@@ -85,7 +85,7 @@ func (c *Client) TracedLookup(ctx context.Context, addr string, key uint64, pref
 	if traceID == "" {
 		traceID = telemetry.NewTraceID(nil)
 	}
-	req, err := transport.NewMessage(msgLookup, lookupReq{Key: key, Prefix: prefix, Trace: traceID})
+	req, err := transport.NewMessage(msgLookup, lookupReq{Key: key, Prefix: prefix, routeHeader: routeHeader{Trace: traceID}})
 	if err != nil {
 		return Info{}, telemetry.Trace{}, err
 	}

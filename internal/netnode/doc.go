@@ -34,6 +34,17 @@
 // at the owner before the ack. Node.Get/Put and Client.Get/Put are that one
 // path.
 //
+// Lookups, gets and puts are one routing primitive: one forwarder
+// (routedOp.forward) sends every routed message on, with one route header
+// (hops, trace ID, spans) at the end of every routed body and one answer
+// rule — a candidate has answered when its reply decodes into the op's
+// response; an unreachable candidate or an error reply sends the route on
+// to the next. Each op keeps only its terminal action: a lookup answers as
+// owner, a get reads the local store and on a miss steps out one level, a
+// put applies the record and syncs the store before replying (a store
+// failure is the answer status not-durable). The node the route entered at
+// observes the op's hop histogram and archives a traced route.
+//
 // # Wire format
 //
 // RPC bodies are declared in wire.go and every one of them implements
@@ -52,7 +63,8 @@
 // logical request carries a dedup nonce, and the serving side wraps its
 // handler in nonce-based at-most-once caching (transport.DedupHandler
 // semantics), so retries and duplicated deliveries never double-execute a
-// store. Nodes that repeatedly fail are routed around using the per-level
-// successor lists, and the routing layer records route-arounds in the
-// node's stats and any active route trace.
+// store. Nodes that repeatedly fail, and candidates that answer with an
+// error, are routed around using the per-level successor lists, and the
+// routing layer records route-arounds in the node's stats and any active
+// route trace.
 package netnode

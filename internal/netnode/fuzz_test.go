@@ -33,18 +33,18 @@ func FuzzHandle(f *testing.F) {
 	}
 	ghost := Info{ID: 7, Addr: "x"}
 	seed(msgLookup, lookupReq{Key: 1})
-	seed(msgLookup, lookupReq{Key: ^uint64(0), Hops: -1})
+	seed(msgLookup, lookupReq{Key: ^uint64(0), routeHeader: routeHeader{Hops: -1}})
 	seed(msgNeighbors, neighborsReq{Level: 999})
 	seed(msgNeighbors, neighborsReq{Level: -3})
 	seed(msgNotify, notifyReq{From: ghost})
 	seed(msgNotify, notifyReq{Level: 1, From: ghost, AsSuccessor: true})
 	seed(msgStoreV2, storeReq2{Key: 5, Storage: "nope/nope"})
 	seed(msgGet, getReq{Key: 5})
-	seed(msgGet, getReq{Key: 5, Origin: "who/else", Level: 99, Hops: 3})
-	seed(msgGet, getReq{Key: 5, Origin: "fuzz", Level: -7, Hops: 511})
+	seed(msgGet, getReq{Key: 5, Origin: "who/else", Level: 99, routeHeader: routeHeader{Hops: 3}})
+	seed(msgGet, getReq{Key: 5, Origin: "fuzz", Level: -7, routeHeader: routeHeader{Hops: 511}})
 	seed(msgPut, putReq{Key: 5, Value: []byte("v"), Storage: "fuzz"})
 	seed(msgPut, putReq{Key: 5, Storage: "nope/nope", Access: "nope"})
-	seed(msgPut, putReq{Key: 5, Storage: "elsewhere", Hops: 2, Pointer: Info{ID: 1, Addr: "x"}})
+	seed(msgPut, putReq{Key: 5, Storage: "elsewhere", Pointer: Info{ID: 1, Addr: "x"}, routeHeader: routeHeader{Hops: 2}})
 	seed(msgFetch, fetchReq{Key: 5, Origin: "who"})
 	seed(msgRegister, registerReq{Prefix: "a/b"})
 	seed(msgMembers, membersReq{})

@@ -50,7 +50,7 @@ func (cacophonyGeometry) levelLinks(ctx context.Context, n *Node, l int, prefix 
 			continue
 		}
 		target := uint64(n.space.Add(id.ID(n.self.ID), d))
-		resp, err := n.lookupFrom(ctx, n.self, uint64(n.space.Sub(id.ID(target), 1)), prefix)
+		resp, err := n.lookupReqFrom(ctx, n.self, lookupReq{Key: uint64(n.space.Sub(id.ID(target), 1)), Prefix: prefix})
 		if err != nil {
 			continue
 		}

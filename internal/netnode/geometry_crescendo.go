@@ -29,7 +29,7 @@ func (crescendoGeometry) levelLinks(ctx context.Context, n *Node, _ int, prefix 
 			break
 		}
 		target := uint64(n.space.Add(id.ID(n.self.ID), step))
-		resp, err := n.lookupFrom(ctx, n.self, uint64(n.space.Sub(id.ID(target), 1)), prefix)
+		resp, err := n.lookupReqFrom(ctx, n.self, lookupReq{Key: uint64(n.space.Sub(id.ID(target), 1)), Prefix: prefix})
 		if err != nil {
 			continue
 		}

@@ -22,13 +22,13 @@ func (n *Node) handle(ctx context.Context, from string, msg transport.Message) (
 		return transport.NewMessage(msgPing, n.self)
 
 	case msgLookup:
-		// The request decodes into a pooled object (returned fully zeroed —
-		// see putLookupReq) so a forwarded hop allocates no request. The
+		// A routed request decodes into a pooled object (returned fully
+		// zeroed — see reqPool) so a forwarded hop allocates no request. The
 		// response is passed by value: NewMessage keeps binary-capable bodies
 		// lazy, and receiver-side dedup may cache the message, so the body
 		// must not be recycled.
-		req := getLookupReq()
-		defer putLookupReq(req)
+		req := lookupOp.reqs.get()
+		defer lookupOp.reqs.put(req)
 		if err := msg.Decode(req); err != nil {
 			return transport.Message{}, err
 		}
@@ -80,9 +80,8 @@ func (n *Node) handle(ctx context.Context, from string, msg transport.Message) (
 		return transport.NewMessage(msgStoreV2, nil)
 
 	case msgGet:
-		// Pooled like the lookup request: a forwarded get allocates none.
-		req := getGetReq()
-		defer putGetReq(req)
+		req := getOp.reqs.get()
+		defer getOp.reqs.put(req)
 		if err := msg.Decode(req); err != nil {
 			return transport.Message{}, err
 		}
@@ -184,11 +183,12 @@ func (n *Node) handle(ctx context.Context, from string, msg transport.Message) (
 // fsyncbeforeack, whose ordering rule is lexical per function, weighs the
 // ack against this message's calls and not against a neighbouring case's.
 func (n *Node) servePut(ctx context.Context, msg transport.Message) (transport.Message, error) {
-	var req putReq
-	if err := msg.Decode(&req); err != nil {
+	req := putOp.reqs.get()
+	defer putOp.reqs.put(req)
+	if err := msg.Decode(req); err != nil {
 		return transport.Message{}, err
 	}
-	resp, err := n.handlePut(ctx, &req)
+	resp, err := n.handlePut(ctx, req)
 	if err != nil {
 		return transport.Message{}, err
 	}

@@ -117,7 +117,7 @@ func newNodeMetrics(reg *telemetry.Registry, levels int) *nodeMetrics {
 		reg:          reg,
 		retries:      reg.Counter(mnRetries, "re-send attempts beyond each call's first"),
 		failedCalls:  reg.Counter(mnFailed, "calls that exhausted every attempt"),
-		routedAround: reg.Counter(mnRouteAround, "lookup forwards that skipped a distrusted best candidate"),
+		routedAround: reg.Counter(mnRouteAround, "routed forwards (lookup, get, put) that skipped a distrusted best candidate"),
 		rpcLatency:   reg.Histogram(mnRPCLatency, "outgoing RPC latency per completed call, seconds", telemetry.DefBuckets),
 		rpcAttempts:  reg.Histogram(mnRPCAttempts, "transport attempts used per RPC call", telemetry.AttemptBuckets),
 		lookupHops:   reg.Histogram(mnLookupHops, "forwarding hops per lookup answered for a local or remote originator", telemetry.HopBuckets),

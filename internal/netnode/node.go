@@ -24,10 +24,14 @@ var (
 	// ErrBadDomain is returned when a storage/access domain does not relate
 	// to the node's position as Section 4.1 requires.
 	ErrBadDomain = errors.New("netnode: invalid storage/access domain")
+	// errNotDurable is returned by Node.Put and Client.Put when the owner
+	// could not make the write durable (statusNotDurable).
+	errNotDurable = errors.New("netnode: the owner could not make the write durable")
 )
 
-// lookupHopLimit bounds forwarding chains defensively.
-const lookupHopLimit = 512
+// routeHopLimit bounds the forwarding chain of every routed message —
+// lookup, get and put — defensively.
+const routeHopLimit = 512
 
 // stabilizeWalkLimit bounds the per-round predecessor walk of
 // stabilizeLevel: in steady state the walk exits after one RPC, and after a
@@ -92,9 +96,11 @@ type Config struct {
 	// registry across in-process nodes aggregates their series; Stats() then
 	// reports the aggregate too.
 	Telemetry *telemetry.Registry
-	// TraceSampleRate samples this fraction of Lookup calls into route
-	// traces archived in the node's trace store (0 disables sampling;
-	// TracedLookup is always traced regardless).
+	// TraceSampleRate samples this fraction of the lookups, gets and puts
+	// the node originates (Lookup, LookupHops, Get, Put) into route traces
+	// archived in the node's trace store (0 disables sampling; TracedLookup
+	// is always traced regardless). Operations entering from a Client are
+	// traced only when the client asks.
 	TraceSampleRate float64
 }
 
@@ -312,7 +318,7 @@ func (n *Node) Join(ctx context.Context, contact string) error {
 				continue
 			}
 		}
-		resp, err := n.lookupFrom(ctx, seed, uint64(n.space.Sub(id.ID(n.self.ID), 1)), prefix)
+		resp, err := n.lookupReqFrom(ctx, seed, lookupReq{Key: uint64(n.space.Sub(id.ID(n.self.ID), 1)), Prefix: prefix})
 		if err != nil {
 			return fmt.Errorf("netnode: join lookup at level %d: %w", l, err)
 		}
@@ -350,7 +356,7 @@ func (n *Node) Join(ctx context.Context, contact string) error {
 func (n *Node) registerSelf(ctx context.Context) {
 	for l := 0; l <= n.levels; l++ {
 		prefix := prefixAt(n.self.Name, l)
-		resp, err := n.lookupFrom(ctx, n.self, domainKey(n.space, prefix), "")
+		resp, err := n.lookupReqFrom(ctx, n.self, lookupReq{Key: domainKey(n.space, prefix)})
 		switch {
 		case err != nil:
 		case resp.Pred.Addr == n.self.Addr:
@@ -367,7 +373,7 @@ func (n *Node) registerSelf(ctx context.Context) {
 // findMember locates a live member of the named domain via the registry.
 func (n *Node) findMember(ctx context.Context, seed Info, prefix string) (Info, error) {
 	key := domainKey(n.space, prefix)
-	resp, err := n.lookupFrom(ctx, seed, key, "")
+	resp, err := n.lookupReqFrom(ctx, seed, lookupReq{Key: key})
 	if err != nil {
 		return Info{}, err
 	}
@@ -552,15 +558,7 @@ func (n *Node) handOffLeaving(ctx context.Context, item canonstore.Entry) error 
 	if target.Addr == n.self.Addr {
 		return fmt.Errorf("netnode: no other node in %q", entryHome(item))
 	}
-	req, err := transport.NewMessage(msgStoreV2, reqFromEntry(item, true))
-	if err != nil {
-		return err
-	}
-	resp, err := n.call(ctx, target.Addr, req)
-	if err != nil {
-		return err
-	}
-	return resp.Err()
+	return n.storeAt(ctx, target, reqFromEntry(item, true))
 }
 
 // Successors returns a copy of the node's successor list at a level.

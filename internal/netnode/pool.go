@@ -6,9 +6,9 @@ import (
 	"github.com/canon-dht/canon/internal/telemetry"
 )
 
-// lookupReqPool recycles lookup request objects across forwarded hops and
-// handler decodes, so the steady-state forwarding path allocates no request
-// object per hop.
+// reqPool recycles the request objects of one routed message type (see
+// routedOp) across forwarded hops and handler decodes, so the steady-state
+// forwarding path allocates no request object per hop.
 //
 // Safety of recycling hinges on two properties, both pinned by tests:
 //
@@ -17,45 +17,34 @@ import (
 //     delivers duplicates synchronously, and the mux encodes the body into
 //     the frame before round-tripping), and receiver-side dedup caches only
 //     responses — so once n.call returns, nothing references the request.
-//   - A pooled object is fully zeroed before reuse (putLookupReq), so what
-//     the pool hands out is indistinguishable from a fresh object whichever
-//     fields its next user sets: no request can inherit the previous one's
-//     Trace and Spans. The pool-reuse fuzzer (FuzzLookupReqPoolReuse) proves
-//     no sequence of decodes leaks spans between requests.
-var lookupReqPool = sync.Pool{
-	New: func() any { return new(lookupReq) },
+//   - A pooled object is fully zeroed before reuse (put), so what the pool
+//     hands out is indistinguishable from a fresh object whichever fields
+//     its next user sets: no request can inherit the previous one's Trace
+//     and Spans. The pool-reuse fuzzer (FuzzLookupReqPoolReuse, over every
+//     routed request type) proves no sequence of decodes leaks spans between
+//     requests.
+type reqPool[T any, PT interface {
+	*T
+	routed
+}] struct {
+	pool sync.Pool
 }
 
-// getLookupReq returns a zeroed lookup request from the pool.
-func getLookupReq() *lookupReq {
-	return lookupReqPool.Get().(*lookupReq)
+// get returns a zeroed request from the pool.
+func (p *reqPool[T, PT]) get() PT {
+	if q, ok := p.pool.Get().(PT); ok {
+		return q
+	}
+	return PT(new(T))
 }
 
-// putLookupReq zeroes q and returns it to the pool. A span slice attached to
-// q is detached and recycled through the telemetry span pool (which zeroes
-// it), so neither the object nor its backing array can leak trace state.
-func putLookupReq(q *lookupReq) {
-	spans := q.Spans
-	*q = lookupReq{}
-	lookupReqPool.Put(q)
+// put zeroes q and returns it to the pool. A span slice attached to q is
+// detached and recycled through the telemetry span pool (which zeroes it),
+// so neither the object nor its backing array can leak trace state.
+func (p *reqPool[T, PT]) put(q PT) {
+	spans := q.header().Spans
+	var zero T
+	*q = zero
+	p.pool.Put(q)
 	telemetry.PutSpans(spans)
-}
-
-// getReqPool recycles routed-get request objects the same way: a get is the
-// hot key-value message and, like a lookup, carries no payload worth
-// allocating for on every forwarded hop. The same two properties hold — the
-// request is dead once n.call returns, and putGetReq zeroes it.
-var getReqPool = sync.Pool{
-	New: func() any { return new(getReq) },
-}
-
-// getGetReq returns a zeroed get request from the pool.
-func getGetReq() *getReq {
-	return getReqPool.Get().(*getReq)
-}
-
-// putGetReq zeroes q and returns it to the pool.
-func putGetReq(q *getReq) {
-	*q = getReq{}
-	getReqPool.Put(q)
 }

@@ -12,6 +12,7 @@ import (
 
 	"github.com/canon-dht/canon/internal/canonstore"
 	"github.com/canon-dht/canon/internal/id"
+	"github.com/canon-dht/canon/internal/telemetry"
 	"github.com/canon-dht/canon/internal/transport"
 )
 
@@ -444,9 +445,9 @@ func TestRoutedOpsStayInDomain(t *testing.T) {
 	})
 }
 
-// (d) An error reply is an answer: when the owner's store fails, the put
-// fails — it is not routed around to a node that would happily ack — and no
-// node ends up holding the key.
+// (d) A store failure at the owner is an answer: the owner replies status
+// not-durable, so the put fails — it is not routed around to a node that
+// would happily ack — and no node ends up holding the key.
 func TestRoutedPutOwnerStoreFailure(t *testing.T) {
 	forEachGeometry(t, func(t *testing.T, geometry string) {
 		c := newRoutedCluster(t, geometry, routedHierNames(), 81)
@@ -593,6 +594,119 @@ func TestRoutedConcurrentGetPut(t *testing.T) {
 	})
 }
 
+// (i) An error reply is routed around, by every op alike: with one node of a
+// settled cluster refusing every request, as a node does while it shuts
+// down, lookups, gets and puts sent from each other node all succeed, and a
+// get from the entry node reads back each acked put. A get may miss a record
+// only where the entry's lookup cannot reach a holder either — the record's
+// one holder is the refusing node, or the refusing node is the domain's only
+// gateway toward it (the Canon link bound) — so it answers as best effort
+// exactly as the lookup does.
+func TestRoutedRefusingNodeRoutedAround(t *testing.T) {
+	forEachGeometry(t, func(t *testing.T, geometry string) {
+		c := newRoutedCluster(t, geometry, routedHierNames(), 7)
+		ctx := context.Background()
+		keys := seededKeys(7, 200)
+		for i, key := range keys {
+			if err := c.nodes[i%len(c.nodes)].Put(ctx, key, []byte("before"), "", ""); err != nil {
+				t.Fatal(err)
+			}
+		}
+		const refusing = 3
+		c.nodes[refusing].mu.Lock()
+		c.nodes[refusing].closed = true
+		c.nodes[refusing].mu.Unlock()
+
+		failed := map[string]int{}
+		for _, key := range keys {
+			for i, entry := range c.nodes {
+				if i == refusing {
+					continue
+				}
+				owner, err := entry.Lookup(ctx, key, "")
+				if err != nil {
+					failed["lookup"]++
+				}
+				reachable := false
+				for _, h := range c.holders(key) {
+					reachable = reachable || c.nodes[h].self.Addr == owner.Addr
+				}
+				if _, err := entry.Get(ctx, key); err != nil && (reachable || !errors.Is(err, ErrNotFound)) {
+					failed["get"]++
+				}
+				value := fmt.Sprintf("%d-from-%d", key, i)
+				if err := entry.Put(ctx, key, []byte(value), "", ""); err != nil {
+					failed["put"]++
+					continue
+				}
+				if got, err := entry.Get(ctx, key); err != nil || string(got) != value {
+					failed["read back"]++
+				}
+			}
+		}
+		ops := len(keys) * (len(c.nodes) - 1)
+		for _, op := range []string{"lookup", "get", "put", "read back"} {
+			if failed[op] != 0 {
+				t.Errorf("%s failed %d of %d times with node %d refusing", op, failed[op], ops, refusing)
+			}
+		}
+	})
+}
+
+// (j) Traced gets and puts carry spans exactly as traced lookups do. With
+// TraceSampleRate 1, every Node.Put and Node.Get archives a trace at its
+// entry node with one span per node the message visited — hops+1, since the
+// cluster serves one message per hop — ending in its one Owner span; a get
+// answered in the entry's leaf domain has every span inside that leaf
+// (Section 3.2 locality).
+func TestRoutedTracedGetPut(t *testing.T) {
+	forEachGeometry(t, func(t *testing.T, geometry string) {
+		c := newRoutedCluster(t, geometry, routedHierNames(), 121)
+		ctx := context.Background()
+		for _, n := range c.nodes {
+			n.cfg.TraceSampleRate = 1
+		}
+		// archived returns the trace the entry archived for the op just run,
+		// which the cluster served with the given number of messages.
+		archived := func(entry *Node, op string, served, doneBefore int64) telemetry.Trace {
+			t.Helper()
+			if done := entry.m.traceDone.Value() - doneBefore; done != 1 {
+				t.Fatalf("%s at %s archived %d traces, want 1", op, entry.self.Addr, done)
+			}
+			tr, ok := entry.TraceStore().Get(entry.TraceStore().Recent(1)[0])
+			if !ok || int64(len(tr.Spans)) != served+1 || tr.Spans[0].Addr != entry.self.Addr {
+				t.Fatalf("%s at %s: %d messages served, archived %+v", op, entry.self.Addr, served, tr)
+			}
+			for i, s := range tr.Spans {
+				if s.Hop != i || s.Owner != (i == len(tr.Spans)-1) {
+					t.Fatalf("%s trace %s: span %d is %+v; want hop %d, the last span the one owner", op, tr.ID, i, s, i)
+				}
+			}
+			return tr
+		}
+		cs := c.in("stanford/cs")
+		for i, key := range seededKeys(122, 30) {
+			storage := []string{"stanford/cs", "stanford", ""}[i%3]
+			writer, reader := c.nodes[cs[i%len(cs)]], c.nodes[cs[(i+1)%len(cs)]]
+
+			served, done := c.received(msgPut), writer.m.traceDone.Value()
+			if err := writer.Put(ctx, key, []byte("v"), storage, storage); err != nil {
+				t.Fatalf("put %d in %q: %v", key, storage, err)
+			}
+			archived(writer, "put", c.received(msgPut)-served, done)
+
+			served, done = c.received(msgGet), reader.m.traceDone.Value()
+			if got, err := reader.Get(ctx, key); err != nil || string(got) != "v" {
+				t.Fatalf("get %d: %q, %v", key, got, err)
+			}
+			tr := archived(reader, "get", c.received(msgGet)-served, done)
+			if storage == "stanford/cs" && tr.OutOfDomainHops(storage) != 0 {
+				t.Errorf("get %d answered in the leaf left it: %+v", key, tr.Spans)
+			}
+		}
+	})
+}
+
 // TestRoutedEntryHopRule pins what only the entry node may decide: a get
 // entering with a forged origin is answered for the entry node's own name,
 // a forged level cannot index outside the chain, and a put entering with a
@@ -610,7 +724,7 @@ func TestRoutedEntryHopRule(t *testing.T) {
 		t.Errorf("get entering at mit with a forged stanford origin: %+v, %v; want not found", resp, err)
 	}
 	for _, level := range []int{99, -99} {
-		resp, err := mit.handleGet(ctx, &getReq{Key: key, Origin: "stanford/cs", Level: level, Hops: 1})
+		resp, err := mit.handleGet(ctx, &getReq{Key: key, Origin: "stanford/cs", Level: level, routeHeader: routeHeader{Hops: 1}})
 		if err != nil || resp.Status != statusNotFound {
 			t.Errorf("forwarded get with level %d at a node sharing no level with the origin: %+v, %v", level, resp, err)
 		}

@@ -59,8 +59,8 @@ func (p *hopPlan) candidates() []viewCandidate { return p.order[:p.cnt] }
 // plan lives on the caller's stack.
 func (n *Node) planHop(v *routingView, key uint64, level, hops int) (hopPlan, error) {
 	var p hopPlan
-	if hops >= lookupHopLimit {
-		return p, fmt.Errorf("netnode: route exceeded %d hops", lookupHopLimit)
+	if hops >= routeHopLimit {
+		return p, fmt.Errorf("netnode: route exceeded %d hops", routeHopLimit)
 	}
 	var routedAround bool
 	p.cnt, p.best, routedAround = v.forwardSet(n.health, key, level, p.order[:])
@@ -70,109 +70,156 @@ func (n *Node) planHop(v *routingView, key uint64, level, hops int) (hopPlan, er
 	return p, nil
 }
 
-// handleLookup implements greedy clockwise forwarding constrained to a
-// domain: the receiving node either forwards to its neighbor closest to the
-// key without overshooting, or — being the key's closest predecessor within
-// the domain — answers with itself as the owner.
+// routed is what the forwarder needs of a routed request body: its route
+// header, which every body embeds.
+type routed interface{ header() *routeHeader }
+
+// routedOp is one routed message type — lookup, get or put — as the
+// forwarder carries it: the wire type, and the pool its requests are
+// decoded into and forwarded from. Q is the request body, R the response.
+type routedOp[Q, R any, PQ interface {
+	*Q
+	routed
+}] struct {
+	msg  string
+	reqs reqPool[Q, PQ]
+}
+
+var (
+	lookupOp = &routedOp[lookupReq, lookupResp, *lookupReq]{msg: msgLookup}
+	getOp    = &routedOp[getReq, getResp, *getReq]{msg: msgGet}
+	putOp    = &routedOp[putReq, putResp, *putReq]{msg: msgPut}
+)
+
+// forward is the one place a node sends a routed message on: it plans the
+// hop for key inside the level-l domain of this node's chain (planHop) and
+// tries the candidates in order, each with a copy of req one hop further
+// along — on a traced route carrying this node's span for the hop. A
+// candidate has answered when its reply decodes into the op's response
+// body; an unreachable candidate or an error reply sends the route on to
+// the next. answered is false when this node is where the route ends: it
+// owns the key in the domain, or no candidate answered (the liveness-over-
+// accuracy choice, see planHop). Only the op's terminal action — answer as
+// owner, read the store, apply the write — is left to the caller.
 //
-// On traced lookups (req.Trace != "") the node appends exactly one span to
-// the context before forwarding — recording the routing level of the hop and
-// whether the distance-best candidate was skipped — or a terminal Owner span
-// when it answers. The node that entered the route (req.Hops == 0) archives
-// the completed trace in its TraceStore and feeds the hop histogram, so both
-// self-originated and client-originated lookups leave evidence where the
-// route began.
-//
-// The node loads its published routing snapshot once (one complete epoch —
-// never a torn mix of two stabilization rounds) and plans the hop from it
-// (planHop). The untraced path also allocates no request objects — the
-// forwarded request comes from a pool. Traced lookups additionally build
-// span lists, whose backing arrays are pool-recycled per hop. A lookup
-// routes around a candidate whose reply does not decode, error replies
-// included: any node that can name an owner is as good as another.
+// The untraced path allocates no request object: the forwarded copy comes
+// from the op's pool. A traced hop's span list is pool-recycled too.
+func (op *routedOp[Q, R, PQ]) forward(ctx context.Context, n *Node, v *routingView, key uint64, level int, req PQ) (resp R, answered bool, err error) {
+	at := req.header()
+	plan, err := n.planHop(v, key, level, at.Hops)
+	if err != nil || plan.cnt == 0 {
+		return resp, false, err
+	}
+	fwd := op.reqs.get()
+	defer op.reqs.put(fwd)
+	*fwd = *req
+	h := fwd.header()
+	*h = routeHeader{Hops: at.Hops + 1, Trace: at.Trace}
+	for _, cand := range plan.candidates() {
+		if at.Trace != "" {
+			if h.Spans == nil {
+				h.Spans = telemetry.GetSpans()
+			}
+			h.Spans = v.hopSpans(h.Spans, at, cand.level, cand.info.Addr != plan.best)
+		}
+		msg, err := transport.NewMessage(op.msg, fwd)
+		if err != nil {
+			return resp, false, err
+		}
+		raw, err := n.call(ctx, cand.info.Addr, msg)
+		if err != nil {
+			continue
+		}
+		answer := new(R)
+		if err := raw.Decode(answer); err != nil {
+			continue
+		}
+		return *answer, true, nil
+	}
+	return resp, false, nil
+}
+
+// hopSpans returns the spans of a traced route as it leaves this node, in
+// buf's backing array: the spans carried in, then this node's span for hop
+// at.Hops. A forward's span records its routing level — the depth of the
+// lowest common domain with the next node, so leaf-deep hops stay local and
+// level-0 hops cross top-level boundaries (Section 3.2) — and whether the
+// distance-best candidate was skipped; the answering node's span is the
+// terminal Owner span, at level -1.
+func (v *routingView) hopSpans(buf []telemetry.Span, at *routeHeader, level int, routeAround bool) []telemetry.Span {
+	return append(append(buf[:0], at.Spans...), telemetry.Span{
+		Hop: at.Hops, Name: v.self.Name, ID: v.self.ID, Addr: v.self.Addr,
+		Level: level, RouteAround: routeAround, Owner: level < 0,
+	})
+}
+
+// answerRoute is the route header of an answer given at this node. Its spans
+// are freshly allocated, never pooled: they are retained past the reply
+// (archived in the TraceStore, cached by receiver-side dedup) and must not
+// be recycled under a reader.
+func (v *routingView) answerRoute(at *routeHeader) routeHeader {
+	h := routeHeader{Hops: at.Hops, Trace: at.Trace}
+	if at.Trace != "" {
+		h.Spans = v.hopSpans(nil, at, -1, false)
+	}
+	return h
+}
+
+// finishEntry is the entry-hop bookkeeping of every routed operation, run by
+// the node the route entered at (Hops 0) once the answer is in: the op's hop
+// histogram observes the route's length, and a traced route is archived in
+// the node's TraceStore — so self-originated and client-originated
+// operations alike leave their evidence where the route began.
+func (n *Node) finishEntry(hops *telemetry.Histogram, req, resp *routeHeader, key uint64, prefix string) {
+	hops.Observe(float64(resp.Hops))
+	if req.Trace != "" && len(resp.Spans) > 0 {
+		n.traces.Record(telemetry.Trace{ID: req.Trace, Key: key, Prefix: prefix, Spans: resp.Spans})
+		n.m.traceDone.Inc()
+	}
+}
+
+// newRoute is the route header of an operation this node originates: traced
+// when forced, or when Config.TraceSampleRate samples it.
+func (n *Node) newRoute(traced bool) routeHeader {
+	rate := n.cfg.TraceSampleRate
+	if !traced && rate <= 0 {
+		return routeHeader{}
+	}
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if !traced && rate < 1 && n.rng.Float64() >= rate {
+		return routeHeader{}
+	}
+	n.m.traceStarted.Inc()
+	return routeHeader{Trace: telemetry.NewTraceID(n.rng)}
+}
+
+// handleLookup serves a routed lookup: greedy clockwise forwarding
+// constrained to a domain. The receiving node either forwards toward the
+// key, or — being the key's closest predecessor within the domain — answers
+// with itself as the owner. The node loads its published routing snapshot
+// once (one complete epoch — never a torn mix of two stabilization rounds)
+// and routes from it.
 func (n *Node) handleLookup(ctx context.Context, req *lookupReq) (lookupResp, error) {
 	v := n.routing.Load()
 	level, ok := v.levelOf(req.Prefix)
 	if !ok {
 		return lookupResp{}, fmt.Errorf("netnode: lookup for %q reached node outside it", req.Prefix)
 	}
-	plan, err := n.planHop(v, req.Key, level, req.Hops)
+	resp, answered, err := lookupOp.forward(ctx, n, v, req.Key, level, req)
 	if err != nil {
 		return lookupResp{}, err
 	}
-	if plan.cnt > 0 {
-		fwd := getLookupReq()
-		defer putLookupReq(fwd)
-		for _, cand := range plan.candidates() {
-			fwd.Key, fwd.Prefix, fwd.Hops, fwd.Trace = req.Key, req.Prefix, req.Hops+1, req.Trace
-			if req.Trace != "" {
-				// The hop's routing level is the depth of the lowest common
-				// domain with the next node: leaf-deep hops stay local,
-				// level-0 hops cross top-level boundaries (Section 3.2).
-				spans := fwd.Spans
-				if spans == nil {
-					spans = telemetry.GetSpans()
-				}
-				spans = append(spans[:0], req.Spans...)
-				fwd.Spans = append(spans, telemetry.Span{
-					Hop: req.Hops, Name: v.self.Name, ID: v.self.ID,
-					Addr: v.self.Addr, Level: cand.level,
-					RouteAround: cand.info.Addr != plan.best,
-				})
-			}
-			msg, err := transport.NewMessage(msgLookup, fwd)
-			if err != nil {
-				return lookupResp{}, err
-			}
-			raw, err := n.call(ctx, cand.info.Addr, msg)
-			if err != nil {
-				continue
-			}
-			var resp lookupResp
-			if err := raw.Decode(&resp); err != nil {
-				continue
-			}
-			n.finishLookup(req, &resp)
-			return resp, nil
-		}
+	if !answered {
+		resp = lookupResp{Pred: v.self, Succ: v.succAt(level), routeHeader: v.answerRoute(&req.routeHeader)}
 	}
-	resp := lookupResp{Pred: v.self, Succ: v.succAt(level), Hops: req.Hops}
-	if req.Trace != "" {
-		resp.Trace = req.Trace
-		// The response spans are freshly allocated, never pooled: they are
-		// retained past this call (archived in the TraceStore, cached by
-		// receiver-side dedup) and must not be recycled under a reader.
-		resp.Spans = append(append([]telemetry.Span(nil), req.Spans...), telemetry.Span{
-			Hop: req.Hops, Name: v.self.Name, ID: v.self.ID,
-			Addr: v.self.Addr, Level: -1, Owner: true,
-		})
+	if req.Hops == 0 {
+		n.finishEntry(n.m.lookupHops, &req.routeHeader, &resp.routeHeader, req.Key, req.Prefix)
 	}
-	n.finishLookup(req, &resp)
 	return resp, nil
 }
 
-// finishLookup runs the entry-hop bookkeeping for a lookup answer about to
-// travel back toward the originator: the route's entry node (req.Hops == 0)
-// observes the hop count and archives a completed trace.
-func (n *Node) finishLookup(req *lookupReq, resp *lookupResp) {
-	if req.Hops != 0 {
-		return
-	}
-	n.m.lookupHops.Observe(float64(resp.Hops))
-	if req.Trace != "" && len(resp.Spans) > 0 {
-		n.traces.Record(telemetry.Trace{
-			ID: req.Trace, Key: req.Key, Prefix: req.Prefix, Spans: resp.Spans,
-		})
-		n.m.traceDone.Inc()
-	}
-}
-
-// lookupFrom runs a constrained lookup starting at seed (possibly self).
-func (n *Node) lookupFrom(ctx context.Context, seed Info, key uint64, prefix string) (lookupResp, error) {
-	return n.lookupReqFrom(ctx, seed, lookupReq{Key: key, Prefix: prefix})
-}
-
-// lookupReqFrom dispatches a fully built lookup request through seed.
+// lookupReqFrom runs a lookup entering at seed (possibly self).
 func (n *Node) lookupReqFrom(ctx context.Context, seed Info, req lookupReq) (lookupResp, error) {
 	if seed.Addr == n.self.Addr {
 		return n.handleLookup(ctx, &req)
@@ -192,26 +239,13 @@ func (n *Node) lookupReqFrom(ctx context.Context, seed Info, req lookupReq) (loo
 	return resp, nil
 }
 
-// newTraceID draws a reproducible trace identifier from the node's RNG.
-func (n *Node) newTraceID() string {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return telemetry.NewTraceID(n.rng)
-}
-
-// sampleTrace decides whether an untraced public lookup should carry a trace
-// context, per Config.TraceSampleRate.
-func (n *Node) sampleTrace() bool {
-	rate := n.cfg.TraceSampleRate
-	if rate <= 0 {
-		return false
+// lookup enters a lookup at this node, for Lookup, LookupHops and
+// TracedLookup.
+func (n *Node) lookup(ctx context.Context, key uint64, prefix string, traced bool) (lookupResp, error) {
+	if !inDomain(n.self.Name, prefix) {
+		return lookupResp{}, fmt.Errorf("%w: %q does not contain this node", ErrBadDomain, prefix)
 	}
-	if rate >= 1 {
-		return true
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.rng.Float64() < rate
+	return n.handleLookup(ctx, &lookupReq{Key: key, Prefix: prefix, routeHeader: n.newRoute(traced)})
 }
 
 // Lookup returns the node responsible for key within the domain named by
@@ -219,32 +253,15 @@ func (n *Node) sampleTrace() bool {
 // to the domain. When Config.TraceSampleRate is set, a sampled fraction of
 // calls additionally record a route trace into the node's TraceStore.
 func (n *Node) Lookup(ctx context.Context, key uint64, prefix string) (Info, error) {
-	if !inDomain(n.self.Name, prefix) {
-		return Info{}, fmt.Errorf("%w: %q does not contain this node", ErrBadDomain, prefix)
-	}
-	req := lookupReq{Key: key, Prefix: prefix}
-	if n.sampleTrace() {
-		req.Trace = n.newTraceID()
-		n.m.traceStarted.Inc()
-	}
-	resp, err := n.lookupReqFrom(ctx, n.self, req)
-	if err != nil {
-		return Info{}, err
-	}
-	return resp.Pred, nil
+	resp, err := n.lookup(ctx, key, prefix, false)
+	return resp.Pred, err
 }
 
 // LookupHops is Lookup plus the number of forwarding hops used, for
 // measurements.
 func (n *Node) LookupHops(ctx context.Context, key uint64, prefix string) (Info, int, error) {
-	if !inDomain(n.self.Name, prefix) {
-		return Info{}, 0, fmt.Errorf("%w: %q does not contain this node", ErrBadDomain, prefix)
-	}
-	resp, err := n.lookupFrom(ctx, n.self, key, prefix)
-	if err != nil {
-		return Info{}, 0, err
-	}
-	return resp.Pred, resp.Hops, nil
+	resp, err := n.lookup(ctx, key, prefix, false)
+	return resp.Pred, resp.Hops, err
 }
 
 // TracedLookup runs a lookup with distributed route tracing always on: every
@@ -254,17 +271,11 @@ func (n *Node) LookupHops(ctx context.Context, key uint64, prefix string) (Info,
 // path analyses: intra-domain locality and proxy convergence (Section 3.2)
 // become assertions over the returned spans.
 func (n *Node) TracedLookup(ctx context.Context, key uint64, prefix string) (Info, telemetry.Trace, error) {
-	if !inDomain(n.self.Name, prefix) {
-		return Info{}, telemetry.Trace{}, fmt.Errorf("%w: %q does not contain this node", ErrBadDomain, prefix)
-	}
-	req := lookupReq{Key: key, Prefix: prefix, Trace: n.newTraceID()}
-	n.m.traceStarted.Inc()
-	resp, err := n.lookupReqFrom(ctx, n.self, req)
+	resp, err := n.lookup(ctx, key, prefix, true)
 	if err != nil {
 		return Info{}, telemetry.Trace{}, err
 	}
-	tr := telemetry.Trace{ID: req.Trace, Key: key, Prefix: prefix, Spans: resp.Spans}
-	return resp.Pred, tr, nil
+	return resp.Pred, telemetry.Trace{ID: resp.Trace, Key: key, Prefix: prefix, Spans: resp.Spans}, nil
 }
 
 // StabilizeOnce runs one round of the per-level stabilization protocol:

@@ -61,8 +61,9 @@ type Stats struct {
 	Retries int64
 	// FailedCalls counts calls that exhausted every attempt.
 	FailedCalls int64
-	// RoutedAround counts lookup forwards where a suspect/dead best
-	// candidate was skipped in favor of a healthy one.
+	// RoutedAround counts forwarding decisions — of lookups, gets and puts
+	// alike — where a suspect/dead best candidate was ranked behind a
+	// healthy one.
 	RoutedAround int64
 	// SuspectPeers maps peer address to "suspect" or "dead" for peers the
 	// failure detector currently distrusts.

@@ -71,9 +71,13 @@ func (n *Node) observeVersion(v uint64) {
 // prefixes ("" = global). The value lands at the key's owner within the
 // storage domain; a wider access domain additionally places a pointer at
 // the access domain's owner. The node is the entry of a routed put
-// (handlePut), exactly as if a client had sent it one.
+// (handlePut), exactly as if a client had sent it one; when
+// Config.TraceSampleRate is set, a sampled fraction of puts record a route
+// trace into the node's TraceStore.
 func (n *Node) Put(ctx context.Context, key uint64, value []byte, storagePath, accessPath string) error {
-	resp, err := n.handlePut(ctx, &putReq{Key: key, Value: value, Storage: storagePath, Access: accessPath})
+	resp, err := n.handlePut(ctx, &putReq{
+		Key: key, Value: value, Storage: storagePath, Access: accessPath, routeHeader: n.newRoute(false),
+	})
 	if err != nil {
 		return err
 	}
@@ -96,7 +100,8 @@ func putStatusErr(status int, storagePath, accessPath, entry string) error {
 // wider than the storage domain, a pointer record naming the value's owner —
 // down their routes; everywhere else it carries one record a hop further or
 // applies it. Versions are stamped by the owner that applies the record, so
-// each record has a single stamper while its ownership holds.
+// each record has a single stamper while its ownership holds. A traced put
+// traces the value record's route; the pointer record's hops count in Hops.
 func (n *Node) handlePut(ctx context.Context, req *putReq) (putResp, error) {
 	if req.Hops != 0 {
 		return n.routePut(ctx, req)
@@ -106,30 +111,32 @@ func (n *Node) handlePut(ctx context.Context, req *putReq) (putResp, error) {
 	}
 	// The entry builds the records itself: a Pointer in a client's request
 	// is not part of the operation and is dropped here.
-	resp, err := n.routePut(ctx, &putReq{Key: req.Key, Value: req.Value, Storage: req.Storage, Access: req.Access})
+	resp, err := n.routePut(ctx, &putReq{
+		Key: req.Key, Value: req.Value, Storage: req.Storage, Access: req.Access, routeHeader: req.routeHeader,
+	})
 	if err != nil || resp.Status != statusOK {
 		return resp, err
 	}
 	if req.Access != req.Storage {
 		ptr, err := n.routePut(ctx, &putReq{
-			Key: req.Key, Storage: req.Storage, Access: req.Access, Pointer: resp.Owner, Hops: resp.Hops,
+			Key: req.Key, Storage: req.Storage, Access: req.Access, Pointer: resp.Owner,
+			routeHeader: routeHeader{Hops: resp.Hops},
 		})
 		if err != nil || ptr.Status != statusOK {
 			return ptr, err
 		}
 		resp.Hops = ptr.Hops
 	}
-	n.m.putHops.Observe(float64(resp.Hops))
+	n.finishEntry(n.m.putHops, &req.routeHeader, &resp.routeHeader, req.Key, req.Storage)
 	return resp, nil
 }
 
 // routePut moves one record along the greedy route inside its home domain
 // and, where the route ends, applies it: the write hits the store and the
 // durability barrier before the reply is built (fsync-on-ack, docs/STORAGE.md;
-// canonvet: fsyncbeforeack). A candidate's error reply is the operation's
-// answer and is returned, never routed around — a store error at the owner
-// must not turn into an ack from a node that merely was next in line. Only
-// unreachable candidates are skipped.
+// canonvet: fsyncbeforeack). A store failure there is the answer
+// statusNotDurable, so the node before it takes it back to the entry rather
+// than routing on to a node that would happily ack.
 func (n *Node) routePut(ctx context.Context, req *putReq) (putResp, error) {
 	v := n.routing.Load()
 	home := req.Storage
@@ -140,42 +147,26 @@ func (n *Node) routePut(ctx context.Context, req *putReq) (putResp, error) {
 	if !ok {
 		return putResp{}, fmt.Errorf("netnode: put for %q reached node %q outside it", home, v.self.Name)
 	}
-	plan, err := n.planHop(v, req.Key, level, req.Hops)
-	if err != nil {
-		return putResp{}, err
+	resp, answered, err := putOp.forward(ctx, n, v, req.Key, level, req)
+	if err != nil || answered {
+		return resp, err
 	}
-	for _, cand := range plan.candidates() {
-		fwd := *req
-		fwd.Hops++
-		msg, err := transport.NewMessage(msgPut, fwd)
-		if err != nil {
-			return putResp{}, err
-		}
-		raw, err := n.call(ctx, cand.info.Addr, msg)
-		if err != nil {
-			continue
-		}
-		var resp putResp
-		if err := raw.Decode(&resp); err != nil {
-			return putResp{}, fmt.Errorf("netnode: put via %s: %w", cand.info.Addr, err)
-		}
-		return resp, nil
-	}
-	// No candidate (this node owns the key in the home domain) or none
-	// reachable: the record is applied here — unless it is a pointer to a
-	// value this very node holds, which would only point at itself.
+	// The record is applied here — unless it is a pointer to a value this
+	// very node holds, which would only point at itself.
+	resp = putResp{Owner: v.self, routeHeader: v.answerRoute(&req.routeHeader)}
 	if req.Pointer.Addr != v.self.Addr {
-		if err := n.storeLocalV2(storeReq2{
+		err := n.storeLocalV2(storeReq2{
 			Key: req.Key, Value: req.Value, Storage: req.Storage, Access: req.Access,
 			Pointer: req.Pointer,
-		}); err != nil {
-			return putResp{}, err
+		})
+		if err == nil {
+			err = n.store.Sync()
 		}
-		if err := n.store.Sync(); err != nil {
-			return putResp{}, err
+		if err != nil {
+			resp.Status = statusNotDurable
 		}
 	}
-	return putResp{Owner: v.self, Hops: req.Hops}, nil
+	return resp, nil
 }
 
 // storeAt pushes one versioned record to target — the node-to-node transfer
@@ -227,9 +218,11 @@ func (n *Node) storeLocalV2(req storeReq2) error {
 // Get retrieves the first value for key that this node may access, searching
 // its domains from the most local outward so that locally stored content is
 // found without the query leaving the domain. The node is the entry of a
-// routed get (handleGet), exactly as if a client had sent it one.
+// routed get (handleGet), exactly as if a client had sent it one; when
+// Config.TraceSampleRate is set, a sampled fraction of gets record a route
+// trace into the node's TraceStore.
 func (n *Node) Get(ctx context.Context, key uint64) ([]byte, error) {
-	resp, err := n.handleGet(ctx, &getReq{Key: key})
+	resp, err := n.handleGet(ctx, &getReq{Key: key, routeHeader: n.newRoute(false)})
 	if err != nil {
 		return nil, err
 	}
@@ -242,10 +235,9 @@ func (n *Node) Get(ctx context.Context, key uint64) ([]byte, error) {
 // candidate left to forward to — reads its own store for content the origin
 // may access, and on a miss lowers the level and keeps routing from where it
 // stands, so the owners are visited most local first and the first hit
-// answers. Below level 0 the answer is not found. A candidate's reply,
-// error replies included, is the answer; only unreachable candidates are
-// routed around. The get plants nothing on the nodes it passes: refilling
-// local owners is caching (Section 4.2) and needs invalidation first.
+// answers. Below level 0 the answer is not found. The get plants nothing on
+// the nodes it passes: refilling local owners is caching (Section 4.2) and
+// needs invalidation first.
 func (n *Node) handleGet(ctx context.Context, req *getReq) (getResp, error) {
 	v := n.routing.Load()
 	entry := req.Hops == 0
@@ -260,7 +252,7 @@ func (n *Node) handleGet(ctx context.Context, req *getReq) (getResp, error) {
 	}
 	resp, err := n.routeGet(ctx, v, req, level)
 	if err == nil && entry {
-		n.m.getHops.Observe(float64(resp.Hops))
+		n.finishEntry(n.m.getHops, &req.routeHeader, &resp.routeHeader, req.Key, prefixAt(req.Origin, resp.Level))
 		n.m.getAnswered(resp.Level).Inc()
 	}
 	return resp, err
@@ -270,42 +262,23 @@ func (n *Node) handleGet(ctx context.Context, req *getReq) (getResp, error) {
 // level's domain when a candidate is closer to the key, read the local store
 // when none is, step one level out on a miss.
 func (n *Node) routeGet(ctx context.Context, v *routingView, req *getReq, level int) (getResp, error) {
-	fwd := getGetReq()
-	defer putGetReq(fwd)
 	searched := false
 	for ; level >= 0; level-- {
-		plan, err := n.planHop(v, req.Key, level, req.Hops)
-		if err != nil {
-			return getResp{}, err
+		req.Level = level
+		resp, answered, err := getOp.forward(ctx, n, v, req.Key, level, req)
+		if err != nil || answered {
+			return resp, err
 		}
-		for _, cand := range plan.candidates() {
-			fwd.Key, fwd.Origin, fwd.Level, fwd.Hops = req.Key, req.Origin, level, req.Hops+1
-			msg, err := transport.NewMessage(msgGet, fwd)
-			if err != nil {
-				return getResp{}, err
-			}
-			raw, err := n.call(ctx, cand.info.Addr, msg)
-			if err != nil {
-				continue
-			}
-			var resp getResp
-			if err := raw.Decode(&resp); err != nil {
-				return getResp{}, fmt.Errorf("netnode: get via %s: %w", cand.info.Addr, err)
-			}
-			return resp, nil
-		}
-		// No candidate (this node owns the key at this level) or none
-		// reachable. The store holds one answer for every level, so it is
-		// read once.
+		// The store holds one answer for every level, so it is read once.
 		if searched {
 			continue
 		}
 		searched = true
 		if value, ok := n.readLocal(ctx, req.Key, req.Origin); ok {
-			return getResp{Status: statusOK, Value: value, Level: level, Hops: req.Hops}, nil
+			return getResp{Status: statusOK, Value: value, Level: level, routeHeader: v.answerRoute(&req.routeHeader)}, nil
 		}
 	}
-	return getResp{Status: statusNotFound, Level: -1, Hops: req.Hops}, nil
+	return getResp{Status: statusNotFound, Level: -1, routeHeader: v.answerRoute(&req.routeHeader)}, nil
 }
 
 // readLocal returns the first value for key in this node's store that a

@@ -61,15 +61,19 @@ const (
 	msgPut = "put"
 )
 
-// Reply status of a routed operation. A status is an answer, carried in the
+// Reply status of a routed get or put. A status is an answer, carried in the
 // body so it survives the wire as a value: the client maps it back to
 // ErrNotFound / ErrBadDomain and errors.Is keeps working across processes.
-// Failures that are not answers (a store error, a hop-limit overrun) travel
-// as error replies instead.
+// An error reply is never an answer: the sender routes around it like an
+// unreachable candidate (a node shutting down, a hop-limit overrun). So a
+// store failure at the owner, which must not become an ack from the next
+// candidate, is a status too.
 const (
 	statusOK        = 0
 	statusNotFound  = 1
 	statusBadDomain = 2
+	// statusNotDurable: the owner could not make the write durable.
+	statusNotDurable = 3
 )
 
 // statusErr maps a reply status to the package's sentinel errors.
@@ -81,37 +85,45 @@ func statusErr(status int) error {
 		return ErrNotFound
 	case statusBadDomain:
 		return ErrBadDomain
+	case statusNotDurable:
+		return errNotDurable
 	}
 	return fmt.Errorf("netnode: unknown reply status %d", status)
 }
 
-// lookupReq asks for the predecessor (owner) and successor of Key among the
-// nodes of the domain named by Prefix ("" = the whole system).
+// routeHeader is the route state every routed body — lookup, get and put,
+// request and response — ends with. Hops counts the forwards taken so far;
+// 0 marks the node the route entered at.
 //
 // Trace, when non-empty, is a distributed trace context: every node the
-// lookup passes through appends one telemetry.Span to Spans before
-// forwarding (or answers with the accumulated spans, terminal span
-// included). The span list rides the request clockwise and returns to the
-// originator inside lookupResp, so the route's per-hop evidence — node,
-// domain, routing level, route-arounds — costs no extra messages.
-type lookupReq struct {
-	Key    uint64
-	Prefix string
-	Hops   int
-	// Trace is the trace identifier; empty means the lookup is untraced.
+// message passes through appends one telemetry.Span to Spans before
+// forwarding, and the node that answers appends a terminal Owner span. The
+// span list rides the request and returns to the originator inside the
+// response, so the route's per-hop evidence — node, domain, routing level,
+// route-arounds — costs no extra messages.
+type routeHeader struct {
+	Hops int
+	// Trace is the trace identifier; empty means the route is untraced.
 	Trace string
 	// Spans accumulates one record per hop already taken.
 	Spans []telemetry.Span
 }
 
+// header returns the route header of the routed body it is embedded in.
+func (h *routeHeader) header() *routeHeader { return h }
+
+// lookupReq asks for the predecessor (owner) and successor of Key among the
+// nodes of the domain named by Prefix ("" = the whole system).
+type lookupReq struct {
+	Key    uint64
+	Prefix string
+	routeHeader
+}
+
 type lookupResp struct {
 	Pred Info
 	Succ Info
-	Hops int
-	// Trace and Spans echo a traced request's context with the terminal
-	// span appended; see lookupReq.
-	Trace string
-	Spans []telemetry.Span
+	routeHeader
 }
 
 // neighborsReq asks for a node's neighbor state at one level.
@@ -274,8 +286,7 @@ type getReq struct {
 	Origin string
 	// Level is the depth of the Origin domain being searched.
 	Level int
-	// Hops counts the forwards taken so far; 0 marks the entry node.
-	Hops int
+	routeHeader
 }
 
 // getResp answers a get. Level is the depth of the domain whose owner held
@@ -285,7 +296,7 @@ type getResp struct {
 	Status int
 	Value  []byte
 	Level  int
-	Hops   int
+	routeHeader
 }
 
 // putReq is the routed store of one record. The entry node (Hops == 0)
@@ -300,16 +311,17 @@ type putReq struct {
 	Storage string
 	Access  string
 	Pointer Info
-	Hops    int
+	routeHeader
 }
 
 // putResp acknowledges a put: with statusOK it is a durability promise from
 // Owner, the node that applied the record (which the entry needs to build
-// the pointer record). Hops is the forwards taken, both records included.
+// the pointer record). Hops is the forwards taken, both records included;
+// a traced put's spans are the value record's route.
 type putResp struct {
 	Status int
 	Owner  Info
-	Hops   int
+	routeHeader
 }
 
 // registerReq records From as a live member of the domain named Prefix in

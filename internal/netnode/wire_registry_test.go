@@ -42,8 +42,8 @@ func wireRegistry() []wireEntry {
 		{"Span", "struct", telemetry.Span{Hop: 1, Name: "stanford/ee", ID: 7, Addr: "10.0.0.2:7001", Level: -1, RouteAround: true, Owner: true}},
 		{"fetchValue", "struct", fetchValue{Value: []byte("data"), Access: "stanford", Pointer: ptr}},
 		{"syncItem", "struct", syncItem{Key: 9, Storage: "s", Access: "a", Pointer: true, Version: 4, Digest: 0xd1}},
-		{"lookup request", "message", lookupReq{Key: 1, Prefix: "p", Hops: 2, Trace: "t", Spans: binwireSpans}},
-		{"lookup response", "message", lookupResp{Pred: binwireInfos[0], Succ: binwireInfos[1], Hops: 7, Trace: "t-2", Spans: binwireSpans}},
+		{"lookup request", "message", lookupReq{Key: 1, Prefix: "p", routeHeader: routeHeader{Hops: 2, Trace: "t", Spans: binwireSpans}}},
+		{"lookup response", "message", lookupResp{Pred: binwireInfos[0], Succ: binwireInfos[1], routeHeader: routeHeader{Hops: 7, Trace: "t-2", Spans: binwireSpans}}},
 		{"fetch request", "message", fetchReq{Key: 11, Origin: "mit/csail"}},
 		{"fetch response", "message", fetchResp{Values: []fetchValue{{Value: []byte("data"), Access: "stanford"}, {Pointer: ptr}}}},
 		{"neighbors request", "message", neighborsReq{Level: 2}},
@@ -65,10 +65,10 @@ func wireRegistry() []wireEntry {
 		{"bucketref response", "message", bucketRefResp{Contacts: binwireInfos}},
 		{"lookahead request", "message", lookaheadReq{Levels: 3}},
 		{"lookahead response", "message", lookaheadResp{Succs: binwireInfos, Ests: []uint64{2, 1 << 40, 0}}},
-		{"get request", "message", getReq{Key: ^uint64(0), Origin: "stanford/cs", Level: 2, Hops: 5}},
-		{"get response", "message", getResp{Status: statusNotFound, Value: []byte("v"), Level: -1, Hops: 3}},
-		{"put request", "message", putReq{Key: 9, Value: []byte("v"), Storage: "stanford/cs", Access: "stanford", Pointer: ptr, Hops: 7}},
-		{"put response", "message", putResp{Status: statusBadDomain, Owner: ptr, Hops: 4}},
+		{"get request", "message", getReq{Key: ^uint64(0), Origin: "stanford/cs", Level: 2, routeHeader: routeHeader{Hops: 5, Trace: "t", Spans: binwireSpans}}},
+		{"get response", "message", getResp{Status: statusNotFound, Value: []byte("v"), Level: -1, routeHeader: routeHeader{Hops: 3, Trace: "t", Spans: binwireSpans}}},
+		{"put request", "message", putReq{Key: 9, Value: []byte("v"), Storage: "stanford/cs", Access: "stanford", Pointer: ptr, routeHeader: routeHeader{Hops: 7, Trace: "t", Spans: binwireSpans}}},
+		{"put response", "message", putResp{Status: statusBadDomain, Owner: ptr, routeHeader: routeHeader{Hops: 4, Trace: "t", Spans: binwireSpans}}},
 		{"envelope", "envelope", transport.Message{Type: "lookup", Nonce: "n-1", Error: "boom", Payload: []byte{0, 1, 0xff}}},
 	}
 }

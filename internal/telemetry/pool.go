@@ -29,15 +29,15 @@ func GetSpans() []Span {
 // PutSpans recycles a span slice obtained from GetSpans (or any transient
 // span slice the caller owns outright). The backing array is zeroed first so
 // a recycled slice can never leak a prior request's spans to the next user —
-// the invariant the pool-reuse fuzzer pins down.
+// the invariant the pool-reuse fuzzer pins down. A nil slice is a no-op
+// that allocates nothing, so callers recycle whatever span list they hold.
 func PutSpans(s []Span) {
 	if s == nil || cap(s) > maxPooledSpans {
 		return
 	}
-	s = s[:cap(s)]
-	for i := range s {
-		s[i] = Span{}
-	}
-	s = s[:0]
-	spanSlicePool.Put(&s)
+	clear(s[:cap(s)])
+	// A fresh variable, not s: taking s's address would move the parameter
+	// to the heap on entry, nil calls included.
+	empty := s[:0]
+	spanSlicePool.Put(&empty)
 }

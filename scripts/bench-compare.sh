@@ -46,12 +46,17 @@
 #      every encode is 0 allocs/op and every decode allocates exactly what
 #      the hand-written decoders it replaced did (the strings, value bytes
 #      and slices of the body and nothing else). ns/op is recorded, not
-#      gated: it is tens of nanoseconds and swings with the machine.
+#      gated: it is tens of nanoseconds and swings with the machine. The
+#      get and put decodes carry the route header too, but an untraced
+#      one's empty trace and absent span list allocate nothing, so the
+#      counts are those of the bodies without it.
 #   5. vs-baseline: any GATED benchmark whose allocs/op increased at all
 #      fails the run, and a gated benchmark present in the baseline but
 #      missing from the run fails too (deleting a benchmark must be an
 #      explicit baseline update). The gated set is the snapshot forwarding
-#      decision, the lookup saturation macro-bench, the binary envelope
+#      decision, the lookup saturation macro-bench, the routed get and put
+#      (the forwarder every routed message takes, and the owner's read and
+#      apply, end to end through a 64-node cluster), the binary envelope
 #      encoder and decoder, and the node-local store apply (pinned at ZERO)
 #      and fetch paths. allocs/op is deterministic; ns/op is recorded and
 #      printed but never gated, because it swings far past any useful bound
@@ -219,6 +224,8 @@ awk '
 BEGIN {
 	allocgated["BenchmarkForwardDecision64Snapshot/crescendo"] = 1
 	allocgated["BenchmarkLookupSaturation"] = 1
+	allocgated["BenchmarkRoutedGet"] = 1
+	allocgated["BenchmarkRoutedPut"] = 1
 	allocgated["BenchmarkEnvelopeEncodeBinary"] = 1
 	allocgated["BenchmarkEnvelopeDecodeBinary"] = 1
 	allocgated["BenchmarkStoreLocalMem"] = 1
