@@ -4,19 +4,14 @@
 // helpers, nondeterminism in seed-reproducible simulation packages, shared
 // RNGs without locks, lock-order deadlock cycles, RPCs reachable while a
 // mutex is held, goroutines with no stop path, entry-point call paths with
-// no deadline, raw metric-name strings, wire-struct literals that can drift
-// silently, and stale suppression pragmas.
+// no deadline, raw metric-name strings, message envelopes built without
+// their dedup nonce, writes to published snapshot types outside the file
+// that declares them, and stale suppression pragmas: 11 checks (-list).
+// The four call-graph checks carry call-chain evidence, which -why prints.
 //
-// Since v3 a value-flow engine (internal/lint/dataflow.go) adds four
-// dataflow checks: poolescape (sync.Pool values that escape their request
-// scope, are used after Put, or are Put twice), publishrace (writes to a
-// value after it flowed into an atomic pointer store), atomicmix (fields
-// accessed both through sync/atomic and by plain loads/stores with no
-// common mutex), and durabilityerr (Sync/Write/Close/WAL-append error
-// results discarded or shadowed before the latch/ack site). Their findings
-// carry the dataflow evidence chain — where the value was born, where it
-// was put/published, where it was misused — rendered by -why exactly like
-// the call-chain evidence of the interprocedural checks.
+// Pool recycling, writes after an atomic publication, mixed atomic/plain
+// access and the store-ack durability contract are not canonvet's: types
+// and fault-injecting tests hold them (internal/lint/DESIGN.md).
 //
 // Usage:
 //

@@ -78,10 +78,19 @@ type Options struct {
 	// segmentBytes rotates the active segment once it reaches this size
 	// (default 4 MiB). Tests shrink it to force rotations.
 	segmentBytes int64
-	// testWrapWriter, when set, wraps the active segment's file writer.
-	// Fault-injection tests use it to sever the write path at an exact
-	// byte offset; production code leaves it nil.
-	testWrapWriter func(io.Writer) io.Writer
+	// testWrapFile, when set, wraps every segment file the store writes —
+	// the active segment and a compaction's merged segment. Fault-injection
+	// tests use it to fail a Write, Sync or Close; production code leaves it
+	// nil.
+	testWrapFile func(segmentFile) segmentFile
+}
+
+// segmentFile is what the write path needs of a segment file: an *os.File,
+// or a fault-injecting wrapper around one.
+type segmentFile interface {
+	io.Writer
+	Sync() error
+	Close() error
 }
 
 type diskMetrics struct {
@@ -125,7 +134,7 @@ type Disk struct {
 
 	sealed      []walSeg
 	seq         uint64 // active segment sequence
-	f           *os.File
+	f           segmentFile
 	bw          *bufio.Writer
 	activeBytes int64
 	unsynced    bool   // records appended since the last successful fsync
@@ -254,15 +263,20 @@ func (d *Disk) openActiveLocked() error {
 		return fmt.Errorf("canonstore: %w", err)
 	}
 	d.syncDir()
-	d.f = f
-	var w io.Writer = f
-	if d.opts.testWrapWriter != nil {
-		w = d.opts.testWrapWriter(f)
-	}
-	d.bw = bufio.NewWriterSize(w, 64<<10)
+	d.f = d.wrap(f)
+	d.bw = bufio.NewWriterSize(d.f, 64<<10)
 	d.activeBytes = 0
 	d.m.segments.Set(float64(len(d.sealed) + 1))
 	return nil
+}
+
+// wrap applies the fault-injection hook, if any, to a freshly opened
+// segment file.
+func (d *Disk) wrap(f *os.File) segmentFile {
+	if d.opts.testWrapFile != nil {
+		return d.opts.testWrapFile(f)
+	}
+	return f
 }
 
 // Put implements Store: memtable apply then WAL append. The write is
@@ -431,10 +445,11 @@ func (d *Disk) compactLocked() {
 // failure the temporary file is removed and path is untouched.
 func (d *Disk) writeMergedSegment(path string) error {
 	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	osf, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
 	}
+	f := d.wrap(osf)
 	err = writeEntries(f, d.items)
 	if cerr := f.Close(); err == nil {
 		err = cerr
@@ -450,7 +465,7 @@ func (d *Disk) writeMergedSegment(path string) error {
 
 // writeEntries writes every entry of items to f as a put record, then
 // flushes and fsyncs f.
-func writeEntries(f *os.File, items map[uint64][]Entry) error {
+func writeEntries(f segmentFile, items map[uint64][]Entry) error {
 	bw := bufio.NewWriterSize(f, 256<<10)
 	var payload, rec []byte
 	for _, list := range items {
@@ -475,8 +490,9 @@ func (d *Disk) syncDir() {
 	if err != nil {
 		return
 	}
-	//canonvet:ignore durabilityerr -- directory fsync is best-effort by design: not every filesystem supports it, and the data-file barriers already ran
+	// Best effort by design: not every filesystem supports a directory
+	// fsync, and the data-file barriers already ran. Closing the read-only
+	// handle persists nothing.
 	_ = f.Sync()
-	//canonvet:ignore durabilityerr -- closing a read-only directory handle on the same best-effort path persists nothing
 	_ = f.Close()
 }

@@ -4,10 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -441,11 +441,7 @@ func TestDiskExactRePutIsNotAWrite(t *testing.T) {
 // TestDiskCleanSyncFailsOnLatchedError: the nothing-to-flush shortcut must
 // never turn a broken log into an ack.
 func TestDiskCleanSyncFailsOnLatchedError(t *testing.T) {
-	fw := &failWriter{remaining: 64}
-	d, err := Open(t.TempDir(), Options{testWrapWriter: func(w io.Writer) io.Writer {
-		fw.w = w
-		return fw
-	}})
+	d, err := Open(t.TempDir(), Options{testWrapFile: failAfter(64)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -469,5 +465,167 @@ func TestDiskCleanSyncFailsOnLatchedError(t *testing.T) {
 	d.mu.Unlock()
 	if err := d.Sync(); !errors.Is(err, errInjected) {
 		t.Fatalf("clean Sync on a latched store = %v, want the injected error", err)
+	}
+}
+
+// faultFile fails one kind of segment-file operation while armed: "write",
+// "sync" or "close". A failing Close still closes the file underneath.
+type faultFile struct {
+	segmentFile
+	op    string
+	armed *bool
+}
+
+func (f faultFile) fails(op string) bool { return *f.armed && f.op == op }
+
+func (f faultFile) Write(p []byte) (int, error) {
+	if f.fails("write") {
+		return 0, errInjected
+	}
+	return f.segmentFile.Write(p)
+}
+
+func (f faultFile) Sync() error {
+	if f.fails("sync") {
+		return errInjected
+	}
+	return f.segmentFile.Sync()
+}
+
+func (f faultFile) Close() error {
+	err := f.segmentFile.Close()
+	if f.fails("close") {
+		return errInjected
+	}
+	return err
+}
+
+// TestDiskBarrierErrors injects a failed Write, Sync or Close into each
+// place the write path meets its segment files. On the active segment the
+// error reaches the caller and latches: no later Put or Sync succeeds, so a
+// broken log never acks again. On a compaction's merged segment the merge
+// aborts and is counted, every sealed segment stays, the write path keeps
+// working, and a reopen finds every acked record.
+func TestDiskBarrierErrors(t *testing.T) {
+	val := bytes.Repeat([]byte("v"), 100)
+	for _, tc := range []struct {
+		op string
+		at string // put (a record larger than the append buffer), sync, rotation, close or compaction
+	}{
+		{"write", "put"},
+		{"write", "sync"}, {"sync", "sync"},
+		{"write", "rotation"}, {"sync", "rotation"}, {"close", "rotation"},
+		{"write", "close"}, {"sync", "close"}, {"close", "close"},
+		{"write", "compaction"}, {"sync", "compaction"}, {"close", "compaction"},
+	} {
+		t.Run(tc.op+" at "+tc.at, func(t *testing.T) {
+			dir := t.TempDir()
+			// Small segments rotate and compact within a few puts; the put
+			// case's record overflows the 64 KiB append buffer but must not
+			// fill a segment, or the rotation would report its error.
+			segBytes := int64(1 << 10)
+			if tc.at == "put" {
+				segBytes = 1 << 20
+			}
+			armed := false
+			d, err := Open(dir, Options{segmentBytes: segBytes, testWrapFile: func(f segmentFile) segmentFile {
+				merged := strings.HasSuffix(f.(*os.File).Name(), ".tmp")
+				if merged != (tc.at == "compaction") {
+					return f
+				}
+				return faultFile{segmentFile: f, op: tc.op, armed: &armed}
+			}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer d.Close()
+			var acked []Entry
+			put := func(e Entry) error {
+				if _, err := d.Put(e); err != nil {
+					return err
+				}
+				if err := d.Sync(); err != nil {
+					return err
+				}
+				acked = append(acked, e)
+				return nil
+			}
+			if err := put(Entry{Key: 0, Value: val, Version: 1}); err != nil {
+				t.Fatal(err)
+			}
+			armed = true
+
+			if tc.at == "compaction" {
+				for i := uint64(1); d.m.compactFail.Value() == 0; i++ {
+					if i == 1000 || d.m.compactions.Value() != 0 {
+						t.Fatalf("after %d puts: %d compactions, none failed", i, d.m.compactions.Value())
+					}
+					if err := put(Entry{Key: i, Value: val, Version: 1}); err != nil {
+						t.Fatalf("put %d beside the failing merge: %v", i, err)
+					}
+				}
+				if f, c := d.m.compactFail.Value(), d.m.compactions.Value(); f != 1 || c != 0 {
+					t.Fatalf("compaction failures %d, compactions %d; want 1 and 0", f, c)
+				}
+				if n := segFiles(t, dir); n != compactMinSegments+1 {
+					t.Fatalf("%d segment files after the failed merge, want every sealed one plus the active: %d", n, compactMinSegments+1)
+				}
+				if err := put(Entry{Key: 1 << 40, Value: []byte("after"), Version: 1}); err != nil {
+					t.Fatalf("put after the failed merge: %v", err)
+				}
+				if err := d.Close(); err != nil {
+					t.Fatal(err)
+				}
+				d2, err := Open(dir, Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer d2.Close()
+				for _, e := range acked {
+					if got := d2.Get(e.Key, nil); len(got) != 1 || !reflect.DeepEqual(got[0], e) {
+						t.Fatalf("acked key %d after reopen: %+v", e.Key, got)
+					}
+				}
+				return
+			}
+
+			var got error
+			switch tc.at {
+			case "put":
+				_, got = d.Put(Entry{Key: 1, Value: bytes.Repeat([]byte("x"), 128<<10), Version: 1})
+			case "sync":
+				if _, err := d.Put(Entry{Key: 1, Value: val, Version: 1}); err != nil {
+					t.Fatal(err)
+				}
+				got = d.Sync()
+			case "rotation":
+				for i := uint64(1); got == nil; i++ {
+					if i == 100 {
+						t.Fatal("no rotation")
+					}
+					_, got = d.Put(Entry{Key: i, Value: val, Version: 1})
+				}
+				if d.activeBytes < d.opts.segmentBytes || len(d.sealed) != 0 {
+					t.Fatalf("the failing put left %d bytes in the active segment and %d sealed: not the rotation", d.activeBytes, len(d.sealed))
+				}
+			case "close":
+				if _, err := d.Put(Entry{Key: 1, Value: val, Version: 1}); err != nil {
+					t.Fatal(err)
+				}
+				got = d.Close()
+			}
+			if !errors.Is(got, errInjected) {
+				t.Fatalf("%s at %s returned %v, want the injected error", tc.op, tc.at, got)
+			}
+			if tc.at != "close" && !errors.Is(d.werr, errInjected) {
+				t.Fatalf("write error not latched: werr = %v", d.werr)
+			}
+			if _, err := d.Put(Entry{Key: 1 << 40, Value: val, Version: 1}); err == nil {
+				t.Fatal("Put succeeded after the failure")
+			}
+			if err := d.Sync(); err == nil {
+				t.Fatal("Sync succeeded after the failure")
+			}
+		})
 	}
 }

@@ -77,7 +77,7 @@ func (e Entry) sameIdentity(o Entry) bool {
 // Sync is the durability barrier: an implementation may buffer Put and
 // Delete arbitrarily, but after Sync returns nil every prior write must
 // survive a crash. Nodes call Sync before acknowledging a store RPC
-// (canonvet's fsyncbeforeack check enforces that ordering mechanically).
+// (netnode's TestAckedWritesAreSynced fails when one of them does not).
 type Store interface {
 	// Put upserts e by record identity. It reports whether the write
 	// changed the store: false means the stored record is at least as new —

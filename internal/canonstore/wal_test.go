@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"testing"
 )
@@ -84,30 +83,33 @@ func TestScanRecordsTornTails(t *testing.T) {
 	}
 }
 
-// failWriter passes bytes through until its budget runs out, then fails
-// forever — the crash model: a process dies mid-write, leaving an
-// arbitrary prefix of the last write on disk.
-type failWriter struct {
-	w         io.Writer
-	remaining int
-	failed    bool
+// failFile passes bytes through until the store's write budget runs out,
+// then fails every write — the crash model: a process dies mid-write,
+// leaving an arbitrary prefix of the last write on disk. The budget is
+// shared by every segment file the store opens, so it runs across
+// rotations and compactions.
+type failFile struct {
+	segmentFile
+	budget *int // bytes left; negative once a write has failed
 }
 
 var errInjected = errors.New("injected write failure")
 
-func (f *failWriter) Write(p []byte) (int, error) {
-	if f.failed {
-		return 0, errInjected
+// failAfter is a testWrapFile hook whose files fail once budget bytes have
+// been written through them.
+func failAfter(budget int) func(segmentFile) segmentFile {
+	return func(f segmentFile) segmentFile { return failFile{segmentFile: f, budget: &budget} }
+}
+
+func (f failFile) Write(p []byte) (int, error) {
+	if len(p) <= *f.budget {
+		*f.budget -= len(p)
+		return f.segmentFile.Write(p)
 	}
-	if len(p) <= f.remaining {
-		f.remaining -= len(p)
-		return f.w.Write(p)
-	}
-	n := f.remaining
-	f.remaining = 0
-	f.failed = true
+	n := max(*f.budget, 0)
+	*f.budget = -1
 	if n > 0 {
-		_, _ = f.w.Write(p[:n])
+		_, _ = f.segmentFile.Write(p[:n])
 	}
 	return n, errInjected
 }
@@ -124,14 +126,7 @@ func TestWALCrashRecovery(t *testing.T) {
 	for round := 0; round < rounds; round++ {
 		rng := rand.New(rand.NewSource(int64(round) * 7919))
 		dir := t.TempDir()
-		fw := &failWriter{remaining: 1 + rng.Intn(48<<10)}
-		d, err := Open(dir, Options{
-			segmentBytes: 8 << 10,
-			testWrapWriter: func(w io.Writer) io.Writer {
-				fw.w = w
-				return fw
-			},
-		})
+		d, err := Open(dir, Options{segmentBytes: 8 << 10, testWrapFile: failAfter(1 + rng.Intn(48<<10))})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -139,11 +139,6 @@ type FuncNode struct {
 	// IsRPCPrim marks a Transport.Call-shaped wire primitive: a function or
 	// method named Call whose first parameter is context.Context.
 	IsRPCPrim bool
-	// IsSyncPrim marks a durability-barrier-shaped primitive: a function or
-	// method named Sync or Flush (canonstore.Store.Sync and every concrete
-	// engine behind it). fsyncbeforeack requires one to be reachable before
-	// a store ack is constructed.
-	IsSyncPrim bool
 	// DirectTimed marks bodies that call context.WithTimeout/WithDeadline
 	// (used path-insensitively by nodeadline).
 	DirectTimed bool
@@ -158,31 +153,13 @@ type FuncNode struct {
 
 	// Acquired are the body's direct Lock/RLock sites.
 	Acquired []Acquisition
-	// AckSites are the body's store-ack constructions: calls shaped like
-	// NewMessage(msgStore*, nil) or NewMessage(msgPut*, <...Resp>), the
-	// replies that promise durability (see check_fsyncbeforeack.go).
-	AckSites []AckSite
 
 	// Out and In are the adjacency lists.
 	Out []*Edge
 	In  []*Edge
 
-	// Sum is filled by ComputeSummaries and ComputeFlowSummaries.
+	// Sum is filled by ComputeSummaries.
 	Sum Summary
-
-	// body, ftype and pkgRef retain the declaration's AST and analysis unit
-	// for the v3 value-flow passes (dataflow.go), which re-walk module-local
-	// bodies; all nil for out-of-module and interface-method nodes.
-	body   *ast.BlockStmt
-	ftype  *ast.FuncType
-	pkgRef *Package
-}
-
-// AckSite is one store-ack construction site: the position of the
-// NewMessage call and the message constant it acknowledges.
-type AckSite struct {
-	Pos token.Pos
-	Msg string
 }
 
 // Edge is one caller→callee relationship observed at a source position.
@@ -205,26 +182,6 @@ type CallGraph struct {
 
 	// ifaceNodes indexes the interface-method nodes for dispatch resolution.
 	ifaceNodes []*FuncNode
-
-	// accesses are the atomic-capable field/var load-store sites collected
-	// during the walk for atomicmix (see check_atomicmix.go).
-	accesses []fieldAccess
-
-	// flow caches the value-flow pass results (see dataflow.go).
-	flow *flowState
-}
-
-// fieldAccess records one access to a struct field (or package-level var)
-// whose type sync/atomic could also operate on: through a sync/atomic
-// package function (Atomic=true) or a plain load/store/address-take
-// (Atomic=false). Identity is by declaration site, like locks.
-type fieldAccess struct {
-	Class  LockClass
-	Atomic bool
-	Pos    token.Pos
-	Held   []HeldLock
-	InTest bool
-	Fn     *FuncNode
 }
 
 // node returns (creating if needed) the node with the given ID.
@@ -305,10 +262,6 @@ func BuildCallGraph(cfg *Config, fset *token.FileSet, pkgs []*Package) *CallGrap
 				n.Pos = fd.Pos()
 				n.InTestFile = inTest
 				n.IsRPCPrim = isRPCPrimSig(obj.Name(), obj.Type())
-				n.IsSyncPrim = isSyncPrimName(obj.Name())
-				n.body = fd.Body
-				n.ftype = fd.Type
-				n.pkgRef = pkg
 				w := &graphWalker{g: g, pkg: pkg, fn: n, inTest: inTest}
 				w.walkBody(fd.Body)
 			}
@@ -331,12 +284,6 @@ func isRPCPrimSig(name string, t types.Type) bool {
 	return IsNamed(sig.Params().At(0).Type(), "context", "Context")
 }
 
-// isSyncPrimName reports a durability-barrier-shaped name. Matching on the
-// name alone is deliberately lenient: the bit only ever *satisfies*
-// fsyncbeforeack's requirement, so a stray Sync-named helper can silence a
-// finding but never invent one.
-func isSyncPrimName(name string) bool { return name == "Sync" || name == "Flush" }
-
 // graphWalker walks one function body, tracking lexically held locks (the
 // same conservative discipline the v1 lexical check used: fall-through
 // unlocks lower the set, terminating branches keep the caller's set, spawned
@@ -346,10 +293,6 @@ type graphWalker struct {
 	pkg    *Package
 	fn     *FuncNode
 	inTest bool
-
-	// atomicSel marks &operand expressions already claimed as sync/atomic
-	// call arguments, so the plain-access scan does not double-count them.
-	atomicSel map[ast.Expr]bool
 }
 
 // walkBody drives the statement walk and derives the body-level facts.
@@ -652,7 +595,6 @@ func (w *graphWalker) expr(e ast.Expr, held []HeldLock) {
 					w.g.edge(w.fn, callee, EdgeRef, x.Pos(), nil)
 				}
 			}
-			w.notePlainAccess(x, held)
 			w.expr(x.X, held)
 			return false
 		case *ast.Ident:
@@ -660,9 +602,7 @@ func (w *graphWalker) expr(e ast.Expr, held []HeldLock) {
 				if callee := w.calleeNode(fn); callee != nil {
 					w.g.edge(w.fn, callee, EdgeRef, x.Pos(), nil)
 				}
-				return false
 			}
-			w.notePlainAccess(x, held)
 			return false
 		}
 		return true
@@ -679,10 +619,6 @@ func (w *graphWalker) call(call *ast.CallExpr, held []HeldLock, kind EdgeKind) {
 	}
 	fun := ast.Unparen(call.Fun)
 	w.markTimed(call)
-	w.noteAtomicCall(call, held)
-	if kind == EdgeCall {
-		w.noteStoreAck(call)
-	}
 	switch fn := fun.(type) {
 	case *ast.FuncLit:
 		lit := w.litNode(fn)
@@ -711,51 +647,6 @@ func (w *graphWalker) call(call *ast.CallExpr, held []HeldLock, kind EdgeKind) {
 	}
 }
 
-// noteStoreAck records the call sites that construct a store ack, the reply
-// a handler returns as its durability promise. Two shapes, both structural —
-// any function named NewMessage, a first argument that is a named constant —
-// so fixture packages can play the transport, the way the other
-// interprocedural fixtures do:
-//
-//   - NewMessage(msgStore*, nil): the empty ack of the store messages;
-//   - NewMessage(msgPut*, body) where body's type is named *Resp: the routed
-//     put's reply, which carries the owner and the hop count. A *Req body
-//     under the same constant is the forwarded request, not an ack.
-func (w *graphWalker) noteStoreAck(call *ast.CallExpr) {
-	name := ""
-	switch f := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		name = f.Name
-	case *ast.SelectorExpr:
-		name = f.Sel.Name
-	}
-	if name != "NewMessage" || len(call.Args) != 2 {
-		return
-	}
-	c, ok := ast.Unparen(call.Args[0]).(*ast.Ident)
-	if !ok {
-		return
-	}
-	if _, isConst := w.pkg.Info.Uses[c].(*types.Const); !isConst {
-		return
-	}
-	body := ast.Unparen(call.Args[1])
-	switch {
-	case strings.HasPrefix(c.Name, "msgStore"):
-		if b, ok := body.(*ast.Ident); !ok || b.Name != "nil" {
-			return
-		}
-	case strings.HasPrefix(c.Name, "msgPut"):
-		named := namedOf(w.pkg.Info.TypeOf(body))
-		if named == nil || !strings.HasSuffix(named.Obj().Name(), "Resp") {
-			return
-		}
-	default:
-		return
-	}
-	w.fn.AckSites = append(w.fn.AckSites, AckSite{Pos: call.Pos(), Msg: c.Name})
-}
-
 // markTimed flags the enclosing function when the call creates a deadline.
 func (w *graphWalker) markTimed(call *ast.CallExpr) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
@@ -770,100 +661,6 @@ func (w *graphWalker) markTimed(call *ast.CallExpr) {
 			w.fn.DirectTimed = true
 		}
 	}
-}
-
-// noteAtomicCall records every &field / &var operand of a sync/atomic
-// package call as an atomic access site, and marks the operand so the
-// plain-access scan over the same argument list skips it.
-func (w *graphWalker) noteAtomicCall(call *ast.CallExpr, held []HeldLock) {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return
-	}
-	id, ok := sel.X.(*ast.Ident)
-	if !ok {
-		return
-	}
-	pn, ok := w.pkg.Info.Uses[id].(*types.PkgName)
-	if !ok || pn.Imported().Path() != "sync/atomic" {
-		return
-	}
-	for _, arg := range call.Args {
-		ue, ok := ast.Unparen(arg).(*ast.UnaryExpr)
-		if !ok || ue.Op != token.AND {
-			continue
-		}
-		operand := ast.Unparen(ue.X)
-		class := w.classify(operand)
-		if !class.Named() {
-			continue
-		}
-		if w.atomicSel == nil {
-			w.atomicSel = make(map[ast.Expr]bool)
-		}
-		w.atomicSel[operand] = true
-		w.g.accesses = append(w.g.accesses, fieldAccess{
-			Class: class, Atomic: true, Pos: ue.Pos(),
-			Held: snapshot(held), InTest: w.inTest, Fn: w.fn,
-		})
-	}
-}
-
-// notePlainAccess records a non-atomic load/store/address-take of a struct
-// field or package-level var whose type a sync/atomic function could also
-// touch. Operands already claimed by noteAtomicCall are skipped; unnamed
-// classes (locals) never participate.
-func (w *graphWalker) notePlainAccess(e ast.Expr, held []HeldLock) {
-	if w.atomicSel[e] {
-		return
-	}
-	var class LockClass
-	switch x := e.(type) {
-	case *ast.SelectorExpr:
-		selInfo, ok := w.pkg.Info.Selections[x]
-		if !ok || selInfo.Kind() != types.FieldVal {
-			return
-		}
-		if !atomicCapable(selInfo.Obj().Type()) {
-			return
-		}
-		class = w.classify(x)
-	case *ast.Ident:
-		v, ok := w.pkg.Info.Uses[x].(*types.Var)
-		if !ok || v.Pkg() == nil || v.Parent() != v.Pkg().Scope() || !atomicCapable(v.Type()) {
-			return
-		}
-		class = w.classify(x)
-	default:
-		return
-	}
-	if !class.Named() {
-		return
-	}
-	w.g.accesses = append(w.g.accesses, fieldAccess{
-		Class: class, Atomic: false, Pos: e.Pos(),
-		Held: snapshot(held), InTest: w.inTest, Fn: w.fn,
-	})
-}
-
-// atomicCapable reports whether t is a type the sync/atomic package
-// functions operate on directly: fixed 32/64-bit integers, uintptr, and
-// unsafe.Pointer. (The atomic.Int64-style wrapper types are excluded on
-// purpose: the type system already prevents plain access to their values.)
-func atomicCapable(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	b, ok := t.Underlying().(*types.Basic)
-	if !ok {
-		return false
-	}
-	switch b.Kind() {
-	case types.Int32, types.Int64, types.Uint32, types.Uint64,
-		types.Uintptr, types.UnsafePointer:
-		return true
-	}
-	return false
 }
 
 // calleeNode maps a resolved *types.Func to its graph node, creating
@@ -909,7 +706,6 @@ func (w *graphWalker) calleeNode(fn *types.Func) *FuncNode {
 			n.Pkg = fn.Pkg().Path()
 		}
 		n.IsRPCPrim = isRPCPrimSig(fn.Name(), fn.Type())
-		n.IsSyncPrim = isSyncPrimName(fn.Name())
 		if ifaceMethod {
 			n.IsIfaceMethod = true
 			n.iface = ifaceType
@@ -933,9 +729,6 @@ func (w *graphWalker) litNode(lit *ast.FuncLit) *FuncNode {
 	n.Pkg = w.pkg.Path
 	n.Pos = lit.Pos()
 	n.InTestFile = w.inTest
-	n.body = lit.Body
-	n.ftype = lit.Type
-	n.pkgRef = w.pkg
 	lw := &graphWalker{g: w.g, pkg: w.pkg, fn: n, inTest: w.inTest}
 	if lit.Body != nil {
 		lw.walkBody(lit.Body)

@@ -39,34 +39,24 @@ func runGoroutineLeak(mp *ModulePass) {
 			if !s.EndlessLoop && !s.Sum.ReachesEndless {
 				continue
 			}
+			var loop *FuncNode // the function that loops: the chain's last frame
 			chain := mp.Graph.Chain(s, summaryKinds, func(fn *FuncNode) bool {
+				if fn.EndlessLoop {
+					loop = fn
+				}
 				return fn.EndlessLoop
 			})
 			if len(chain) == 0 {
 				continue // endless loop only via non-synchronous edges; skip
 			}
-			loopFn := chain[len(chain)-1]
-			note := ""
-			// Find the node that actually loops, for the signal note.
-			target := s
-			if !s.EndlessLoop {
-				// The terminal chain frame names it; retrieve by walking.
-				for _, cand := range mp.Graph.SortedNodes() {
-					if cand.EndlessLoop && strings.HasPrefix(loopFn, cand.Name) {
-						target = cand
-						break
-					}
-				}
-			}
-			if target.StopsOnSignal {
+			note := " (add a ctx/done-channel case that returns, and a Close path that signals it)"
+			if loop.StopsOnSignal {
 				note = " (it receives a stop signal but never leaves the loop — return in the stop case)"
-			} else {
-				note = " (add a ctx/done-channel case that returns, and a Close path that signals it)"
 			}
 			fullChain := append([]string{mp.Graph.frame(n, e.Pos)}, chain...)
 			mp.Report(e.Pos, fullChain,
 				"goroutine spawned here runs an endless loop in %s with no reachable stop path%s",
-				loopFn, note)
+				loop.Name, note)
 		}
 	}
 }

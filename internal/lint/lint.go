@@ -8,32 +8,20 @@
 // types (marked //canonvet:immutable) must only be mutated in the file
 // that declares them — their builder — never by a reader of a shared view.
 //
-// Since v2 the analyzer is interprocedural: a type-resolved, module-wide
-// call graph (static dispatch, conservative interface resolution, function
+// The analyzer is also interprocedural: a type-resolved, module-wide call
+// graph (static dispatch, conservative interface resolution, function
 // literal tracking — see callgraph.go) and per-function summaries computed
-// to a fixpoint (summary.go) power the interprocedural checks: lockorder
-// (lock-acquisition cycles across functions), lockheldrpc2 (RPCs reachable
-// through the call graph while a mutex is held), goroutineleak (spawned
-// goroutines with no reachable stop signal), nodeadline (wire-touching
-// paths from command entry points with no timeout anywhere on the path),
-// and fsyncbeforeack (store acks constructed before any durability barrier
-// is reached — the fsync-on-ack contract of docs/STORAGE.md).
-// A deadpragma meta-check keeps the suppression pragmas themselves honest.
+// to a fixpoint (summary.go) power four checks: lockorder (lock-acquisition
+// cycles across functions), lockheldrpc2 (RPCs reachable through the call
+// graph while a mutex is held), goroutineleak (spawned goroutines with no
+// reachable stop signal) and nodeadline (wire-touching paths from command
+// entry points with no timeout anywhere on the path). Their findings carry
+// call-chain evidence in Diagnostic.Chain. A deadpragma meta-check keeps the
+// suppression pragmas themselves honest.
 //
-// Since v3 an intraprocedural SSA-lite value-flow engine (dataflow.go)
-// tracks individual values through one function body — aliasing by cell
-// sharing, union-over-paths branch discipline — and propagates four
-// monotone flow bits per function (returns-pooled, puts/retains/publishes
-// per parameter) over the call graph to a fixpoint. It powers poolescape
-// (pool values escaping their request scope, use-after-Put, double-Put),
-// publishrace (the flow-sensitive upgrade of snapshotmut: writes to any
-// value after it flowed into an atomic pointer store, in any file),
-// atomicmix (a field accessed through sync/atomic in one place and by
-// plain loads/stores in another, with no common mutex class held), and
-// durabilityerr (error results of durability primitives — Sync, Write,
-// Close, WAL appends — discarded or shadowed before the latch/ack site in
-// the storage and ack packages). Value-flow findings carry a dataflow
-// evidence chain in Diagnostic.Chain, same as call-chain evidence.
+// Pool recycling, writes after an atomic publication, mixed atomic/plain
+// access and the store-ack durability contract are held by types and
+// fault-injecting tests instead of checks here (see DESIGN.md).
 //
 // Checks are table-driven (see AllChecks): per-package checks implement Run,
 // module-wide checks implement RunModule. Every check honors the escape
@@ -111,11 +99,6 @@ func AllChecks() []Check {
 		checkMetricNames,
 		checkWireCompat,
 		checkSnapshotMut,
-		checkFsyncBeforeAck,
-		checkPoolEscape,
-		checkPublishRace,
-		checkAtomicMix,
-		checkDurabilityErr,
 		{
 			Name: deadPragmaName,
 			Doc:  "//canonvet:ignore pragmas whose check no longer fires at that scope (stale suppressions)",
@@ -142,12 +125,6 @@ type Config struct {
 	// EntryPackages are the command packages whose call paths to the
 	// transport the nodeadline check audits.
 	EntryPackages map[string]bool
-	// DurabilityPackages are the import paths whose Sync/Write/Close/WAL-
-	// append error results the durabilityerr check audits (the storage
-	// engine and the ack paths that sit on it). Durability primitives owned
-	// by these packages, os, or bufio are in scope wherever they are called
-	// from one of these packages.
-	DurabilityPackages map[string]bool
 	// Enabled restricts the run to the named checks; nil means all.
 	Enabled map[string]bool
 }
@@ -174,10 +151,6 @@ func DefaultConfig(module string) *Config {
 		EntryPackages: map[string]bool{
 			module + "/cmd/canond":   true,
 			module + "/cmd/canonctl": true,
-		},
-		DurabilityPackages: map[string]bool{
-			module + "/internal/canonstore": true,
-			module + "/internal/netnode":    true,
 		},
 	}
 }
@@ -485,7 +458,6 @@ func Run(cfg *Config, fset *token.FileSet, pkgs []*Package) []Diagnostic {
 	if needGraph {
 		graph := BuildCallGraph(cfg, fset, pkgs)
 		graph.ComputeSummaries()
-		graph.ComputeFlowSummaries()
 		for _, chk := range AllChecks() {
 			if chk.RunModule == nil || !cfg.enabled(chk.Name) {
 				continue

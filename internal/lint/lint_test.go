@@ -83,10 +83,6 @@ func TestFixtures(t *testing.T) {
 			case "nodeadline":
 				// The fixture package plays a command entry point.
 				cfg.EntryPackages[fixturePath] = true
-			case "durabilityerr":
-				// The fixture package plays the storage engine, so its own
-				// durability primitives are in scope.
-				cfg.DurabilityPackages[fixturePath] = true
 			case deadPragmaName:
 				// The meta-check needs the other checks to run (staleness is
 				// "named check ran and suppressed nothing"); the fixture is

@@ -67,130 +67,23 @@ func (n *node) maintain() {
 }
 `
 
-// dataflowScratchSrc plants one seeded defect per v3 value-flow check —
-// a use-after-put on a pooled buffer, a post-publish snapshot write, a
-// mixed atomic/plain counter, and a discarded durability barrier — inside
-// otherwise ordinary storage-flavored code generated at test runtime.
-const dataflowScratchSrc = `package scratch
-
-import (
-	"sync"
-	"sync/atomic"
-)
-
-// --- pool lifecycle: handle returns the buffer and then reads it.
-
-type buf struct {
-	b []byte
-}
-
-var bufPool = sync.Pool{New: func() any { return new(buf) }}
-
-func handle() int {
-	b := bufPool.Get().(*buf)
-	bufPool.Put(b)
-	return len(b.b)
-}
-
-// --- snapshot publication: install mutates the view it just published.
-
-type view struct {
-	epoch int
-}
-
-var current atomic.Pointer[view]
-
-func install() {
-	v := &view{epoch: 1}
-	current.Store(v)
-	v.epoch = 2
-}
-
-// --- counters: bump is atomic, read is plain, no common lock.
-
-var hits uint64
-
-func bump() { atomic.AddUint64(&hits, 1) }
-
-func read() uint64 { return hits }
-
-// --- durability: commit drops the barrier error before the ack.
-
-type file struct{ dirty bool }
-
-func (f *file) Sync() error {
-	f.dirty = false
-	return nil
-}
-
-type wal struct{ f *file }
-
-func (w *wal) commit() {
-	w.f.Sync()
-}
-`
-
-// TestScratchDataflowProof runs the full analyzer over the generated
-// package and demands that each of the four seeded value-flow defects is
-// caught with a correct dataflow evidence chain — and that nothing else
-// fires.
-func TestScratchDataflowProof(t *testing.T) {
-	cfg, _, pkgs, loader := writeScratchPkg(t, map[string]string{"scratch.go": dataflowScratchSrc})
-	// The scratch package plays the storage engine so its Sync is in scope.
-	cfg.DurabilityPackages[pkgs[0].Path] = true
-	diags := Run(cfg, loader.Fset, pkgs)
-
-	want := map[string]struct{ msg, evidence string }{
-		"poolescape":    {`pooled value "b" is used after being returned to the pool`, "returned to the pool"},
-		"publishrace":   {`value "v" is written after being published`, "atomic store current.Store"},
-		"atomicmix":     {"hits is accessed both through sync/atomic and by plain load/store", "atomic access"},
-		"durabilityerr": {"Sync is discarded in", "returns an error"},
-	}
-	seen := make(map[string]bool)
-	for _, d := range diags {
-		exp, ok := want[d.Check]
-		if !ok {
-			t.Errorf("unexpected %s finding in scratch package: %s", d.Check, d)
-			continue
-		}
-		if seen[d.Check] {
-			t.Errorf("check %s fired more than once: %s", d.Check, d)
-			continue
-		}
-		seen[d.Check] = true
-		if !strings.Contains(d.Message, exp.msg) {
-			t.Errorf("%s message %q does not contain %q", d.Check, d.Message, exp.msg)
-		}
-		if len(d.Chain) < 2 {
-			t.Errorf("%s diagnostic carries no dataflow evidence chain: %v", d.Check, d.Chain)
-		}
-		if !strings.Contains(strings.Join(d.Chain, "\n"), exp.evidence) {
-			t.Errorf("%s evidence chain %v does not mention %q", d.Check, d.Chain, exp.evidence)
-		}
-		if d.Fingerprint == "" {
-			t.Errorf("%s diagnostic missing fingerprint: %s", d.Check, d)
-		}
-	}
-	for check := range want {
-		if !seen[check] {
-			t.Errorf("seeded %s defect was not caught", check)
-		}
-	}
-}
-
 // TestDataflowFingerprintsSurviveLineDrift pins the baseline contract for
-// the v3 checks: their messages are position-free, so a finding's
+// the interprocedural checks: their messages are position-free — positions
+// live in the File:Line fields and the -why chain — so a finding's
 // fingerprint is identical after unrelated edits shift every line number.
-// Without this, -baseline files would rot on every refactor.
+// Without this, -baseline files would rot on every refactor. scratchSrc's
+// lockorder and goroutineleak findings are the seed.
 func TestDataflowFingerprintsSurviveLineDrift(t *testing.T) {
-	cfg, _, pkgs, loader := writeScratchPkg(t, map[string]string{"scratch.go": dataflowScratchSrc})
-	cfg.DurabilityPackages[pkgs[0].Path] = true
+	cfg, _, pkgs, loader := writeScratchPkg(t, map[string]string{"scratch.go": scratchSrc})
 
 	fingerprints := func(diags []Diagnostic) map[string]bool {
 		out := make(map[string]bool, len(diags))
 		for _, d := range diags {
 			if strings.Contains(d.Message, ".go:") {
 				t.Errorf("message is not position-free: %s", d.Message)
+			}
+			if len(d.Chain) == 0 {
+				t.Errorf("%s finding carries no -why chain: %s", d.Check, d)
 			}
 			out[d.Fingerprint] = true
 		}
@@ -200,7 +93,7 @@ func TestDataflowFingerprintsSurviveLineDrift(t *testing.T) {
 
 	// Shift every line down and reanalyze the same path.
 	drifted := "package scratch\n\n// drift\n// drift\n// drift\n" +
-		strings.TrimPrefix(dataflowScratchSrc, "package scratch\n")
+		strings.TrimPrefix(scratchSrc, "package scratch\n")
 	path := filepath.Join(pkgs[0].Dir, "scratch.go")
 	if err := os.WriteFile(path, []byte(drifted), 0o644); err != nil {
 		t.Fatal(err)
@@ -215,8 +108,8 @@ func TestDataflowFingerprintsSurviveLineDrift(t *testing.T) {
 	}
 	after := fingerprints(Run(cfg, loader2.Fset, pkgs2))
 
-	if len(before) == 0 {
-		t.Fatal("no findings to compare")
+	if len(before) != 2 {
+		t.Fatalf("%d distinct findings, want scratchSrc's lockorder and goroutineleak", len(before))
 	}
 	for fp := range before {
 		if !after[fp] {

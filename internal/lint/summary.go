@@ -21,30 +21,6 @@ type Summary struct {
 	// ReachesEndless reports whether an endless loop (see
 	// FuncNode.EndlessLoop) is reachable synchronously from this function.
 	ReachesEndless bool
-	// ReachesSync reports whether a durability barrier (a Sync/Flush-named
-	// primitive, see FuncNode.IsSyncPrim) is reachable synchronously from
-	// this function.
-	ReachesSync bool
-
-	// The remaining fields form the v3 value-flow lattice, computed by
-	// ComputeFlowSummaries (dataflow.go) with its own fixpoint: each is a
-	// monotone bit (or bitmask over the first 64 parameters), so the same
-	// Kleene argument applies.
-
-	// ReturnsPooled reports whether any result of this function may be a
-	// pointer obtained from a sync.Pool.Get that has not been Put back.
-	ReturnsPooled bool
-	// PutsParam is a bitmask: bit i is set when parameter i may be handed
-	// to sync.Pool.Put (directly or through a callee) on some path.
-	PutsParam uint64
-	// RetainsParam is a bitmask: bit i is set when parameter i may be
-	// stored to a heap location or captured by a goroutine/closure that
-	// outlives the call (directly or through a callee).
-	RetainsParam uint64
-	// PublishesParam is a bitmask: bit i is set when parameter i may flow
-	// into an atomic.Pointer.Store/CompareAndSwap new-value slot (directly
-	// or through a callee), after which the value must be immutable.
-	PublishesParam uint64
 }
 
 // ComputeSummaries initializes each node's summary from its direct facts and
@@ -66,7 +42,6 @@ func (g *CallGraph) ComputeSummaries() {
 		}
 		n.Sum.ReachesRPC = n.IsRPCPrim
 		n.Sum.ReachesEndless = n.EndlessLoop
-		n.Sum.ReachesSync = n.IsSyncPrim
 	}
 	for changed := true; changed; {
 		changed = false
@@ -88,10 +63,6 @@ func (g *CallGraph) ComputeSummaries() {
 				}
 				if c.Sum.ReachesEndless && !n.Sum.ReachesEndless {
 					n.Sum.ReachesEndless = true
-					changed = true
-				}
-				if c.Sum.ReachesSync && !n.Sum.ReachesSync {
-					n.Sum.ReachesSync = true
 					changed = true
 				}
 			}

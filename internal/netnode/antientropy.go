@@ -233,8 +233,9 @@ func (n *Node) syncWith(ctx context.Context, peer Info, prefix string, lo, hi ui
 	n.m.antiEntropyPulled.Add(int64(pulled))
 	if pulled > 0 {
 		// Repairs are acked writes by proxy: make them durable now rather
-		// than at the next store RPC. A failed barrier must surface — the
-		// entries were counted as repaired (canonvet: durabilityerr).
+		// than at the next store RPC (TestAckedWritesAreSynced). A failed
+		// barrier must surface — the entries were counted as repaired
+		// (TestSyncWithSurfacesBarrierError).
 		if err := n.store.Sync(); err != nil {
 			return pushed, pulled, err
 		}

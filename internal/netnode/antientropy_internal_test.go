@@ -25,10 +25,9 @@ func (s *failingSyncStore) Sync() error {
 	return s.Store.Sync()
 }
 
-// TestSyncWithSurfacesBarrierError pins the durabilityerr fix in syncWith:
-// pulled anti-entropy repairs are acked writes by proxy, so a failed
-// store.Sync after applying them must surface as the round's error instead
-// of being discarded.
+// TestSyncWithSurfacesBarrierError: pulled anti-entropy repairs are acked
+// writes by proxy, so a failed store.Sync after applying them must surface
+// as the round's error instead of being discarded.
 func TestSyncWithSurfacesBarrierError(t *testing.T) {
 	ctx := context.Background()
 	bus := transport.NewBus()

@@ -20,7 +20,7 @@ import (
 // traced lookups from double-recording hop spans or metrics.
 type Client struct {
 	tr       transport.Transport
-	nonceSeq uint64
+	nonceSeq atomic.Uint64
 }
 
 // NewClient returns a client sending through the given transport. Its nonce
@@ -29,13 +29,15 @@ type Client struct {
 // a node that still remembers the earlier client's first nonce would answer
 // the new client's first request with the old reply.
 func NewClient(tr transport.Transport) *Client {
-	return &Client{tr: tr, nonceSeq: uint64(uint32(time.Now().UnixNano()))}
+	c := &Client{tr: tr}
+	c.nonceSeq.Store(uint64(uint32(time.Now().UnixNano())))
+	return c
 }
 
 // call tags the message with a fresh nonce and sends it.
 func (c *Client) call(ctx context.Context, addr string, msg transport.Message) (transport.Message, error) {
 	if msg.Nonce == "" {
-		msg.Nonce = fmt.Sprintf("%s#c%x", c.tr.Addr(), atomic.AddUint64(&c.nonceSeq, 1))
+		msg.Nonce = fmt.Sprintf("%s#c%x", c.tr.Addr(), c.nonceSeq.Add(1))
 	}
 	return c.tr.Call(ctx, addr, msg)
 }

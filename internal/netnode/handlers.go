@@ -73,7 +73,7 @@ func (n *Node) handle(ctx context.Context, from string, msg transport.Message) (
 			return transport.Message{}, err
 		}
 		// fsync-on-ack: the empty reply promises durability, so the write
-		// must hit the durability barrier first (canonvet: fsyncbeforeack).
+		// must hit the durability barrier first (TestAckedWritesAreSynced).
 		if err := n.store.Sync(); err != nil {
 			return transport.Message{}, err
 		}
@@ -92,7 +92,19 @@ func (n *Node) handle(ctx context.Context, from string, msg transport.Message) (
 		return transport.NewMessage(msgGet, resp)
 
 	case msgPut:
-		return n.servePut(ctx, msg)
+		// The reply is a durability promise like store2's empty ack:
+		// handlePut returns only after the owner's Sync, here or behind the
+		// forwarded reply.
+		req := putOp.reqs.get()
+		defer putOp.reqs.put(req)
+		if err := msg.Decode(req); err != nil {
+			return transport.Message{}, err
+		}
+		resp, err := n.handlePut(ctx, req)
+		if err != nil {
+			return transport.Message{}, err
+		}
+		return transport.NewMessage(msgPut, resp)
 
 	case msgSyncTree:
 		var req syncTreeReq
@@ -175,24 +187,6 @@ func (n *Node) handle(ctx context.Context, from string, msg transport.Message) (
 	default:
 		return transport.Message{}, fmt.Errorf("netnode: unknown message type %q", msg.Type)
 	}
-}
-
-// servePut answers one routed put. The reply is a durability promise like
-// store2's empty ack: handlePut returns only after the owner's Sync, here or
-// behind the forwarded reply. It is a function of its own so that canonvet's
-// fsyncbeforeack, whose ordering rule is lexical per function, weighs the
-// ack against this message's calls and not against a neighbouring case's.
-func (n *Node) servePut(ctx context.Context, msg transport.Message) (transport.Message, error) {
-	req := putOp.reqs.get()
-	defer putOp.reqs.put(req)
-	if err := msg.Decode(req); err != nil {
-		return transport.Message{}, err
-	}
-	resp, err := n.handlePut(ctx, req)
-	if err != nil {
-		return transport.Message{}, err
-	}
-	return transport.NewMessage(msgPut, resp)
 }
 
 // handleNotify adopts the sender as predecessor at the given level when it

@@ -129,7 +129,7 @@ type Node struct {
 	// on the same address must not walk the sequence its previous
 	// incarnation used — its first requests would be answered with replies
 	// to whatever the old process had asked under those numbers.
-	nonceSeq uint64
+	nonceSeq atomic.Uint64
 
 	// store holds the node's items (values, pointer records, replicas)
 	// behind the canonstore.Store interface; it synchronizes internally,
@@ -228,7 +228,6 @@ func New(cfg Config) (*Node, error) {
 		tel:      reg,
 		m:        newNodeMetrics(reg, levels),
 		traces:   telemetry.NewTraceStore(traceBufferSize),
-		nonceSeq: uint64(private.Uint32()),
 		store:    store,
 		dirty:    make(map[uint64]struct{}),
 		preds:    make([]Info, levels+1),
@@ -237,6 +236,7 @@ func New(cfg Config) (*Node, error) {
 		registry: make(map[string][]Info),
 		ests:     make([]uint64, levels+1),
 	}
+	n.nonceSeq.Store(uint64(private.Uint32()))
 	// A durable store may come back from disk already holding versioned
 	// entries (a canond restart): advance the write clock past every
 	// replayed version so fresh stamps order after pre-crash writes, and

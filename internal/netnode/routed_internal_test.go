@@ -49,10 +49,13 @@ func unevenNames() []string {
 }
 
 // failingStore is a Mem store whose writes fail once fail is set — the
-// latched write error of a Disk store, without the disk.
+// latched write error of a Disk store, without the disk. It also counts the
+// writes it applied since its last successful Sync: the ones a crash would
+// lose.
 type failingStore struct {
 	canonstore.Store
-	fail atomic.Bool
+	fail     atomic.Bool
+	unsynced atomic.Int64
 }
 
 var errStoreFailed = errors.New("injected store failure")
@@ -61,14 +64,22 @@ func (s *failingStore) Put(e canonstore.Entry) (bool, error) {
 	if s.fail.Load() {
 		return false, errStoreFailed
 	}
-	return s.Store.Put(e)
+	applied, err := s.Store.Put(e)
+	if applied && err == nil {
+		s.unsynced.Add(1)
+	}
+	return applied, err
 }
 
 func (s *failingStore) Sync() error {
 	if s.fail.Load() {
 		return errStoreFailed
 	}
-	return s.Store.Sync()
+	if err := s.Store.Sync(); err != nil {
+		return err
+	}
+	s.unsynced.Store(0)
+	return nil
 }
 
 // routedCluster is a settled hierarchical cluster. Every node sends through
@@ -742,4 +753,90 @@ func TestRoutedEntryHopRule(t *testing.T) {
 	if got, err := mit.Get(ctx, key+1); err != nil || string(got) != "v" {
 		t.Errorf("get of the value put beside a forged pointer: %q, %v", got, err)
 	}
+}
+
+// TestAckedWritesAreSynced holds the store-ack contract of docs/STORAGE.md:
+// a node acknowledges a write only after its store's Sync, so no store is
+// left holding a write a crash could lose once the operation that wrote it
+// has returned. Checked after routed puts from every entry node, through
+// the client and through Node.Put, scoped and pointer records included;
+// after a replication round, whose store2 pushes each receiver syncs before
+// it acks; and after an anti-entropy sweep, which pushes the records a
+// partner lost and syncs the ones it pulls back.
+func TestAckedWritesAreSynced(t *testing.T) {
+	forEachGeometry(t, func(t *testing.T, geometry string) {
+		c := newRoutedCluster(t, geometry, routedHierNames(), 131)
+		ctx := context.Background()
+		for _, n := range c.nodes {
+			n.cfg.ReplicationFactor = 2
+		}
+		requireSynced := func(when string) {
+			t.Helper()
+			for i, st := range c.stores {
+				if u := st.unsynced.Load(); u != 0 {
+					t.Fatalf("after %s: node %d (%q) holds %d writes it never synced", when, i, c.nodes[i].self.Name, u)
+				}
+			}
+		}
+
+		keys := seededKeys(132, 4*len(c.nodes))
+		for i, entry := range c.nodes {
+			storage := prefixAt(entry.self.Name, i%3)
+			access := []string{storage, ""}[i%2]
+			k := keys[4*i:]
+			if err := c.client.Put(ctx, entry.self.Addr, k[0], []byte("client"), storage, access); err != nil {
+				t.Fatalf("client put via node %d: %v", i, err)
+			}
+			requireSynced(fmt.Sprintf("a client put via node %d in %q/%q", i, storage, access))
+			if err := entry.Put(ctx, k[1], []byte("node"), storage, access); err != nil {
+				t.Fatalf("Node.Put at node %d: %v", i, err)
+			}
+			requireSynced(fmt.Sprintf("Node.Put at node %d in %q/%q", i, storage, access))
+			for _, key := range k[2:4] {
+				if err := entry.Put(ctx, key, []byte("global"), "", ""); err != nil {
+					t.Fatalf("global put at node %d: %v", i, err)
+				}
+			}
+			requireSynced(fmt.Sprintf("global puts at node %d", i))
+		}
+
+		store2 := c.sent(msgStoreV2)
+		for _, n := range c.nodes {
+			n.replicateOnce(ctx)
+		}
+		if c.sent(msgStoreV2) == store2 {
+			t.Fatal("the replication round pushed nothing")
+		}
+		requireSynced("a replication round")
+
+		// Lose copies of global records on both sides of their replica sets —
+		// the owner's copy of each node's third key, every other copy of its
+		// fourth: the owner pulls back what it lost and pushes back what its
+		// predecessor lost.
+		lost := 0
+		for i, key := range keys {
+			if i%4 < 2 {
+				continue
+			}
+			owner := c.ownerIn("", key)
+			for _, h := range c.holders(key) {
+				if (h == owner) == (i%4 == 2) {
+					if existed, err := c.stores[h].Delete(key, "", "", false); err != nil || !existed {
+						t.Fatalf("deleting key %#x at node %d: existed=%v err=%v", key, h, existed, err)
+					}
+					lost++
+				}
+			}
+		}
+		var pushed, pulled int
+		for _, n := range c.nodes {
+			st := n.AntiEntropyOnce(ctx)
+			pushed += st.Pushed
+			pulled += st.Pulled
+		}
+		if pushed == 0 || pulled == 0 {
+			t.Fatalf("anti-entropy after losing %d copies pushed %d and pulled %d, want both", lost, pushed, pulled)
+		}
+		requireSynced("an anti-entropy sweep")
+	})
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"strconv"
-	"sync/atomic"
 	"time"
 
 	"github.com/canon-dht/canon/internal/transport"
@@ -84,7 +83,7 @@ func (n *Node) call(ctx context.Context, addr string, msg transport.Message) (tr
 		var scratch [64]byte
 		b := append(scratch[:0], n.self.Addr...)
 		b = append(b, '#')
-		b = strconv.AppendUint(b, atomic.AddUint64(&n.nonceSeq, 1), 16)
+		b = strconv.AppendUint(b, n.nonceSeq.Add(1), 16)
 		msg.Nonce = string(b)
 	}
 	n.m.sentCounter(msg.Type).Inc()

@@ -134,7 +134,7 @@ func (n *Node) handlePut(ctx context.Context, req *putReq) (putResp, error) {
 // routePut moves one record along the greedy route inside its home domain
 // and, where the route ends, applies it: the write hits the store and the
 // durability barrier before the reply is built (fsync-on-ack, docs/STORAGE.md;
-// canonvet: fsyncbeforeack). A store failure there is the answer
+// TestAckedWritesAreSynced). A store failure there is the answer
 // statusNotDurable, so the node before it takes it back to the entry rather
 // than routing on to a node that would happily ack.
 func (n *Node) routePut(ctx context.Context, req *putReq) (putResp, error) {
@@ -169,17 +169,11 @@ func (n *Node) routePut(ctx context.Context, req *putReq) (putResp, error) {
 	return resp, nil
 }
 
-// storeAt pushes one versioned record to target — the node-to-node transfer
-// path of replication, handoff and repair.
+// storeAt pushes one versioned record to another node — the node-to-node
+// transfer path of handoff and graceful leave; the receiver's store2 handler
+// syncs before it acks. Both callers have already ruled out this node as
+// the target.
 func (n *Node) storeAt(ctx context.Context, target Info, req storeReq2) error {
-	if target.Addr == n.self.Addr {
-		if err := n.storeLocalV2(req); err != nil {
-			return err
-		}
-		// Local writes get the same durability barrier a remote store ack
-		// implies (fsync-on-ack, docs/STORAGE.md).
-		return n.store.Sync()
-	}
 	msg, err := transport.NewMessage(msgStoreV2, req)
 	if err != nil {
 		return err

@@ -1,12 +1,14 @@
 #!/usr/bin/env bash
 # lint.sh — the project's full static-analysis gate, runnable locally and in
 # CI: gofmt (fail on any unformatted file), go vet, the line count that keeps
-# the analyzer smaller than the node it guards, and canonvet (the
-# project-specific analyzer in cmd/canonvet).
+# the analyzer smaller than the node it guards, the ban on function-style
+# sync/atomic calls, and canonvet (the project-specific analyzer in
+# cmd/canonvet).
 #
 # Usage:
 #   ./scripts/lint.sh                # everything
-#   ./scripts/lint.sh --no-canonvet  # formatting, go vet and the line count only
+#   ./scripts/lint.sh --no-canonvet  # formatting, go vet, the line count and
+#                                    # the atomics ban only
 #                                    # (CI splits the canonvet step out to
 #                                    # archive its JSON)
 #
@@ -55,14 +57,32 @@ if [ "$lint_lines" -gt "$node_lines" ]; then
   fail=1
 fi
 
+echo "== typed atomics =="
+# Shared counters and pointers use the sync/atomic types (atomic.Uint64,
+# atomic.Pointer, ...), so a plain load or store of one does not compile.
+# The function-style calls on a plain field would let one slip in unseen.
+git grep -nE 'atomic\.(Add|Load|Store|Swap|CompareAndSwap)(Int32|Int64|Uint32|Uint64|Uintptr|Pointer)\(' \
+  -- '*.go' ':!*_test.go' ':!internal/lint/testdata'
+case $? in
+  0)
+    echo "lint.sh: function-style sync/atomic call above; use an atomic type instead" >&2
+    fail=1
+    ;;
+  1) ;; # no match
+  *)
+    echo "lint.sh: git grep failed; run lint.sh inside a git checkout" >&2
+    fail=1
+    ;;
+esac
+
 if [ "$run_canonvet" = 1 ]; then
   echo "== canonvet =="
   SECONDS=0
   go run ./cmd/canonvet ./...
   vet_status=$?
   elapsed=$SECONDS
-  # Timing budget: the call-graph and value-flow fixpoints must keep a
-  # full-module run under 90 seconds, or the analyzer stops being something anyone runs
+  # Timing budget: loading, type-checking and the call-graph fixpoint must
+  # keep a full-module run under 90 seconds, or the analyzer stops being something anyone runs
   # before committing. Budget breaches fail the gate like findings do.
   echo "canonvet: full-module run took ${elapsed}s (budget 90s)"
   if [ "$elapsed" -ge 90 ]; then
