@@ -3,6 +3,7 @@ package netnode
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"github.com/canon-dht/canon/internal/id"
 	"github.com/canon-dht/canon/internal/transport"
@@ -57,7 +58,7 @@ func (n *Node) handle(ctx context.Context, from string, msg transport.Message) (
 		if err := msg.Decode(&req); err != nil {
 			return transport.Message{}, err
 		}
-		n.handleNotify(req)
+		n.handleNotify(ctx, req)
 		return transport.NewMessage(msgNotify, nil)
 
 	case msgStoreV2:
@@ -189,37 +190,92 @@ func (n *Node) handle(ctx context.Context, from string, msg transport.Message) (
 	}
 }
 
-// handleNotify adopts the sender as predecessor at the given level when it
-// lies between the current predecessor and us — or, with AsSuccessor set,
-// as our successor when it lies between us and the current one.
-func (n *Node) handleNotify(req notifyReq) {
+// handleNotify applies a notify (applyNotify) and then, with the node lock
+// released, sends what it calls for: the registry entries the sender takes
+// over, and the notify passed on to our predecessor. Each hop of that chain
+// ranks the sender one place further back, so it stops by itself at the
+// first node whose successor list the sender no longer fits — after at most
+// SuccessorListLen hops — and a join leaves every list that should name the
+// joiner naming it (Section 2.3).
+func (n *Node) handleNotify(ctx context.Context, req notifyReq) {
+	fwd, handoff := n.applyNotify(req)
+	for _, r := range handoff {
+		if err := n.tell(ctx, req.From.Addr, msgRegister, r); err != nil {
+			n.m.registerFailures.Inc()
+		}
+	}
+	if !fwd.IsZero() {
+		n.notify(ctx, fwd.Addr, req)
+	}
+}
+
+// applyNotify adopts the sender as predecessor at the given level when it
+// lies between the current predecessor and us. With AsSuccessor set it
+// inserts the sender at its clockwise rank in that level's successor list,
+// unless the sender is listed already or ranks past the list's end. An
+// insertion returns the predecessor to pass the notify on to, and an
+// insertion at the level-0 head the registry entries whose domain keys the
+// sender now owns.
+func (n *Node) applyNotify(req notifyReq) (fwd Info, handoff []registerReq) {
 	level := req.Level
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if level < 0 || level > n.levels || req.From.Addr == n.self.Addr {
-		return
+	if level < 0 || level > n.levels || req.From.Addr == n.self.Addr ||
+		!inDomain(req.From.Name, prefixAt(n.self.Name, level)) {
+		return Info{}, nil
 	}
-	if !inDomain(req.From.Name, prefixAt(n.self.Name, level)) {
-		return
-	}
-	if req.AsSuccessor {
-		cur := Info{}
-		if len(n.succs[level]) > 0 {
-			cur = n.succs[level][0]
-		}
+	if !req.AsSuccessor {
+		cur := n.preds[level]
 		if cur.IsZero() || cur.Addr == n.self.Addr ||
-			n.space.Between(id.ID(req.From.ID), id.ID(n.self.ID), id.ID(cur.ID)) && req.From.ID != cur.ID {
-			n.succs[level] = capList(dedupeInfos(append([]Info{req.From}, n.succs[level]...)), n.cfg.SuccessorListLen)
+			n.space.Between(id.ID(req.From.ID), id.ID(cur.ID), id.ID(n.self.ID)) && req.From.ID != n.self.ID {
+			n.preds[level] = req.From
 			n.publishRoutingLocked()
 		}
-		return
+		return Info{}, nil
 	}
-	cur := n.preds[level]
-	if cur.IsZero() || cur.Addr == n.self.Addr ||
-		n.space.Between(id.ID(req.From.ID), id.ID(cur.ID), id.ID(n.self.ID)) && req.From.ID != n.self.ID {
-		n.preds[level] = req.From
-		n.publishRoutingLocked()
+	list := n.succs[level]
+	rank := 0
+	for _, s := range list {
+		if s.Addr == req.From.Addr {
+			return Info{}, nil
+		}
+		if n.clockwise(n.self.ID, s.ID) < n.clockwise(n.self.ID, req.From.ID) {
+			rank++
+		}
 	}
+	if rank >= n.cfg.SuccessorListLen {
+		return Info{}, nil
+	}
+	if level == 0 && rank == 0 {
+		head := n.self
+		if len(list) > 0 {
+			head = list[0]
+		}
+		handoff = n.registryBetweenLocked(req.From.ID, head.ID)
+	}
+	n.succs[level] = capList(slices.Insert(slices.Clone(list), rank, req.From), n.cfg.SuccessorListLen)
+	n.publishRoutingLocked()
+	if p := n.preds[level]; !p.IsZero() && p.Addr != n.self.Addr && p.Addr != req.From.Addr {
+		fwd = p
+	}
+	return fwd, handoff
+}
+
+// registryBetweenLocked lists, as register requests, every registry entry
+// whose domain key lies in the clockwise range [lo, hi) — the keys a node
+// splicing in at lo takes over from this one. The caller holds n.mu.
+func (n *Node) registryBetweenLocked(lo, hi uint64) []registerReq {
+	var out []registerReq
+	for prefix, members := range n.registry {
+		k := domainKey(n.space, prefix)
+		if n.clockwise(lo, k) >= n.clockwise(lo, hi) {
+			continue
+		}
+		for _, m := range members {
+			out = append(out, registerReq{Prefix: prefix, From: m})
+		}
+	}
+	return out
 }
 
 // handleLeaving splices a departing node out of all local state.
@@ -244,9 +300,6 @@ func (n *Node) handleLeaving(req leavingReq) {
 			}
 		}
 		n.succs[l] = capList(dedupeInfos(kept), n.cfg.SuccessorListLen)
-		if len(n.succs[l]) == 0 {
-			n.succs[l] = []Info{n.self}
-		}
 		if n.preds[l].Addr == gone {
 			n.preds[l] = Info{}
 		}

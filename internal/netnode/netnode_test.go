@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -77,18 +78,54 @@ func (c *cluster) close(t testing.TB) {
 	}
 }
 
+// defaultSuccessorListLen is netnode's SuccessorListLen when Config leaves
+// it zero.
+const defaultSuccessorListLen = 4
+
+// inPrefix reports whether a node named name belongs to the domain named
+// prefix (the root contains everyone).
+func inPrefix(name, prefix string) bool {
+	return prefix == "" || name == prefix || strings.HasPrefix(name, prefix+"/")
+}
+
+// succListOK is the successor-list invariant every node keeps at every
+// level: entries strictly clockwise from self (so no duplicates), never
+// self, at most max of them.
+func succListOK(self netnode.Info, list []netnode.Info, max int) error {
+	if len(list) > max {
+		return fmt.Errorf("node %d: %d successors, more than %d", self.ID, len(list), max)
+	}
+	space := id.DefaultSpace()
+	var last uint64
+	for i, s := range list {
+		d := space.Clockwise(id.ID(self.ID), id.ID(s.ID))
+		if s.Addr == self.Addr || d == 0 {
+			return fmt.Errorf("node %d: successor list %v names the node itself", self.ID, infoIDs(list))
+		}
+		if i > 0 && d <= last {
+			return fmt.Errorf("node %d: successor list %v not strictly clockwise", self.ID, infoIDs(list))
+		}
+		last = d
+	}
+	return nil
+}
+
+func infoIDs(list []netnode.Info) []uint64 {
+	out := make([]uint64, len(list))
+	for i, s := range list {
+		out[i] = s.ID
+	}
+	return out
+}
+
 // ringOK verifies that the nodes of every domain form a consistent ring at
-// the corresponding level: each member's first successor at that level is
-// the next member clockwise.
+// the corresponding level: each member's successor list at that level keeps
+// succListOK, and its first entry is the next member clockwise.
 func (c *cluster) ringOK(t *testing.T, prefix string, level int, exclude map[string]bool) {
 	t.Helper()
 	var members []*netnode.Node
 	for _, n := range c.nodes {
-		if exclude[n.Info().Addr] {
-			continue
-		}
-		name := n.Info().Name
-		if prefix == "" || name == prefix || len(name) > len(prefix) && name[:len(prefix)+1] == prefix+"/" {
+		if !exclude[n.Info().Addr] && inPrefix(n.Info().Name, prefix) {
 			members = append(members, n)
 		}
 	}
@@ -101,6 +138,9 @@ func (c *cluster) ringOK(t *testing.T, prefix string, level int, exclude map[str
 		succs := m.Successors(level)
 		if len(succs) == 0 {
 			t.Fatalf("domain %q: node %d has no successors at level %d", prefix, m.Info().ID, level)
+		}
+		if err := succListOK(m.Info(), succs, defaultSuccessorListLen); err != nil {
+			t.Fatalf("domain %q level %d: %v", prefix, level, err)
 		}
 		if succs[0].Addr != want.Addr {
 			t.Fatalf("domain %q: node %d successor = %d, want %d",

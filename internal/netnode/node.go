@@ -277,14 +277,21 @@ func (n *Node) clockwise(a, b uint64) uint64 {
 
 // Join inserts the node into the network through the given contact address.
 // An empty contact bootstraps a new network. Per Section 2.3, the node looks
-// up its own identifier at every level of its chain, going from the lowest
-// domain to the top, and splices itself in after the predecessor found at
-// each level.
+// up its own identifier at every level of its chain, from the root ring
+// down to its leaf domain, splices itself in after the predecessor found at
+// each level, and eagerly notifies the nodes that would otherwise skip it:
+// its successor there, and its predecessor, which passes the notify on to
+// each further predecessor whose successor list the joiner enters. On the
+// root ring the predecessor also hands the joiner the membership-registry
+// entries whose domain keys it now owns. When Join returns, every successor
+// list, predecessor and registry entry the join changed is already correct;
+// no stabilization round is needed (a notify that fails is counted in
+// canon_notify_failures_total and left to the next round).
 func (n *Node) Join(ctx context.Context, contact string) error {
 	if contact == "" {
 		n.mu.Lock()
 		for l := 0; l <= n.levels; l++ {
-			n.succs[l] = []Info{n.self}
+			n.succs[l] = nil
 			n.preds[l] = n.self
 		}
 		n.publishRoutingLocked()
@@ -311,7 +318,7 @@ func (n *Node) Join(ctx context.Context, contact string) error {
 			if err != nil {
 				// First node in this domain: alone at this level.
 				n.mu.Lock()
-				n.succs[l] = []Info{n.self}
+				n.succs[l] = nil
 				n.preds[l] = n.self
 				n.publishRoutingLocked()
 				n.mu.Unlock()
@@ -322,19 +329,22 @@ func (n *Node) Join(ctx context.Context, contact string) error {
 		if err != nil {
 			return fmt.Errorf("netnode: join lookup at level %d: %w", l, err)
 		}
-		n.mu.Lock()
-		if resp.Succ.IsZero() || resp.Succ.ID == n.self.ID {
-			n.succs[l] = []Info{n.self}
-			n.preds[l] = n.self
-		} else {
-			n.succs[l] = []Info{resp.Succ}
-			n.preds[l] = resp.Pred
+		pred, succ := resp.Pred, resp.Succ
+		if succ.IsZero() || succ.ID == n.self.ID {
+			pred, succ = n.self, n.self
 		}
-		pred, succ := n.preds[l], n.succs[l][0]
+		n.mu.Lock()
+		n.succs[l] = nil
+		if succ.Addr != n.self.Addr {
+			n.succs[l] = []Info{succ}
+		}
+		n.preds[l] = pred
 		n.publishRoutingLocked()
 		n.mu.Unlock()
-		// Eagerly notify both ring neighbors (Section 2.3: nodes that would
-		// erroneously skip the joiner are told right away).
+		// Eagerly notify the nodes that would erroneously skip the joiner
+		// (Section 2.3): the successor, of its new predecessor, and the
+		// predecessor, of its new successor — which passes the notify on to
+		// the further predecessors whose successor lists the joiner enters.
 		if succ.Addr != n.self.Addr {
 			n.notify(ctx, succ.Addr, notifyReq{Level: l, From: n.self})
 		}

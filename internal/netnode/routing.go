@@ -294,9 +294,8 @@ func (n *Node) StabilizeOnce(ctx context.Context) {
 	n.m.suspects.Set(float64(len(n.health.snapshot())))
 	for l := 1; l <= n.levels; l++ {
 		n.mu.Lock()
-		alone := len(n.succs[l]) == 0 ||
-			(len(n.succs[l]) == 1 && n.succs[l][0].Addr == n.self.Addr &&
-				(n.preds[l].IsZero() || n.preds[l].Addr == n.self.Addr))
+		alone := len(n.succs[l]) == 0 &&
+			(n.preds[l].IsZero() || n.preds[l].Addr == n.self.Addr)
 		n.mu.Unlock()
 		if !alone {
 			continue
@@ -426,7 +425,10 @@ func (n *Node) stabilizeLevel(ctx context.Context, level int) {
 	}
 
 	n.mu.Lock()
-	if len(alive) == 0 || alive[0].Addr != succ.Addr {
+	switch {
+	case succ.Addr == n.self.Addr:
+		alive = nil // alone: a successor list never names its own node
+	case alive[0].Addr != succ.Addr:
 		alive = append([]Info{succ}, alive...)
 	}
 	n.succs[level] = capList(dedupeInfos(alive), n.cfg.SuccessorListLen)
@@ -446,15 +448,18 @@ func (n *Node) stabilizeLevel(ctx context.Context, level int) {
 	}
 }
 
-// mergeSuccList builds [succ] + tail of the successor's own list, excluding
-// ourselves.
+// mergeSuccList builds [succ] + the successor's own list up to ourselves:
+// entries past us there wrap around to nodes before succ, which a list
+// kept strictly clockwise from us cannot hold behind it.
 func mergeSuccList(self, succ Info, succsOfSucc []Info, cap int) []Info {
 	out := []Info{succ}
 	for _, s := range succsOfSucc {
-		if s.Addr == self.Addr || s.Addr == succ.Addr {
-			continue
+		if s.Addr == self.Addr {
+			break
 		}
-		out = append(out, s)
+		if s.Addr != succ.Addr {
+			out = append(out, s)
+		}
 	}
 	return capList(dedupeInfos(out), cap)
 }

@@ -137,8 +137,12 @@ type neighborsResp struct {
 }
 
 // notifyReq tells a node that From may be its predecessor at Level, or —
-// with AsSuccessor set — that From may be its successor (the paper's eager
-// notification of nodes that would otherwise erroneously skip a joiner).
+// with AsSuccessor set — that From belongs in its successor list there (the
+// paper's eager notification of nodes that would otherwise erroneously skip
+// a joiner). An AsSuccessor receiver inserts From at its clockwise rank and,
+// when From entered the list, passes the same request on to its own
+// predecessor at Level; the chain stops where From no longer fits, so the
+// layout carries no hop count (handleNotify).
 type notifyReq struct {
 	Level       int
 	From        Info

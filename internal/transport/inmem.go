@@ -90,6 +90,12 @@ func (t *InMem) Serve(h Handler) {
 
 // Call implements Transport.
 func (t *InMem) Call(ctx context.Context, addr string, msg Message) (Message, error) {
+	// A call on a finished context fails, as it does over TCP: a handler
+	// that calls on runs under its caller's context here, so this is also
+	// what bounds a chain of nested calls by the first caller's deadline.
+	if err := ctx.Err(); err != nil {
+		return Message{}, err
+	}
 	t.mu.RLock()
 	closed := t.closed
 	t.mu.RUnlock()
