@@ -86,7 +86,7 @@ func inRange(space id.Space, lo, hi, key uint64) bool {
 
 // inScope reports whether an entry belongs to one sync scope: its home ring
 // is the one named prefix and its key lies in [lo, hi) — with lo the owner
-// and hi its successor there, exactly the records pushChainReplicas sends to
+// and hi its successor there, exactly the records replicateOnce pushes to
 // the partners the scope is compared with. The rule depends only on the
 // entry and the scope, never on which replica evaluates it — that is what
 // makes two replicas' summaries comparable.
@@ -190,20 +190,17 @@ func (n *Node) syncWith(ctx context.Context, peer Info, prefix string, lo, hi ui
 		}
 	}
 
-	// Phase 3a: push records the local side wins (or the peer lacks).
+	// Phase 3a: push records the local side wins (or the peer lacks), in
+	// one run of store2 batches.
+	var push []storeRecord
 	for ident, e := range localIdx {
 		pi, known := peerIdx[ident]
 		if known && !wins(e.Version, e.Digest(), pi.Version, pi.Digest) {
 			continue
 		}
-		req, err := transport.NewMessage(msgStoreV2, reqFromEntry(e, true))
-		if err != nil {
-			continue
-		}
-		if _, err := n.call(ctx, peer.Addr, req); err == nil {
-			pushed++
-		}
+		push = append(push, recordFromEntry(e, true))
 	}
+	pushed = n.storeAt(ctx, peer, push)
 	n.m.antiEntropyPushed.Add(int64(pushed))
 
 	// Phase 3b: pull records the peer wins (or we lack), full entries,
@@ -245,7 +242,7 @@ func (n *Node) syncWith(ctx context.Context, peer Info, prefix string, lo, hi ui
 
 // syncPullFrom fetches the versioned entries a peer holds for one key of a
 // sync scope. A local target short-circuits to the store.
-func (n *Node) syncPullFrom(ctx context.Context, peer Info, req syncPullReq) ([]storeReq2, error) {
+func (n *Node) syncPullFrom(ctx context.Context, peer Info, req syncPullReq) ([]storeRecord, error) {
 	if peer.Addr == n.self.Addr {
 		return n.syncPullLocal(req), nil
 	}
@@ -266,11 +263,11 @@ func (n *Node) syncPullFrom(ctx context.Context, peer Info, req syncPullReq) ([]
 
 // syncPullLocal serves the pull half of a sync: the scoped entries under
 // one key, versions intact.
-func (n *Node) syncPullLocal(req syncPullReq) []storeReq2 {
-	var out []storeReq2
+func (n *Node) syncPullLocal(req syncPullReq) []storeRecord {
+	var out []storeRecord
 	for _, e := range n.store.Get(req.Key, nil) {
 		if n.inScope(e, req.Prefix, req.Lo, req.Hi) {
-			out = append(out, reqFromEntry(e, true))
+			out = append(out, recordFromEntry(e, true))
 		}
 	}
 	return out

@@ -52,7 +52,7 @@ func TestSyncWithSurfacesBarrierError(t *testing.T) {
 	// Seed the peer with a record the local node lacks, then sync the whole
 	// ring (lo == hi): the record must be pulled, and the failed barrier
 	// must surface.
-	if err := b.storeLocalV2(storeReq2{Key: 42, Value: []byte("x"), Version: 7}); err != nil {
+	if err := b.storeLocalV2(storeRecord{Key: 42, Value: []byte("x"), Version: 7}); err != nil {
 		t.Fatal(err)
 	}
 	fs.fail = true

@@ -5,7 +5,13 @@ package netnode
 
 // ---- store2 ----
 
-func (q *storeReq2) wire(c *coder) {
+func (q *storeBatch) wire(c *coder) {
+	for i, n := 0, slice(c, "Entries", &q.Entries); c.more(i, n); i++ {
+		at(c, &q.Entries, i).wire(c)
+	}
+}
+
+func (q *storeRecord) wire(c *coder) {
 	c.u64("Key", &q.Key)
 	c.optBytes("Value", &q.Value)
 	c.str("Storage", &q.Storage)
@@ -80,12 +86,12 @@ func (p *repairResp) wire(c *coder) {
 	c.uint("Pulled", &p.Pulled)
 }
 
-func (q storeReq2) AppendBinary(b []byte) ([]byte, error) {
+func (q storeBatch) AppendBinary(b []byte) ([]byte, error) {
 	c := encoder(b)
 	q.wire(&c)
 	return c.b, nil
 }
-func (q *storeReq2) UnmarshalBinary(d []byte) error { c := decoder(d); q.wire(&c); return c.r.done() }
+func (q *storeBatch) UnmarshalBinary(d []byte) error { c := decoder(d); q.wire(&c); return c.r.done() }
 
 func (q syncTreeReq) AppendBinary(b []byte) ([]byte, error) {
 	c := encoder(b)

@@ -2,7 +2,7 @@ package netnode
 
 // Walks of the routed key-value operations (docs/WIRE.md §10), over the
 // coder of binwire.go. Value fields ride as optional bytes, so the decoder
-// bounds them by the bytes actually present, exactly as storeReq2 does.
+// bounds them by the bytes actually present, exactly as storeRecord does.
 
 // ---- get ----
 

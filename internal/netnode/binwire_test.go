@@ -83,15 +83,16 @@ func TestBinWireMembershipRoundTrip(t *testing.T) {
 // TestBinWireStorageRoundTrip covers the versioned store and the
 // anti-entropy payloads.
 func TestBinWireStorageRoundTrip(t *testing.T) {
-	entry := storeReq2{Key: 9, Value: []byte("v"), Storage: "s/t", Access: "s", Replica: true, Version: 1 << 50}
+	entry := storeRecord{Key: 9, Value: []byte("v"), Storage: "s/t", Access: "s", Replica: true, Version: 1 << 50}
 	for _, in := range []wireBody{
-		storeReq2{}, entry, storeReq2{Key: 1, Value: []byte{}, Pointer: binwireInfos[0]},
+		storeBatch{}, storeBatch{Entries: []storeRecord{}},
+		storeBatch{Entries: []storeRecord{{}, entry, {Key: 1, Value: []byte{}, Pointer: binwireInfos[0]}}},
 		syncTreeReq{}, syncTreeReq{Prefix: "s", Lo: ^uint64(0), Hi: 1},
 		syncTreeResp{}, syncTreeResp{Leaves: []uint64{}}, syncTreeResp{Root: 7, Leaves: []uint64{0, ^uint64(0)}},
 		syncKeysReq{}, syncKeysReq{Buckets: []int{}}, syncKeysReq{Prefix: "s", Lo: 1, Hi: 2, Buckets: []int{0, 255}},
 		syncKeysResp{}, syncKeysResp{Items: []syncItem{}}, syncKeysResp{Items: []syncItem{{Key: 9, Storage: "s", Access: "a", Pointer: true, Version: 4, Digest: 5}, {}}},
 		syncPullReq{}, syncPullReq{Prefix: "s", Lo: 1, Hi: 2, Key: 3},
-		syncPullResp{}, syncPullResp{Entries: []storeReq2{}}, syncPullResp{Entries: []storeReq2{entry, {}}},
+		syncPullResp{}, syncPullResp{Entries: []storeRecord{}}, syncPullResp{Entries: []storeRecord{entry, {}}},
 		repairResp{}, repairResp{Partners: 3, Pushed: 1 << 40, Pulled: 2},
 	} {
 		checkRoundTrip(t, in)
@@ -229,9 +230,9 @@ func FuzzBinWireRoundTrip(f *testing.F) {
 			words = append(words, key>>uint(j))
 			ints = append(ints, int(uint(hops)>>uint(j))) // wire form is unsigned
 		}
-		entry := storeReq2{Key: key, Value: value, Storage: prefix, Access: trace, Pointer: info, Replica: flag, Version: key}
+		entry := storeRecord{Key: key, Value: value, Storage: prefix, Access: trace, Pointer: info, Replica: flag, Version: key}
 		route := routeHeader{Hops: hops, Trace: trace, Spans: spans}
-		var entries []storeReq2
+		var entries []storeRecord
 		var items []syncItem
 		var values []fetchValue
 		for j := 0; j < n; j++ {
@@ -252,7 +253,7 @@ func FuzzBinWireRoundTrip(f *testing.F) {
 			membersReq{Prefix: prefix},
 			membersResp{Members: infos},
 			leavingReq{From: info, Succs: infos},
-			entry,
+			storeBatch{Entries: entries},
 			syncTreeReq{Prefix: prefix, Lo: key, Hi: ^key},
 			syncTreeResp{Root: key, Leaves: words},
 			syncKeysReq{Prefix: prefix, Lo: key, Hi: ^key, Buckets: ints},

@@ -13,8 +13,8 @@ var bodyCodecSink []byte
 // interfaces the transport calls them through. Encode appends into a reused
 // buffer, as AppendBinaryMessage does; decode reuses one destination.
 func BenchmarkBodyCodec(b *testing.B) {
-	entry := storeReq2{Key: 9, Value: []byte("value-0123456789"), Storage: "stanford/cs", Access: "stanford", Replica: true, Version: 77}
-	entries := make([]storeReq2, 64)
+	entry := storeRecord{Key: 9, Value: []byte("value-0123456789"), Storage: "stanford/cs", Access: "stanford", Replica: true, Version: 77}
+	entries := make([]storeRecord, 64)
 	for i := range entries {
 		entries[i] = entry
 		entries[i].Key = uint64(i)
@@ -27,7 +27,7 @@ func BenchmarkBodyCodec(b *testing.B) {
 		{"lookup_traced", lookupReq{Key: 1 << 40, Prefix: "stanford/cs", routeHeader: routeHeader{Hops: 3, Trace: "trace-1", Spans: binwireSpans}}},
 		{"get", getReq{Key: 1 << 40, Origin: "stanford/cs", Level: 2, routeHeader: routeHeader{Hops: 1}}},
 		{"put", putReq{Key: 1 << 40, Value: []byte("value-0123456789"), Storage: "stanford/cs", Access: "stanford", routeHeader: routeHeader{Hops: 1}}},
-		{"store2", entry},
+		{"store2", storeBatch{Entries: entries[:1]}},
 		{"syncpull_64", syncPullResp{Entries: entries}},
 	} {
 		enc, err := bc.body.AppendBinary(nil)

@@ -38,7 +38,7 @@ func FuzzHandle(f *testing.F) {
 	seed(msgNeighbors, neighborsReq{Level: -3})
 	seed(msgNotify, notifyReq{From: ghost})
 	seed(msgNotify, notifyReq{Level: 1, From: ghost, AsSuccessor: true})
-	seed(msgStoreV2, storeReq2{Key: 5, Storage: "nope/nope"})
+	seed(msgStoreV2, storeBatch{Entries: []storeRecord{{Key: 5, Storage: "nope/nope"}}})
 	seed(msgGet, getReq{Key: 5})
 	seed(msgGet, getReq{Key: 5, Origin: "who/else", Level: 99, routeHeader: routeHeader{Hops: 3}})
 	seed(msgGet, getReq{Key: 5, Origin: "fuzz", Level: -7, routeHeader: routeHeader{Hops: 511}})

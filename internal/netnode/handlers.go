@@ -62,20 +62,13 @@ func (n *Node) handle(ctx context.Context, from string, msg transport.Message) (
 		return transport.NewMessage(msgNotify, nil)
 
 	case msgStoreV2:
-		var req storeReq2
+		var req storeBatch
 		if err := msg.Decode(&req); err != nil {
 			return transport.Message{}, err
 		}
-		if !inDomain(n.self.Name, req.Storage) && req.Pointer.IsZero() {
-			return transport.Message{}, fmt.Errorf("%w: store for %q at %q",
-				ErrBadDomain, req.Storage, n.self.Name)
-		}
-		if err := n.storeLocalV2(req); err != nil {
-			return transport.Message{}, err
-		}
-		// fsync-on-ack: the empty reply promises durability, so the write
-		// must hit the durability barrier first (TestAckedWritesAreSynced).
-		if err := n.store.Sync(); err != nil {
+		// fsync-on-ack: the empty reply promises durability for every record
+		// of the batch, so storeBatchLocal's barrier comes first.
+		if err := n.storeBatchLocal(req.Entries); err != nil {
 			return transport.Message{}, err
 		}
 		return transport.NewMessage(msgStoreV2, nil)

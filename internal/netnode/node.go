@@ -530,15 +530,8 @@ func (n *Node) Leave(ctx context.Context) error {
 	preds := append([]Info(nil), n.preds...)
 	n.mu.Unlock()
 
-	// Hand every item to the next owner within its home domain (storage
-	// domain for values, access domain for pointer records).
-	lost := 0
-	for _, item := range items {
-		if err := n.handOffLeaving(ctx, item); err != nil {
-			lost++
-			n.m.leaveHandoffFailures.Inc()
-		}
-	}
+	lost := n.handOffLeaving(ctx, items)
+	n.m.leaveHandoffFailures.Add(int64(lost))
 	// Tell per-level predecessors we are going, handing them our successor
 	// lists as repair hints.
 	seen := make(map[string]bool)
@@ -558,17 +551,32 @@ func (n *Node) Leave(ctx context.Context) error {
 	return err
 }
 
-// handOffLeaving transfers one record to the node that owns its key once
-// this node is gone, and reports why it could not.
-func (n *Node) handOffLeaving(ctx context.Context, item canonstore.Entry) error {
-	target, err := n.Lookup(ctx, uint64(n.space.Sub(id.ID(n.self.ID), 1)), entryHome(item))
-	if err != nil {
-		return err
+// handOffLeaving hands every item to the node that owns its key once this
+// node is gone, within its home domain (storage domain for values, access
+// domain for pointer records) — one lookup per home domain, one run of
+// store2 batches per next owner — and returns how many it could not.
+func (n *Node) handOffLeaving(ctx context.Context, items []canonstore.Entry) (lost int) {
+	next := make(map[string]Info) // home domain -> next owner; zero when there is none
+	var out outbox
+	for _, item := range items {
+		home := entryHome(item)
+		target, looked := next[home]
+		if !looked {
+			var err error
+			target, err = n.Lookup(ctx, uint64(n.space.Sub(id.ID(n.self.ID), 1)), home)
+			if err != nil || target.Addr == n.self.Addr {
+				target = Info{}
+			}
+			next[home] = target
+		}
+		if target.IsZero() {
+			lost++
+			continue
+		}
+		out.add(target, recordFromEntry(item, true), true)
 	}
-	if target.Addr == n.self.Addr {
-		return fmt.Errorf("netnode: no other node in %q", entryHome(item))
-	}
-	return n.storeAt(ctx, target, reqFromEntry(item, true))
+	_, _, failed := out.send(ctx, n)
+	return lost + len(failed)
 }
 
 // Successors returns a copy of the node's successor list at a level.

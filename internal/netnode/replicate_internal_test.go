@@ -2,6 +2,7 @@ package netnode
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -24,9 +25,51 @@ import (
 // newReplCluster builds the flat one (one ring, level 0 only) with node i at
 // identifier (i+1)<<28; newHierCluster the benchmark's two-level topology.
 type replCluster struct {
-	bus    *transport.Bus
-	nodes  []*Node
-	faulty []*transport.Faulty
+	bus     *transport.Bus
+	nodes   []*Node
+	faulty  []*transport.Faulty
+	batches batchLog
+}
+
+// batchLog records every store2 batch that left a node through its Faulty
+// (so not one a partition dropped): its destination and its encoded size.
+type batchLog struct {
+	mu   sync.Mutex
+	sent []sentBatch
+}
+
+type sentBatch struct {
+	to    string
+	bytes int
+}
+
+func (l *batchLog) since(mark int) []sentBatch {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return append([]sentBatch(nil), l.sent[mark:]...)
+}
+
+func (l *batchLog) mark() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.sent)
+}
+
+// loggedTransport is the transport under a node's Faulty: it writes the
+// store2 batches the node sends into the cluster's batchLog.
+type loggedTransport struct {
+	transport.Transport
+	log *batchLog
+}
+
+func (t loggedTransport) Call(ctx context.Context, addr string, msg transport.Message) (transport.Message, error) {
+	if batch, ok := msg.Body.(storeBatch); ok {
+		enc, _ := batch.AppendBinary(nil)
+		t.log.mu.Lock()
+		t.log.sent = append(t.log.sent, sentBatch{to: addr, bytes: len(enc)})
+		t.log.mu.Unlock()
+	}
+	return t.Transport.Call(ctx, addr, msg)
 }
 
 func replNodeID(i int) uint64 { return uint64(i+1) << 28 }
@@ -55,7 +98,7 @@ func (c *replCluster) settle() {
 // bootstraps the ring).
 func (c *replCluster) join(t *testing.T, addr, name string, nodeID uint64, replicas int) *Node {
 	t.Helper()
-	f := transport.NewFaulty(c.bus.Endpoint(addr), 1, transport.Faults{})
+	f := transport.NewFaulty(loggedTransport{c.bus.Endpoint(addr), &c.batches}, 1, transport.Faults{})
 	n, err := New(Config{
 		Name: name, ID: nodeID, Rand: rand.New(rand.NewSource(int64(nodeID))),
 		Transport: f, ReplicationFactor: replicas,
@@ -261,6 +304,183 @@ func TestReplicationRetriesFailedPush(t *testing.T) {
 	c.requireClean(t)
 }
 
+// A full pass sends each partner its records in ceil(bytes/storeBatchBytes)
+// batches, each within the budget: 25 records of 100 KiB are 3 batches per
+// partner at ReplicationFactor 3, not 25 RPCs.
+func TestReplicationBatchesSplitAtBudget(t *testing.T) {
+	c := newReplCluster(t, 5, 3)
+	owner := c.nodes[2]
+	ctx := context.Background()
+	value := make([]byte, 100<<10)
+	var keys []uint64
+	recordBytes := 0
+	for j := 1; j <= 25; j++ {
+		key := replNodeID(2) + uint64(j)*1000
+		if err := owner.Put(ctx, key, value, "", ""); err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, key)
+		enc := encoder(nil)
+		rec := recordFromEntry(owner.store.Get(key, nil)[0], true)
+		rec.wire(&enc)
+		recordBytes += len(enc.b)
+	}
+	want := (recordBytes + storeBatchBytes - 1) / storeBatchBytes
+	if want < 2 {
+		t.Fatalf("%d bytes of records fit one batch; the test must cross the budget", recordBytes)
+	}
+	mark := c.batches.mark()
+	owner.replicateOnce(ctx)
+	perPartner := make(map[string]int)
+	for _, b := range c.batches.since(mark) {
+		perPartner[b.to]++
+		if b.bytes > storeBatchBytes {
+			t.Errorf("a batch to %s is %d bytes, over the %d-byte budget", b.to, b.bytes, storeBatchBytes)
+		}
+	}
+	partners := []*Node{c.nodes[1], c.nodes[0]}
+	if len(perPartner) != len(partners) {
+		t.Fatalf("batches went to %v, want the %d partners", perPartner, len(partners))
+	}
+	for _, p := range partners {
+		if got := perPartner[p.self.Addr]; got != want {
+			t.Errorf("partner %s got %d batches for %d bytes of records, want %d", p.self.Addr, got, recordBytes, want)
+		}
+		for _, key := range keys {
+			if !holds(p, key) {
+				t.Fatalf("partner %s lacks key %#x", p.self.Addr, key)
+			}
+		}
+	}
+	if got := owner.m.replicaPushChain.Value(); got != int64(len(partners)*len(keys)) {
+		t.Errorf("chain pushes = %d, want %d records", got, len(partners)*len(keys))
+	}
+	c.requireClean(t)
+}
+
+// At ReplicationFactor 3 with the second partner cut off, the first
+// partner's batch lands and a handoff to a third node lands too; only the
+// keys of the failed batch stay dirty, counted once each, and they are
+// pushed in the first round after the heal — one batch per partner — and
+// never again.
+func TestReplicationPartitionedPartnerBatch(t *testing.T) {
+	c := newReplCluster(t, 5, 3)
+	ctx := context.Background()
+	owner, near, far, other := c.nodes[2], c.nodes[1], c.nodes[0], c.nodes[3]
+	keys := c.putOwned(t, 2, 4)
+	// A record the owner holds but node 3 owns: the round hands it off.
+	handed := replNodeID(3) + 1000
+	if err := owner.storeLocalV2(storeRecord{Key: handed, Value: []byte("handed")}); err != nil {
+		t.Fatal(err)
+	}
+
+	c.faulty[2].Partition(far.self.Addr)
+	owner.replicateOnce(ctx)
+	for _, key := range keys {
+		if !holds(near, key) || holds(far, key) {
+			t.Fatalf("key %#x: near partner holds=%v, far partner holds=%v; want true, false", key, holds(near, key), holds(far, key))
+		}
+	}
+	if !holds(other, handed) {
+		t.Fatal("the handoff to node 3 did not land")
+	}
+	if d, f := dirtyKeys(owner), owner.m.replicaPushFailures.Value(); d != len(keys) || f != int64(len(keys)) {
+		t.Fatalf("after the partitioned round: %d dirty keys and %d failures, want %d and %d", d, f, len(keys), len(keys))
+	}
+	other.replicateOnce(ctx) // node 3 replicates what it inherited
+	c.faulty[2].Heal(far.self.Addr)
+
+	if store2, _ := c.roundSent(); store2 != 2 {
+		t.Fatalf("first round after the heal sent %d store2, want 2 (one batch per partner)", store2)
+	}
+	for _, key := range keys {
+		if !holds(far, key) {
+			t.Fatalf("far partner lacks key %#x after the heal", key)
+		}
+	}
+	if store2, _ := c.roundSent(); store2 != 0 {
+		t.Fatalf("second round after the heal sent %d store2, want 0", store2)
+	}
+	c.requireClean(t)
+}
+
+// A batch the receiver refuses — here its store fails — lands nothing:
+// every key in it is re-queued and counted, and the next round after the
+// receiver recovers pushes them all in one batch.
+func TestReplicationRefusedBatchRequeues(t *testing.T) {
+	c := newReplCluster(t, 4, 2)
+	ctx := context.Background()
+	owner, pred := c.nodes[2], c.nodes[1]
+	keys := c.putOwned(t, 2, 6)
+	// The nodes run no maintenance loop, so the store can be swapped here.
+	refusing := &failingStore{Store: pred.store}
+	refusing.fail.Store(true)
+	pred.store = refusing
+
+	before := c.sent(msgStoreV2)
+	owner.replicateOnce(ctx)
+	if got := c.sent(msgStoreV2) - before; got != 1 {
+		t.Fatalf("the round sent %d store2, want 1", got)
+	}
+	if d, f, pushed := dirtyKeys(owner), owner.m.replicaPushFailures.Value(), owner.m.replicaPushChain.Value(); d != len(keys) || f != int64(len(keys)) || pushed != 0 {
+		t.Fatalf("refused batch: %d dirty keys, %d failures, %d pushes counted; want %d, %d, 0", d, f, pushed, len(keys), len(keys))
+	}
+
+	refusing.fail.Store(false)
+	before = c.sent(msgStoreV2)
+	owner.replicateOnce(ctx)
+	if got := c.sent(msgStoreV2) - before; got != 1 || dirtyKeys(owner) != 0 {
+		t.Fatalf("after recovery the round sent %d store2 and left %d dirty keys, want 1 and 0", got, dirtyKeys(owner))
+	}
+	for _, key := range keys {
+		if !holds(pred, key) {
+			t.Fatalf("predecessor lacks key %#x", key)
+		}
+	}
+}
+
+// A store2 batch is checked whole before any record is applied: each record
+// must be homed on a ring the receiver is on — the access domain for a
+// pointer record, the storage domain for anything else, including a record
+// whose Pointer has an identifier but no address (it is stored as a value).
+// Either record alone, or beside a valid one, refuses the batch with
+// ErrBadDomain and leaves the store untouched.
+func TestStore2ChecksHomeDomain(t *testing.T) {
+	c := newHierCluster(t, 1)
+	ctx := context.Background()
+	west := c.nodes[0] // west/a
+	valid := storeRecord{Key: 1, Value: []byte("ok"), Storage: "west", Access: "", Version: 3}
+	pointerElsewhere := storeRecord{Key: 2, Storage: "west/a", Access: "east",
+		Pointer: Info{ID: 9, Name: "west/a", Addr: "hier-9"}, Version: 3}
+	addresslessPointer := storeRecord{Key: 3, Value: []byte("v"), Storage: "east", Access: "east",
+		Pointer: Info{ID: 9}, Version: 3}
+	for name, batch := range map[string][]storeRecord{
+		"pointer record outside its access domain":   {pointerElsewhere},
+		"pointer without an address outside storage": {addresslessPointer},
+		"valid record beside both":                   {valid, pointerElsewhere, addresslessPointer},
+	} {
+		msg, err := transport.NewMessage(msgStoreV2, storeBatch{Entries: batch})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := west.handle(ctx, "test", msg); !errors.Is(err, ErrBadDomain) {
+			t.Errorf("%s: %v, want ErrBadDomain", name, err)
+		}
+		for _, rec := range batch {
+			if holds(west, rec.Key) {
+				t.Errorf("%s: key %d was applied from a refused batch", name, rec.Key)
+			}
+		}
+	}
+	msg, err := transport.NewMessage(msgStoreV2, storeBatch{Entries: []storeRecord{valid}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := west.handle(ctx, "test", msg); err != nil || !holds(west, valid.Key) {
+		t.Fatalf("the valid record alone: %v (held=%v), want it applied", err, holds(west, valid.Key))
+	}
+}
+
 // Ring maintenance and repair retry every round, so they pass no failure up;
 // each one is counted instead. The ring successor of the root domain's
 // registry owner has that node as registry, ring neighbor and replica
@@ -334,8 +554,9 @@ func TestReplicationExpiredRoundKeepsDirtyKeys(t *testing.T) {
 	if got := c.sent(msgStoreV2) - before; got != 0 || dirtyKeys(c.nodes[2]) != len(keys) {
 		t.Fatalf("expired round sent %d store2 and left %d dirty keys, want 0 and %d", got, dirtyKeys(c.nodes[2]), len(keys))
 	}
-	if store2, _ := c.roundSent(); store2 != int64(len(keys)) {
-		t.Fatalf("next round sent %d store2, want %d", store2, len(keys))
+	// One batch carries all five keys to the one partner.
+	if store2, _ := c.roundSent(); store2 != 1 {
+		t.Fatalf("next round sent %d store2, want 1", store2)
 	}
 	for _, key := range keys {
 		if !holds(c.nodes[1], key) {

@@ -760,9 +760,11 @@ func TestRoutedEntryHopRule(t *testing.T) {
 // left holding a write a crash could lose once the operation that wrote it
 // has returned. Checked after routed puts from every entry node, through
 // the client and through Node.Put, scoped and pointer records included;
-// after a replication round, whose store2 pushes each receiver syncs before
-// it acks; and after an anti-entropy sweep, which pushes the records a
-// partner lost and syncs the ones it pulls back.
+// after a replication round's chain pushes and after a round of handoffs,
+// whose store2 batches each receiver syncs once before it acks; and after
+// an anti-entropy sweep, which pushes the records a partner lost in one
+// batch and syncs the ones it pulls back. Every phase sends batches of
+// more than one record, so one barrier must cover a whole batch.
 func TestAckedWritesAreSynced(t *testing.T) {
 	forEachGeometry(t, func(t *testing.T, geometry string) {
 		c := newRoutedCluster(t, geometry, routedHierNames(), 131)
@@ -800,14 +802,48 @@ func TestAckedWritesAreSynced(t *testing.T) {
 			requireSynced(fmt.Sprintf("global puts at node %d", i))
 		}
 
-		store2 := c.sent(msgStoreV2)
-		for _, n := range c.nodes {
-			n.replicateOnce(ctx)
+		pushes := func() (records int64) {
+			for _, n := range c.nodes {
+				records += n.m.replicaPushChain.Value() + n.m.replicaPushHandoff.Value()
+			}
+			return records
 		}
-		if c.sent(msgStoreV2) == store2 {
-			t.Fatal("the replication round pushed nothing")
+		// requireBatched runs one phase and fails unless its store2 batches
+		// carried more records than there were batches.
+		requireBatched := func(when string, records func() int64, phase func()) {
+			t.Helper()
+			batches, before := c.sent(msgStoreV2), records()
+			phase()
+			batches, sent := c.sent(msgStoreV2)-batches, records()-before
+			if batches == 0 || sent <= batches {
+				t.Fatalf("%s sent %d records in %d store2 batches, want several records per batch", when, sent, batches)
+			}
+			requireSynced(when)
 		}
-		requireSynced("a replication round")
+		requireBatched("a replication round", pushes, func() {
+			for _, n := range c.nodes {
+				n.replicateOnce(ctx)
+			}
+		})
+
+		// Handoffs: node 0 holds three fresh records node 1 owns on the root
+		// ring; its round hands them over in one batch, and the owner's round
+		// pushes them to its partner in one more.
+		from, owner := 0, 1
+		var handed []uint64
+		for _, key := range seededKeys(133, 400) {
+			if c.ownerIn("", key) == owner && len(handed) < 3 {
+				handed = append(handed, key)
+				if err := c.nodes[from].storeLocalV2(storeRecord{Key: key, Value: []byte("handed")}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := c.stores[from].Sync(); err != nil { // the test's own writes, not acked ones
+			t.Fatal(err)
+		}
+		requireBatched("a round of handoffs", pushes, func() { c.nodes[from].replicateOnce(ctx) })
+		requireBatched("the new owner's round", pushes, func() { c.nodes[owner].replicateOnce(ctx) })
 
 		// Lose copies of global records on both sides of their replica sets —
 		// the owner's copy of each node's third key, every other copy of its
@@ -828,15 +864,28 @@ func TestAckedWritesAreSynced(t *testing.T) {
 				}
 			}
 		}
-		var pushed, pulled int
-		for _, n := range c.nodes {
-			st := n.AntiEntropyOnce(ctx)
-			pushed += st.Pushed
-			pulled += st.Pulled
+		// And every copy of the handed-off records but the owner's: its
+		// comparison pushes all three back in one batch.
+		for _, key := range handed {
+			for _, h := range c.holders(key) {
+				if h != owner {
+					if _, err := c.stores[h].Delete(key, "", "", false); err != nil {
+						t.Fatal(err)
+					}
+					lost++
+				}
+			}
 		}
-		if pushed == 0 || pulled == 0 {
+		var pushed, pulled int
+		requireBatched("an anti-entropy sweep", func() int64 { return int64(pushed) }, func() {
+			for _, n := range c.nodes {
+				st := n.AntiEntropyOnce(ctx)
+				pushed += st.Pushed
+				pulled += st.Pulled
+			}
+		})
+		if pulled == 0 {
 			t.Fatalf("anti-entropy after losing %d copies pushed %d and pulled %d, want both", lost, pushed, pulled)
 		}
-		requireSynced("an anti-entropy sweep")
 	})
 }

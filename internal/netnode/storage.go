@@ -2,6 +2,7 @@ package netnode
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"slices"
 
@@ -31,8 +32,8 @@ func entryHome(e canonstore.Entry) string {
 	return e.Storage
 }
 
-// entryFromReq converts a wire store request into a storage-engine entry.
-func entryFromReq(q storeReq2) canonstore.Entry {
+// entryFromRecord converts a wire store record into a storage-engine entry.
+func entryFromRecord(q storeRecord) canonstore.Entry {
 	return canonstore.Entry{
 		Key: q.Key, Value: q.Value, Storage: q.Storage, Access: q.Access,
 		PtrID: q.Pointer.ID, PtrName: q.Pointer.Name, PtrAddr: q.Pointer.Addr,
@@ -40,11 +41,11 @@ func entryFromReq(q storeReq2) canonstore.Entry {
 	}
 }
 
-// reqFromEntry converts a stored entry back into a wire store request,
+// recordFromEntry converts a stored entry back into a wire store record,
 // version included — replica pushes, handoffs and repairs must carry the
 // origin's version, never restamp.
-func reqFromEntry(e canonstore.Entry, replica bool) storeReq2 {
-	return storeReq2{
+func recordFromEntry(e canonstore.Entry, replica bool) storeRecord {
+	return storeRecord{
 		Key: e.Key, Value: e.Value, Storage: e.Storage, Access: e.Access,
 		Pointer: Info{ID: e.PtrID, Name: e.PtrName, Addr: e.PtrAddr},
 		Replica: replica, Version: e.Version,
@@ -155,7 +156,7 @@ func (n *Node) routePut(ctx context.Context, req *putReq) (putResp, error) {
 	// very node holds, which would only point at itself.
 	resp = putResp{Owner: v.self, routeHeader: v.answerRoute(&req.routeHeader)}
 	if req.Pointer.Addr != v.self.Addr {
-		err := n.storeLocalV2(storeReq2{
+		err := n.storeLocalV2(storeRecord{
 			Key: req.Key, Value: req.Value, Storage: req.Storage, Access: req.Access,
 			Pointer: req.Pointer,
 		})
@@ -169,20 +170,63 @@ func (n *Node) routePut(ctx context.Context, req *putReq) (putResp, error) {
 	return resp, nil
 }
 
-// storeAt pushes one versioned record to another node — the node-to-node
-// transfer path of handoff and graceful leave; the receiver's store2 handler
-// syncs before it acks. Both callers have already ruled out this node as
-// the target.
-func (n *Node) storeAt(ctx context.Context, target Info, req storeReq2) error {
-	msg, err := transport.NewMessage(msgStoreV2, req)
-	if err != nil {
-		return err
+// storeBatchBytes caps the encoded records of one store2 batch; a longer
+// transfer is split into several batches. The receiver applies a batch and
+// fsyncs it before its ack, all within one call attempt (2 s by default)
+// and one frame (maxFrameBytes, 16 MiB): 1 MiB keeps a full pass — every
+// stored key after a placement change — far inside both.
+const storeBatchBytes = 1 << 20
+
+// storeAt sends records to another node as store2 batches of at most
+// storeBatchBytes each, in order, and returns how many landed: a batch lands
+// whole, once the receiver has applied and synced all of it, and a failed
+// batch ends the transfer, so recs[landed:] did not. It is the one
+// node-to-node transfer path — the replication round, graceful leave and
+// anti-entropy repair all send through it — and its callers have already
+// ruled out this node as the target.
+func (n *Node) storeAt(ctx context.Context, target Info, recs []storeRecord) (landed int) {
+	var scratch []byte
+	for landed < len(recs) {
+		end, size := landed, binary.MaxVarintLen64 // the entry count
+		for ; end < len(recs); end++ {
+			c := encoder(scratch[:0])
+			recs[end].wire(&c)
+			scratch = c.b
+			if end > landed && size+len(scratch) > storeBatchBytes {
+				break
+			}
+			size += len(scratch)
+		}
+		msg, err := transport.NewMessage(msgStoreV2, storeBatch{Entries: recs[landed:end]})
+		if err != nil {
+			return landed
+		}
+		resp, err := n.call(ctx, target.Addr, msg)
+		if err != nil || resp.Err() != nil {
+			return landed
+		}
+		landed = end
 	}
-	resp, err := n.call(ctx, target.Addr, msg)
-	if err != nil {
-		return fmt.Errorf("netnode: store at %s: %w", target.Addr, err)
+	return landed
+}
+
+// storeBatchLocal serves a store2 batch: every record must be homed on a
+// ring this node is on — its storage domain for a value, its access domain
+// for a pointer record — or none is applied. Then all are applied and one
+// durability barrier covers them before the caller acks (fsync-on-ack,
+// TestAckedWritesAreSynced).
+func (n *Node) storeBatchLocal(recs []storeRecord) error {
+	for _, rec := range recs {
+		if home := entryHome(entryFromRecord(rec)); !inDomain(n.self.Name, home) {
+			return fmt.Errorf("%w: store for %q at %q", ErrBadDomain, home, n.self.Name)
+		}
 	}
-	return resp.Err()
+	for _, rec := range recs {
+		if err := n.storeLocalV2(rec); err != nil {
+			return err
+		}
+	}
+	return n.store.Sync()
 }
 
 // storeLocalV2 writes one entry into the node's storage engine. Version 0
@@ -190,14 +234,14 @@ func (n *Node) storeAt(ctx context.Context, target Info, req storeReq2) error {
 // transferred record whose history must be preserved, so the clock only
 // observes it. The stored-keys gauge is refreshed on every write path —
 // overwrites included, which the pre-engine code missed.
-func (n *Node) storeLocalV2(req storeReq2) error {
+func (n *Node) storeLocalV2(req storeRecord) error {
 	n.m.storeWrites.Inc()
 	if req.Version == 0 {
 		req.Version = n.stampVersion()
 	} else {
 		n.observeVersion(req.Version)
 	}
-	e := entryFromReq(req)
+	e := entryFromRecord(req)
 	applied, err := n.store.Put(e)
 	if err != nil {
 		return err
@@ -375,7 +419,7 @@ func (n *Node) markDirty(key uint64) {
 // record does only when the node owns it on its home ring — a handoff
 // receiver replicates what it inherits, while a chain replica landing on a
 // predecessor must not echo back to its owner.
-func (n *Node) mustPropagate(req storeReq2, e canonstore.Entry) bool {
+func (n *Node) mustPropagate(req storeRecord, e canonstore.Entry) bool {
 	if !req.Replica {
 		return true
 	}
@@ -426,15 +470,26 @@ func (n *Node) takeDirty(v *routingView) map[uint64]struct{} {
 //     a dead node's range is inherited by its predecessor, so predecessors
 //     are the nodes that must hold the replicas.
 //
-// A key leaves the dirty set only when every push for it succeeded: a
-// failed push, or a round that runs out of its context, re-queues it for
-// the next round. Called from StabilizeOnce so replicas follow ring repairs.
+// The round gathers its records per destination and sends each destination
+// one run of store2 batches: partners are walked once per level, a handed-off
+// record's owner is found by one lookup. A key leaves the dirty set only when
+// every batch carrying it landed: a failed batch, lookup or partner walk, or
+// a round that runs out of its context, re-queues it for the next round.
+// Called from StabilizeOnce so replicas follow ring repairs.
 func (n *Node) replicateOnce(ctx context.Context) {
 	v := n.routing.Load()
 	keys := n.takeDirty(v)
 	if len(keys) == 0 {
 		return
 	}
+	// Each level's partners are walked once, by the first record that needs them.
+	type chainWalk struct {
+		partners []Info
+		err      error
+	}
+	chains := make([]*chainWalk, v.levels+1)
+	var out outbox
+	failed := make(map[uint64]bool)
 	buf := make([]canonstore.Entry, 0, 4)
 	for key := range keys {
 		if ctx.Err() != nil {
@@ -442,46 +497,96 @@ func (n *Node) replicateOnce(ctx context.Context) {
 			continue
 		}
 		for _, e := range n.store.Get(key, buf) {
-			if !n.replicateEntry(ctx, v, e) {
-				n.m.replicaPushFailures.Inc()
-				n.markDirty(key)
-				break
+			level, ok := v.levelOf(entryHome(e))
+			if !ok {
+				continue // homed on a ring this node is not on: none of its business
+			}
+			rec := recordFromEntry(e, true)
+			if !ownsInView(v, e.Key, level) {
+				owner, err := n.Lookup(ctx, e.Key, entryHome(e))
+				if err != nil {
+					failed[key] = true
+				} else if owner.Addr != v.self.Addr {
+					out.add(owner, rec, true)
+				}
+				continue
+			}
+			if n.cfg.ReplicationFactor < 2 {
+				continue
+			}
+			w := chains[level]
+			if w == nil {
+				w = &chainWalk{}
+				w.err = n.walkReplicaChain(ctx, v, level, func(partner Info) error {
+					w.partners = append(w.partners, partner)
+					return nil
+				})
+				chains[level] = w
+			}
+			if w.err != nil {
+				failed[key] = true
+				continue
+			}
+			for _, partner := range w.partners {
+				out.add(partner, rec, false)
 			}
 		}
 	}
+	chain, handoff, lost := out.send(ctx, n)
+	n.m.replicaPushChain.Add(int64(chain))
+	n.m.replicaPushHandoff.Add(int64(handoff))
+	for _, rec := range lost {
+		failed[rec.Key] = true
+	}
+	for key := range failed {
+		n.m.replicaPushFailures.Inc()
+		n.markDirty(key)
+	}
 }
 
-// replicateEntry applies the placement rule to one stored entry and reports
-// whether every push it needed succeeded. A record whose home ring is not on
-// this node's chain is none of its business.
-func (n *Node) replicateEntry(ctx context.Context, v *routingView, e canonstore.Entry) bool {
-	level, ok := v.levelOf(entryHome(e))
-	if !ok {
-		return true
-	}
-	if !ownsInView(v, e.Key, level) {
-		return n.handOff(ctx, e)
-	}
-	return n.pushChainReplicas(ctx, v, e, level)
+// outbox gathers the records a node transfers, per destination, so that
+// each destination is sent one run of store2 batches (storeAt). A
+// destination's chain replicas go before its handoffs, which is what lets
+// send count the records of each kind that landed.
+type outbox struct {
+	order   []Info
+	parcels map[string]*parcel
 }
 
-// pushChainReplicas pushes one owned record to its replica partners on its
-// home ring.
-func (n *Node) pushChainReplicas(ctx context.Context, v *routingView, e canonstore.Entry, level int) bool {
-	if n.cfg.ReplicationFactor < 2 {
-		return true
-	}
-	req, err := transport.NewMessage(msgStoreV2, reqFromEntry(e, true))
-	if err != nil {
-		return false
-	}
-	return n.walkReplicaChain(ctx, v, level, func(partner Info) error {
-		if _, err := n.call(ctx, partner.Addr, req); err != nil {
-			return err
+type parcel struct {
+	chain, handoff []storeRecord
+}
+
+// add queues one record for a destination.
+func (o *outbox) add(to Info, rec storeRecord, handoff bool) {
+	p := o.parcels[to.Addr]
+	if p == nil {
+		if o.parcels == nil {
+			o.parcels = make(map[string]*parcel)
 		}
-		n.m.replicaPushChain.Inc()
-		return nil
-	}) == nil
+		p = &parcel{}
+		o.parcels[to.Addr] = p
+		o.order = append(o.order, to)
+	}
+	if handoff {
+		p.handoff = append(p.handoff, rec)
+	} else {
+		p.chain = append(p.chain, rec)
+	}
+}
+
+// send transfers every destination's records and returns how many chain
+// replicas and handoffs landed, and the records that did not.
+func (o *outbox) send(ctx context.Context, n *Node) (chain, handoff int, lost []storeRecord) {
+	for _, to := range o.order {
+		p := o.parcels[to.Addr]
+		recs := append(p.chain, p.handoff...)
+		landed := n.storeAt(ctx, to, recs)
+		chain += min(landed, len(p.chain))
+		handoff += max(landed-len(p.chain), 0)
+		lost = append(lost, recs[landed:]...)
+	}
+	return chain, handoff, lost
 }
 
 // walkReplicaChain visits the node's replica partners at a level — its
@@ -503,23 +608,6 @@ func (n *Node) walkReplicaChain(ctx context.Context, v *routingView, level int, 
 		}
 	}
 	return nil
-}
-
-// handOff pushes an entry this node does not own on its home ring to the
-// current owner there.
-func (n *Node) handOff(ctx context.Context, e canonstore.Entry) bool {
-	owner, err := n.Lookup(ctx, e.Key, entryHome(e))
-	if err != nil {
-		return false
-	}
-	if owner.Addr == n.self.Addr {
-		return true
-	}
-	if err := n.storeAt(ctx, owner, reqFromEntry(e, true)); err != nil {
-		return false
-	}
-	n.m.replicaPushHandoff.Inc()
-	return true
 }
 
 // predecessorOf asks a remote node for its predecessor at a level.

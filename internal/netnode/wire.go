@@ -149,12 +149,21 @@ type notifyReq struct {
 	AsSuccessor bool
 }
 
-// storeReq2 stores a key-value pair (or a pointer to one) at the receiver,
-// with the write version the storage engine orders writes by. It is the node-to-node transfer form — fresh writes arrive as a
-// routed putReq. Version 0 asks the receiver to stamp one; replica pushes,
-// handoffs and anti-entropy repairs carry the origin's version verbatim so
-// the record's history survives the transfer.
-type storeReq2 struct {
+// storeBatch is the store2 request: records moving from node to node —
+// replica pushes, handoffs, a leaver's items, anti-entropy repairs — one
+// batch per destination (fresh writes arrive as a routed putReq). The
+// receiver checks every record, applies them all and runs one durability
+// barrier before its empty ack, which promises every record in the batch.
+type storeBatch struct {
+	Entries []storeRecord
+}
+
+// storeRecord is one key-value pair (or a pointer to one) with the write
+// version the storage engine orders writes by: an entry of a store2 batch
+// and of a syncpull response. Version 0 asks the receiver to stamp one;
+// replica pushes, handoffs and anti-entropy repairs carry the origin's
+// version verbatim so the record's history survives the transfer.
+type storeRecord struct {
 	Key     uint64
 	Value   []byte
 	Storage string
@@ -219,7 +228,7 @@ type syncPullReq struct {
 }
 
 type syncPullResp struct {
-	Entries []storeReq2
+	Entries []storeRecord
 }
 
 // repairResp reports one operator-triggered anti-entropy round (the request

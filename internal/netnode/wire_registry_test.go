@@ -36,12 +36,13 @@ var binwireInfos = []Info{{ID: 1, Name: "a", Addr: "x:1"}, {ID: 2, Name: "b/c", 
 // schema then has an entry the registry lacks or the reverse.
 func wireRegistry() []wireEntry {
 	ptr := Info{ID: 3, Name: "c", Addr: "z:3"}
-	entry := storeReq2{Key: 9, Value: []byte("v"), Storage: "stanford/cs", Access: "stanford", Pointer: ptr, Replica: true, Version: 77}
+	entry := storeRecord{Key: 9, Value: []byte("v"), Storage: "stanford/cs", Access: "stanford", Pointer: ptr, Replica: true, Version: 77}
 	return []wireEntry{
 		{"Info", "message", ptr},
 		{"Span", "struct", telemetry.Span{Hop: 1, Name: "stanford/ee", ID: 7, Addr: "10.0.0.2:7001", Level: -1, RouteAround: true, Owner: true}},
 		{"fetchValue", "struct", fetchValue{Value: []byte("data"), Access: "stanford", Pointer: ptr}},
 		{"syncItem", "struct", syncItem{Key: 9, Storage: "s", Access: "a", Pointer: true, Version: 4, Digest: 0xd1}},
+		{"store record", "struct", entry},
 		{"lookup request", "message", lookupReq{Key: 1, Prefix: "p", routeHeader: routeHeader{Hops: 2, Trace: "t", Spans: binwireSpans}}},
 		{"lookup response", "message", lookupResp{Pred: binwireInfos[0], Succ: binwireInfos[1], routeHeader: routeHeader{Hops: 7, Trace: "t-2", Spans: binwireSpans}}},
 		{"fetch request", "message", fetchReq{Key: 11, Origin: "mit/csail"}},
@@ -53,13 +54,13 @@ func wireRegistry() []wireEntry {
 		{"members request", "message", membersReq{Prefix: "stanford"}},
 		{"members response", "message", membersResp{Members: binwireInfos}},
 		{"leaving request", "message", leavingReq{From: ptr, Succs: binwireInfos}},
-		{"store2 request", "message", entry},
+		{"store2 request", "message", storeBatch{Entries: []storeRecord{entry}}},
 		{"synctree request", "message", syncTreeReq{Prefix: "stanford", Lo: 5, Hi: 500}},
 		{"synctree response", "message", syncTreeResp{Root: 0xfeed, Leaves: []uint64{1, 2, ^uint64(0)}}},
 		{"synckeys request", "message", syncKeysReq{Prefix: "stanford", Lo: 5, Hi: 500, Buckets: []int{0, 3, 255}}},
 		{"synckeys response", "message", syncKeysResp{Items: []syncItem{{Key: 9, Storage: "s", Access: "a", Pointer: true, Version: 4, Digest: 0xd1}}}},
 		{"syncpull request", "message", syncPullReq{Prefix: "stanford", Lo: 5, Hi: 500, Key: 9}},
-		{"syncpull response", "message", syncPullResp{Entries: []storeReq2{entry}}},
+		{"syncpull response", "message", syncPullResp{Entries: []storeRecord{entry}}},
 		{"repair response", "message", repairResp{Partners: 3, Pushed: 40, Pulled: 2}},
 		{"bucketref request", "message", bucketRefReq{Prefix: "stanford/cs", Target: ^uint64(0)}},
 		{"bucketref response", "message", bucketRefResp{Contacts: binwireInfos}},

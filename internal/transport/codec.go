@@ -18,7 +18,7 @@ const (
 	// of a connection state theirs in the handshake and a mismatch ends it:
 	// framing, the envelope and every body layout in docs/WIRE.md belong to
 	// this number, and any change to one of them changes it.
-	muxVersion = 7
+	muxVersion = 8
 
 	// Frame kinds.
 	frameRequest  = 0x01

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"strings"
@@ -17,7 +18,7 @@ import (
 
 // wireVersion is the version byte of this build's mux hello (docs/WIRE.md
 // §1.1), restated here so the tests speak the handshake from outside.
-const wireVersion = 7
+const wireVersion = 8
 
 // rawConn dials addr, writes first and returns everything the server sends
 // back before it closes the connection (or the 2 s deadline passes).
@@ -86,7 +87,7 @@ func TestMuxHandshakeVersions(t *testing.T) {
 	if !errors.Is(err, transport.ErrUnreachable) {
 		t.Fatalf("call to a version-%d peer: err = %v, want ErrUnreachable", wireVersion-1, err)
 	}
-	if !strings.Contains(err.Error(), "version 6") || !strings.Contains(err.Error(), "speaks 7") {
+	if !strings.Contains(err.Error(), fmt.Sprintf("version %d", wireVersion-1)) || !strings.Contains(err.Error(), fmt.Sprintf("speaks %d", wireVersion)) {
 		t.Errorf("error %q does not name both versions", err)
 	}
 }

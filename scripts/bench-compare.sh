@@ -5,13 +5,17 @@
 #
 # Usage:
 #   BENCH_BASELINE=BENCH_PR7.json ./scripts/bench-compare.sh [output.json]
-#   BENCH_BASELINE=new            ./scripts/bench-compare.sh [output.json]
+#   BENCH_BASELINE=new            ./scripts/bench-compare.sh BENCH_PR7.json
 #
 # BENCH_BASELINE is REQUIRED and names the baseline JSON to compare against;
 # the sentinel value "new" records a fresh baseline without comparing (use it
 # once, commit the output, and CI gates every later PR against it). The
 # script fails loudly when the variable is missing or the file is unreadable
 # — a bench gate that silently skips its comparison is worse than none.
+# Relative paths are taken from the repository root. The output defaults to
+# ${TMPDIR:-/tmp}/bench-compare.json, and an output that resolves to the
+# baseline is refused (exit 2): the run would overwrite the baseline before
+# reading it and then gate against its own numbers.
 #
 # Benchmarks run BENCH_COUNT times each (default 10) and the per-benchmark
 # MEDIAN of ns/op, B/op and allocs/op is recorded — medians because CI
@@ -32,7 +36,13 @@
 #      (BenchmarkReplicateOnceQuiescent): it sends zero RPCs, and its median
 #      ns/op with 10 000 stored entries is within 2x of the median with
 #      1 000 — the round costs what was written, not what is stored.
-#   3. routed_ops — the absolute budgets of the routed key-value layer
+#   3. replicate_dirty — the absolute budget of a round with dirty keys
+#      (BenchmarkReplicateOnceDirty: an owner at ReplicationFactor 2 and 3
+#      re-sends 100 and 1 000 dirty keys, whose records fit one store2
+#      batch): per round it sends store2/op = partners x batches = RF-1
+#      RPCs and its partners run fsyncs/op = RF-1 barriers, the same at
+#      both key counts — a round costs per destination, not per key.
+#   4. routed_ops — the absolute budgets of the routed key-value layer
 #      (BenchmarkRoutedGet / BenchmarkRoutedPut, a 64-node bus cluster driven
 #      through one Client): an op's rpcs/op — the client's one request plus
 #      every request any node sends for it — is at most the mean global
@@ -41,7 +51,7 @@
 #      And BenchmarkForwardDecision64Snapshot, the forwarding decision all
 #      routed messages share, still allocates nothing under any of the three
 #      geometries. Both hold on every run, baseline or not.
-#   4. body_codec — the portable part of the body-codec layer
+#   5. body_codec — the portable part of the body-codec layer
 #      (BenchmarkBodyCodec, the field walks of internal/netnode/binwire*.go):
 #      every encode is 0 allocs/op and every decode allocates exactly what
 #      the hand-written decoders it replaced did (the strings, value bytes
@@ -49,8 +59,10 @@
 #      gated: it is tens of nanoseconds and swings with the machine. The
 #      get and put decodes carry the route header too, but an untraced
 #      one's empty trace and absent span list allocate nothing, so the
-#      counts are those of the bodies without it.
-#   5. vs-baseline: any GATED benchmark whose allocs/op increased at all
+#      counts are those of the bodies without it. The store2 body is a
+#      batch since wire version 8; the benchmark's one-record batch decodes
+#      in 4 allocs, the record's 3 plus the entry slice.
+#   6. vs-baseline: any GATED benchmark whose allocs/op increased at all
 #      fails the run, and a gated benchmark present in the baseline but
 #      missing from the run fails too (deleting a benchmark must be an
 #      explicit baseline update). The gated set is the snapshot forwarding
@@ -79,7 +91,11 @@ if [[ "$BENCH_BASELINE" != "new" && ! -r "$BENCH_BASELINE" ]]; then
 	exit 2
 fi
 
-out="${1:-BENCH_PR7.json}"
+out="${1:-${TMPDIR:-/tmp}/bench-compare.json}"
+if [[ "$BENCH_BASELINE" != "new" && "$(realpath -m -- "$out")" == "$(realpath -m -- "$BENCH_BASELINE")" ]]; then
+	echo "bench-compare.sh: output '$out' is the baseline '$BENCH_BASELINE'; refusing to overwrite the baseline and gate against it. Name another output." >&2
+	exit 2
+fi
 count="${BENCH_COUNT:-10}"
 benchtime="${BENCH_TIME:-1s}"
 
@@ -90,7 +106,7 @@ raw_netnode=$(go test -run '^$' -bench 'BenchmarkForwardDecision64|BenchmarkLook
 echo "$raw_netnode" >&2
 # The store-path benchmarks run single-threaded (no -cpu pin): they measure
 # the node-local apply/read paths, not contention shape.
-raw_store=$(go test -run '^$' -bench 'BenchmarkStoreLocalMem|BenchmarkFetchLocalMem|BenchmarkReplicateOnceQuiescent|BenchmarkRouted|BenchmarkBodyCodec' \
+raw_store=$(go test -run '^$' -bench 'BenchmarkStoreLocalMem|BenchmarkFetchLocalMem|BenchmarkReplicateOnce|BenchmarkRouted|BenchmarkBodyCodec' \
 	-benchmem -benchtime="$benchtime" -count="$count" ./internal/netnode/)
 echo "$raw_store" >&2
 raw_transport=$(go test -run '^$' -bench 'BenchmarkEnvelope|BenchmarkRoundTrip' \
@@ -123,6 +139,8 @@ function median(name, metric,    m, i, j, tmp, vals) {
 		else if ($(f+1) == "allocs/op") v[name, "a", i] = $f
 		else if ($(f+1) == "rpcs/op") v[name, "rpcs", i] = $f
 		else if ($(f+1) == "hops/op") v[name, "hops", i] = $f
+		else if ($(f+1) == "store2/op") v[name, "store2", i] = $f
+		else if ($(f+1) == "fsyncs/op") v[name, "fsyncs", i] = $f
 	}
 }
 END {
@@ -142,6 +160,10 @@ END {
 	qr = median(q1k, "rpcs") + median(q10k, "rpcs")
 	printf "  \"replicate_quiescent_rpcs_per_op\": %s,\n", qr >> out
 	printf "  \"replicate_quiescent_10k_over_1k\": %.2f,\n", qs >> out
+	for (rf = 2; rf <= 3; rf++) {
+		name = "BenchmarkReplicateOnceDirty/rf=" rf "/keys=1000"
+		printf "  \"replicate_dirty_rf%d_store2_per_op\": %s,\n", rf, median(name, "store2") >> out
+	}
 	printf "  \"routed_get_rpcs_per_op\": %s,\n", median("BenchmarkRoutedGet", "rpcs") >> out
 	printf "  \"routed_put_rpcs_per_op\": %s,\n", median("BenchmarkRoutedPut", "rpcs") >> out
 	printf "  \"routed_lookup_hops_per_op\": %s\n", median("BenchmarkRoutedGet", "hops") >> out
@@ -171,7 +193,7 @@ END {
 		}
 	}
 	# Decode allocs/op of the hand-written decoders the field walks replaced.
-	nb = split("lookup:1 lookup_traced:9 get:1 put:3 store2:3 syncpull_64:193", bodies, " ")
+	nb = split("lookup:1 lookup_traced:9 get:1 put:3 store2:4 syncpull_64:193", bodies, " ")
 	for (i = 1; i <= nb; i++) {
 		split(bodies[i], kv, ":")
 		enc = "BenchmarkBodyCodec/" kv[1] "/enc"; dec = "BenchmarkBodyCodec/" kv[1] "/dec"
@@ -196,6 +218,23 @@ END {
 		bad = 1
 	}
 	printf "replicate_quiescent: %s rpcs/op (budget 0), 10k/1k entries %.2fx (budget 2.0x)\n", qr, qs > "/dev/stderr"
+	# One batch per partner per round (see gate 3): partners x 1 batch.
+	for (rf = 2; rf <= 3; rf++) {
+		for (k = 100; k <= 1000; k *= 10) {
+			name = "BenchmarkReplicateOnceDirty/rf=" rf "/keys=" k
+			if (!(name in cnt)) {
+				printf "FAIL: %s did not run\n", name > "/dev/stderr"
+				bad = 1
+				continue
+			}
+			s2 = median(name, "store2"); fs = median(name, "fsyncs")
+			if (s2 != rf - 1 || fs != rf - 1) {
+				printf "FAIL: %s sends %s store2 and its partners run %s fsyncs per round; the budget is %d of each (partners x one batch)\n", name, s2, fs, rf - 1 > "/dev/stderr"
+				bad = 1
+			}
+			printf "replicate_dirty: %s %s store2/op, %s fsyncs/op (budget %d each)\n", name, s2, fs, rf - 1 > "/dev/stderr"
+		}
+	}
 	# allocs/op ceilings of the store-layer benchmarks (see gate 1).
 	ns = split("DiskPut/new_key:1 DiskPut/overwrite:0 DiskSync/writers=1:0 DiskSync/writers=4:0 DiskSync/writers=16:0 DiskReplay:11094 DiskCompact/live=2.5MB:39 DiskCompact/live=20MB:39 MerkleBuild:2 MerkleDiff:5", stores, " ")
 	for (i = 1; i <= ns; i++) {
