@@ -117,15 +117,34 @@ func BenchmarkEnvelopeDecodeBinary(b *testing.B) {
 	}
 }
 
+// deepStack recurses depth frames of over 512 bytes each. A handler that
+// calls it with depth 16 needs an 8 KiB stack, as netnode's serve chain
+// (dedup, handle, the routed forward, the next hop's call) does: a goroutine
+// starting on 2 KiB copies its stack three times to get there.
+//
+//go:noinline
+func deepStack(depth int) byte {
+	var pad [512]byte
+	pad[depth%len(pad)] = byte(depth)
+	if depth == 0 {
+		return pad[0]
+	}
+	return deepStack(depth-1) + pad[depth%len(pad)]
+}
+
 // benchRoundTrips drives concurrent same-peer RPCs at one server: with 64
-// callers, 64-deep multiplexing on 2 persistent connections.
-func benchRoundTrips(b *testing.B, callers int) {
+// callers, 64-deep multiplexing on 2 persistent connections. The handler
+// recurses depth frames of deepStack before it answers.
+func benchRoundTrips(b *testing.B, callers, depth int) {
 	srv, err := transport.ListenTCP("127.0.0.1:0")
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer srv.Close()
 	srv.Serve(func(_ context.Context, _ string, msg transport.Message) (transport.Message, error) {
+		if depth > 0 {
+			deepStack(depth)
+		}
 		return transport.NewMessage("lookup-reply", benchMsgBody)
 	})
 
@@ -166,5 +185,10 @@ func benchRoundTrips(b *testing.B, callers int) {
 	})
 }
 
-func BenchmarkRoundTrip64Binary(b *testing.B) { benchRoundTrips(b, 64) }
-func BenchmarkRoundTrip1Binary(b *testing.B)  { benchRoundTrips(b, 1) }
+func BenchmarkRoundTrip64Binary(b *testing.B) { benchRoundTrips(b, 64, 0) }
+func BenchmarkRoundTrip1Binary(b *testing.B)  { benchRoundTrips(b, 1, 0) }
+
+// BenchmarkRoundTrip64DeepBinary is BenchmarkRoundTrip64Binary with a
+// handler whose stack outgrows a new goroutine's, so it sees what the serve
+// side pays per request to grow one.
+func BenchmarkRoundTrip64DeepBinary(b *testing.B) { benchRoundTrips(b, 64, 16) }

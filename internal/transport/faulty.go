@@ -280,15 +280,17 @@ func (f *Faulty) Call(ctx context.Context, addr string, msg Message) (Message, e
 }
 
 // dedupCache is a bounded FIFO map from request nonce to cached response.
+// The FIFO is a fixed ring: once it is full, each new nonce overwrites the
+// oldest, at ring[next].
 type dedupCache struct {
 	mu    sync.Mutex
-	cap   int
-	order []string
+	ring  []string
+	next  int
 	byKey map[string]Message
 }
 
 func newDedupCache(capacity int) *dedupCache {
-	return &dedupCache{cap: capacity, byKey: make(map[string]Message, capacity)}
+	return &dedupCache{ring: make([]string, 0, capacity), byKey: make(map[string]Message, capacity)}
 }
 
 func (c *dedupCache) get(key string) (Message, bool) {
@@ -305,11 +307,12 @@ func (c *dedupCache) put(key string, m Message) {
 		c.byKey[key] = m
 		return
 	}
-	if len(c.order) >= c.cap {
-		oldest := c.order[0]
-		c.order = c.order[1:]
-		delete(c.byKey, oldest)
+	if len(c.ring) < cap(c.ring) {
+		c.ring = append(c.ring, key)
+	} else {
+		delete(c.byKey, c.ring[c.next])
+		c.ring[c.next] = key
+		c.next = (c.next + 1) % len(c.ring)
 	}
-	c.order = append(c.order, key)
 	c.byKey[key] = m
 }

@@ -229,6 +229,26 @@ func TestDedupHandlerReplaysCachedResponse(t *testing.T) {
 	if atomic.LoadInt64(&runs) != 2 {
 		t.Fatalf("handler ran %d times for two nonces, want 2", runs)
 	}
+	// Capacity+1 distinct nonces in all (n1, n2, n3..n9): the FIFO evicts
+	// n1, the oldest, and n2 still replays. Each rerun nonce then evicts the
+	// oldest left (n2, n3, n4 in turn) as the ring wraps.
+	for i := 3; i <= 9; i++ {
+		if _, err := h(ctx, "x", transport.Message{Type: "q", Nonce: fmt.Sprintf("n%d", i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range []struct {
+		nonce string
+		reran bool
+	}{{"n2", false}, {"n1", true}, {"n2", true}, {"n3", true}, {"n5", false}, {"n9", false}} {
+		before := atomic.LoadInt64(&runs)
+		if _, err := h(ctx, "x", transport.Message{Type: "q", Nonce: c.nonce}); err != nil {
+			t.Fatal(err)
+		}
+		if reran := atomic.LoadInt64(&runs) > before; reran != c.reran {
+			t.Errorf("nonce %s: handler reran = %v, want %v", c.nonce, reran, c.reran)
+		}
+	}
 }
 
 // TestFaultyWrapsTCP exercises the wrapper around a real TCP transport to

@@ -310,14 +310,15 @@ func (t *TCP) acceptMux(c net.Conn, br *bufio.Reader) bool {
 }
 
 // serveMux serves one accepted mux connection after the handshake: it reads
-// request frames and runs each handler in its own goroutine so many requests
-// from the same peer proceed concurrently. Responses are written back under
-// a per-connection write lock, tagged with the request's ID.
+// request frames and hands each to a serve worker (see dispatch) so many
+// requests from the same peer proceed concurrently while the reader goes
+// straight back to the socket. Responses are written back under a
+// per-connection write lock, tagged with the request's ID.
 func (t *TCP) serveMux(c net.Conn, br *bufio.Reader) {
 	// Responses share one write lock and one queued-writer counter: like the
 	// client side, concurrent responses to the same peer coalesce into one
 	// flush (see flushCoalesced).
-	w := &muxServerWriter{c: c, bw: bufio.NewWriter(c)}
+	w := &muxServerWriter{c: c, from: c.RemoteAddr().String(), bw: bufio.NewWriter(c)}
 	scratch := getBuf()
 	defer putBuf(scratch)
 	for {
@@ -332,27 +333,80 @@ func (t *TCP) serveMux(c net.Conn, br *bufio.Reader) {
 		msg, derr := DecodeBinaryMessage(env)
 		if derr != nil {
 			t.wg.Add(1)
-			go t.writeMuxResponse(w, id, ErrorMessage(derr))
+			go func() {
+				defer t.wg.Done()
+				t.writeMuxResponse(w, id, ErrorMessage(derr))
+			}()
 			continue
 		}
-		t.wg.Add(1)
-		go t.serveMuxRequest(w, id, msg)
+		t.dispatch(serveJob{w: w, id: id, msg: msg})
+	}
+}
+
+// maxServeWorkers caps the long-lived serve workers of one TCP. A worker
+// keeps the stack its handlers grew, so a request it serves pays no stack
+// copy; the cap bounds the memory idle workers hold between bursts. Past it
+// a request runs on a one-off goroutine, as every request once did: a
+// handler may wait on a call that loops back to this node, so the reader
+// must never wait for a worker to come free.
+const maxServeWorkers = 64
+
+// serveJob is one decoded request on its way to a serve worker.
+type serveJob struct {
+	w   *muxServerWriter
+	id  uint64
+	msg Message
+}
+
+// dispatch hands job to an idle serve worker, or starts a worker for it, or
+// past maxServeWorkers runs it on a one-off goroutine. It never blocks.
+func (t *TCP) dispatch(job serveJob) {
+	select {
+	case t.serveJobs <- job:
+		return
+	default:
+	}
+	t.wg.Add(1)
+	if t.serveWorkers.Add(1) <= maxServeWorkers {
+		go t.serveWorker(job)
+		return
+	}
+	t.serveWorkers.Add(-1)
+	go func() {
+		defer t.wg.Done()
+		t.serveMuxRequest(job)
+	}()
+}
+
+// serveWorker serves its first job, then every job handed to it while it
+// waits idle, until Close stops it.
+func (t *TCP) serveWorker(job serveJob) {
+	defer t.wg.Done()
+	for {
+		t.serveMuxRequest(job)
+		select {
+		case job = <-t.serveJobs:
+		case <-t.stopWorkers:
+			return
+		}
 	}
 }
 
 // muxServerWriter is the shared write side of one accepted mux connection:
 // the buffered writer, its lock, and the queued-writer counter that lets
-// concurrent responses coalesce their flushes.
+// concurrent responses coalesce their flushes. from is the peer's address as
+// handlers see it, formatted once per connection.
 type muxServerWriter struct {
-	c   net.Conn
-	wmu sync.Mutex
-	wq  atomic.Int32
-	bw  *bufio.Writer
+	c    net.Conn
+	from string
+	wmu  sync.Mutex
+	wq   atomic.Int32
+	bw   *bufio.Writer
 }
 
 // serveMuxRequest runs the handler for one multiplexed request and writes
 // its tagged response.
-func (t *TCP) serveMuxRequest(w *muxServerWriter, id uint64, msg Message) {
+func (t *TCP) serveMuxRequest(job serveJob) {
 	t.mu.Lock()
 	h := t.handler
 	t.mu.Unlock()
@@ -360,21 +414,19 @@ func (t *TCP) serveMuxRequest(w *muxServerWriter, id uint64, msg Message) {
 	if h == nil {
 		resp = ErrorMessage(ErrNoHandler)
 	} else {
-		r, herr := h(context.Background(), w.c.RemoteAddr().String(), msg)
+		r, herr := h(context.Background(), job.w.from, job.msg)
 		if herr != nil {
 			resp = ErrorMessage(herr)
 		} else {
 			resp = r
 		}
 	}
-	t.writeMuxResponse(w, id, resp)
+	t.writeMuxResponse(job.w, job.id, resp)
 }
 
 // writeMuxResponse frames and writes one response under the connection's
-// write lock, coalescing its flush with concurrently queued responses. The
-// caller must hold a t.wg reference; it is released here.
+// write lock, coalescing its flush with concurrently queued responses.
 func (t *TCP) writeMuxResponse(w *muxServerWriter, id uint64, resp Message) {
-	defer t.wg.Done()
 	buf := getBuf()
 	defer putBuf(buf)
 	env, err := AppendBinaryMessage(*buf, resp)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/canon-dht/canon/internal/telemetry"
@@ -47,6 +48,13 @@ type TCP struct {
 	closed   bool
 	conns    map[net.Conn]struct{}
 	wg       sync.WaitGroup
+
+	// Serve workers (see dispatch): an idle worker waits on serveJobs,
+	// stopWorkers is closed by Close, and serveWorkers counts the workers
+	// started, up to maxServeWorkers.
+	serveJobs    chan serveJob
+	stopWorkers  chan struct{}
+	serveWorkers atomic.Int32
 }
 
 var _ Transport = (*TCP)(nil)
@@ -78,11 +86,13 @@ func ListenTCPOpts(addr string, opts TCPOptions) (*TCP, error) {
 		reg = telemetry.NewRegistry()
 	}
 	t := &TCP{
-		listener: l,
-		addr:     l.Addr().String(),
-		metrics:  newMuxMetrics(reg),
-		muxConns: make(map[string]*muxPeer),
-		conns:    make(map[net.Conn]struct{}),
+		listener:    l,
+		addr:        l.Addr().String(),
+		metrics:     newMuxMetrics(reg),
+		muxConns:    make(map[string]*muxPeer),
+		conns:       make(map[net.Conn]struct{}),
+		serveJobs:   make(chan serveJob),
+		stopWorkers: make(chan struct{}),
 	}
 	t.dialCond = sync.NewCond(&t.mu)
 	t.wg.Add(1)
@@ -236,8 +246,8 @@ func (t *TCP) dropMuxConn(addr string, mc *muxConn) {
 	}
 }
 
-// Close implements Transport: it stops accepting, closes all connections and
-// waits for in-flight handlers to finish.
+// Close implements Transport: it stops accepting, closes all connections,
+// stops the idle serve workers and waits for in-flight handlers to finish.
 func (t *TCP) Close() error {
 	t.mu.Lock()
 	if t.closed {
@@ -251,6 +261,7 @@ func (t *TCP) Close() error {
 	for c := range t.conns {
 		_ = c.Close()
 	}
+	close(t.stopWorkers)
 	t.mu.Unlock()
 	for _, p := range peers {
 		for _, mc := range p.conns {

@@ -2,6 +2,8 @@ package transport
 
 import (
 	"context"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/canon-dht/canon/internal/telemetry"
@@ -60,28 +62,62 @@ func newMuxMetrics(reg *telemetry.Registry) muxMetrics {
 type Instrumented struct {
 	inner Transport
 
+	reg         *telemetry.Registry
 	calls       *telemetry.Counter
 	callErrors  *telemetry.Counter
 	callSeconds *telemetry.Histogram
-	served      func(msgType string) *telemetry.Counter
 	handleSec   *telemetry.Histogram
+
+	// served maps a message type to its canon_transport_served_total
+	// counter. It is copied on write under servedMu and read without a lock,
+	// so a type pays the registry's key building and locking once.
+	served   atomic.Pointer[map[string]*telemetry.Counter]
+	servedMu sync.Mutex
 }
+
+// maxServedTypes bounds the message types Instrumented keeps a resolved
+// served counter for. A node serves a fixed handful of types; a Type string
+// a hostile peer invents past the bound goes through the registry's locked
+// lookup on every request instead of growing the map.
+const maxServedTypes = 64
 
 var _ Transport = (*Instrumented)(nil)
 
 // WithTelemetry wraps inner so its traffic is measured into reg.
 func WithTelemetry(inner Transport, reg *telemetry.Registry) *Instrumented {
-	return &Instrumented{
+	t := &Instrumented{
 		inner:       inner,
+		reg:         reg,
 		calls:       reg.Counter(mnTransportCalls, "transport-level call attempts sent"),
 		callErrors:  reg.Counter(mnTransportCallErrors, "transport-level call attempts that failed"),
 		callSeconds: reg.Histogram(mnTransportCallSec, "transport-level call latency, seconds", telemetry.DefBuckets),
-		served: func(msgType string) *telemetry.Counter {
-			return reg.Counter(mnTransportServed, "incoming requests handed to the handler, by type",
-				telemetry.L("type", msgType))
-		},
-		handleSec: reg.Histogram(mnTransportHandleSec, "serve-side handler latency, seconds", telemetry.DefBuckets),
+		handleSec:   reg.Histogram(mnTransportHandleSec, "serve-side handler latency, seconds", telemetry.DefBuckets),
 	}
+	t.served.Store(&map[string]*telemetry.Counter{})
+	return t
+}
+
+// servedCounter returns the served counter for a message type: lock-free
+// once the type has been seen, through the registry the first time (and
+// every time, for types past maxServedTypes).
+func (t *Instrumented) servedCounter(msgType string) *telemetry.Counter {
+	if c, ok := (*t.served.Load())[msgType]; ok {
+		return c
+	}
+	c := t.reg.Counter(mnTransportServed, "incoming requests handed to the handler, by type",
+		telemetry.L("type", msgType))
+	t.servedMu.Lock()
+	defer t.servedMu.Unlock()
+	old := *t.served.Load()
+	if _, ok := old[msgType]; !ok && len(old) < maxServedTypes {
+		m := make(map[string]*telemetry.Counter, len(old)+1)
+		for k, v := range old {
+			m[k] = v
+		}
+		m[msgType] = c
+		t.served.Store(&m)
+	}
+	return c
 }
 
 // Inner returns the wrapped transport.
@@ -113,7 +149,7 @@ func (t *Instrumented) Call(ctx context.Context, addr string, msg Message) (Mess
 // exactly the duplicate deliveries that were suppressed.
 func (t *Instrumented) Serve(h Handler) {
 	t.inner.Serve(func(ctx context.Context, from string, msg Message) (Message, error) {
-		t.served(msg.Type).Inc()
+		t.servedCounter(msg.Type).Inc()
 		start := time.Now()
 		resp, err := h(ctx, from, msg)
 		t.handleSec.Observe(time.Since(start).Seconds())

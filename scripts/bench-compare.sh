@@ -73,7 +73,10 @@
 #      and fetch paths. allocs/op is deterministic; ns/op is recorded and
 #      printed but never gated, because it swings far past any useful bound
 #      with no code change (+43% to +53% on both sides of one comparison).
-#      The TCP round trips are recorded only.
+#      The TCP round trips are recorded only, BenchmarkRoundTrip64DeepBinary
+#      among them: its handler recurses past a new goroutine's 2 KiB stack,
+#      as a node's serve chain does, so its ns/op shows what the serve side
+#      pays to grow a stack per request (printed as serve_stack, ungated).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -249,6 +252,9 @@ END {
 		}
 	}
 	printf "store_layer: %d benchmarks within their allocs/op ceilings\n", ns > "/dev/stderr"
+	deep = "BenchmarkRoundTrip64DeepBinary"
+	if (deep in cnt)
+		printf "serve_stack: %s %s ns/op, %s allocs/op (recorded, ungated)\n", deep, median(deep, "ns"), median(deep, "a") > "/dev/stderr"
 	exit bad
 }
 '
