@@ -23,7 +23,9 @@
 // (canon_leave_notify_failures_total). The maintenance it retries every round
 // rather than fail — registry registration, ring notifications, anti-entropy
 // comparisons — counts what went wrong in canon_register_failures_total,
-// canon_notify_failures_total and canon_antientropy_sync_failures_total.
+// canon_notify_failures_total and canon_antientropy_sync_failures_total; a
+// round cut short by shutdown keeps its ring state and counts
+// canon_maintenance_overruns_total.
 //
 // There is one wire protocol (docs/WIRE.md), so nothing selects one: -wire
 // survives only because bench/cluster.go passes "-wire binary", and any

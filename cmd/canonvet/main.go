@@ -1,26 +1,24 @@
 // Command canonvet is the Canon DHT project's static analyzer: it loads
-// every package in the module, builds a module-wide call graph, and reports
-// violations of project invariants — circular-ID arithmetic outside the ring
-// helpers, nondeterminism in seed-reproducible simulation packages, shared
-// RNGs without locks, lock-order deadlock cycles, RPCs reachable while a
-// mutex is held, goroutines with no stop path, entry-point call paths with
-// no deadline, raw metric-name strings, message envelopes built without
-// their dedup nonce, writes to published snapshot types outside the file
-// that declares them, and stale suppression pragmas: 11 checks (-list).
-// The four call-graph checks carry call-chain evidence, which -why prints.
+// every package in the module and reports violations of project invariants —
+// circular-ID arithmetic outside the ring helpers, nondeterminism in
+// seed-reproducible simulation packages, shared RNGs without locks, two
+// mutexes taken in both orders within a package, raw metric-name strings,
+// message envelopes built without their dedup nonce, writes to published
+// snapshot types outside the file that declares them, and stale suppression
+// pragmas: 8 checks (-list), each reading one package at a time.
 //
-// Pool recycling, writes after an atomic publication, mixed atomic/plain
-// access and the store-ack durability contract are not canonvet's: types
-// and fault-injecting tests hold them (internal/lint/DESIGN.md).
+// An RPC under a mutex, a goroutine with no stop path, a wire path with no
+// deadline, pool recycling, writes after an atomic publication, mixed
+// atomic/plain access and the store-ack durability contract are not
+// canonvet's: types, tests and scripts/lint.sh hold them
+// (internal/lint/DESIGN.md).
 //
 // Usage:
 //
 //	go run ./cmd/canonvet ./...              # whole module, human output
 //	go run ./cmd/canonvet -json ./...        # machine-readable findings
-//	go run ./cmd/canonvet -checks lockorder,goroutineleak ./internal/netnode
+//	go run ./cmd/canonvet -checks lockorder,ringcmp ./internal/netnode
 //	go run ./cmd/canonvet -list              # describe every check
-//	go run ./cmd/canonvet -why a1b2c3 ./...  # call-chain evidence for a finding
-//	go run ./cmd/canonvet -callgraph dot ./... > callgraph.dot
 //	go run ./cmd/canonvet -write-baseline .canonvet-baseline ./...
 //	go run ./cmd/canonvet -baseline .canonvet-baseline ./...  # fail on NEW findings only
 //
@@ -53,8 +51,6 @@ func run(args []string, stdout, stderr *os.File) int {
 	checks := fs.String("checks", "", "comma-separated subset of checks to run (default: all)")
 	list := fs.Bool("list", false, "list available checks and exit")
 	verbose := fs.Bool("v", false, "report type-checking problems encountered while loading")
-	why := fs.String("why", "", "print call-chain evidence for the finding with this fingerprint (prefix accepted)")
-	callgraph := fs.String("callgraph", "", "export the module call graph instead of findings (formats: dot)")
 	baseline := fs.String("baseline", "", "fingerprint file of known findings; exit 1 only on findings not in it")
 	writeBaseline := fs.String("write-baseline", "", "write the current findings' fingerprints to this file and exit 0")
 	if err := fs.Parse(args); err != nil {
@@ -65,10 +61,6 @@ func run(args []string, stdout, stderr *os.File) int {
 			fmt.Fprintf(stdout, "%-16s %s\n", c.Name, c.Doc)
 		}
 		return 0
-	}
-	if *callgraph != "" && *callgraph != "dot" {
-		fmt.Fprintf(stderr, "canonvet: unknown -callgraph format %q (supported: dot)\n", *callgraph)
-		return 2
 	}
 
 	cwd, err := os.Getwd()
@@ -123,37 +115,7 @@ func run(args []string, stdout, stderr *os.File) int {
 		}
 	}
 
-	if *callgraph == "dot" {
-		g := lint.BuildCallGraph(cfg, loader.Fset, pkgs)
-		g.ComputeSummaries()
-		fmt.Fprint(stdout, g.DOT())
-		return 0
-	}
-
 	diags := lint.Run(cfg, loader.Fset, pkgs)
-
-	if *why != "" {
-		matched := 0
-		for _, d := range diags {
-			if !strings.HasPrefix(d.Fingerprint, *why) {
-				continue
-			}
-			matched++
-			fmt.Fprintf(stdout, "%s\n  fingerprint %s\n", d.String(), d.Fingerprint)
-			if len(d.Chain) == 0 {
-				fmt.Fprintln(stdout, "  (no call-chain evidence: per-package check)")
-				continue
-			}
-			for i, frame := range d.Chain {
-				fmt.Fprintf(stdout, "  %s%s\n", strings.Repeat("  ", i), frame)
-			}
-		}
-		if matched == 0 {
-			fmt.Fprintf(stderr, "canonvet: no finding matches fingerprint %q\n", *why)
-			return 2
-		}
-		return 0
-	}
 
 	if *writeBaseline != "" {
 		if err := writeBaselineFile(*writeBaseline, diags); err != nil {

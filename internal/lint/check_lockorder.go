@@ -1,178 +1,80 @@
 package lint
 
 import (
-	"fmt"
+	"go/ast"
 	"go/token"
-	"sort"
-	"strings"
+	"go/types"
 )
 
-// checkLockOrder detects potential deadlocks from inconsistent lock
-// acquisition order. It builds a global lock-acquisition graph over named
-// mutex classes — an edge A→B whenever some execution may acquire B while
-// holding A, either directly (a Lock site with A in the lexically-held set)
-// or interprocedurally (a call made with A held whose callee's summary says
-// it may acquire B) — and reports every cycle with the acquisition paths as
-// evidence. Self-edges (A→A) are excluded: re-acquiring the same class is
-// usually two different instances (two nodes' mu in a handoff), which a
-// class-level analysis cannot distinguish.
+// checkLockOrder reports two mutex fields (Type.field) one package takes in
+// both orders: a potential deadlock. A→B is a Lock of B with A held in the
+// same body, in statement order (a deferred Unlock keeps A held), or a call
+// with A held to a same-package function whose own body locks B. Deeper or
+// cross-package nesting is not seen (DESIGN.md lists the product mutexes).
 var checkLockOrder = Check{
-	Name:      "lockorder",
-	Doc:       "inconsistent mutex acquisition order across the call graph (potential deadlock cycles)",
-	RunModule: runLockOrder,
+	Name: "lockorder",
+	Doc:  "two named mutexes taken in both orders in one package, directly or one same-package call deep (potential deadlock)",
+	Run:  runLockOrder,
 }
 
-// lockWitness is the evidence for one lock-graph edge: where B was acquired
-// (or became reachable) while A was held.
-type lockWitness struct {
-	pos   token.Pos
-	fn    *FuncNode
-	chain []string
-}
-
-func runLockOrder(mp *ModulePass) {
-	type edgeKey struct{ from, to LockClass }
-	edges := make(map[edgeKey]lockWitness)
-	addEdge := func(from, to LockClass, w lockWitness) {
-		if from == to || !from.Named() || !to.Named() {
-			return
-		}
-		k := edgeKey{from, to}
-		if _, ok := edges[k]; !ok {
-			edges[k] = w
-		}
-	}
-
-	for _, n := range mp.Graph.SortedNodes() {
-		// Direct nesting: an acquisition with locks already held.
-		for _, a := range n.Acquired {
-			for _, h := range a.Held {
-				addEdge(h.Class, a.Class, lockWitness{
-					pos: a.Pos, fn: n,
-					chain: []string{mp.Graph.frame(n, a.Pos)},
-				})
-			}
-		}
-		// Interprocedural nesting: a call made under a lock whose callee
-		// may acquire more locks.
-		for _, e := range n.Out {
-			if e.Kind != EdgeCall || len(e.Held) == 0 {
-				continue
-			}
-			for class := range e.Callee.Sum.Acquires {
-				for _, h := range e.Held {
-					target := class
-					chain := mp.Graph.Chain(e.Callee, summaryKinds, func(fn *FuncNode) bool {
-						_, ok := fn.Sum.Acquires[target]
-						// The first function that *directly* acquires it.
-						if !ok {
-							return false
-						}
-						for _, a := range fn.Acquired {
-							if a.Class == target {
-								return true
-							}
-						}
-						return false
-					})
-					full := append([]string{mp.Graph.frame(n, e.Pos)}, chain...)
-					addEdge(h.Class, class, lockWitness{pos: e.Pos, fn: n, chain: full})
+// lockCalls visits a body's calls in order with their callee and the mutex
+// class each locks or unlocks; deferred calls, goroutines and literals excluded.
+func lockCalls(info *types.Info, body *ast.BlockStmt, visit func(call *ast.CallExpr, callee types.Object, class string, lock bool)) {
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncLit, *ast.DeferStmt, *ast.GoStmt:
+			return false
+		case *ast.CallExpr:
+			fun, _ := n.Fun.(*ast.Ident)
+			class := ""
+			if sel, ok := n.Fun.(*ast.SelectorExpr); ok {
+				fun = sel.Sel
+				if mu := typeOf(info, sel.X); IsNamed(mu, "sync", "Mutex") || IsNamed(mu, "sync", "RWMutex") {
+					if x, ok := sel.X.(*ast.SelectorExpr); ok && info.Selections[x] != nil && namedOf(info.Selections[x].Recv()) != nil {
+						class = namedOf(info.Selections[x].Recv()).Obj().Name() + "." + x.Sel.Name
+					}
 				}
 			}
+			visit(n, info.Uses[fun], class, class != "" && (fun.Name == "Lock" || fun.Name == "RLock"))
 		}
-	}
-
-	// Cycle detection over the class graph: for every edge A→B, a path
-	// B⇝A closes a cycle. The class graph is tiny (a handful of named
-	// mutexes), so a per-edge DFS is fine and yields a concrete path for
-	// the diagnostic.
-	succ := make(map[LockClass][]LockClass)
-	for k := range edges {
-		succ[k.from] = append(succ[k.from], k.to)
-	}
-	for from := range succ {
-		cs := succ[from]
-		sort.Slice(cs, func(i, j int) bool { return cs[i].String() < cs[j].String() })
-	}
-
-	var path func(from, to LockClass, seen map[LockClass]bool) []LockClass
-	path = func(from, to LockClass, seen map[LockClass]bool) []LockClass {
-		if from == to {
-			return []LockClass{from}
-		}
-		seen[from] = true
-		for _, next := range succ[from] {
-			if seen[next] {
-				continue
-			}
-			if p := path(next, to, seen); p != nil {
-				return append([]LockClass{from}, p...)
-			}
-		}
-		return nil
-	}
-
-	type cycleReport struct {
-		key     string
-		pos     token.Pos
-		chain   []string
-		message string
-	}
-	seenCycles := make(map[string]bool)
-	var reports []cycleReport
-	keys := make([]edgeKey, 0, len(edges))
-	for k := range edges {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].from != keys[j].from {
-			return keys[i].from.String() < keys[j].from.String()
-		}
-		return keys[i].to.String() < keys[j].to.String()
+		return true
 	})
-	for _, k := range keys {
-		back := path(k.to, k.from, map[LockClass]bool{})
-		if back == nil {
-			continue
-		}
-		// Canonical cycle identity: the sorted set of classes involved.
-		classes := append([]LockClass{k.from}, back...)
-		names := make([]string, 0, len(classes))
-		seen := make(map[string]bool)
-		for _, c := range classes {
-			if s := c.String(); !seen[s] {
-				seen[s] = true
-				names = append(names, s)
-			}
-		}
-		sort.Strings(names)
-		id := strings.Join(names, "|")
-		if seenCycles[id] {
-			continue
-		}
-		seenCycles[id] = true
+}
 
-		fw := edges[k]
-		// Evidence for the return path: the witness of each edge along it.
-		var chain []string
-		chain = append(chain, "acquires "+k.to.String()+" while holding "+k.from.String()+":")
-		chain = append(chain, fw.chain...)
-		for i := 0; i+1 < len(back); i++ {
-			w, ok := edges[edgeKey{back[i], back[i+1]}]
-			if !ok {
-				continue
+func runLockOrder(pass *Pass) {
+	info, bodies := pass.Pkg.Info, []*ast.BlockStmt(nil)
+	decls := make(map[types.Object]*ast.BlockStmt)
+	for _, f := range pass.Pkg.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			if fn, ok := n.(*ast.FuncDecl); ok && fn.Body != nil {
+				bodies, decls[info.Defs[fn.Name]] = append(bodies, fn.Body), fn.Body
+			} else if lit, ok := n.(*ast.FuncLit); ok {
+				bodies = append(bodies, lit.Body)
 			}
-			chain = append(chain, "acquires "+back[i+1].String()+" while holding "+back[i].String()+":")
-			chain = append(chain, w.chain...)
-		}
-		cyc := strings.Join(names, " -> ") + " -> " + names[0]
-		reports = append(reports, cycleReport{
-			key: id, pos: fw.pos, chain: chain,
-			message: fmt.Sprintf("lock-order cycle %s: %s may deadlock against the reverse acquisition (run canonvet -why for both paths)", cyc, fw.fn.Name),
+			return true
 		})
 	}
-	sort.Slice(reports, func(i, j int) bool { return reports[i].key < reports[j].key })
-	for _, r := range reports {
-		mp.Report(r.pos, r.chain, "%s", r.message)
+	edges := make(map[[2]string]token.Pos) // {held, locked} -> first witness
+	for _, body := range bodies {
+		held := make(map[string]bool)
+		lockCalls(info, body, func(call *ast.CallExpr, callee types.Object, class string, lock bool) {
+			takes := map[string]bool{class: lock} // a same-package callee: the classes its own body locks
+			if decls[callee] != nil {
+				lockCalls(info, decls[callee], func(_ *ast.CallExpr, _ types.Object, c string, l bool) { takes[c] = takes[c] || l })
+			}
+			for to, locks := range takes {
+				for from, h := range held {
+					if _, seen := edges[[2]string{from, to}]; locks && h && !seen && from != to {
+						edges[[2]string{from, to}] = call.Pos()
+					}
+				}
+			}
+			held[class] = lock
+		})
+	}
+	for e, pos := range edges {
+		if _, back := edges[[2]string{e[1], e[0]}]; back {
+			pass.Reportf(pos, "lock-order cycle: %s is locked with %s held, and elsewhere in the package %s with %s held: potential deadlock", e[1], e[0], e[0], e[1])
+		}
 	}
 }

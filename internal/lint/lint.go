@@ -3,28 +3,20 @@
 // has already been bitten by (or is structurally exposed to): circular-ID
 // arithmetic must go through the ring-metric helpers in internal/id,
 // pure-simulation packages must stay seed-reproducible, shared RNGs must be
-// lock-adjacent, metric names must be named constants, message envelopes
-// must carry their dedup nonce, and published copy-on-write snapshot
-// types (marked //canonvet:immutable) must only be mutated in the file
-// that declares them — their builder — never by a reader of a shared view.
+// lock-adjacent, named mutexes must be taken in one order within a package,
+// metric names must be named constants, message envelopes must carry their
+// dedup nonce, and published copy-on-write snapshot types (marked
+// //canonvet:immutable) must only be mutated in the file that declares them
+// — their builder — never by a reader of a shared view. A deadpragma
+// meta-check keeps the suppression pragmas themselves honest.
 //
-// The analyzer is also interprocedural: a type-resolved, module-wide call
-// graph (static dispatch, conservative interface resolution, function
-// literal tracking — see callgraph.go) and per-function summaries computed
-// to a fixpoint (summary.go) power four checks: lockorder (lock-acquisition
-// cycles across functions), lockheldrpc2 (RPCs reachable through the call
-// graph while a mutex is held), goroutineleak (spawned goroutines with no
-// reachable stop signal) and nodeadline (wire-touching paths from command
-// entry points with no timeout anywhere on the path). Their findings carry
-// call-chain evidence in Diagnostic.Chain. A deadpragma meta-check keeps the
-// suppression pragmas themselves honest.
+// Every check reads one package at a time; there is no call graph. An RPC
+// under a mutex, a goroutine with no stop path, a wire path with no deadline,
+// pool recycling, writes after an atomic publication, mixed atomic/plain
+// access and the store-ack durability contract are held by types, tests and
+// scripts/lint.sh instead (see DESIGN.md).
 //
-// Pool recycling, writes after an atomic publication, mixed atomic/plain
-// access and the store-ack durability contract are held by types and
-// fault-injecting tests instead of checks here (see DESIGN.md).
-//
-// Checks are table-driven (see AllChecks): per-package checks implement Run,
-// module-wide checks implement RunModule. Every check honors the escape
+// Checks are table-driven (see AllChecks). Every check honors the escape
 // hatch
 //
 //	//canonvet:ignore <check>[,<check>...] -- <one-line justification>
@@ -57,9 +49,6 @@ type Diagnostic struct {
 	// check, the module-relative file path, and the message. Baseline files
 	// (canonvet -baseline) store fingerprints.
 	Fingerprint string `json:"fingerprint,omitempty"`
-	// Chain is the call-chain evidence behind an interprocedural finding,
-	// outermost frame first. canonvet -why prints it.
-	Chain []string `json:"chain,omitempty"`
 }
 
 // String renders the diagnostic in the conventional compiler format.
@@ -67,18 +56,15 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: %s [%s]", d.File, d.Line, d.Column, d.Message, d.Check)
 }
 
-// Check is one named analysis. Per-package checks set Run; module-wide
-// (interprocedural) checks set RunModule and receive the call graph.
+// Check is one named analysis of one package at a time.
 type Check struct {
 	// Name is the identifier used by -checks and ignore pragmas.
 	Name string
 	// Doc is a one-line description shown by canonvet -list.
 	Doc string
-	// Run reports findings for one package through pass.Reportf.
+	// Run reports findings for one package through pass.Reportf; nil for
+	// the deadpragma meta-check, which Run drives itself.
 	Run func(pass *Pass)
-	// RunModule reports findings over the whole loaded module through
-	// mp.Report; it runs once, after every per-package check.
-	RunModule func(mp *ModulePass)
 }
 
 // deadPragmaName is the meta-check's name; its logic lives in Run itself
@@ -93,9 +79,6 @@ func AllChecks() []Check {
 		checkGlobalRand,
 		checkSimDeterminism,
 		checkLockOrder,
-		checkLockHeldRPC2,
-		checkGoroutineLeak,
-		checkNoDeadline,
 		checkMetricNames,
 		checkWireCompat,
 		checkSnapshotMut,
@@ -122,17 +105,13 @@ type Config struct {
 	// telemetry registry's own package (its implementation and tests
 	// exercise arbitrary names by design).
 	MetricExemptPackages map[string]bool
-	// EntryPackages are the command packages whose call paths to the
-	// transport the nodeadline check audits.
-	EntryPackages map[string]bool
 	// Enabled restricts the run to the named checks; nil means all.
 	Enabled map[string]bool
 }
 
 // DefaultConfig returns the Canon module's tuning: the pure-simulation
-// packages from the paper's analytical side, the telemetry registry as the
-// only package allowed to touch raw metric-name strings, and the live
-// command binaries as nodeadline entry points.
+// packages from the paper's analytical side, and the telemetry registry as
+// the only package allowed to touch raw metric-name strings.
 func DefaultConfig(module string) *Config {
 	sim := map[string]bool{
 		module:                           true, // the analytical Canon model itself
@@ -148,10 +127,6 @@ func DefaultConfig(module string) *Config {
 		ModulePath:           module,
 		SimPackages:          sim,
 		MetricExemptPackages: map[string]bool{module + "/internal/telemetry": true},
-		EntryPackages: map[string]bool{
-			module + "/cmd/canond":   true,
-			module + "/cmd/canonctl": true,
-		},
 	}
 }
 
@@ -173,40 +148,16 @@ type Pass struct {
 
 // Reportf records a finding at pos unless an ignore pragma suppresses it.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	report(p.Fset, p.ignores, p.sink, p.check, pos, nil, format, args...)
-}
-
-// ModulePass carries one module-wide check's view of the loaded module.
-type ModulePass struct {
-	Cfg   *Config
-	Fset  *token.FileSet
-	Graph *CallGraph
-
-	check   string
-	ignores map[string]*fileIgnores
-	sink    *[]Diagnostic
-}
-
-// Report records a finding at pos with optional call-chain evidence, unless
-// an ignore pragma suppresses it.
-func (p *ModulePass) Report(pos token.Pos, chain []string, format string, args ...any) {
-	report(p.Fset, p.ignores, p.sink, p.check, pos, chain, format, args...)
-}
-
-// report is the shared suppression-aware diagnostic sink.
-func report(fset *token.FileSet, ignores map[string]*fileIgnores, sink *[]Diagnostic,
-	check string, pos token.Pos, chain []string, format string, args ...any) {
-	position := fset.Position(pos)
-	if ig, ok := ignores[position.Filename]; ok && ig.suppressed(check, position) {
+	position := p.Fset.Position(pos)
+	if ig, ok := p.ignores[position.Filename]; ok && ig.suppressed(p.check, position) {
 		return
 	}
-	*sink = append(*sink, Diagnostic{
-		Check:   check,
+	*p.sink = append(*p.sink, Diagnostic{
+		Check:   p.check,
 		File:    position.Filename,
 		Line:    position.Line,
 		Column:  position.Column,
 		Message: fmt.Sprintf(format, args...),
-		Chain:   chain,
 	})
 }
 
@@ -416,10 +367,8 @@ func (cfg *Config) Fingerprint(d Diagnostic) string {
 }
 
 // Run executes the enabled checks over every package and returns the
-// findings sorted by position. Per-package checks run first, then the
-// module-wide interprocedural checks over the call graph built from pkgs,
-// and finally the deadpragma meta-check over the suppression evidence the
-// earlier checks left behind.
+// findings sorted by position. The package checks run first, then the
+// deadpragma meta-check over the suppression evidence they left behind.
 func Run(cfg *Config, fset *token.FileSet, pkgs []*Package) []Diagnostic {
 	var diags []Diagnostic
 	ignores := make(map[string]*fileIgnores)
@@ -431,16 +380,6 @@ func Run(cfg *Config, fset *token.FileSet, pkgs []*Package) []Diagnostic {
 	}
 
 	ran := make(map[string]bool)
-	needGraph := false
-	for _, chk := range AllChecks() {
-		if !cfg.enabled(chk.Name) {
-			continue
-		}
-		if chk.RunModule != nil {
-			needGraph = true
-		}
-	}
-
 	for _, pkg := range pkgs {
 		for _, chk := range AllChecks() {
 			if chk.Run == nil || !cfg.enabled(chk.Name) {
@@ -452,22 +391,6 @@ func Run(cfg *Config, fset *token.FileSet, pkgs []*Package) []Diagnostic {
 				check: chk.Name, ignores: ignores, sink: &diags,
 			}
 			chk.Run(pass)
-		}
-	}
-
-	if needGraph {
-		graph := BuildCallGraph(cfg, fset, pkgs)
-		graph.ComputeSummaries()
-		for _, chk := range AllChecks() {
-			if chk.RunModule == nil || !cfg.enabled(chk.Name) {
-				continue
-			}
-			ran[chk.Name] = true
-			mp := &ModulePass{
-				Cfg: cfg, Fset: fset, Graph: graph,
-				check: chk.Name, ignores: ignores, sink: &diags,
-			}
-			chk.RunModule(mp)
 		}
 	}
 

@@ -80,9 +80,6 @@ func TestFixtures(t *testing.T) {
 				// The fixture package plays a seed-reproducible simulation
 				// package, the way cmd/canonvet's config lists the real ones.
 				cfg.SimPackages[fixturePath] = true
-			case "nodeadline":
-				// The fixture package plays a command entry point.
-				cfg.EntryPackages[fixturePath] = true
 			case deadPragmaName:
 				// The meta-check needs the other checks to run (staleness is
 				// "named check ran and suppressed nothing"); the fixture is
@@ -184,6 +181,109 @@ func TestPragmaParsing(t *testing.T) {
 		base := filepath.Base(d.File)
 		if base == "ignored.go" {
 			t.Errorf("file-wide pragma failed to suppress: %s", d)
+		}
+	}
+}
+
+// driftSrc seeds the fingerprint test with findings of two checks: the
+// node/tracker lock-order inversion (one edge each way) and a draw from the
+// global math/rand source.
+const driftSrc = `package scratch
+
+import (
+	"math/rand"
+	"sync"
+)
+
+type node struct {
+	mu      sync.Mutex
+	tracker *tracker
+}
+
+type tracker struct {
+	mu    sync.Mutex
+	owner *node
+}
+
+func (n *node) Demote() {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.tracker.markDead()
+}
+
+func (t *tracker) markDead() {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+}
+
+func (t *tracker) Report() {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.owner.refresh()
+}
+
+func (n *node) refresh() {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+}
+
+func jitter() int { return rand.Intn(10) }
+`
+
+// TestDataflowFingerprintsSurviveLineDrift pins the baseline contract (its
+// name predates the deletion of the value-flow engine): messages are
+// position-free — positions live in the File:Line fields — so a finding's
+// fingerprint is identical after unrelated edits shift every line number.
+// Without this, -baseline files would rot on every refactor.
+func TestDataflowFingerprintsSurviveLineDrift(t *testing.T) {
+	root, err := FindModuleRoot(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The scratch package sits under testdata, inside the module (so the
+	// loader gives it an import path) but out of module-wide runs.
+	dir, err := os.MkdirTemp(filepath.Join(root, "internal", "lint", "testdata"), "scratch-")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { os.RemoveAll(dir) })
+	fingerprints := func(src string) map[string]bool {
+		if err := os.WriteFile(filepath.Join(dir, "scratch.go"), []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		loader, err := NewLoader(root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pkgs, err := loader.LoadDirs([]string{dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := DefaultConfig(loader.Module)
+		cfg.Root = root
+		out := make(map[string]bool)
+		for _, d := range Run(cfg, loader.Fset, pkgs) {
+			if strings.Contains(d.Message, ".go:") {
+				t.Errorf("message is not position-free: %s", d.Message)
+			}
+			out[d.Fingerprint] = true
+		}
+		return out
+	}
+	before := fingerprints(driftSrc)
+	after := fingerprints("package scratch\n\n// drift\n// drift\n// drift\n" +
+		strings.TrimPrefix(driftSrc, "package scratch\n"))
+	if len(before) != 3 {
+		t.Fatalf("%d distinct findings, want driftSrc's two lockorder edges and one globalrand", len(before))
+	}
+	for fp := range before {
+		if !after[fp] {
+			t.Errorf("fingerprint %s vanished after line drift", fp)
+		}
+	}
+	for fp := range after {
+		if !before[fp] {
+			t.Errorf("fingerprint %s appeared after line drift", fp)
 		}
 	}
 }

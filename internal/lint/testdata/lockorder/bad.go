@@ -1,5 +1,6 @@
 // Package lockorder is the golden fixture for the lockorder check: every
-// want line below must fire, and clean.go must stay silent.
+// want line below must fire, and clean.go must stay silent. The check
+// reports each edge of a cycle, so both directions carry a want.
 package lockorder
 
 import "sync"
@@ -13,39 +14,51 @@ type B struct{ mu sync.Mutex }
 func abPath(a *A, b *B) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	b.mu.Lock() // want `lock-order cycle .*A\.mu.*B\.mu.*deadlock`
+	b.mu.Lock() // want `lock-order cycle: B\.mu is locked with A\.mu held.*deadlock`
 	b.mu.Unlock()
 }
 
-// baPath acquires B then A: the reverse direction, closing the cycle. The
-// diagnostic is reported once, at the lexicographically-first edge witness.
+// baPath acquires B then A: the reverse direction, closing the cycle.
 func baPath(a *A, b *B) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	a.mu.Lock()
+	a.mu.Lock() // want `lock-order cycle: A\.mu is locked with B\.mu held`
 	a.mu.Unlock()
 }
 
-// C and D close a cycle through a call: cdPath holds C and *calls* a helper
-// that acquires D, while dcPath nests the other way directly.
-type C struct{ mu sync.Mutex }
-
-type D struct{ mu sync.Mutex }
-
-func lockD(d *D) {
-	d.mu.Lock()
-	d.mu.Unlock()
+// node and tracker are the inversion that used to need a call graph: each
+// side holds its own mutex and calls a method of the other that locks the
+// other's, one call deep.
+type node struct {
+	mu      sync.RWMutex
+	tracker *tracker
 }
 
-func cdPath(c *C, d *D) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	lockD(d) // want `lock-order cycle .*C\.mu.*D\.mu.*deadlock`
+type tracker struct {
+	mu    sync.Mutex
+	owner *node
 }
 
-func dcPath(c *C, d *D) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	c.mu.Lock()
-	c.mu.Unlock()
+// Demote locks node.mu, then reaches tracker.mu through a method.
+func (n *node) Demote() {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.tracker.markDead() // want `lock-order cycle: tracker\.mu is locked with node\.mu held`
+}
+
+func (t *tracker) markDead() {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+}
+
+// Report locks tracker.mu, then calls back into the owning node.
+func (t *tracker) Report() {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.owner.refresh() // want `lock-order cycle: node\.mu is locked with tracker\.mu held`
+}
+
+func (n *node) refresh() {
+	n.mu.RLock()
+	defer n.mu.RUnlock()
 }

@@ -51,3 +51,17 @@ func sequential(e *E, f *F) {
 	e.mu.Lock()
 	e.mu.Unlock()
 }
+
+// A goroutine spawned and a call deferred while F is held do not run under
+// F there, so neither is an F-then-E edge closing a cycle with efOne.
+func spawnAndDefer(e *E, f *F) {
+	f.mu.Lock()
+	defer lockE(e)
+	go lockE(e)
+	f.mu.Unlock()
+}
+
+func lockE(e *E) {
+	e.mu.Lock()
+	e.mu.Unlock()
+}

@@ -2,7 +2,6 @@ package netnode
 
 import (
 	"context"
-	"fmt"
 	"sync/atomic"
 	"time"
 
@@ -21,6 +20,15 @@ import (
 type Client struct {
 	tr       transport.Transport
 	nonceSeq atomic.Uint64
+	window   atomic.Pointer[callWindow] // see bound
+}
+
+// callWindow is a deadline that requests made with context.Background
+// share; see bound.
+type callWindow struct {
+	ctx      context.Context
+	cancel   context.CancelFunc // never called: the window ends on its deadline
+	deadline time.Time
 }
 
 // NewClient returns a client sending through the given transport. Its nonce
@@ -34,12 +42,48 @@ func NewClient(tr transport.Transport) *Client {
 	return c
 }
 
-// call tags the message with a fresh nonce and sends it.
+// clientCallTimeout bounds a client request whose ctx has no deadline of
+// its own, so a peer that never answers cannot hold the caller forever. It
+// is a backstop, well past what a routed operation takes on a live cluster:
+// the nodes on the route bound each of their own attempts
+// (RetryPolicy.AttemptTimeout).
+const clientCallTimeout = 30 * time.Second
+
+// call tags the message with a fresh nonce and sends it, bounded as bound
+// says.
 func (c *Client) call(ctx context.Context, addr string, msg transport.Message) (transport.Message, error) {
 	if msg.Nonce == "" {
-		msg.Nonce = fmt.Sprintf("%s#c%x", c.tr.Addr(), c.nonceSeq.Add(1))
+		msg.Nonce = nonce(c.tr.Addr(), "#c", c.nonceSeq.Add(1))
+	}
+	ctx, cancel := c.bound(ctx)
+	if cancel != nil {
+		defer cancel()
 	}
 	return c.tr.Call(ctx, addr, msg)
+}
+
+// bound returns ctx when it has a deadline, and otherwise ctx bounded by
+// clientCallTimeout. context.Background, what most callers pass, takes no
+// timer per request: those requests share one window, a context whose
+// deadline lies clientCallTimeout after it was made, replaced once less
+// than half of that is left. Each is then bounded by between half of
+// clientCallTimeout and all of it, and a request allocates nothing for it.
+// Any other ctx may carry values or end early, so it gets its own timeout.
+func (c *Client) bound(ctx context.Context) (context.Context, context.CancelFunc) {
+	if _, ok := ctx.Deadline(); ok {
+		return ctx, nil
+	}
+	if ctx != context.Background() {
+		return context.WithTimeout(ctx, clientCallTimeout)
+	}
+	now := time.Now()
+	if w := c.window.Load(); w != nil && w.deadline.Sub(now) >= clientCallTimeout/2 {
+		return w.ctx, nil
+	}
+	w := &callWindow{deadline: now.Add(clientCallTimeout)}
+	w.ctx, w.cancel = context.WithDeadline(ctx, w.deadline)
+	c.window.Store(w)
+	return w.ctx, nil
 }
 
 // Ping returns the identity of the node at addr.

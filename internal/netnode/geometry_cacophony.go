@@ -99,7 +99,8 @@ func (n *Node) ringEstimate(level int) int {
 // asks its per-level first successors and current long links for their own
 // per-level successors and ring-size estimates, then swaps the fresh tables
 // in wholesale — a contact that stopped answering drops out, and the routing
-// view republishes once with one consistent lookahead state.
+// view republishes once with one consistent lookahead state. An exchange
+// whose ctx ended keeps the old tables (overran).
 func (cacophonyGeometry) maintain(ctx context.Context, n *Node) {
 	n.mu.Lock()
 	targets := make([]Info, 0, lookaheadFanout)
@@ -154,6 +155,9 @@ func (cacophonyGeometry) maintain(ctx context.Context, n *Node) {
 				estCnt[l]++
 			}
 		}
+	}
+	if n.overran(ctx) {
+		return
 	}
 	n.mu.Lock()
 	n.looks = looks

@@ -42,6 +42,7 @@ const (
 	mnRegisterFail = "canon_register_failures_total"
 	mnNotifyFail   = "canon_notify_failures_total"
 	mnAESyncFail   = "canon_antientropy_sync_failures_total"
+	mnOverruns     = "canon_maintenance_overruns_total"
 )
 
 // knownMsgTypes is every wire message type the node itself sends or serves.
@@ -95,6 +96,7 @@ type nodeMetrics struct {
 	registerFailures        *telemetry.Counter
 	notifyFailures          *telemetry.Counter
 	antiEntropySyncFailures *telemetry.Counter
+	maintenanceOverruns     *telemetry.Counter
 
 	// answered[l] counts the gets entered at this node that the level-l owner
 	// answered; answeredNone those that found nothing. Both are immutable
@@ -156,6 +158,8 @@ func newNodeMetrics(reg *telemetry.Registry, levels int) *nodeMetrics {
 			"ring-neighbor notifications (join and stabilization) the neighbor did not acknowledge"),
 		antiEntropySyncFailures: reg.Counter(mnAESyncFail,
 			"anti-entropy level walks ended early by a failed comparison or repair with a replica partner"),
+		maintenanceOverruns: reg.Counter(mnOverruns,
+			"maintenance jobs (stabilization, finger refresh, lookahead) stopped because their own context ended, keeping the ring state they started with"),
 		sentFixed:     make(map[string]*telemetry.Counter, len(knownMsgTypes)),
 		receivedFixed: make(map[string]*telemetry.Counter, len(knownMsgTypes)),
 		sent:          make(map[string]*telemetry.Counter),

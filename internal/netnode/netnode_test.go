@@ -509,11 +509,14 @@ func TestBackgroundMaintenance(t *testing.T) {
 		nodes = append(nodes, n)
 	}
 	time.Sleep(100 * time.Millisecond)
+	// Check every node before closing any: a node checked after its
+	// neighbors closed has rightly dropped them by then.
 	for _, n := range nodes {
-		succs := n.Successors(0)
-		if len(succs) == 0 {
+		if len(n.Successors(0)) == 0 {
 			t.Error("no successors after background maintenance")
 		}
+	}
+	for _, n := range nodes {
 		if err := n.Close(); err != nil {
 			t.Errorf("close: %v", err)
 		}

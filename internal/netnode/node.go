@@ -169,8 +169,8 @@ type Node struct {
 	ests   []uint64
 	closed bool
 
-	loopStop chan struct{}
-	loopDone chan struct{}
+	loopCancel context.CancelFunc // ends the maintenance loop's context
+	loopDone   chan struct{}
 }
 
 // New creates a node. It does not contact anyone; call Join.
@@ -449,15 +449,29 @@ func (n *Node) pingAddr(ctx context.Context, addr string) (Info, error) {
 func (n *Node) Start(interval time.Duration) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.loopStop != nil || n.closed {
+	if n.loopCancel != nil || n.closed {
 		return
 	}
-	n.loopStop = make(chan struct{})
-	n.loopDone = make(chan struct{})
-	go n.maintainLoop(interval, n.loopStop, n.loopDone)
+	ctx, cancel := context.WithCancel(context.Background())
+	n.loopCancel, n.loopDone = cancel, make(chan struct{})
+	go n.maintainLoop(ctx, interval, n.loopDone)
 }
 
-func (n *Node) maintainLoop(interval time.Duration, stop, done chan struct{}) {
+// maintainLoop runs a maintenance round every interval until ctx ends.
+//
+// A round's only deadline is ctx, which Close cancels: every call in it is
+// already bounded per attempt (RetryPolicy.AttemptTimeout in Node.call). A
+// deadline of one interval per round would not be safe, because the attempt
+// bound (2s by default) may be longer than the interval (1s in the bench
+// cluster): a ping to a peer that hangs would then always end on the round's
+// deadline, and a call failed by the caller's own deadline is rightly not
+// evidence against the peer (call, overran), so the hung peer would never
+// leave the successor lists. With no round deadline its attempts fail with
+// time left, count against it, and the round drops it. A round that outlasts
+// the interval only delays the next one: rounds run on this one goroutine,
+// and the ticker drops the ticks it missed. A round that Close cuts short
+// keeps the ring state it had not yet rewritten (overran).
+func (n *Node) maintainLoop(ctx context.Context, interval time.Duration, done chan struct{}) {
 	defer close(done)
 	// Anti-entropy runs on a multiple of the maintenance tick: replica
 	// divergence accrues slowly (it needs a missed push), so syncing every
@@ -475,15 +489,13 @@ func (n *Node) maintainLoop(interval time.Duration, stop, done chan struct{}) {
 	for {
 		select {
 		case <-ticker.C:
-			ctx, cancel := context.WithTimeout(context.Background(), interval)
 			n.StabilizeOnce(ctx)
 			n.FixFingers(ctx)
 			tick++
 			if tick%syncEvery == 0 {
 				n.AntiEntropyOnce(ctx)
 			}
-			cancel()
-		case <-stop:
+		case <-ctx.Done():
 			return
 		}
 	}
@@ -500,10 +512,10 @@ func (n *Node) Close() error {
 		return nil
 	}
 	n.closed = true
-	stop, done := n.loopStop, n.loopDone
+	stop, done := n.loopCancel, n.loopDone
 	n.mu.Unlock()
 	if stop != nil {
-		close(stop)
+		stop()
 		<-done
 	}
 	err := n.tr.Close()

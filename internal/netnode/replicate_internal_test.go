@@ -8,6 +8,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"github.com/canon-dht/canon/internal/canonstore"
@@ -21,14 +22,19 @@ import (
 
 // replCluster is a bus cluster whose members' identifiers the test chose, so
 // every test can name the owner of a key and its predecessors. Each node
-// sends through a transport.Faulty with no faults installed.
+// sends through a lockProbe over a transport.Faulty with no faults installed.
 // newReplCluster builds the flat one (one ring, level 0 only) with node i at
 // identifier (i+1)<<28; newHierCluster the benchmark's two-level topology.
+// Nodes join with the cluster's geometry and retry policy, the defaults
+// unless a test set them first.
 type replCluster struct {
-	bus     *transport.Bus
-	nodes   []*Node
-	faulty  []*transport.Faulty
-	batches batchLog
+	tripped  atomic.Bool // shared by the nodes' lock probes
+	bus      *transport.Bus
+	nodes    []*Node
+	faulty   []*transport.Faulty
+	batches  batchLog
+	geometry string
+	retry    RetryPolicy
 }
 
 // batchLog records every store2 batch that left a node through its Faulty
@@ -99,9 +105,9 @@ func (c *replCluster) settle() {
 func (c *replCluster) join(t *testing.T, addr, name string, nodeID uint64, replicas int) *Node {
 	t.Helper()
 	f := transport.NewFaulty(loggedTransport{c.bus.Endpoint(addr), &c.batches}, 1, transport.Faults{})
-	n, err := New(Config{
+	n, err := newProbedNode(t, &c.tripped, f, Config{
 		Name: name, ID: nodeID, Rand: rand.New(rand.NewSource(int64(nodeID))),
-		Transport: f, ReplicationFactor: replicas,
+		ReplicationFactor: replicas, Geometry: c.geometry, Retry: c.retry,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -665,7 +671,13 @@ var hierTopology = []struct {
 
 func newHierCluster(t *testing.T, replicas int) *replCluster {
 	t.Helper()
-	c := &replCluster{bus: transport.NewBus()}
+	return newHierClusterGeom(t, "", replicas)
+}
+
+// newHierClusterGeom is newHierCluster under the named geometry.
+func newHierClusterGeom(t *testing.T, geometry string, replicas int) *replCluster {
+	t.Helper()
+	c := &replCluster{bus: transport.NewBus(), geometry: geometry}
 	for i, m := range hierTopology {
 		c.join(t, fmt.Sprintf("hier-%d", i), m.name, m.id, replicas)
 	}

@@ -83,10 +83,11 @@ func (s *failingStore) Sync() error {
 }
 
 // routedCluster is a settled hierarchical cluster. Every node sends through
-// a transport.Faulty (no faults installed) and never retries, so a dead peer
-// costs one failed call and no backoff; the client has a Faulty of its own,
-// whose call count is the number of client RPCs.
+// a lockProbe over a transport.Faulty (no faults installed) and never
+// retries, so a dead peer costs one failed call and no backoff; the client
+// has a Faulty of its own, whose call count is the number of client RPCs.
 type routedCluster struct {
+	tripped   atomic.Bool // shared by the nodes' lock probes
 	bus       *transport.Bus
 	nodes     []*Node
 	faulty    []*transport.Faulty
@@ -103,8 +104,8 @@ func newRoutedCluster(t *testing.T, geometry string, names []string, seed int64)
 	for i, name := range names {
 		f := transport.NewFaulty(c.bus.Endpoint(fmt.Sprintf("routed-%d", i)), seed+int64(i), transport.Faults{})
 		st := &failingStore{Store: canonstore.NewMem()}
-		n, err := New(Config{
-			Name: name, RandomID: true, Rand: rng, Transport: f, Geometry: geometry,
+		n, err := newProbedNode(t, &c.tripped, f, Config{
+			Name: name, RandomID: true, Rand: rng, Geometry: geometry,
 			Store: st, Retry: RetryPolicy{MaxAttempts: 1},
 		})
 		if err != nil {

@@ -284,9 +284,13 @@ func (n *Node) TracedLookup(ctx context.Context, key uint64, prefix string) (Inf
 // re-registers the node in its domains' membership registries (whose owners
 // drift as the key space repartitions) and uses the registry to escape
 // level-isolation when the node wrongly believes it is alone in a domain.
+// A round whose ctx ends stops there and keeps every list and predecessor
+// it has not yet rewritten (see overran).
 func (n *Node) StabilizeOnce(ctx context.Context) {
 	for l := 0; l <= n.levels; l++ {
-		n.stabilizeLevel(ctx, l)
+		if !n.stabilizeLevel(ctx, l) {
+			return
+		}
 	}
 	n.registerSelf(ctx)
 	n.replicateOnce(ctx)
@@ -312,7 +316,21 @@ func (n *Node) StabilizeOnce(ctx context.Context) {
 	}
 }
 
-func (n *Node) stabilizeLevel(ctx context.Context, level int) {
+// overran reports, and counts, that a maintenance job's own ctx has ended.
+// A probe that failed for that reason says nothing about the peer, so the
+// job keeps the state it started with instead of writing back what its
+// failed probes suggest — an empty successor list, no predecessor.
+func (n *Node) overran(ctx context.Context) bool {
+	if ctx.Err() == nil {
+		return false
+	}
+	n.m.maintenanceOverruns.Inc()
+	return true
+}
+
+// stabilizeLevel runs one level of StabilizeOnce and reports whether it
+// finished; false means ctx ended and the level's state was left as it was.
+func (n *Node) stabilizeLevel(ctx context.Context, level int) bool {
 	n.mu.Lock()
 	prefix := prefixAt(n.self.Name, level)
 	list := append([]Info(nil), n.succs[level]...)
@@ -367,6 +385,9 @@ func (n *Node) stabilizeLevel(ctx context.Context, level int) {
 		if _, err := n.pingAddr(ctx, s.Addr); err == nil {
 			alive = append(alive, s)
 		}
+	}
+	if n.overran(ctx) {
+		return false
 	}
 	if len(alive) == 0 {
 		alive = []Info{n.self}
@@ -424,6 +445,9 @@ func (n *Node) stabilizeLevel(ctx context.Context, level int) {
 		}
 	}
 
+	if n.overran(ctx) {
+		return false
+	}
 	n.mu.Lock()
 	switch {
 	case succ.Addr == n.self.Addr:
@@ -438,6 +462,9 @@ func (n *Node) stabilizeLevel(ctx context.Context, level int) {
 	n.mu.Unlock()
 	if !p.IsZero() && p.Addr != n.self.Addr {
 		if _, err := n.pingAddr(ctx, p.Addr); err != nil {
+			if n.overran(ctx) {
+				return false
+			}
 			n.mu.Lock()
 			if n.preds[level].Addr == p.Addr {
 				n.preds[level] = Info{}
@@ -446,6 +473,7 @@ func (n *Node) stabilizeLevel(ctx context.Context, level int) {
 			n.mu.Unlock()
 		}
 	}
+	return true
 }
 
 // mergeSuccList builds [succ] + the successor's own list up to ourselves:
@@ -490,7 +518,8 @@ func capList(in []Info, max int) []Info {
 // than the bound carried up from the level below; the result is published as
 // one new routing epoch. The name is Chord's; the per-ring rule and the
 // bound are the geometry's (levelLinks, mergeBound — Chord fingers for
-// Crescendo, XOR buckets for Kandy, harmonic draws for Cacophony).
+// Crescendo, XOR buckets for Kandy, harmonic draws for Cacophony). A run
+// whose ctx ends keeps the links it started with.
 func (n *Node) FixFingers(ctx context.Context) {
 	fingers := make(map[uint64]Info)
 	bound := n.space.Size()
@@ -503,6 +532,9 @@ func (n *Node) FixFingers(ctx context.Context) {
 		}
 		n.mu.Unlock()
 		bound = n.geom.mergeBound(n, bound, succ, fingers)
+	}
+	if n.overran(ctx) {
+		return // the lookups that failed for lack of time found nothing out
 	}
 	n.mu.Lock()
 	n.fingers = fingers

@@ -23,8 +23,9 @@ type RetryPolicy struct {
 	// MaxBackoff caps the exponential growth.
 	MaxBackoff time.Duration
 	// AttemptTimeout bounds each individual attempt; the caller's context
-	// still bounds the whole call. Zero means the default of 2s; negative
-	// disables the per-attempt bound.
+	// still bounds the whole call. Values <= 0 mean the default of 2s: every
+	// attempt is bounded, which is what lets maintenance rounds run without
+	// a deadline of their own (see Node.maintainLoop).
 	AttemptTimeout time.Duration
 }
 
@@ -38,10 +39,8 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	if p.MaxBackoff <= 0 {
 		p.MaxBackoff = 100 * time.Millisecond
 	}
-	if p.AttemptTimeout == 0 {
+	if p.AttemptTimeout <= 0 {
 		p.AttemptTimeout = 2 * time.Second
-	} else if p.AttemptTimeout < 0 {
-		p.AttemptTimeout = 0
 	}
 	return p
 }
@@ -74,17 +73,11 @@ type Stats struct {
 // deduplicate execute it at most once across retries and duplicated
 // deliveries), bounds each attempt, and retries transport-level failures
 // with exponential backoff and jitter while honoring the caller's context.
-// Every outcome feeds the per-peer failure detector.
+// Every outcome feeds the per-peer failure detector, except a failure the
+// caller's own context caused: that says nothing about the peer.
 func (n *Node) call(ctx context.Context, addr string, msg transport.Message) (transport.Message, error) {
 	if msg.Nonce == "" {
-		// Hand-built "<addr>#<hex seq>" (same format Sprintf produced): one
-		// string allocation instead of the fmt machinery, since every
-		// forwarded lookup hop passes through here.
-		var scratch [64]byte
-		b := append(scratch[:0], n.self.Addr...)
-		b = append(b, '#')
-		b = strconv.AppendUint(b, n.nonceSeq.Add(1), 16)
-		msg.Nonce = string(b)
+		msg.Nonce = nonce(n.self.Addr, "#", n.nonceSeq.Add(1))
 	}
 	n.m.sentCounter(msg.Type).Inc()
 	start := time.Now()
@@ -114,26 +107,34 @@ func (n *Node) call(ctx context.Context, addr string, msg transport.Message) (tr
 			}
 		}
 		attempts = attempt + 1
-		attemptCtx, cancel := ctx, context.CancelFunc(nil)
-		if pol.AttemptTimeout > 0 {
-			attemptCtx, cancel = context.WithTimeout(ctx, pol.AttemptTimeout)
-		}
+		attemptCtx, cancel := context.WithTimeout(ctx, pol.AttemptTimeout)
 		resp, err := n.tr.Call(attemptCtx, addr, msg)
-		if cancel != nil {
-			cancel()
-		}
+		cancel()
 		if err == nil {
 			n.health.recordSuccess(addr)
 			return resp, nil
 		}
 		lastErr = err
+		if ctx.Err() != nil {
+			break // the caller's own deadline, not evidence against the peer
+		}
 		n.health.recordFailure(addr)
-		if errors.Is(err, transport.ErrClosed) || ctx.Err() != nil {
-			break // the transport is gone or the caller gave up: stop early
+		if errors.Is(err, transport.ErrClosed) {
+			break // the transport is gone: stop early
 		}
 	}
 	n.m.failedCalls.Inc()
 	return transport.Message{}, lastErr
+}
+
+// nonce builds "<addr><sep><hex seq>" by hand: one string allocation
+// instead of the fmt machinery, since every forwarded hop passes through
+// Node.call.
+func nonce(addr, sep string, seq uint64) string {
+	var scratch [64]byte
+	b := append(scratch[:0], addr...)
+	b = append(b, sep...)
+	return string(strconv.AppendUint(b, seq, 16))
 }
 
 // tell sends a request whose reply carries no body and reports a transport
