@@ -264,8 +264,9 @@ func printStatus(w io.Writer, st canon.LiveStatus) {
 
 // printTrace renders a traced lookup as a per-hop tree: each line is one
 // span, indented by hop, showing the node, its domain, the routing level the
-// hop was taken at, and route-around / owner markers. The trace stays
-// queryable afterwards at the entry node's /debug/trace/<id>.
+// hop was taken at, and route-around / owner markers. A terminal node that
+// is not the owner answered for it from its successor list, and says so.
+// The trace stays queryable afterwards at the entry node's /debug/trace/<id>.
 func printTrace(w io.Writer, owner canon.LiveInfo, tr canon.RouteTrace) {
 	fmt.Fprintf(w, "trace %s key %d domain %q: owner node %d (%s) via %d hops\n",
 		tr.ID, tr.Key, tr.Prefix, owner.ID, owner.Addr, tr.Hops())
@@ -276,7 +277,10 @@ func printTrace(w io.Writer, owner canon.LiveInfo, tr canon.RouteTrace) {
 			branch = "└▶ "
 		}
 		detail := fmt.Sprintf("level %d", s.Level)
-		if s.Owner {
+		switch {
+		case s.Owner && s.Addr != owner.Addr:
+			detail = fmt.Sprintf("answered for owner %d", owner.ID)
+		case s.Owner:
 			detail = "owner"
 		}
 		marks := ""

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -119,5 +120,22 @@ func TestStatusCommand(t *testing.T) {
 	}
 	if err := run([]string{"status", "http://127.0.0.1:1/"}); err == nil {
 		t.Error("unreachable status URL should error")
+	}
+}
+
+func TestPrintTraceAnsweredForOwner(t *testing.T) {
+	tr := canon.RouteTrace{ID: "t", Key: 5, Spans: []canon.RouteSpan{
+		{Hop: 0, ID: 1, Addr: "a", Level: 0},
+		{Hop: 1, ID: 3, Addr: "c", Level: -1, Owner: true},
+	}}
+	var out strings.Builder
+	printTrace(&out, canon.LiveInfo{ID: 4, Addr: "d"}, tr)
+	if !strings.Contains(out.String(), "[answered for owner 4]") {
+		t.Errorf("a list answer is not shown as one:\n%s", out.String())
+	}
+	out.Reset()
+	printTrace(&out, canon.LiveInfo{ID: 3, Addr: "c"}, tr)
+	if !strings.Contains(out.String(), "[owner]") {
+		t.Errorf("the owner's answer is not shown as the owner's:\n%s", out.String())
 	}
 }

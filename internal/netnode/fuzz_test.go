@@ -49,6 +49,9 @@ func FuzzHandle(f *testing.F) {
 	seed(msgRegister, registerReq{Prefix: "a/b"})
 	seed(msgMembers, membersReq{})
 	seed(msgLeaving, leavingReq{From: Info{Addr: "ghost"}, Succs: []Info{ghost}})
+	// Hints that bracket the probe key: the list now names peers this node
+	// never reached, which must not answer for the owner (listAnswer).
+	seed(msgLeaving, leavingReq{From: Info{Addr: "ghost"}, Succs: []Info{ghost, {ID: 100, Addr: "y"}}})
 	seed(msgSyncTree, syncTreeReq{Prefix: "fuzz"})
 	seed(msgSyncKeys, syncKeysReq{Buckets: []int{0, 1 << 30}})
 	seed(msgSyncPull, syncPullReq{Key: 5})

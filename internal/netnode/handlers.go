@@ -175,7 +175,7 @@ func (n *Node) handle(ctx context.Context, from string, msg transport.Message) (
 		if err := msg.Decode(&req); err != nil {
 			return transport.Message{}, err
 		}
-		n.handleLeaving(req)
+		n.handleLeaving(ctx, req)
 		return transport.NewMessage(msgLeaving, nil)
 
 	default:
@@ -271,30 +271,53 @@ func (n *Node) registryBetweenLocked(lo, hi uint64) []registerReq {
 	return out
 }
 
-// handleLeaving splices a departing node out of all local state.
-func (n *Node) handleLeaving(req leavingReq) {
+// handleLeaving splices a departing node out of all local state (applyLeaving)
+// and then, with the node lock released, passes the notice on to the
+// predecessor of every level whose successor list named the leaver. That is
+// the notify chain run in reverse: it stops by itself at the first node
+// whose lists did not name the leaver, and a graceful leave leaves no list
+// naming it — which lookups answered from a successor list rely on.
+func (n *Node) handleLeaving(ctx context.Context, req leavingReq) {
+	for _, p := range n.applyLeaving(req) {
+		if err := n.tell(ctx, p.Addr, msgLeaving, req); err != nil {
+			n.m.leaveNotifyFailures.Inc()
+		}
+	}
+}
+
+// applyLeaving removes the leaver from every list, predecessor, finger and
+// registry entry, inserts its successors (the hints) into each level's list
+// at their clockwise rank, and returns the distinct predecessors to pass the
+// notice on to: those of the levels whose list named the leaver.
+func (n *Node) applyLeaving(req leavingReq) (fwd []Info) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	gone := req.From.Addr
 	for l := 0; l <= n.levels; l++ {
-		kept := n.succs[l][:0]
+		listed := false
+		kept := make([]Info, 0, len(n.succs[l])+len(req.Succs))
 		for _, s := range n.succs[l] {
-			if s.Addr != gone {
+			if s.Addr == gone {
+				listed = true
+			} else {
 				kept = append(kept, s)
 			}
 		}
 		// Use the leaver's successors as repair hints for this level.
 		for _, h := range req.Succs {
-			if h.Addr == gone || h.Addr == n.self.Addr {
-				continue
-			}
-			if inDomain(h.Name, prefixAt(n.self.Name, l)) {
+			if h.Addr != gone && h.Addr != n.self.Addr && inDomain(h.Name, prefixAt(n.self.Name, l)) {
 				kept = append(kept, h)
 			}
 		}
-		n.succs[l] = capList(dedupeInfos(kept), n.cfg.SuccessorListLen)
+		kept = dedupeInfos(kept)
+		n.sortClockwise(kept)
+		n.succs[l] = capList(kept, n.cfg.SuccessorListLen)
 		if n.preds[l].Addr == gone {
 			n.preds[l] = Info{}
+		}
+		if p := n.preds[l]; listed && !p.IsZero() && p.Addr != n.self.Addr &&
+			!slices.ContainsFunc(fwd, func(f Info) bool { return f.Addr == p.Addr }) {
+			fwd = append(fwd, p)
 		}
 	}
 	for fid, f := range n.fingers {
@@ -312,4 +335,5 @@ func (n *Node) handleLeaving(req leavingReq) {
 		n.registry[prefix] = kept
 	}
 	n.publishRoutingLocked()
+	return fwd
 }

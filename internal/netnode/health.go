@@ -137,6 +137,14 @@ func (h *healthTracker) state(addr string) PeerState {
 	return PeerState(p.state.Load())
 }
 
+// answered reports, lock-free, whether the peer answered this node's last
+// call to it: the node has called it (a peer known only from a hint or a
+// notify has no entry), it is alive, and no call has failed since.
+func (h *healthTracker) answered(addr string) bool {
+	p := h.lookup(addr)
+	return p != nil && PeerState(p.state.Load()) == PeerAlive && p.fails.Load() == 0
+}
+
 // preferred reports whether routing should rank the peer normally. Alive
 // peers are preferred; suspect/dead peers are not — except once per probation
 // window, when a single probe is let back through so recovered peers rejoin

@@ -82,7 +82,7 @@ func (c *cluster) join(t *testing.T, ctx context.Context, geom string, s joinSpe
 	t.Helper()
 	n, err := netnode.New(netnode.Config{
 		Name: s.name, ID: s.id, Geometry: geom, Rand: c.rng, Telemetry: reg,
-		Transport: c.bus.Endpoint(fmt.Sprintf("node-%d", s.id)),
+		Transport: c.bus.Endpoint(fmt.Sprintf("node-%d", s.id)), Retry: c.retry,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -255,8 +255,10 @@ func rpcMix(nodes []*netnode.Node) map[string]int64 {
 func TestJoinMessageCost(t *testing.T) {
 	// quiescent is one StabilizeOnce on each of the eight benchmark-layout
 	// nodes after convergence, by message type, as measured before this
-	// protocol passed notifies on.
-	quiescent := map[string]int64{"lookup": 32, "neighbors": 24, "notify": 24, "ping": 88, "register": 20}
+	// protocol passed notifies on — except lookups, 17 rather than 32: the
+	// node in front of a registry owner answers registerSelf's lookups for
+	// it from its successor list instead of forwarding them.
+	quiescent := map[string]int64{"lookup": 17, "neighbors": 24, "notify": 24, "ping": 88, "register": 20}
 	for _, geom := range geometries {
 		t.Run(geom, func(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
@@ -421,8 +423,8 @@ func (d *dropNotifies) Call(ctx context.Context, addr string, msg transport.Mess
 // TestJoinChainStopsWhereListed loses a joiner's notify to its successor,
 // so the successor keeps its old predecessor. The passed-on notify then
 // runs round the two-node ring the joiner enters — and must stop at the
-// first node that already lists the joiner, not circle between the two
-// until the caller's deadline. The next round repairs the predecessor.
+// first node that already lists the joiner, not circle between the two.
+// The next round repairs the predecessor.
 func TestJoinChainStopsWhereListed(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
@@ -436,10 +438,10 @@ func TestJoinChainStopsWhereListed(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.nodes = append(c.nodes, j)
-	// The join's own budget is well under the 2 s per-attempt timeout: a
-	// chain circling between the two nodes would use it up (on the bus a
-	// handler's calls run under its caller's context) rather than be cut off
-	// by the first attempt's timeout and retried.
+	// A chain circling between the two nodes would never let the join
+	// return: on the bus each pass-on runs inside the handler of the hop
+	// before it. The join's own budget, well under the 2 s per-attempt
+	// timeout, shows it did not wait out an attempt either.
 	jctx, jcancel := context.WithTimeout(ctx, time.Second)
 	defer jcancel()
 	if err := j.Join(jctx, c.nodes[0].Info().Addr); err != nil {

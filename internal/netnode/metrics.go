@@ -19,6 +19,7 @@ const (
 	mnRPCLatency   = "canon_rpc_latency_seconds"
 	mnRPCAttempts  = "canon_rpc_attempts"
 	mnLookupHops   = "canon_lookup_hops"
+	mnListAnswers  = "canon_lookup_list_answers_total"
 	mnGetHops      = "canon_get_hops"
 	mnPutHops      = "canon_put_hops"
 	mnGetAnswered  = "canon_get_answered_total"
@@ -68,6 +69,7 @@ type nodeMetrics struct {
 	rpcLatency   *telemetry.Histogram
 	rpcAttempts  *telemetry.Histogram
 	lookupHops   *telemetry.Histogram
+	listAnswers  *telemetry.Counter
 	getHops      *telemetry.Histogram
 	putHops      *telemetry.Histogram
 	traceStarted *telemetry.Counter
@@ -123,6 +125,7 @@ func newNodeMetrics(reg *telemetry.Registry, levels int) *nodeMetrics {
 		rpcLatency:   reg.Histogram(mnRPCLatency, "outgoing RPC latency per completed call, seconds", telemetry.DefBuckets),
 		rpcAttempts:  reg.Histogram(mnRPCAttempts, "transport attempts used per RPC call", telemetry.AttemptBuckets),
 		lookupHops:   reg.Histogram(mnLookupHops, "forwarding hops per lookup answered for a local or remote originator", telemetry.HopBuckets),
+		listAnswers:  reg.Counter(mnListAnswers, "lookups this node answered for the owner from its successor list instead of forwarding"),
 		traceStarted: reg.Counter(mnTraceStarted, "route traces originated by this node"),
 		traceDone:    reg.Counter(mnTraceDone, "route traces completed and archived at this node"),
 		storeWrites:  reg.Counter(mnStoreWrites, "local store writes (values, pointers and replicas)"),
@@ -151,7 +154,7 @@ func newNodeMetrics(reg *telemetry.Registry, levels int) *nodeMetrics {
 		leaveHandoffFailures: reg.Counter(mnLeaveLost,
 			"stored records a graceful leave could not hand to their next owner"),
 		leaveNotifyFailures: reg.Counter(mnLeaveNotify,
-			"per-level predecessors a graceful leave could not tell it was going"),
+			"leaving notices not delivered: per-level neighbors a graceful leave could not tell it was going, and predecessors a passed-on notice did not reach"),
 		registerFailures: reg.Counter(mnRegisterFail,
 			"domain registry registrations that failed: the registry owner was not found or not reached"),
 		notifyFailures: reg.Counter(mnNotifyFail,

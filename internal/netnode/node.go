@@ -275,6 +275,14 @@ func (n *Node) clockwise(a, b uint64) uint64 {
 	return n.space.Clockwise(id.ID(a), id.ID(b))
 }
 
+// sortClockwise orders list by clockwise distance from this node: the order
+// of a successor list.
+func (n *Node) sortClockwise(list []Info) {
+	sort.Slice(list, func(i, j int) bool {
+		return n.clockwise(n.self.ID, list[i].ID) < n.clockwise(n.self.ID, list[j].ID)
+	})
+}
+
 // Join inserts the node into the network through the given contact address.
 // An empty contact bootstraps a new network. Per Section 2.3, the node looks
 // up its own identifier at every level of its chain, from the root ring
@@ -539,15 +547,23 @@ func (n *Node) Leave(ctx context.Context) error {
 	})
 	n.mu.Lock()
 	globalSuccs := append([]Info(nil), n.succs[0]...)
-	preds := append([]Info(nil), n.preds...)
+	// Every level's predecessor and first successor hear of the leave: the
+	// predecessors pass it on to the further ones whose lists name us
+	// (handleLeaving), the successors forget us as their predecessor.
+	neighbors := append([]Info(nil), n.preds...)
+	for _, list := range n.succs {
+		if len(list) > 0 {
+			neighbors = append(neighbors, list[0])
+		}
+	}
 	n.mu.Unlock()
 
 	lost := n.handOffLeaving(ctx, items)
 	n.m.leaveHandoffFailures.Add(int64(lost))
-	// Tell per-level predecessors we are going, handing them our successor
-	// lists as repair hints.
+	// Tell them we are going, handing them our successor list as repair
+	// hints.
 	seen := make(map[string]bool)
-	for _, p := range preds {
+	for _, p := range neighbors {
 		if p.IsZero() || p.Addr == n.self.Addr || seen[p.Addr] {
 			continue
 		}

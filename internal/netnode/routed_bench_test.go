@@ -16,9 +16,9 @@ type routedBench struct {
 	nodes  []*Node
 	client *Client
 	keys   []uint64
-	// hops[i] is LookupHops(keys[i], "") from entry(i): what one global
-	// route costs for the i-th (entry, key) pair the benchmark loop cycles
-	// through.
+	// hops[i] is walkHops(keys[i], "") from entry(i): what one global walk
+	// to the owner costs for the i-th (entry, key) pair the benchmark loop
+	// cycles through.
 	hops []int
 }
 
@@ -60,10 +60,7 @@ func newRoutedBench(b *testing.B) *routedBench {
 	c.hops = make([]int, routedBenchKeys)
 	for i := range c.keys {
 		c.keys[i] = uint64(rng.Uint32())
-		var err error
-		if _, c.hops[i], err = c.entry(i).LookupHops(ctx, c.keys[i], ""); err != nil {
-			b.Fatal(err)
-		}
+		c.hops[i] = walkHops(b, c.entry(i), c.keys[i], "")
 	}
 	return c
 }
@@ -84,8 +81,8 @@ func (c *routedBench) sent() (total int64) {
 
 // report publishes the message cost of the timed loop: rpcs/op counts the
 // client's one request per op plus every request any node sent for it, and
-// hops/op is the mean global lookup cost of the same b.N (entry, key) pairs.
-// scripts/bench-compare.sh holds rpcs/op at or under hops/op + 1.
+// hops/op is the mean global walk to the owner of the same b.N (entry, key)
+// pairs. scripts/bench-compare.sh holds rpcs/op at or under hops/op + 1.
 func (c *routedBench) report(b *testing.B, sentBefore int64) {
 	lookupHops := 0
 	for i := 0; i < b.N; i++ {
@@ -93,6 +90,25 @@ func (c *routedBench) report(b *testing.B, sentBefore int64) {
 	}
 	b.ReportMetric(float64(c.sent()-sentBefore)/float64(b.N)+1, "rpcs/op")
 	b.ReportMetric(float64(lookupHops)/float64(b.N), "hops/op")
+}
+
+// BenchmarkRoutedLookup resolves global keys through rotating entry nodes:
+// the bottom-up route up to the node that answers — the owner, or the node
+// in front of it, from its successor list.
+func BenchmarkRoutedLookup(b *testing.B) {
+	c := newRoutedBench(b)
+	ctx := context.Background()
+	before := c.sent()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % routedBenchKeys
+		if _, _, err := c.client.Lookup(ctx, c.entry(k).self.Addr, c.keys[k], ""); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	c.report(b, before)
 }
 
 // BenchmarkRoutedGet reads preloaded global keys through rotating entry

@@ -200,28 +200,42 @@ func seededKeys(seed int64, n int) []uint64 {
 	return keys
 }
 
+// walkHops is what a walk to the owner of key in the domain prefix costs
+// from entry — the hops a get or a put takes: a traced lookup's hops, plus
+// the one it saves when the node in front of the owner answers for it from
+// its successor list (the terminal span is then not the owner's).
+func walkHops(tb testing.TB, entry *Node, key uint64, prefix string) int {
+	tb.Helper()
+	owner, tr, err := entry.TracedLookup(context.Background(), key, prefix)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	hops := tr.Hops()
+	if tr.Spans[len(tr.Spans)-1].Addr != owner.Addr {
+		hops++
+	}
+	return hops
+}
+
 // probeHops is what the retired client-side probe paid in lookup hops to
-// reach the level that answered: one lookup per level of the entry node's
+// reach the level that answered: one walk per level of the entry node's
 // chain, from its leaf domain out to answered (-1: every level).
 func probeHops(t *testing.T, entry *Node, key uint64, answered int) int {
 	t.Helper()
 	total := 0
 	for l := entry.levels; l >= 0 && l >= answered; l-- {
-		_, h, err := entry.LookupHops(context.Background(), key, prefixAt(entry.self.Name, l))
-		if err != nil {
-			t.Fatal(err)
-		}
-		total += h
+		total += walkHops(t, entry, key, prefixAt(entry.self.Name, l))
 	}
 	return total
 }
 
 // (a) Message count. One client RPC per operation; the cluster serves
 // exactly hops+1 get (resp. put) messages for it and nothing else; a put's
-// record takes the lookup's route; a get never takes more hops than the
-// per-level probe paid in lookups, and on Crescendo a get that has to go all
-// the way to the global owner takes exactly the hops of one global lookup —
-// the bottom-up route is the global route (Section 3.2 convergence).
+// record takes the lookup's route to the owner (walkHops); a get never takes
+// more hops than the per-level probe paid in walks, and on Crescendo a get
+// that has to go all the way to the global owner takes exactly the hops of
+// one global walk — the bottom-up route is the global route (Section 3.2
+// convergence).
 func TestRoutedMessageCount(t *testing.T) {
 	forEachGeometry(t, func(t *testing.T, geometry string) {
 		c := newRoutedCluster(t, geometry, routedHierNames(), 41)
@@ -249,18 +263,12 @@ func TestRoutedMessageCount(t *testing.T) {
 			if got := c.sent(msgLookup) + c.sent(msgStoreV2) - others; got != 0 {
 				t.Fatalf("put %d: %d lookup/store2 messages beside the routed put", key, got)
 			}
-			_, valueHops, err := entry.LookupHops(ctx, key, class.storage)
-			if err != nil {
-				t.Fatal(err)
-			}
+			valueHops := walkHops(t, entry, key, class.storage)
 			if class.access == class.storage && route.Hops != valueHops {
-				t.Errorf("put %d %v via %q: %d hops, the lookup takes %d", key, class, entry.self.Name, route.Hops, valueHops)
+				t.Errorf("put %d %v via %q: %d hops, the walk to the owner takes %d", key, class, entry.self.Name, route.Hops, valueHops)
 			}
 			if class.access != class.storage {
-				_, ptrHops, err := entry.LookupHops(ctx, key, class.access)
-				if err != nil {
-					t.Fatal(err)
-				}
+				ptrHops := walkHops(t, entry, key, class.access)
 				if route.Hops != valueHops+ptrHops {
 					t.Errorf("put %d %v: %d hops, value and pointer lookups take %d+%d", key, class, route.Hops, valueHops, ptrHops)
 				}
@@ -287,12 +295,8 @@ func TestRoutedMessageCount(t *testing.T) {
 						key, reader.self.Name, route.Level, route.Hops, probe)
 				}
 				if geometry == GeometryCrescendo && route.Level == 0 {
-					_, global, err := reader.LookupHops(ctx, key, "")
-					if err != nil {
-						t.Fatal(err)
-					}
-					if route.Hops != global {
-						t.Errorf("get %d via %q: %d hops bottom-up, one global lookup takes %d",
+					if global := walkHops(t, reader, key, ""); route.Hops != global {
+						t.Errorf("get %d via %q: %d hops bottom-up, one global walk takes %d",
 							key, reader.self.Name, route.Hops, global)
 					}
 				}
@@ -613,7 +617,9 @@ func TestRoutedConcurrentGetPut(t *testing.T) {
 // only where the entry's lookup cannot reach a holder either — the record's
 // one holder is the refusing node, or the refusing node is the domain's only
 // gateway toward it (the Canon link bound) — so it answers as best effort
-// exactly as the lookup does.
+// exactly as the lookup does. A lookup may name the refusing node as the
+// owner without visiting it (the node in front of it answers from its
+// successor list), so a holder that refuses is never reachable.
 func TestRoutedRefusingNodeRoutedAround(t *testing.T) {
 	forEachGeometry(t, func(t *testing.T, geometry string) {
 		c := newRoutedCluster(t, geometry, routedHierNames(), 7)
@@ -641,7 +647,7 @@ func TestRoutedRefusingNodeRoutedAround(t *testing.T) {
 				}
 				reachable := false
 				for _, h := range c.holders(key) {
-					reachable = reachable || c.nodes[h].self.Addr == owner.Addr
+					reachable = reachable || h != refusing && c.nodes[h].self.Addr == owner.Addr
 				}
 				if _, err := entry.Get(ctx, key); err != nil && (reachable || !errors.Is(err, ErrNotFound)) {
 					failed["get"]++
@@ -889,4 +895,31 @@ func TestAckedWritesAreSynced(t *testing.T) {
 			t.Fatalf("anti-entropy after losing %d copies pushed %d and pulled %d, want both", lost, pushed, pulled)
 		}
 	})
+}
+
+// (k) A leaving notice ranks the leaver's successors into a list clockwise,
+// so a list that was missing one of them stays in ring order and brackets
+// keys where it should (listAnswer), and passes the notice on to the
+// predecessor only while the list named the leaver: a second notice stops.
+func TestApplyLeavingRanksHintsAndStopsChain(t *testing.T) {
+	n, err := New(Config{ID: 1, Transport: transport.NewBus().Endpoint("self")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	leaver, b, c, pred := Info{ID: 10, Addr: "x"}, Info{ID: 20, Addr: "b"}, Info{ID: 30, Addr: "c"}, Info{ID: 90, Addr: "p"}
+	n.mu.Lock()
+	n.succs[0] = []Info{leaver, c}
+	n.preds[0] = pred
+	n.mu.Unlock()
+	notice := leavingReq{From: leaver, Succs: []Info{b, c}}
+	if fwd := n.applyLeaving(notice); len(fwd) != 1 || fwd[0].Addr != pred.Addr {
+		t.Errorf("passed on to %v, want the predecessor %v", fwd, pred)
+	}
+	if got := n.Successors(0); len(got) != 2 || got[0].Addr != b.Addr || got[1].Addr != c.Addr {
+		t.Errorf("successors %v, want [b c]", got)
+	}
+	if fwd := n.applyLeaving(notice); len(fwd) != 0 {
+		t.Errorf("a second notice passed on to %v: the chain must stop where the leaver is not listed", fwd)
+	}
 }

@@ -3,7 +3,6 @@ package netnode
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"github.com/canon-dht/canon/internal/id"
 	"github.com/canon-dht/canon/internal/telemetry"
@@ -91,25 +90,35 @@ var (
 	putOp    = &routedOp[putReq, putResp, *putReq]{msg: msgPut}
 )
 
-// forward is the one place a node sends a routed message on: it plans the
-// hop for key inside the level-l domain of this node's chain (planHop) and
-// tries the candidates in order, each with a copy of req one hop further
-// along — on a traced route carrying this node's span for the hop. A
-// candidate has answered when its reply decodes into the op's response
-// body; an unreachable candidate or an error reply sends the route on to
-// the next. answered is false when this node is where the route ends: it
-// owns the key in the domain, or no candidate answered (the liveness-over-
-// accuracy choice, see planHop). Only the op's terminal action — answer as
-// owner, read the store, apply the write — is left to the caller.
+// forward sends a get or a put on toward key: it plans the hop inside the
+// level-l domain of this node's chain (planHop) and sends the request along
+// the plan (forwardOn). Lookups plan for themselves, since they may answer
+// without a hop (listAnswer).
+func (op *routedOp[Q, R, PQ]) forward(ctx context.Context, n *Node, v *routingView, key uint64, level int, req PQ) (resp R, answered bool, err error) {
+	plan, err := n.planHop(v, key, level, req.header().Hops)
+	if err != nil {
+		return resp, false, err
+	}
+	return op.forwardOn(ctx, n, v, &plan, req)
+}
+
+// forwardOn tries the candidates of plan in order, each with a copy of req
+// one hop further along — on a traced route carrying this node's span for
+// the hop. A candidate has answered when its reply decodes into the op's
+// response body; an unreachable candidate or an error reply sends the route
+// on to the next. answered is false when this node is where the route ends:
+// it owns the key in the domain (an empty plan), or no candidate answered
+// (the liveness-over-accuracy choice, see planHop). Only the op's terminal
+// action — answer as owner, read the store, apply the write — is left to the
+// caller.
 //
 // The untraced path allocates no request object: the forwarded copy comes
 // from the op's pool. A traced hop's span list is pool-recycled too.
-func (op *routedOp[Q, R, PQ]) forward(ctx context.Context, n *Node, v *routingView, key uint64, level int, req PQ) (resp R, answered bool, err error) {
-	at := req.header()
-	plan, err := n.planHop(v, key, level, at.Hops)
-	if err != nil || plan.cnt == 0 {
-		return resp, false, err
+func (op *routedOp[Q, R, PQ]) forwardOn(ctx context.Context, n *Node, v *routingView, plan *hopPlan, req PQ) (resp R, answered bool, err error) {
+	if plan.cnt == 0 {
+		return resp, false, nil
 	}
+	at := req.header()
 	fwd := op.reqs.get()
 	defer op.reqs.put(fwd)
 	*fwd = *req
@@ -139,12 +148,43 @@ func (op *routedOp[Q, R, PQ]) forward(ctx context.Context, n *Node, v *routingVi
 	return resp, false, nil
 }
 
+// listAnswer reports whether this node may answer a lookup for the owner
+// instead of forwarding to it, and with which owner and ring successor. It
+// may when plan's first candidate c passes three tests:
+//
+//  1. c is the distance-best candidate, not a route-around: the answered
+//     route is then a prefix of the full greedy route, so Section 3.2
+//     locality and proxy convergence hold as they do for the full route;
+//  2. the level's successor list names c's ring successor next and next
+//     overshoots the key (bracket), so c is the key's closest predecessor
+//     in the domain;
+//  3. c, and next unless it is this node, answered this node's last call to
+//     them — a peer known only from a hint or a notify does not qualify.
+//
+// Gets and puts never stop early: they need the owner's store. The lists are
+// exact after a join (notifies are passed back) and after a graceful leave
+// (leaving notices are too); after a crash an answer can name the dead owner
+// until this node's next call to it fails, at most one maintenance round,
+// since stabilization pings every list entry.
+func (n *Node) listAnswer(v *routingView, plan *hopPlan, key uint64, level int) (owner, next Info, ok bool) {
+	if plan.cnt == 0 || plan.order[0].info.Addr != plan.best {
+		return Info{}, Info{}, false
+	}
+	c := plan.order[0].info
+	next, ok = v.bracket(key, level, c)
+	if !ok || !n.health.answered(c.Addr) || next.Addr != v.self.Addr && !n.health.answered(next.Addr) {
+		return Info{}, Info{}, false
+	}
+	return c, next, true
+}
+
 // hopSpans returns the spans of a traced route as it leaves this node, in
 // buf's backing array: the spans carried in, then this node's span for hop
 // at.Hops. A forward's span records its routing level — the depth of the
 // lowest common domain with the next node, so leaf-deep hops stay local and
 // level-0 hops cross top-level boundaries (Section 3.2) — and whether the
-// distance-best candidate was skipped; the answering node's span is the
+// distance-best candidate was skipped; the answering node's span — the
+// owner's, or that of the node answering for it (listAnswer) — is the
 // terminal Owner span, at level -1.
 func (v *routingView) hopSpans(buf []telemetry.Span, at *routeHeader, level int, routeAround bool) []telemetry.Span {
 	return append(append(buf[:0], at.Spans...), telemetry.Span{
@@ -195,23 +235,34 @@ func (n *Node) newRoute(traced bool) routeHeader {
 }
 
 // handleLookup serves a routed lookup: greedy clockwise forwarding
-// constrained to a domain. The receiving node either forwards toward the
-// key, or — being the key's closest predecessor within the domain — answers
-// with itself as the owner. The node loads its published routing snapshot
-// once (one complete epoch — never a torn mix of two stabilization rounds)
-// and routes from it.
+// constrained to a domain. The receiving node answers with itself as the
+// owner when it is the key's closest predecessor within the domain, answers
+// for the owner when its successor list brackets the key at the hop it would
+// take (listAnswer), and forwards toward the key otherwise. The node loads
+// its published routing snapshot once (one complete epoch — never a torn mix
+// of two stabilization rounds) and plans the hop from it once.
 func (n *Node) handleLookup(ctx context.Context, req *lookupReq) (lookupResp, error) {
 	v := n.routing.Load()
 	level, ok := v.levelOf(req.Prefix)
 	if !ok {
 		return lookupResp{}, fmt.Errorf("netnode: lookup for %q reached node outside it", req.Prefix)
 	}
-	resp, answered, err := lookupOp.forward(ctx, n, v, req.Key, level, req)
+	plan, err := n.planHop(v, req.Key, level, req.Hops)
 	if err != nil {
 		return lookupResp{}, err
 	}
-	if !answered {
-		resp = lookupResp{Pred: v.self, Succ: v.succAt(level), routeHeader: v.answerRoute(&req.routeHeader)}
+	var resp lookupResp
+	if owner, next, ok := n.listAnswer(v, &plan, req.Key, level); ok {
+		n.m.listAnswers.Inc()
+		resp = lookupResp{Pred: owner, Succ: next, routeHeader: v.answerRoute(&req.routeHeader)}
+	} else {
+		var answered bool
+		if resp, answered, err = lookupOp.forwardOn(ctx, n, v, &plan, req); err != nil {
+			return lookupResp{}, err
+		}
+		if !answered {
+			resp = lookupResp{Pred: v.self, Succ: v.succAt(level), routeHeader: v.answerRoute(&req.routeHeader)}
+		}
 	}
 	if req.Hops == 0 {
 		n.finishEntry(n.m.lookupHops, &req.routeHeader, &resp.routeHeader, req.Key, req.Prefix)
@@ -370,9 +421,7 @@ func (n *Node) stabilizeLevel(ctx context.Context, level int) bool {
 		}
 	}
 	list = kept
-	sort.Slice(list, func(i, j int) bool {
-		return n.clockwise(n.self.ID, list[i].ID) < n.clockwise(n.self.ID, list[j].ID)
-	})
+	n.sortClockwise(list)
 
 	// Find the first live successor; stop probing once a full successor
 	// list's worth of live candidates is in hand.

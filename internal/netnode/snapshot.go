@@ -122,6 +122,27 @@ func (v *routingView) succAt(l int) Info {
 	return v.succs[l][0]
 }
 
+// bracket returns c's ring successor inside the level-l domain when the
+// view's successor list names it and it overshoots key — so c is the key's
+// closest predecessor there: the list entry after c, or this node itself
+// when c ends the list and is also the level's predecessor. ok is false when
+// the list does not bracket key at c. It allocates nothing.
+func (v *routingView) bracket(key uint64, l int, c Info) (next Info, ok bool) {
+	list := v.succs[l]
+	for i, s := range list {
+		if s.Addr != c.Addr {
+			continue
+		}
+		if i+1 == len(list) {
+			return v.self, v.preds[l].Addr == c.Addr
+		}
+		next = list[i+1]
+		rem := v.space.Clockwise(id.ID(v.self.ID), id.ID(key))
+		return next, v.space.Clockwise(id.ID(v.self.ID), id.ID(next.ID)) > rem
+	}
+	return Info{}, false
+}
+
 // forwardSet fills dst with up to len(dst) forwarding candidates for key
 // within the level-l domain, in the order one hop should try them: peers the
 // failure detector prefers first, distance-descending (closest to the key

@@ -14,7 +14,9 @@ import (
 // lookup passes through appends exactly one span: either a forwarding span
 // (Level records the depth of the lowest common domain shared with the next
 // hop — the level at which the hop was taken) or a terminal span with Owner
-// set, emitted by the node that answers as the key's closest predecessor.
+// set, emitted by the node that answered: the key's closest predecessor, or
+// — for a lookup — the node in front of it, which names the owner from its
+// successor list instead of forwarding to it.
 type Span struct {
 	// Hop is the span's position on the path, starting at 0 at the entry node.
 	Hop int `json:"hop"`
@@ -31,8 +33,9 @@ type Span struct {
 	// RouteAround marks hops where the distance-best candidate was skipped —
 	// because the failure detector distrusts it or because it did not answer.
 	RouteAround bool `json:"routeAround,omitempty"`
-	// Owner marks the terminal span: this node answered as the key's owner
-	// within the lookup's domain.
+	// Owner marks the terminal span: this node answered. That is the key's
+	// owner within the lookup's domain, or the node in front of it when a
+	// lookup stopped one hop early; the lookup's answer names the owner.
 	Owner bool `json:"owner,omitempty"`
 }
 

@@ -90,9 +90,7 @@ func (t *InMem) Serve(h Handler) {
 
 // Call implements Transport.
 func (t *InMem) Call(ctx context.Context, addr string, msg Message) (Message, error) {
-	// A call on a finished context fails, as it does over TCP: a handler
-	// that calls on runs under its caller's context here, so this is also
-	// what bounds a chain of nested calls by the first caller's deadline.
+	// A call on a finished context fails, as it does over TCP.
 	if err := ctx.Err(); err != nil {
 		return Message{}, err
 	}
@@ -133,7 +131,10 @@ func (t *InMem) Call(ctx context.Context, addr string, msg Message) (Message, er
 	if h == nil {
 		return Message{}, ErrNoHandler
 	}
-	resp, err := h(ctx, t.addr, msg)
+	// The handler runs under a context of its own, as a TCP serve worker's
+	// does: a handler that calls on is bounded per attempt by Node.call, as
+	// it is over TCP, not by its caller's deadline.
+	resp, err := h(context.Background(), t.addr, msg)
 	if err != nil {
 		return ErrorMessage(err), nil
 	}
