@@ -1,6 +1,6 @@
-// The live Geometry abstraction: the axis along which the Canon construction
-// is generic (paper Sections 5-6). A geometry owns everything about routing
-// that is not the ring substrate itself:
+// The live routing geometry: the axis along which the Canon construction is
+// generic (paper Sections 5-6). A node's geometry is one value, a geomKind,
+// and every rule it owns is a switch on that value:
 //
 //   - the link table: which long links the node builds on one ring and the
 //     bound the Canon merge carries from each ring to the next one out
@@ -10,12 +10,11 @@
 //   - the admissibility predicate: the Section 2.2 link-retention verdict a
 //     lookup applies before using a contact as a greedy candidate
 //     (geomAdmissible);
-//   - the next-hop choice: how one forwarding hop scores the candidates in
-//     the advance-without-overshoot window (forwardSet / forwardSetScored in
-//     snapshot.go, keyed on geomKind so the hot path stays free of dynamic
-//     dispatch);
-//   - geometry-specific maintenance RPCs (maintain): Kandy's bucket-refresh
-//     probes and Cacophony's lookahead neighbor exchange (docs/WIRE.md §9).
+//   - the next-hop choice: how one forwarding hop ranks the candidates in
+//     the advance-without-overshoot window (scoreCandidate and rankedBefore,
+//     used by forwardSet in snapshot.go);
+//   - geometry-specific maintenance RPCs: Kandy's bucket-refresh probes and
+//     Cacophony's lookahead neighbor exchange (maintain; docs/WIRE.md §9).
 //
 // What a geometry does NOT change: the per-level clockwise rings
 // (successor lists, predecessors, stabilization, notify), ownership (a key
@@ -50,10 +49,11 @@ const (
 	GeometryCacophony = "cacophony"
 )
 
-// geomKind is the hot-path identity of a geometry. The forwarding decision
-// and the snapshot builder switch on it directly — an interface call there
-// would be dynamic dispatch on the zero-alloc path for no benefit, since the
-// set of geometries is closed at compile time.
+// geomKind is a node's routing geometry — the one value the control plane
+// (FixFingers, StabilizeOnce) and the forwarding decision both switch on.
+// The set of geometries is closed at compile time, so a switch states each
+// rule in one place and keeps the zero-alloc hot path free of dynamic
+// dispatch.
 type geomKind uint8
 
 const (
@@ -62,55 +62,111 @@ const (
 	geomCacophony
 )
 
-// geometry is the control-plane face of a routing geometry. Implementations
-// are stateless: all state lives on the Node, so a geometry value is shared
-// freely.
-type geometry interface {
-	// kind is the hot-path switch key.
-	kind() geomKind
-	// name is the Config.Geometry spelling, reported by Node.GeometryName.
-	name() string
-	// levelLinks applies the geometry's flat link-creation rule on the
-	// node's level-l ring (the domain named prefix), adding to fingers every
-	// link it finds that is, in the geometry's metric, strictly shorter than
-	// bound. Node.FixFingers calls it leaf ring first and root last.
-	levelLinks(ctx context.Context, n *Node, l int, prefix string, bound uint64, fingers map[uint64]Info)
-	// mergeBound returns the bound the next merge, one level out, admits
-	// links under: the geometry's distance to the nearest thing the node
-	// links to on the ring just done. succ is the node's successor on that
-	// ring, zero when it is alone there; fingers is every link kept so far.
-	mergeBound(n *Node, bound uint64, succ Info, fingers map[uint64]Info) uint64
-	// maintain runs the geometry's extra per-stabilization-round protocol
-	// (bucket refresh, lookahead exchange); a no-op for geometries whose
-	// links need nothing beyond FixFingers.
-	maintain(ctx context.Context, n *Node)
-}
-
-// successorBound is the mergeBound of the clockwise geometries (Crescendo,
-// Cacophony): the next merge keeps only links shorter than the clockwise
-// distance to the successor on the ring just done (symphony.Geometry.Bound).
-type successorBound struct{}
-
-func (successorBound) mergeBound(n *Node, bound uint64, succ Info, _ map[uint64]Info) uint64 {
-	if succ.IsZero() {
-		return bound
-	}
-	return n.clockwise(n.self.ID, succ.ID)
-}
-
 // geometryByName resolves a Config.Geometry spelling; empty selects
 // Crescendo.
-func geometryByName(name string) (geometry, error) {
+func geometryByName(name string) (geomKind, error) {
 	switch name {
 	case "", GeometryCrescendo:
-		return crescendoGeometry{}, nil
+		return geomCrescendo, nil
 	case GeometryKandy:
-		return kandyGeometry{}, nil
+		return geomKandy, nil
 	case GeometryCacophony:
-		return cacophonyGeometry{}, nil
+		return geomCacophony, nil
 	default:
-		return nil, fmt.Errorf("netnode: unknown geometry %q (want %s, %s or %s)",
+		return 0, fmt.Errorf("netnode: unknown geometry %q (want %s, %s or %s)",
 			name, GeometryCrescendo, GeometryKandy, GeometryCacophony)
+	}
+}
+
+// name is the Config.Geometry spelling, reported by Node.GeometryName.
+func (g geomKind) name() string {
+	switch g {
+	case geomKandy:
+		return GeometryKandy
+	case geomCacophony:
+		return GeometryCacophony
+	default:
+		return GeometryCrescendo
+	}
+}
+
+// levelLinks applies the geometry's flat link-creation rule on the node's
+// level-l ring (the domain named prefix), adding to fingers every link it
+// finds that is, in the geometry's metric, strictly shorter than bound.
+// Node.FixFingers calls it leaf ring first and root last.
+//
+// Crescendo's is the Chord rule: for every power of two below the bound, the
+// first ring member at least that far clockwise, kept when it is itself
+// nearer than the bound. Kandy's (bucketLinks) and Cacophony's
+// (harmonicLinks) live in their own files.
+func (g geomKind) levelLinks(ctx context.Context, n *Node, l int, prefix string, bound uint64, fingers map[uint64]Info) {
+	switch g {
+	case geomKandy:
+		n.bucketLinks(ctx, prefix, bound, fingers)
+	case geomCacophony:
+		n.harmonicLinks(ctx, l, prefix, bound, fingers)
+	default:
+		for k := uint(0); k < n.space.Bits(); k++ {
+			step := uint64(1) << k
+			if step >= bound {
+				break
+			}
+			n.probeLink(ctx, prefix, uint64(n.space.Add(id.ID(n.self.ID), step)), step, bound, fingers)
+		}
+	}
+}
+
+// probeLink is the routed-lookup link probe of the clockwise geometries
+// (Crescendo, Cacophony): it finds the ring successor of target inside the
+// domain named prefix by looking up target-1 there, and adds it to fingers
+// when its clockwise distance from the node lies in [lo, hi).
+func (n *Node) probeLink(ctx context.Context, prefix string, target, lo, hi uint64, fingers map[uint64]Info) {
+	resp, err := n.lookupReqFrom(ctx, n.self, lookupReq{Key: uint64(n.space.Sub(id.ID(target), 1)), Prefix: prefix})
+	if err != nil {
+		return
+	}
+	cand := resp.Succ
+	if cand.IsZero() || cand.Addr == n.self.Addr {
+		return
+	}
+	if d := n.clockwise(n.self.ID, cand.ID); d >= lo && d < hi {
+		fingers[cand.ID] = cand
+	}
+}
+
+// mergeBound returns the bound the next merge, one level out, admits links
+// under: the geometry's distance to the nearest thing the node links to on
+// the ring just done. succ is the node's successor on that ring, zero when
+// it is alone there; fingers is every link kept so far.
+//
+// The clockwise geometries (Crescendo, Cacophony) keep only links shorter
+// than the clockwise distance to that successor (symphony.Geometry.Bound).
+// Kandy keeps only links whose XOR distance beats the shortest link the node
+// ends up with on the ring just done — its ring successor there and the
+// bucket links kept so far (kademlia.Geometry.Bound).
+func (g geomKind) mergeBound(n *Node, bound uint64, succ Info, fingers map[uint64]Info) uint64 {
+	if g != geomKandy {
+		if succ.IsZero() {
+			return bound
+		}
+		return n.clockwise(n.self.ID, succ.ID)
+	}
+	if !succ.IsZero() {
+		bound = min(bound, n.space.XOR(id.ID(n.self.ID), id.ID(succ.ID)))
+	}
+	for _, f := range fingers {
+		bound = min(bound, n.space.XOR(id.ID(n.self.ID), id.ID(f.ID)))
+	}
+	return bound
+}
+
+// maintain runs the geometry's extra per-stabilization-round protocol:
+// Cacophony's lookahead exchange. Crescendo's links need nothing beyond
+// FixFingers and ring stabilization, and Kandy's bucket-refresh probes run
+// inside levelLinks.
+func (g geomKind) maintain(ctx context.Context, n *Node) {
+	if g == geomCacophony {
+		n.lookaheadExchange(ctx)
 	}
 }
 
@@ -120,9 +176,9 @@ func (n *Node) GeometryName() string { return n.geom.name() }
 
 // geomAdmissible evaluates the Canon link-retention rule (Section 2.2) under
 // a geometry's metric. It is the single source of truth for admissibility:
-// the snapshot builder (admissibleInView) and the mutex-held reference the
-// tests compare it with (canonAdmissible, reference_test.go) both delegate
-// here, so the two can never drift.
+// the snapshot builder (buildRoutingView) and the mutex-held reference the
+// tests compare it with (canonAdmissible, reference_test.go) both call it,
+// so the two can never drift.
 //
 // A contact whose lowest common domain with the node sits at depth s leaves
 // the node's level-(s+1) domain, and the merge that created level s only

@@ -9,16 +9,15 @@ import (
 	"github.com/canon-dht/canon/internal/transport"
 )
 
-// cacophonyGeometry is Canonical Symphony (paper Section 5.2): per level,
-// floor(log2(n)) long links whose clockwise lengths follow the harmonic
-// distribution over an *estimated* ring size n, under the Canon merge bound
-// (the successor distance of the level below, symphony.Geometry.Bound).
-// Next-hop choice is 1-lookahead: a hop ranks each window candidate by the
-// key distance left after the best advance reachable through it — the
-// candidate itself or its known ring successor — in forwardSetScored. The
-// successor tables that power the lookahead travel in a periodic
-// lookaheadReq/lookaheadResp exchange (maintain).
-type cacophonyGeometry struct{ successorBound }
+// Canonical Symphony (paper Section 5.2): per level, floor(log2(n)) long
+// links whose clockwise lengths follow the harmonic distribution over an
+// *estimated* ring size n, under the Canon merge bound (the successor
+// distance of the level below, symphony.Geometry.Bound). Next-hop choice is
+// 1-lookahead: a hop ranks each window candidate by the key distance left
+// after the best advance reachable through it — the candidate itself or its
+// known ring successor — in forwardSet. The successor tables that power the
+// lookahead travel in a periodic lookaheadReq/lookaheadResp exchange
+// (lookaheadExchange).
 
 // lookaheadFanout bounds how many contacts one lookahead exchange round
 // queries.
@@ -31,14 +30,11 @@ type lookKey struct {
 	level int
 }
 
-func (cacophonyGeometry) kind() geomKind { return geomCacophony }
-func (cacophonyGeometry) name() string   { return GeometryCacophony }
-
-// levelLinks implements geometry with the Symphony harmonic rule: draws
-// against the ring's estimated size, keeping only links strictly shorter
-// than the bound. Draws are independent; a rejected draw is simply not
-// replaced (symphony.Geometry.MergeLinks).
-func (cacophonyGeometry) levelLinks(ctx context.Context, n *Node, l int, prefix string, bound uint64, fingers map[uint64]Info) {
+// harmonicLinks is Cacophony's levelLinks, the Symphony harmonic rule:
+// draws against the ring's estimated size, keeping only links strictly
+// shorter than the bound. Draws are independent; a rejected draw is simply
+// not replaced (symphony.Geometry.MergeLinks).
+func (n *Node) harmonicLinks(ctx context.Context, l int, prefix string, bound uint64, fingers map[uint64]Info) {
 	est := n.ringEstimate(l)
 	draws := int(math.Floor(math.Log2(float64(est))))
 	for i := 0; i < draws; i++ {
@@ -49,19 +45,7 @@ func (cacophonyGeometry) levelLinks(ctx context.Context, n *Node, l int, prefix 
 		if d >= bound {
 			continue
 		}
-		target := uint64(n.space.Add(id.ID(n.self.ID), d))
-		resp, err := n.lookupReqFrom(ctx, n.self, lookupReq{Key: uint64(n.space.Sub(id.ID(target), 1)), Prefix: prefix})
-		if err != nil {
-			continue
-		}
-		cand := resp.Succ
-		if cand.IsZero() || cand.Addr == n.self.Addr {
-			continue
-		}
-		if cd := n.clockwise(n.self.ID, cand.ID); cd == 0 || cd >= bound {
-			continue
-		}
-		fingers[cand.ID] = cand
+		n.probeLink(ctx, prefix, uint64(n.space.Add(id.ID(n.self.ID), d)), 1, bound, fingers)
 	}
 }
 
@@ -95,13 +79,14 @@ func (n *Node) ringEstimate(level int) int {
 	return est
 }
 
-// maintain implements geometry: the lookahead neighbor exchange. The node
-// asks its per-level first successors and current long links for their own
-// per-level successors and ring-size estimates, then swaps the fresh tables
-// in wholesale — a contact that stopped answering drops out, and the routing
-// view republishes once with one consistent lookahead state. An exchange
-// whose ctx ended keeps the old tables (overran).
-func (cacophonyGeometry) maintain(ctx context.Context, n *Node) {
+// lookaheadExchange is Cacophony's maintain: the lookahead neighbor
+// exchange. The node asks its per-level first successors and current long
+// links for their own per-level successors and ring-size estimates, then
+// swaps the fresh tables in wholesale — a contact that stopped answering
+// drops out, and the routing view republishes once with one consistent
+// lookahead state. An exchange whose ctx ended keeps the old tables
+// (overran).
+func (n *Node) lookaheadExchange(ctx context.Context) {
 	n.mu.Lock()
 	targets := make([]Info, 0, lookaheadFanout)
 	seen := make(map[string]bool, lookaheadFanout)

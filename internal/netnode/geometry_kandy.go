@@ -10,14 +10,12 @@ import (
 	"github.com/canon-dht/canon/internal/transport"
 )
 
-// kandyGeometry is Canonical Kademlia (paper Section 5.1): XOR metric, one
-// long link per XOR bucket, and at every merge only candidates whose XOR
-// distance beats the shortest link the node already keeps
-// (kademlia.Geometry). Next-hop choice ranks the clockwise
-// advance-without-overshoot window by XOR distance to the key — the
-// iterative-friendly "closest known contact" order real Kademlia uses — in
-// forwardSetScored.
-type kandyGeometry struct{}
+// Canonical Kademlia (paper Section 5.1): XOR metric, one long link per XOR
+// bucket, and at every merge only candidates whose XOR distance beats the
+// shortest link the node already keeps (kademlia.Geometry). Next-hop choice
+// ranks the clockwise advance-without-overshoot window by XOR distance to the
+// key — the iterative-friendly "closest known contact" order real Kademlia
+// uses — in forwardSet.
 
 const (
 	// bucketProbeSeeds is how many of the node's own XOR-nearest contacts a
@@ -28,16 +26,9 @@ const (
 	bucketRefFanout = 8
 )
 
-func (kandyGeometry) kind() geomKind { return geomKandy }
-func (kandyGeometry) name() string   { return GeometryKandy }
-
-// maintain implements geometry: Kandy's bucket-refresh probes run inside
-// levelLinks, so there is no separate maintenance round.
-func (kandyGeometry) maintain(context.Context, *Node) {}
-
-// levelLinks implements geometry with the Kademlia bucket rule: one
+// bucketLinks is Kandy's levelLinks, the Kademlia bucket rule: one
 // representative per XOR bucket [2^k, 2^(k+1)) that lies below the bound.
-func (kandyGeometry) levelLinks(ctx context.Context, n *Node, _ int, prefix string, bound uint64, fingers map[uint64]Info) {
+func (n *Node) bucketLinks(ctx context.Context, prefix string, bound uint64, fingers map[uint64]Info) {
 	for k := uint(0); k < n.space.Bits(); k++ {
 		low := uint64(1) << k
 		if low >= bound {
@@ -53,20 +44,6 @@ func (kandyGeometry) levelLinks(ctx context.Context, n *Node, _ int, prefix stri
 			fingers[cand.ID] = cand
 		}
 	}
-}
-
-// mergeBound implements geometry: the next merge keeps only links whose XOR
-// distance beats the shortest link the node ends up with on the ring just
-// done — its ring successor there and the bucket links kept so far
-// (kademlia.Geometry.Bound).
-func (kandyGeometry) mergeBound(n *Node, bound uint64, succ Info, fingers map[uint64]Info) uint64 {
-	if !succ.IsZero() {
-		bound = min(bound, n.space.XOR(id.ID(n.self.ID), id.ID(succ.ID)))
-	}
-	for _, f := range fingers {
-		bound = min(bound, n.space.XOR(id.ID(n.self.ID), id.ID(f.ID)))
-	}
-	return bound
 }
 
 // bucketProbe runs a short iterative probe — the live analog of Kademlia

@@ -52,5 +52,5 @@ func (n *Node) canonAdmissible(cand Info) bool {
 	d := n.clockwise(n.self.ID, cand.ID)
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return geomAdmissible(n.geom.kind(), n.space, n.self, n.levels, n.succs, cand, d)
+	return geomAdmissible(n.geom, n.space, n.self, n.levels, n.succs, cand, d)
 }

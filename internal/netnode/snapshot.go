@@ -55,9 +55,8 @@ type routingView struct {
 	space  id.Space
 	self   Info
 	levels int
-	// geom is the node's routing geometry: the forwarding decision switches
-	// on it (forwardSet for Crescendo's distance order, forwardSetScored for
-	// Kandy/Cacophony ranking) without dynamic dispatch.
+	// geom is the node's routing geometry: forwardSet's ranking switches on
+	// it without dynamic dispatch.
 	geom geomKind
 
 	// prefixes[l] is prefixAt(self.Name, l): the only domain prefixes this
@@ -76,8 +75,8 @@ type routingView struct {
 	// clockwise distance from self to that contact's level-l ring successor,
 	// 0 when unknown (no exchange yet, or a non-Cacophony geometry — the
 	// scorer then degrades to the candidate's own advance). Kept parallel to
-	// cands rather than inside viewCandidate so the Crescendo hot path's
-	// candidate copies stay one cache line.
+	// cands rather than inside viewCandidate so candidate copies stay one
+	// cache line.
 	looks [][]uint64
 
 	epochSeal uint64
@@ -144,86 +143,24 @@ func (v *routingView) bracket(key uint64, l int, c Info) (next Info, ok bool) {
 }
 
 // forwardSet fills dst with up to len(dst) forwarding candidates for key
-// within the level-l domain, in the order one hop should try them: peers the
-// failure detector prefers first, distance-descending (closest to the key
-// without overshooting) within each class. It returns how many candidates it
-// wrote, the address of the distance-best candidate (for the RouteAround
-// span flag), and whether that best candidate was demoted behind a healthy
-// one (the route-around metric). The call takes no locks and performs no
-// heap allocations — this is the forwarding hot path.
+// within the level-l domain, in the order one hop should try them: every
+// admissible candidate in the advance-without-overshoot window, ranked by
+// the geometry (scoreCandidate, rankedBefore), peers the failure detector
+// prefers before every distrusted one — distrusted ones sink to the back as
+// last-resort spares, so a wrongly accused peer cannot partition the lookup.
+// It returns how many candidates it wrote, the address of the candidate the
+// ranking puts first irrespective of health (for the RouteAround span flag),
+// and whether that candidate was demoted behind a healthy one (the
+// route-around metric). The call takes no locks and performs no heap
+// allocations — this is the forwarding hot path.
 func (v *routingView) forwardSet(health *healthTracker, key uint64, l int, dst []viewCandidate) (n int, bestAddr string, routedAround bool) {
-	if v.geom != geomCrescendo {
-		return v.forwardSetScored(health, key, l, dst)
-	}
 	rem := v.space.Clockwise(id.ID(v.self.ID), id.ID(key))
 	if rem == 0 {
 		return 0, "", false
 	}
 	cands := v.cands[l]
 	// Binary search for the end of the advance-without-overshoot window:
-	// candidates[0:hi] all have 1 <= dist <= rem.
-	lo, hi := 0, len(cands)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if cands[mid].dist <= rem {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	// One descending pass: preferred candidates go straight into dst,
-	// distrusted ones wait in a fixed spare buffer and sink behind every
-	// healthy candidate (still distance-ordered) — last-resort options, so a
-	// wrongly accused peer cannot partition the lookup.
-	var spare [forwardAttemptLimit]viewCandidate
-	nSpare := 0
-	sawBest := false
-	bestDemoted := false
-	for i := lo - 1; i >= 0 && n < len(dst); i-- {
-		c := cands[i]
-		if !c.admissible {
-			continue
-		}
-		pref := health.preferred(c.info.Addr)
-		if !sawBest {
-			sawBest = true
-			bestAddr = c.info.Addr
-			bestDemoted = !pref
-		}
-		if pref {
-			dst[n] = c
-			n++
-		} else if nSpare < len(spare) {
-			spare[nSpare] = c
-			nSpare++
-		}
-	}
-	routedAround = bestDemoted && n > 0
-	for i := 0; i < nSpare && n < len(dst); i++ {
-		dst[n] = spare[i]
-		n++
-	}
-	return n, bestAddr, routedAround
-}
-
-// forwardSetScored is forwardSet for the scored geometries (Kandy,
-// Cacophony): instead of the pure distance-descending order, every
-// admissible candidate in the advance-without-overshoot window is ranked by
-// the geometry's score — XOR distance to the key for Kandy, key distance
-// left after the best 1-lookahead advance for Cacophony — lower first, ties
-// toward larger clockwise advance, then address. Health classes work exactly
-// as in forwardSet: preferred candidates outrank every distrusted one, which
-// sink to the back as last-resort spares, and bestAddr names the candidate
-// the scorer ranks first irrespective of health. The call takes no locks and
-// performs no heap allocations — same hot-path contract as forwardSet.
-func (v *routingView) forwardSetScored(health *healthTracker, key uint64, l int, dst []viewCandidate) (n int, bestAddr string, routedAround bool) {
-	rem := v.space.Clockwise(id.ID(v.self.ID), id.ID(key))
-	if rem == 0 {
-		return 0, "", false
-	}
-	cands := v.cands[l]
-	// Same advance-without-overshoot window as forwardSet: candidates[0:lo]
-	// all have 1 <= dist <= rem.
+	// candidates[0:lo] all have 1 <= dist <= rem.
 	lo, hi := 0, len(cands)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -273,9 +210,10 @@ func (v *routingView) scoreCandidate(c viewCandidate, look, key, rem uint64) uin
 	if v.geom == geomKandy {
 		return v.space.XOR(id.ID(c.info.ID), id.ID(key))
 	}
-	// Cacophony 1-lookahead: the effective advance through c is c itself, or
-	// c's known ring successor when that lands farther along without
-	// overshooting the key; the score is the key distance left afterwards.
+	// The key distance left after the effective advance through c: c itself,
+	// or, for Cacophony's 1-lookahead, c's known ring successor when that
+	// lands farther along without overshooting the key. Crescendo has no
+	// lookahead facts (look is 0), so its order is maximal advance first.
 	eff := c.dist
 	if look > c.dist && look <= rem {
 		eff = look
@@ -350,7 +288,7 @@ func (n *Node) publishRoutingLocked() {
 	if prev := n.routing.Load(); prev != nil {
 		epoch = prev.epoch + 1
 	}
-	n.routing.Store(buildRoutingView(epoch, n.space, n.self, n.levels, n.geom.kind(),
+	n.routing.Store(buildRoutingView(epoch, n.space, n.self, n.levels, n.geom,
 		n.preds, n.succs, n.fingers, n.looks))
 }
 
@@ -425,7 +363,7 @@ func buildRoutingView(epoch uint64, space id.Space, self Info, levels int, geom 
 				info:       c,
 				dist:       d,
 				level:      sharedLevels(self.Name, c.Name),
-				admissible: admissibleInView(geom, space, self, levels, v.succs, c, d),
+				admissible: geomAdmissible(geom, space, self, levels, v.succs, c, d),
 			})
 		}
 		sort.Slice(cl, func(i, j int) bool {
@@ -443,13 +381,4 @@ func buildRoutingView(epoch uint64, space id.Space, self Info, levels int, geom 
 	}
 	v.epochSeal = epoch
 	return v
-}
-
-// admissibleInView evaluates the Canon link-retention rule (Section 2.2)
-// against the view's own successor lists; it must agree with the mutex-held
-// canonAdmissible reference (reference_test.go) for the same write-side
-// state (the snapshot equivalence suite asserts this). Both sides delegate to geomAdmissible,
-// the single shared rule, so they cannot drift.
-func admissibleInView(geom geomKind, space id.Space, self Info, levels int, succs [][]Info, cand Info, dist uint64) bool {
-	return geomAdmissible(geom, space, self, levels, succs, cand, dist)
 }

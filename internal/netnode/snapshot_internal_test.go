@@ -222,7 +222,7 @@ func TestForwardSetMatchesLockedReference(t *testing.T) {
 // scoredReferenceForwardSet is a naive O(n log n) re-implementation of the
 // scored forwarding decision — filter the advance-without-overshoot window,
 // rank everything by rankedBefore with a full sort, partition by health —
-// kept as the equivalence reference for forwardSetScored's single-pass
+// kept as the equivalence reference for forwardSet's single-pass
 // fixed-buffer insertion sort.
 func scoredReferenceForwardSet(n *Node, v *routingView, key uint64, l int, dst []viewCandidate) (cnt int, bestAddr string, routedAround bool) {
 	rem := n.clockwise(n.self.ID, key)
@@ -272,13 +272,14 @@ func scoredReferenceForwardSet(n *Node, v *routingView, key uint64, l int, dst [
 }
 
 // TestScoredForwardSetMatchesReference drives the scored forwarding decision
-// (Kandy's XOR ranking, Cacophony's 1-lookahead ranking) and the naive
+// (Crescendo's maximal advance, Kandy's XOR ranking, Cacophony's
+// 1-lookahead ranking) and the naive
 // sort-everything reference over the same states and keys — with a batch of
 // peers marked failing so both health classes are populated — and requires
 // identical answers: same candidates in the same order, same best address,
 // same route-around verdict.
 func TestScoredForwardSetMatchesReference(t *testing.T) {
-	for _, geom := range []string{GeometryKandy, GeometryCacophony} {
+	for _, geom := range snapshotGeometries {
 		t.Run(geom, func(t *testing.T) {
 			for _, peers := range []int{0, 1, 5, 24, 64} {
 				n := newSnapshotNodeGeom(t, peers, int64(300+peers), geom)
@@ -321,8 +322,8 @@ func TestScoredForwardSetMatchesReference(t *testing.T) {
 var forwardSink atomic.Uint64
 
 // snapshotGeometries enumerates every routing geometry for the hot-path
-// regression tests: the zero-alloc and mutex-free guarantees must hold for
-// the scored forwarding path (Kandy, Cacophony) exactly as for Crescendo's.
+// regression tests: the zero-alloc and mutex-free guarantees and the
+// scored-reference equivalence must hold under every geometry's ranking.
 var snapshotGeometries = []string{GeometryCrescendo, GeometryKandy, GeometryCacophony}
 
 // TestForwardDecisionZeroAllocs pins the hot-path guarantee for every
@@ -420,8 +421,9 @@ func forwardPathMutexSamples(t *testing.T) int {
 			fr, more := frames.Next()
 			switch fr.Function {
 			case "github.com/canon-dht/canon/internal/netnode.(*routingView).forwardSet",
-				"github.com/canon-dht/canon/internal/netnode.(*routingView).forwardSetScored",
 				"github.com/canon-dht/canon/internal/netnode.(*routingView).scoreCandidate",
+				"github.com/canon-dht/canon/internal/netnode.(*routingView).rankedBefore",
+				"github.com/canon-dht/canon/internal/netnode.(*routingView).insertRanked",
 				"github.com/canon-dht/canon/internal/netnode.(*routingView).levelOf",
 				"github.com/canon-dht/canon/internal/netnode.(*healthTracker).preferred",
 				"github.com/canon-dht/canon/internal/netnode.(*healthTracker).lookup":
