@@ -104,15 +104,15 @@ func TestLookupAfterLeave(t *testing.T) {
 // Stabilization pings every list entry, so after one StabilizeOnce on every
 // survivor every lookup is exact again. The wrong answers right after the
 // crash are logged, not bounded: that window is the price of answering from
-// the list. Nodes do not retry, so a call to the crashed node fails at once
-// instead of backing off.
+// the list. Nodes run the default retry policy: a call to the crashed node
+// stops retrying once the failure detector marks it dead.
 func TestLookupCrashWindow(t *testing.T) {
 	for _, geom := range geometries {
 		for i := range benchLayout() {
 			t.Run(fmt.Sprintf("%s/crash%d", geom, i), func(t *testing.T) {
 				ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 				defer cancel()
-				c := &cluster{bus: transport.NewBus(), rng: rand.New(rand.NewSource(1)), retry: netnode.RetryPolicy{MaxAttempts: 1}}
+				c := &cluster{bus: transport.NewBus(), rng: rand.New(rand.NewSource(1))}
 				for _, s := range benchLayout() {
 					c.join(t, ctx, geom, s, nil, "")
 				}

@@ -23,7 +23,6 @@ type cluster struct {
 	bus   *transport.Bus
 	nodes []*netnode.Node
 	rng   *rand.Rand
-	retry netnode.RetryPolicy // Config.Retry of the nodes join adds
 }
 
 // newCluster spins up one node per name, joining everyone through the first

@@ -72,8 +72,8 @@ type Stats struct {
 // counts the outgoing message, tags it with a nonce (so receivers that
 // deduplicate execute it at most once across retries and duplicated
 // deliveries), bounds each attempt, and retries transport-level failures
-// with exponential backoff and jitter while honoring the caller's context.
-// Every outcome feeds the per-peer failure detector, except a failure the
+// with exponential backoff and jitter while honoring the caller's context,
+// until the failure detector marks the peer dead. Every outcome feeds the per-peer failure detector, except a failure the
 // caller's own context caused: that says nothing about the peer.
 func (n *Node) call(ctx context.Context, addr string, msg transport.Message) (transport.Message, error) {
 	if msg.Nonce == "" {
@@ -121,6 +121,9 @@ func (n *Node) call(ctx context.Context, addr string, msg transport.Message) (tr
 		n.health.recordFailure(addr)
 		if errors.Is(err, transport.ErrClosed) {
 			break // the transport is gone: stop early
+		}
+		if n.health.state(addr) == PeerDead {
+			break // the failure detector gave up on it: backing off buys nothing
 		}
 	}
 	n.m.failedCalls.Inc()
