@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"math/rand"
 	"reflect"
 	"runtime"
 	"slices"
@@ -282,4 +283,138 @@ func TestClientCallBoundedWithoutDeadline(t *testing.T) {
 	if !hole.deadline.Equal(want) {
 		t.Errorf("deadline %v reached the transport, want the caller's %v", hole.deadline, want)
 	}
+}
+
+// handBuilt makes one node per name on a fresh bus, with identifiers
+// 1<<28, 2<<28, … in that order, and joins none of them: the test writes
+// the ring state it needs with setLevel.
+func handBuilt(t *testing.T, geometry string, succListLen int, names ...string) []*Node {
+	t.Helper()
+	bus := transport.NewBus()
+	nodes := make([]*Node, len(names))
+	for i, name := range names {
+		id := uint64(i+1) << 28
+		n, err := New(Config{
+			Name: name, ID: id, Geometry: geometry, SuccessorListLen: succListLen,
+			Rand: rand.New(rand.NewSource(int64(i))), Transport: bus.Endpoint(fmt.Sprintf("hand-%d", i)),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { n.Close() })
+		nodes[i] = n
+	}
+	return nodes
+}
+
+// setLevel writes one level of n's ring state: its successor list and
+// predecessor there.
+func setLevel(n *Node, level int, pred Info, succs ...Info) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.succs[level] = succs
+	n.preds[level] = pred
+	n.publishRoutingLocked()
+}
+
+// ringConsistent reports how the level-l ring of the members of prefix
+// differs from the sorted ring: every member's first successor and
+// predecessor there must be its clockwise neighbors. members is ascending
+// by identifier.
+func ringConsistent(members []*Node, level int) error {
+	for i, n := range members {
+		want := members[(i+1)%len(members)].self
+		wantPred := members[(i+len(members)-1)%len(members)].self
+		n.mu.Lock()
+		succs, pred := slices.Clone(n.succs[level]), n.preds[level]
+		n.mu.Unlock()
+		if len(succs) == 0 || succs[0].Addr != want.Addr || pred.Addr != wantPred.Addr {
+			return fmt.Errorf("%s (%d) at level %d: successors %v, predecessor %d; want successor %d, predecessor %d",
+				n.self.Addr, n.self.ID, level, infoIDs(succs), pred.ID, want.ID, wantPred.ID)
+		}
+	}
+	return nil
+}
+
+func infoIDs(list []Info) []uint64 {
+	ids := make([]uint64, len(list))
+	for i, s := range list {
+		ids[i] = s.ID
+	}
+	return ids
+}
+
+// TestStabilizeFoldMergesSplitRing guards stabilizeLevel's cross-level fold.
+// Ring north of A < B < C < D (A and C in north/a, B and D in north/b) has
+// split into the two consistent cycles A-C and B-D, one per leaf — the
+// state a burst of joins through different contacts can leave. Pure
+// successor/predecessor stabilization keeps it forever: each node's
+// successor names it as predecessor and lists nothing else. The root ring,
+// A-B-C-D, is the only evidence, and the fold is what reads it: one round
+// on every node merges ring north. Without the fold it is still split after
+// three.
+func TestStabilizeFoldMergesSplitRing(t *testing.T) {
+	forEachGeometry(t, func(t *testing.T, geometry string) {
+		nodes := handBuilt(t, geometry, 4, "north/a", "north/b", "north/a", "north/b")
+		for i, n := range nodes {
+			next := func(k int) Info { return nodes[(i+k)%4].self }
+			setLevel(n, 0, next(3), next(1), next(2), next(3))
+			setLevel(n, 1, next(2), next(2)) // the split: only the leaf partner
+			setLevel(n, 2, next(2), next(2))
+		}
+		ctx := context.Background()
+		var err error
+		for round := 1; round <= 3; round++ {
+			for _, n := range nodes {
+				n.StabilizeOnce(ctx)
+			}
+			if err = ringConsistent(nodes, 1); err == nil {
+				t.Logf("ring north merged after %d round(s)", round)
+				return
+			}
+		}
+		t.Fatalf("ring north still split after 3 rounds: %v", err)
+	})
+}
+
+// TestStabilizeRegistryEscapeJoinsSplitDomain guards StabilizeOnce's
+// registry "alone" escape. X and Y are the first two members of the new
+// domain south/x and each believes it is alone in south and south/x — what
+// two concurrent first joins leave when neither finds the other in the
+// registry. No list names the other: on the root ring four north nodes sit
+// between them each way, past a successor list of two, and no fingers are
+// built. The registry is the only place both names meet, and the escape is
+// what reads it: X finds Y there and the two rings close within three
+// rounds. Without the escape both stay singletons.
+func TestStabilizeRegistryEscapeJoinsSplitDomain(t *testing.T) {
+	forEachGeometry(t, func(t *testing.T, geometry string) {
+		// Root ring order: X, north, north, Y, north, north.
+		nodes := handBuilt(t, geometry, 2, "south/x", "north", "north", "south/x", "north", "north")
+		for i, n := range nodes {
+			next := func(k int) Info { return nodes[(i+k)%len(nodes)].self }
+			setLevel(n, 0, next(len(nodes)-1), next(1), next(2))
+			for l := 1; l <= n.levels; l++ {
+				setLevel(n, l, n.self) // alone in every domain below the root
+			}
+		}
+		// The north ring is whole, so only south's rings are in question.
+		north := []*Node{nodes[1], nodes[2], nodes[4], nodes[5]}
+		for i, n := range north {
+			setLevel(n, 1, north[(i+3)%4].self, north[(i+1)%4].self, north[(i+2)%4].self)
+		}
+		x, y := nodes[0], nodes[3]
+		ctx := context.Background()
+		var err error
+		for round := 1; round <= 3; round++ {
+			for _, n := range []*Node{y, x} { // Y registers before X looks
+				n.StabilizeOnce(ctx)
+			}
+			err = errors.Join(ringConsistent([]*Node{x, y}, 1), ringConsistent([]*Node{x, y}, 2))
+			if err == nil {
+				t.Logf("south and south/x joined after %d round(s)", round)
+				return
+			}
+		}
+		t.Fatalf("south/x still split after 3 rounds: %v", err)
+	})
 }

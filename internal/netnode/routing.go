@@ -334,7 +334,8 @@ func (n *Node) TracedLookup(ctx context.Context, key uint64, prefix string) (Inf
 // dead predecessors, and notify successors of our presence. It also
 // re-registers the node in its domains' membership registries (whose owners
 // drift as the key space repartitions) and uses the registry to escape
-// level-isolation when the node wrongly believes it is alone in a domain.
+// level-isolation when the node wrongly believes it is alone in a domain
+// (TestStabilizeRegistryEscapeJoinsSplitDomain).
 // A round whose ctx ends stops there and keeps every list and predecessor
 // it has not yet rewritten (see overran).
 func (n *Node) StabilizeOnce(ctx context.Context) {
@@ -395,7 +396,8 @@ func (n *Node) stabilizeLevel(ctx context.Context, level int) bool {
 	// geomAdmissible) measures against. More fundamentally, a ring that
 	// partitioned into disjoint consistent cycles after a join burst is a
 	// stable fixpoint of pure successor/predecessor stabilization; only
-	// cross-level evidence like this merges the cycles back together.
+	// cross-level evidence like this merges the cycles back together
+	// (TestStabilizeFoldMergesSplitRing).
 	for l := 0; l <= n.levels; l++ {
 		if l == level {
 			continue
