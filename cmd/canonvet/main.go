@@ -3,9 +3,9 @@
 // circular-ID arithmetic outside the ring helpers, nondeterminism in
 // seed-reproducible simulation packages, shared RNGs without locks, two
 // mutexes taken in both orders within a package, raw metric-name strings,
-// message envelopes built without their dedup nonce, writes to published
-// snapshot types outside the file that declares them, and stale suppression
-// pragmas: 8 checks (-list), each reading one package at a time.
+// writes to published snapshot types outside the file that declares them,
+// and stale suppression pragmas: 7 checks (-list), each reading one package
+// at a time.
 //
 // An RPC under a mutex, a goroutine with no stop path, a wire path with no
 // deadline, pool recycling, writes after an atomic publication, mixed

@@ -80,7 +80,6 @@ func AllChecks() []Check {
 		checkSimDeterminism,
 		checkLockOrder,
 		checkMetricNames,
-		checkWireCompat,
 		checkSnapshotMut,
 		{
 			Name: deadPragmaName,

@@ -190,3 +190,47 @@ func TestClientNoncesSurviveAddressReuse(t *testing.T) {
 		t.Fatalf("first request of a client on a reused address: %q, %v", got, err)
 	}
 }
+
+// nonceRecorder is a client transport that records the nonce of every
+// request it sends.
+type nonceRecorder struct {
+	transport.Transport
+	nonces []string
+}
+
+func (r *nonceRecorder) Call(ctx context.Context, addr string, msg transport.Message) (transport.Message, error) {
+	r.nonces = append(r.nonces, msg.Nonce)
+	return r.Transport.Call(ctx, addr, msg)
+}
+
+// TestClientStampsNonces: every request a client sends carries a nonce of
+// its own, so the node's dedup cache runs each at most once however often
+// the network delivers it. Client.call stamps it; scripts/lint.sh keeps
+// every client request going through Client.call.
+func TestClientStampsNonces(t *testing.T) {
+	c := newCluster(t, 41, []string{"a", "a", "b"})
+	defer c.close(t)
+	ctx := context.Background()
+	addr := c.nodes[0].Info().Addr
+	rec := &nonceRecorder{Transport: c.bus.Endpoint("recorder")}
+	client := netnode.NewClient(rec)
+	if _, err := client.Ping(ctx, addr); err != nil {
+		t.Fatal(err)
+	}
+	if err := client.Put(ctx, addr, 7, []byte("v"), "", ""); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := client.Get(ctx, addr, 7); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := client.Lookup(ctx, addr, 7, ""); err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]bool{}
+	for i, n := range rec.nonces {
+		if n == "" || seen[n] {
+			t.Fatalf("request %d of %d carries nonce %q: want a fresh one (all: %q)", i, len(rec.nonces), n, rec.nonces)
+		}
+		seen[n] = true
+	}
+}

@@ -62,7 +62,6 @@ func FuzzHandle(f *testing.F) {
 	f.Add(msgPing, []byte("garbage"))
 
 	f.Fuzz(func(t *testing.T, msgType string, payload []byte) {
-		//canonvet:ignore wirecompat -- fuzzing the dispatcher with raw, deliberately un-nonced envelopes
 		msg := transport.Message{Type: msgType, Payload: payload}
 		resp, err := caller.Call(context.Background(), "target", msg)
 		_ = resp

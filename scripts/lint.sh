@@ -2,8 +2,8 @@
 # lint.sh — the project's full static-analysis gate, runnable locally and in
 # CI: gofmt (fail on any unformatted file), go vet, the size ceiling of the
 # analyzer, the ban on function-style sync/atomic calls, the guard that
-# keeps every wire call behind a deadline, and canonvet (the
-# project-specific analyzer in cmd/canonvet).
+# keeps every wire call behind a deadline and a dedup nonce, and canonvet
+# (the project-specific analyzer in cmd/canonvet, 7 checks).
 #
 # Usage:
 #   ./scripts/lint.sh                # everything
@@ -78,7 +78,10 @@ esac
 echo "== wire calls =="
 # Transport.Call is made in exactly two places, and both bound it in time:
 # Node.call (stats.go) bounds every attempt, Client.call (client.go) falls
-# back to clientCallTimeout when its context has no deadline. The transport
+# back to clientCallTimeout when its context has no deadline. Both stamp a
+# dedup nonce on any envelope that lacks one, so this guard also keeps every
+# request deduplicable at its receiver (TestClientStampsNonces,
+# TestTracedLookupDedupUnderDuplication). The transport
 # decorators in internal/transport and the benchmark harness in bench/ wrap
 # a Transport and pass their caller's context on.
 allowed_calls='^internal/netnode/stats\.go:[0-9]+:\s+resp, err := n\.tr\.Call\(attemptCtx, addr, msg\)$|^internal/netnode/client\.go:[0-9]+:\s+return c\.tr\.Call\(ctx, addr, msg\)$'
